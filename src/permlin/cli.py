@@ -22,14 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, equivariant, invariant, matio, optimize, oracles, spectral
-from .errors import CyclicOnlyError, PermlinError
+from .errors import CyclicOnlyError, NonFiniteError, PermlinError
 from .perms import Permutation, cycle_decomposition, parse_permutation
 
 JSON_KW = dict(indent=2, sort_keys=True)
 
 
 def _emit(obj, out_path=None):
-    text = json.dumps(obj, **JSON_KW) + "\n"
+    try:
+        text = json.dumps(obj, allow_nan=False, **JSON_KW) + "\n"
+    except ValueError as exc:  # NaN or infinity: not valid JSON
+        raise NonFiniteError(f"output is not finite: {exc}") from None
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -291,10 +294,19 @@ def cmd_verify(args):
         x = rng.standard_normal((n, n + 2))
         y = rng.standard_normal((n, n + 2))
         r = max(1, min(args.rank, n - 1))
-        fast = optimize.fit_rank_bounded(x, y, r).loss
-        slow = oracles.als_low_rank(r, restarts=40, x=x, y=y, seed=args.seed)
-        checks.append({"check": "rank_bounded_fit_vs_als", "fast": fast, "oracle": slow,
-                       "ok": bool(fast <= slow + 1e-6)})
+        if x.shape[1] <= oracles.MAX_ALS_DIM:
+            fast = optimize.fit_rank_bounded(x, y, r).loss
+            slow = oracles.als_low_rank(r, restarts=40, x=x, y=y, seed=args.seed)
+            checks.append({"check": "rank_bounded_fit_vs_als", "fast": fast, "oracle": slow,
+                           "ok": bool(fast <= slow + 1e-6)})
+        if len(gens) == 1:
+            fit = optimize.fit_equivariant(x, y, gens[0], r)
+            m, loss, _ = oracles.projection_fit_equivariant(x, y, gens[0], r)
+            tol = oracles.AGREEMENT_TOL
+            agree = (abs(fit.loss - loss) <= tol * float(np.linalg.norm(y)) ** 2
+                     and np.linalg.norm(fit.minimizer - m) <= tol * (1.0 + np.linalg.norm(m)))
+            checks.append({"check": "equivariant_fit_vs_projection_oracle", "fast": fit.loss,
+                           "oracle": loss, "ok": bool(agree)})
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.out)
     return 0 if ok else 1

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
@@ -33,7 +32,7 @@ from .errors import (
     StructuralError,
 )
 from .linalg import DEFAULT_TOL, realize
-from .perms import Permutation, cycle_decomposition, permutation_matrix
+from .perms import Permutation, cycle_decomposition
 from .spectral import BaseChange, BlockSpectrum, RealBlock, _cycle_sort_order, real_base_change
 
 __all__ = [
@@ -263,8 +262,12 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
 
 def is_equivariant(m: np.ndarray, p: Permutation, tol: float = 1e-8) -> bool:
     m = np.asarray(m, dtype=float)
-    P = permutation_matrix(p).astype(float)
-    dev = np.linalg.norm(m @ P - P @ m)
+    if m.shape != (p.n, p.n):
+        raise SizeMismatchError(f"expected a {p.n} x {p.n} matrix, got {m.shape}")
+    img = np.asarray(p.image) - 1
+    # M P_sigma permutes the columns and P_sigma M the rows: row j of P_sigma
+    # is the unit vector e_{sigma(j)}
+    dev = np.linalg.norm(m[:, np.argsort(img)] - m[img])
     return dev <= tol * (1.0 + np.linalg.norm(m))
 
 
@@ -322,13 +325,14 @@ def classify_component(
     dev = np.linalg.norm(off)
     if dev > tol * (1.0 + np.linalg.norm(m)):
         raise EquivarianceError(f"off-block mass {dev:.3e} after base change; input is not equivariant")
+    svals = [np.linalg.svd(B[sl, sl], compute_uv=False) for sl in bc.block_slices]
     # rank decisions share one threshold scaled by the whole matrix, so that
-    # numerically-zero blocks read as rank 0
-    scale = np.linalg.norm(m, 2)
+    # numerically-zero blocks read as rank 0.  Q is orthogonal, so ||M||_2 is
+    # the largest block singular value up to the off-block mass checked above.
+    scale = max(s[0] for s in svals)
     threshold = rank_tol * scale * m.shape[0]
     values = []
-    for blk, sl in zip(bc.spectrum.real_blocks, bc.block_slices):
-        s = np.linalg.svd(B[sl, sl], compute_uv=False)
+    for blk, s in zip(bc.spectrum.real_blocks, svals):
         rank = 0 if scale == 0.0 else int(np.sum(s > threshold))
         if blk.kind == "complex_pair":
             if rank % 2:
@@ -367,10 +371,6 @@ class Parameterization:
     pattern: WeightSharingReport
     tilde_decoder: np.ndarray
     tilde_encoder: np.ndarray
-
-
-def _pair_antisym(d: int) -> np.ndarray:
-    return scipy.linalg.block_diag(*([np.array([[0.0, 1.0], [-1.0, 0.0]])] * d))
 
 
 def parameterize_component(

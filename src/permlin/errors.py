@@ -29,6 +29,10 @@ class RankDeficientError(PermlinError, ValueError):
     """Data Gram matrix is numerically rank deficient and no ridge was supplied."""
 
 
+class NonFiniteError(PermlinError, ValueError):
+    """Input data or an output value is NaN or infinite."""
+
+
 class IndefiniteError(PermlinError, ValueError):
     """A matrix required to be positive semidefinite is not."""
 

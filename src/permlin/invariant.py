@@ -15,10 +15,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvarianceError, RankDeficientError, SizeMismatchError
+from .errors import InvarianceError, SizeMismatchError
 from .linalg import numeric_rank
 from .equivariant import determinantal_degree
-from .optimize import FitResult, _block_fit, _psd_sqrt_pair, eckart_young, sel_to_target, TIE_TOL
+from .optimize import (
+    FitResult,
+    TIE_TOL,
+    _checked_data,
+    check_rank_floor,
+    gram_eigh,
+    weighted_eckart_young,
+)
 from .perms import (
     Partition,
     Permutation,
@@ -123,28 +130,25 @@ def fit_invariant(
     ridge: Optional[float] = None,
     tie_tol: float = TIE_TOL,
 ) -> FitResult:
-    """Minimize ||M X - Y||_F^2 over the invariant space, by Eckart-Young on
-    the compressed problem (row sums of X per block, weight Xt Xt^T)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Minimize ||M X - Y||_F^2 over the invariant space, by weighted
+    Eckart-Young on the compressed problem (row sums of X per block).
+
+    Without a ridge, X X^T must clear the rank floor (RankDeficientError)."""
+    x, y = _checked_data(x, y)
     if x.shape[0] != space.n or y.shape[0] != space.m:
         raise SizeMismatchError(
             f"data shapes {x.shape}, {y.shape} do not match the {space.m} x {space.n} space"
         )
-    if ridge is None and numeric_rank(x) < space.n:
-        raise RankDeficientError(f"rank(X X^T) < {space.n}; supply more data or a ridge")
+    if ridge is None:
+        vals, _ = gram_eigh(x)
+        check_rank_floor(vals, vals[-1])
     E = replication_matrix(space.partition).astype(float)
-    xt = E @ x  # row sums per block; M X = psi(M) Xt exactly
-    u, w = sel_to_target(xt, y, ridge)
-    wh, whi = _psd_sqrt_pair(w)
-    ey = eckart_young(u @ wh, space.effective_rank, tie_tol=tie_tol)
-    compact = ey.truncated @ whi
-    minimizer = psi_expand(compact, space.partition)
+    fit = weighted_eckart_young(E @ x, y, ridge)  # M X = psi(M) (E X) exactly
+    r = space.effective_rank
+    minimizer = psi_expand(fit.build(r), space.partition)
     loss = float(np.linalg.norm(minimizer @ x - y) ** 2)
-    s = np.array(ey.kept + ey.dropped)
-    blk = _block_fit(("invariant", 1, 1), space.effective_rank, s, tie_tol)
-    constant = float(np.linalg.norm(y) ** 2 - np.trace(u @ w @ u.T))
-    return FitResult(minimizer, loss, "invariant", (blk,), ridge, None, constant)
+    blk = fit.block_fit(("invariant", 1, 1), r, tie_tol)
+    return FitResult(minimizer, loss, "invariant", (blk,), ridge, None, fit.constant)
 
 
 def invariant_autoencoder(

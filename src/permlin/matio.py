@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SizeMismatchError
+from .errors import NonFiniteError, SizeMismatchError
 
 __all__ = [
     "read_matrix",
@@ -51,19 +51,25 @@ def _format_entry(v) -> str:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix from .csv or .json by extension; complex promoted as needed."""
+    """Read a matrix from .csv or .json by extension; complex promoted as needed.
+
+    Rejects NaN and infinite entries with NonFiniteError."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        return matrix_from_json_obj(json.loads(path.read_text()))
-    rows = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        rows.append([_parse_entry(tok) for tok in line.split(",")])
-    if not rows or len({len(r) for r in rows}) != 1:
-        raise SizeMismatchError(f"ragged or empty CSV matrix in {path}")
-    arr = np.array(rows, dtype=complex)
-    return arr.real.copy() if np.all(arr.imag == 0.0) else arr
+        arr = matrix_from_json_obj(json.loads(path.read_text()))
+    else:
+        rows = []
+        for line in path.read_text().splitlines():
+            if not line.strip():
+                continue
+            rows.append([_parse_entry(tok) for tok in line.split(",")])
+        if not rows or len({len(r) for r in rows}) != 1:
+            raise SizeMismatchError(f"ragged or empty CSV matrix in {path}")
+        arr = np.array(rows, dtype=complex)
+        arr = arr.real.copy() if np.all(arr.imag == 0.0) else arr
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"matrix in {path} has NaN or infinite entries")
+    return arr
 
 
 def write_matrix_csv(path, m: np.ndarray) -> None:

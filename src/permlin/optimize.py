@@ -1,24 +1,27 @@
 """Squared-error loss minimization machinery.
 
-With data matrices X (n x d) and Y (m x d) and rank(X X^T) = n, minimizing
-||M X - Y||_F^2 over any set of matrices equals minimizing the weighted
-distance ||M - U||_W^2 with U = Y X^T (X X^T)^{-1} and W = X X^T.  Over all
-rank <= r matrices the weighted problem reduces to plain Eckart-Young on
-U W^{1/2} (right-multiplication by W^{1/2} maps the rank variety to itself).
+Every fit is weighted Eckart-Young.  For data X (n x d) and Y (m x d), with
+Gram G = X X^H (+ ridge * Id) and cross term C = Y X^H,
 
-For equivariant fits the algorithm is:
+    ||M X - Y||_F^2 = ||Y||^2 - ||C G^{-1/2}||^2 + ||(M - C G^{-1}) G^{1/2}||_F^2,
 
-  1. conjugate the data by the orthogonal base change Q and form U;
-  2. project U onto the block-diagonal commutant, orthogonally with respect
-     to <.,.>_W: per block, U_b = (U W)_{bb} (W_{bb})^{-1};
-  3. per block and candidate rank, solve the weighted rank-bounded problem
-     (Eckart-Young after the W^{1/2} trick); realization blocks are first
-     projected onto the realization pattern, after which both target and the
-     doubled weight S = W_bb + P W_bb P^T decode to complex matrices and the
-     problem is complex Eckart-Young with a Hermitian weight.
+and right-multiplication by G^{1/2} maps the rank <= r matrices onto
+themselves, so the best rank <= r M is the truncated SVD of C G^{-1/2} times
+G^{-1/2}.  `weighted_eckart_young` does this for real and complex data: one
+eigendecomposition of G, one relative rank floor, one SVD.
 
-The per-block losses are tails of squared singular values, so the search
-over irreducible components only combines cached numbers per candidate.
+For equivariant fits the real base change Q makes M = Q blockdiag(B_b) Q^T,
+so with Xt = Q^T X and Yt = Q^T Y the loss is the sum over blocks b of
+||B_b Xt_b - Yt_b||^2: independent regressions.  A real_plus or real_minus
+block is a real regression of Yt_b on Xt_b.  A complex_pair block has
+B_b = realize(Z), which acts on each row pair (2i, 2i+1) as multiplication by
+the complex matrix Z: the complex regression of Yt_b[0::2] + i Yt_b[1::2] on
+Xt_b[0::2] + i Xt_b[1::2].  The rank condition is per block, weaker than
+full-rank X: each block Gram's smallest eigenvalue must exceed DEFAULT_TOL
+times the largest eigenvalue over all blocks, so a block that holds only
+rounding noise still fails.  A component's loss is a
+constant plus, per block, the tail sum of squared singular values below its
+rank, so the component search adds numbers from per-block tables.
 """
 
 from __future__ import annotations
@@ -33,20 +36,15 @@ import scipy.linalg
 
 from .errors import (
     ComponentError,
+    ConvergenceError,
+    NonFiniteError,
     RankDeficientError,
     SearchLimitError,
     SizeCapError,
     SizeMismatchError,
 )
-from .linalg import DEFAULT_TOL, numeric_rank, realize
-from .equivariant import (
-    RankVector,
-    _field_blocks,
-    _pair_antisym,
-    count_components,
-    enumerate_components,
-    make_rank_vector,
-)
+from .linalg import DEFAULT_TOL, realize
+from .equivariant import RankVector, count_components, enumerate_components, make_rank_vector
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
 
@@ -54,7 +52,11 @@ __all__ = [
     "EckartYoungResult",
     "BlockFit",
     "FitResult",
+    "WeightedEckartYoung",
     "eckart_young",
+    "weighted_eckart_young",
+    "gram_eigh",
+    "check_rank_floor",
     "sel_to_target",
     "fit_rank_bounded",
     "fit_realization_block",
@@ -72,6 +74,10 @@ class EckartYoungResult:
     dropped: tuple[float, ...]
     boundary_tie: bool
     all_critical: Optional[tuple[np.ndarray, ...]] = None
+
+
+def _boundary_tie(s: np.ndarray, r: int, tie_tol: float) -> bool:
+    return bool(0 < r < len(s) and s[r - 1] - s[r] <= tie_tol * (1.0 + s[0]))
 
 
 def eckart_young(
@@ -94,7 +100,6 @@ def eckart_young(
         raise SizeMismatchError(f"rank {r} outside 0..{q}")
     U1, s, V1t = np.linalg.svd(u)
     trunc = (U1[:, :r] * s[:r]) @ V1t[:r]
-    tie = bool(0 < r < q and s[r - 1] - s[r] <= tie_tol * (1.0 + s[0]))
     crit = None
     if want_all_critical:
         n_crit = math.comb(q, r)
@@ -104,45 +109,7 @@ def eckart_young(
             (U1[:, list(subset)] * s[list(subset)]) @ V1t[list(subset), :]
             for subset in combinations(range(q), r)
         )
-    return EckartYoungResult(trunc, tuple(s[:r]), tuple(s[r:]), tie, crit)
-
-
-def _psd_sqrt_pair(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and inverse square root from one eigendecomposition."""
-    w = 0.5 * (w + w.T)
-    vals, vecs = scipy.linalg.eigh(w)
-    floor = DEFAULT_TOL * max(1.0, float(vals.max()))
-    if vals.min() < floor:
-        raise RankDeficientError(
-            f"weight matrix nearly singular (eigenvalue {vals.min():.3e}); supply a ridge"
-        )
-    root = np.sqrt(vals)
-    return (vecs * root) @ vecs.T, (vecs / root) @ vecs.T
-
-
-def sel_to_target(
-    x: np.ndarray,
-    y: np.ndarray,
-    ridge: Optional[float] = None,
-    rank_tol: float = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (U, W) with argmin ||M X - Y||_F^2 = argmin ||M - U||_W^2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.shape[0]
-    if y.shape[1] != x.shape[1]:
-        raise SizeMismatchError(f"X has {x.shape[1]} samples but Y has {y.shape[1]}")
-    if ridge is None and numeric_rank(x, rank_tol) < n:
-        raise RankDeficientError(
-            f"rank(X X^T) < {n}; supply more generic data or a ridge"
-        )
-    w = x @ x.T
-    if ridge is not None:
-        if ridge <= 0:
-            raise RankDeficientError("ridge must be positive")
-        w = w + ridge * np.eye(n)
-    u = np.linalg.solve(w, x @ y.T).T
-    return u, w
+    return EckartYoungResult(trunc, tuple(s[:r]), tuple(s[r:]), _boundary_tie(s, r, tie_tol), crit)
 
 
 @dataclass(frozen=True)
@@ -169,11 +136,107 @@ class FitResult:
     component_source: Optional[str] = None
 
 
-def _block_fit(key, rank, s, tie_tol, extra_loss=0.0) -> BlockFit:
-    q = len(s)
-    tie = bool(0 < rank < q and s[rank - 1] - s[rank] <= tie_tol * (1.0 + s[0]))
-    loss = float(np.sum(s[rank:] ** 2) + extra_loss)
-    return BlockFit(key, rank, tuple(s[:rank]), tuple(s[rank:]), tie, loss)
+@dataclass(frozen=True)
+class WeightedEckartYoung:
+    """min ||M X - Y||_F^2 over rank <= r matrices M, solved for every r at once.
+
+    With C G^{-1/2} = left @ diag(svals) @ V^H, the minimizer of rank r is
+    left[:, :r] diag(svals[:r]) right[:r] where right = V^H G^{-1/2}.
+    tails[t] is the sum of svals[t:]**2, the loss above `constant` at rank t.
+    """
+
+    left: np.ndarray
+    svals: np.ndarray
+    right: np.ndarray
+    tails: tuple[float, ...]
+    constant: float
+
+    def build(self, r: int) -> np.ndarray:
+        return (self.left[:, :r] * self.svals[:r]) @ self.right[:r]
+
+    def block_fit(self, key: tuple[str, int, int], r: int, tie_tol: float = TIE_TOL) -> BlockFit:
+        s = self.svals
+        return BlockFit(key, r, tuple(s[:r]), tuple(s[r:]), _boundary_tie(s, r, tie_tol), self.tails[r])
+
+
+def _checked_data(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Real data matrices with equal sample counts and finite entries."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or y.shape[1] != x.shape[1]:
+        raise SizeMismatchError(f"X {x.shape} and Y {y.shape} need the same number of samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteError("data contain NaN or infinite entries")
+    return x, y
+
+
+def gram_eigh(x: np.ndarray, ridge: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the Gram X X^H (+ ridge * Id) of real or complex
+    data; ConvergenceError when LAPACK fails."""
+    g = x @ x.conj().T
+    if ridge is not None:
+        if ridge <= 0:
+            raise RankDeficientError("ridge must be positive")
+        g[np.diag_indices_from(g)] += ridge
+    try:
+        return scipy.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+
+
+def check_rank_floor(vals: np.ndarray, top: float) -> None:
+    """The one rank check of every fit: RankDeficientError unless the smallest
+    Gram eigenvalue exceeds DEFAULT_TOL * top, where `top` is the largest Gram
+    eigenvalue of the whole fit (of all blocks of an equivariant fit).  So the
+    floor scales with the data, and a block of rounding noise still fails."""
+    if not vals[0] > DEFAULT_TOL * top:
+        raise RankDeficientError(
+            f"data Gram nearly singular (eigenvalues {vals[0]:.3e} to {vals[-1]:.3e}, "
+            f"largest of the fit {top:.3e}); supply more generic data or a ridge"
+        )
+
+
+def _solve_eigh(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> WeightedEckartYoung:
+    """Weighted Eckart-Young from the Gram eigendecomposition (vals, vecs)."""
+    iroot = 1.0 / np.sqrt(vals)
+    # C V diag(iroot) is C G^{-1/2} without its unitary right factor V^H:
+    # same singular values and left vectors, one matrix product fewer.
+    try:
+        left, s, wh = np.linalg.svd(((y @ x.conj().T) @ vecs) * iroot, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    right = (wh * iroot) @ vecs.conj().T
+    sq = s**2
+    tails = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
+    constant = float(np.vdot(y, y).real - tails[0])
+    return WeightedEckartYoung(left, s, right, tuple(float(v) for v in tails), constant)
+
+
+def weighted_eckart_young(
+    x: np.ndarray, y: np.ndarray, ridge: Optional[float] = None
+) -> WeightedEckartYoung:
+    """Solve min ||M X - Y||^2 (+ ridge ||M||^2) over rank <= r, for real or
+    complex X and Y, as Eckart-Young on C G^{-1/2}.
+
+    Raises RankDeficientError when the Gram G fails `check_rank_floor` on its
+    own scale, and ConvergenceError when LAPACK fails.
+    """
+    vals, vecs = gram_eigh(x, ridge)
+    check_rank_floor(vals, vals[-1])
+    return _solve_eigh(x, y, vals, vecs)
+
+
+def sel_to_target(
+    x: np.ndarray, y: np.ndarray, ridge: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return (U, W) with argmin ||M X - Y||_F^2 = argmin ||M - U||_W^2.
+
+    U = Y X^T W^{-1} is the full-rank solution of the weighted problem and
+    W = X X^T (+ ridge * Id).
+    """
+    x, y = _checked_data(x, y)
+    fit = weighted_eckart_young(x, y, ridge)
+    return fit.build(len(fit.svals)), x @ x.T + (ridge or 0.0) * np.eye(len(x))
 
 
 def fit_rank_bounded(
@@ -182,106 +245,42 @@ def fit_rank_bounded(
     """Global minimizer of ||M X - Y||_F^2 over all rank <= r matrices.
 
     A bound at or above min(m, n) is vacuous and gives plain least squares."""
-    u, w = sel_to_target(x, y, ridge)
-    r = min(r, *u.shape)
-    wh, whi = _psd_sqrt_pair(w)
-    ey = eckart_young(u @ wh, r)
-    minimizer = ey.truncated @ whi
+    x, y = _checked_data(x, y)
+    fit = weighted_eckart_young(x, y, ridge)
+    r = min(r, len(fit.svals))
+    minimizer = fit.build(r)
     loss = float(np.linalg.norm(minimizer @ x - y) ** 2)
-    s = np.array(ey.kept + ey.dropped)
-    blk = _block_fit(("dense", 0, 0), r, s, TIE_TOL)
-    constant = float(np.linalg.norm(y) ** 2 - np.trace(u @ w @ u.T))
-    return FitResult(minimizer, loss, "unconstrained", (blk,), ridge, None, constant)
+    blk = fit.block_fit(("dense", 0, 0), r)
+    return FitResult(minimizer, loss, "unconstrained", (blk,), ridge, None, fit.constant)
 
 
-def _herm_sqrt_pair(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian PSD square root and inverse square root."""
-    sigma = 0.5 * (sigma + sigma.conj().T)
-    vals, vecs = scipy.linalg.eigh(sigma)
-    floor = DEFAULT_TOL * max(1.0, float(vals.max()))
-    if vals.min() < floor:
-        raise RankDeficientError(
-            f"weight matrix nearly singular (eigenvalue {vals.min():.3e}); supply a ridge"
-        )
-    root = np.sqrt(vals)
-    return (vecs * root) @ vecs.conj().T, (vecs / root) @ vecs.conj().T
-
-
-def _decode_pattern(a: np.ndarray) -> np.ndarray:
-    """Read the complex matrix out of an (exactly) pattern-commuting real one,
-    symmetrizing away floating-point noise."""
-    re = 0.5 * (a[0::2, 0::2] + a[1::2, 1::2])
-    im = 0.5 * (a[1::2, 0::2] - a[0::2, 1::2])
-    return re + 1j * im
-
-
-class _RealizationSolver:
-    """Weighted fit on one realization block.
-
-    Project the target onto the realization pattern with respect to <.,.>_W;
-    both the projected target and the doubled weight S = W + P W P^T commute
-    with the pair structure, so they decode to complex matrices Z0 and a
-    Hermitian PSD Sigma with
-
-        || realize(Z) - u ||_W^2 = tr( (Z - Z0) Sigma (Z - Z0)^H ) + const.
-
-    The complex-rank-bounded minimizer is then complex Eckart-Young on
-    Z0 Sigma^{1/2}, multiplied back by Sigma^{-1/2}.
-    """
-
-    def __init__(self, u_block: np.ndarray, w_block: np.ndarray):
-        d2 = u_block.shape[0]
-        if d2 % 2 or u_block.shape != (d2, d2) or w_block.shape != (d2, d2):
-            raise SizeMismatchError(f"realization block needs even square shape, got {u_block.shape}")
-        P = _pair_antisym(d2 // 2)
-        S = w_block + P @ w_block @ P.T
-        num = u_block @ w_block + P @ u_block @ w_block @ P.T
-        u0 = np.linalg.solve(S, num.T).T
-        diff = u0 - u_block
-        self.base_loss = float(np.trace(diff @ w_block @ diff.T))
-        z0 = _decode_pattern(u0)
-        sigma = _decode_pattern(S)
-        sh, shi = _herm_sqrt_pair(sigma)
-        self._shi = shi
-        self._u1, self.svals, self._v1t = np.linalg.svd(z0 @ sh)
-
-    def build(self, r: int) -> np.ndarray:
-        trunc = (self._u1[:, :r] * self.svals[:r]) @ self._v1t[:r]
-        return realize(trunc @ self._shi)
-
-
-class _PlainSolver:
-    """Weighted rank-bounded fit on a free block via the W^{1/2} trick."""
-
-    def __init__(self, u_block: np.ndarray, w_block: np.ndarray):
-        self.base_loss = 0.0
-        sh, shi = _psd_sqrt_pair(w_block)
-        self._shi = shi
-        self._u1, self.svals, self._v1t = np.linalg.svd(u_block @ sh)
-
-    def build(self, r: int) -> np.ndarray:
-        trunc = (self._u1[:, :r] * self.svals[:r]) @ self._v1t[:r]
-        return trunc @ self._shi
+def _complex_rows(a: np.ndarray) -> np.ndarray:
+    """Row pairs (2i, 2i+1) of a realization block as complex rows."""
+    return a[0::2] + 1j * a[1::2]
 
 
 def fit_realization_block(u_block: np.ndarray, x_block: np.ndarray, r: int) -> np.ndarray:
     """Minimize ||B - u_block||^2 weighted by x_block x_block^T over realization
     matrices of complex rank <= r; returns the 2d x 2d minimizer.
 
-    The pattern projection and the decoded complex Eckart-Young step happen
-    inside the solver; the result satisfies the realization pattern exactly
-    and has real rank at most 2r."""
+    The weighted distance is ||B X - U X||^2, so this is the complex
+    regression of the row pairs of U X on those of X; the result satisfies
+    the realization pattern exactly and has real rank at most 2r."""
     u_block = np.asarray(u_block, dtype=float)
     x_block = np.asarray(x_block, dtype=float)
-    if u_block.shape[0] != x_block.shape[0]:
+    d2 = u_block.shape[0]
+    if d2 % 2 or u_block.shape != (d2, d2):
+        raise SizeMismatchError(f"realization block needs even square shape, got {u_block.shape}")
+    if x_block.shape[0] != d2:
         raise SizeMismatchError("u_block and x_block row counts differ")
-    if 2 * r > u_block.shape[0]:
+    if 2 * r > d2:
         raise SizeMismatchError(f"rank {r} exceeds the block's complex size")
-    solver = _RealizationSolver(u_block, x_block @ x_block.T)
-    return solver.build(r)
+    x_block, y_block = _checked_data(x_block, u_block @ x_block)
+    fit = weighted_eckart_young(_complex_rows(x_block), _complex_rows(y_block))
+    return realize(fit.build(r))
 
 
-def _energy_component(blocks, solvers, r: int) -> tuple[int, ...]:
+def _energy_component(blocks, fits, r: int) -> tuple[int, ...]:
     """Greedy rank allocation by descending marginal energy per rank unit.
 
     Heuristic only: mirrors concentrating the budget where the weighted
@@ -291,10 +290,10 @@ def _energy_component(blocks, solvers, r: int) -> tuple[int, ...]:
     remaining = r
     while remaining > 0:
         best, best_gain = None, -1.0
-        for i, (_, _, d, mult) in enumerate(blocks):
-            t = values[i]
-            if t < d and mult <= remaining:
-                gain = float(solvers[i].svals[t] ** 2) / mult
+        for i, blk in enumerate(blocks):
+            t, mult = values[i], blk.rank_multiplier
+            if t < blk.size and mult <= remaining:
+                gain = float(fits[i].svals[t] ** 2) / mult
                 if gain > best_gain:
                     best, best_gain = i, gain
         if best is None:
@@ -302,7 +301,7 @@ def _energy_component(blocks, solvers, r: int) -> tuple[int, ...]:
                 f"energy heuristic cannot allocate remaining budget {remaining}; name a component"
             )
         values[best] += 1
-        remaining -= blocks[best][3]
+        remaining -= blocks[best].rank_multiplier
     return tuple(values)
 
 
@@ -324,39 +323,36 @@ def fit_equivariant(
     all admissible components (up to `search_limit`) and returns the best,
     ties broken by the lexicographically smallest rank vector; or, with
     heuristic="energy", fits the single greedily chosen component.
+    Raises RankDeficientError when the Gram of any block fails the rank floor,
+    whose scale is the largest block Gram eigenvalue.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _checked_data(x, y)
     bc = base_change if base_change is not None else real_base_change(p)
     n = bc.spectrum.n
     if x.shape[0] != n or y.shape[0] != n:
         raise SizeMismatchError(f"equivariant fit needs n x d data with n={n}")
     xt = bc.inverse @ x
     yt = bc.inverse @ y
-    u, w = sel_to_target(xt, yt, ridge)
-    uw = u @ w
+    blocks = bc.spectrum.real_blocks
+    pieces = list(zip(blocks, bc.block_slices))
 
-    blocks = _field_blocks(bc.spectrum, "real")
-    solvers = []
-    u_proj = np.zeros_like(u)
-    for (blk, sl) in zip(bc.spectrum.real_blocks, bc.block_slices):
-        wbb = w[sl, sl]
-        ub = np.linalg.solve(wbb, uw[sl, sl].T).T
-        u_proj[sl, sl] = ub
-        solvers.append(
-            _RealizationSolver(ub, wbb) if blk.kind == "complex_pair" else _PlainSolver(ub, wbb)
-        )
+    def rows(a, blk, sl):  # complex row pairs on a complex-pair block
+        return _complex_rows(a[sl]) if blk.kind == "complex_pair" else a[sl]
 
-    # ||U - Utilde||_W^2, the step-2 projection residual (constant in M)
-    diff = u - u_proj
-    proj_residual = float(np.trace(diff @ w @ diff.T))
-    constant = float(np.linalg.norm(yt) ** 2 - np.trace(u @ w @ u.T)) + proj_residual
+    # every block Gram first: the rank floor's scale is their largest eigenvalue.
+    # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block.
+    eighs = [gram_eigh(rows(xt, blk, sl), ridge and ridge * (2.0 if blk.kind == "complex_pair" else 1.0))
+             for blk, sl in pieces]
+    top = max(vals[-1] for vals, _ in eighs)
+    fits = []
+    for (blk, sl), (vals, vecs) in zip(pieces, eighs):
+        check_rank_floor(vals, top)
+        fits.append(_solve_eigh(rows(xt, blk, sl), rows(yt, blk, sl), vals, vecs))
+    constant = sum(f.constant for f in fits)
+    tails = [f.tails for f in fits]
 
     def component_loss(values) -> float:
-        return constant + sum(
-            solver.base_loss + float(np.sum(solver.svals[t:] ** 2))
-            for solver, t in zip(solvers, values)
-        )
+        return constant + sum(tail[t] for tail, t in zip(tails, values))
 
     candidates = None
     source = "named"
@@ -368,7 +364,7 @@ def fit_equivariant(
             raise ComponentError(f"component has total rank {rvec.total_rank}, expected {r}")
         best_values = rvec.values
     elif heuristic == "energy":
-        best_values = _energy_component(blocks, solvers, r)
+        best_values = _energy_component(blocks, fits, r)
         source = "heuristic"
     elif heuristic is not None:
         raise ComponentError(f"unknown heuristic {heuristic!r}")
@@ -388,14 +384,14 @@ def fit_equivariant(
         candidates = tuple(scored)
         source = "search"
 
-    B = np.zeros((n, n))
+    # minimizer = Q blockdiag(B_b) Q^T, with Q blockdiag(B_b) formed per block
+    qb = np.empty((n, n))
     per_block = []
-    for (blk, sl, solver, t) in zip(bc.spectrum.real_blocks, bc.block_slices, solvers, best_values):
-        B[sl, sl] = solver.build(t)
-        per_block.append(
-            _block_fit((blk.kind, blk.l, blk.m), t, solver.svals, tie_tol, solver.base_loss)
-        )
-    minimizer = bc.matrix @ B @ bc.inverse
+    for (blk, sl), fit, t in zip(pieces, fits, best_values):
+        b = fit.build(t)
+        qb[:, sl] = bc.matrix[:, sl] @ (realize(b) if blk.kind == "complex_pair" else b)
+        per_block.append(fit.block_fit((blk.kind, blk.l, blk.m), t, tie_tol))
+    minimizer = qb @ bc.inverse
     loss = float(np.linalg.norm(minimizer @ x - y) ** 2)
     rvec = make_rank_vector(bc.spectrum, "real", best_values)
     return FitResult(

@@ -2,8 +2,10 @@
 
 These deliberately avoid the fast paths they cross-check: commutant dimension
 comes from a dense nullspace of the stacked commutation system, component
-counts from plain recursive enumeration, and fit losses from alternating
-least squares restarts.  Hard size caps keep the full suite fast.
+counts from plain recursive enumeration, fit losses from alternating least
+squares restarts, and equivariant fits from the weighted projection of the
+full least-squares solution onto the commutant.  Hard size caps keep the
+full suite fast.
 """
 
 from __future__ import annotations
@@ -11,17 +13,27 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
+from .equivariant import enumerate_components
 from .errors import SizeCapError, SizeMismatchError
+from .linalg import realize
 from .perms import Permutation, permutation_matrix
-from .spectral import BlockSpectrum
+from .spectral import BlockSpectrum, real_base_change
 
-__all__ = ["nullspace_commutant_dim", "recursive_component_count", "als_low_rank"]
+__all__ = [
+    "nullspace_commutant_dim",
+    "recursive_component_count",
+    "als_low_rank",
+    "projection_fit_equivariant",
+]
 
 MAX_NULLSPACE_N = 16
 MAX_COUNT_BLOCKS = 8
 MAX_COUNT_BOUND = 30
 MAX_ALS_DIM = 12
+# relative agreement required between a closed-form fit and its oracle
+AGREEMENT_TOL = 1e-9
 
 
 def nullspace_commutant_dim(gens: Sequence[Permutation]) -> int:
@@ -100,3 +112,87 @@ def als_low_rank(
         loss = float(np.linalg.norm(A @ bx - y_) ** 2)
         best = min(best, loss)
     return best
+
+
+def _sqrt_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square root and inverse square root of a Hermitian positive definite matrix."""
+    vals, vecs = scipy.linalg.eigh(0.5 * (h + h.conj().T))
+    root = np.sqrt(vals)
+    return (vecs * root) @ vecs.conj().T, (vecs / root) @ vecs.conj().T
+
+
+def _decode_pattern(a: np.ndarray) -> np.ndarray:
+    """The complex matrix of a real one that commutes with the pair structure."""
+    re = 0.5 * (a[0::2, 0::2] + a[1::2, 1::2])
+    im = 0.5 * (a[1::2, 0::2] - a[0::2, 1::2])
+    return re + 1j * im
+
+
+def projection_fit_equivariant(
+    x: np.ndarray,
+    y: np.ndarray,
+    p: Permutation,
+    r: int,
+    component: Optional[Sequence[int]] = None,
+) -> tuple[np.ndarray, float, tuple[tuple[tuple[int, ...], float], ...]]:
+    """Equivariant fit by weighted projection, independent of the per-block
+    regressions of `optimize.fit_equivariant`.
+
+    In the Q basis: form the least-squares solution U = Y X^T W^{-1} with
+    W = X X^T, project it onto the block-diagonal commutant orthogonally in
+    <.,.>_W (U_b = (U W)_bb W_bb^{-1}), project each pair block onto the
+    realization pattern under the doubled weight S = W_bb + P W_bb P^T, and
+    solve each block by Eckart-Young on U_b W^{1/2} (complex on decoded pair
+    blocks).  With `component` (block ranks) fits that component; otherwise
+    scores every admissible component and keeps the least loss, ties to the
+    smallest rank vector.  Returns (minimizer, loss of the minimizer,
+    candidates as (rank vector, predicted loss)).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if p.n > MAX_ALS_DIM:
+        raise SizeCapError(f"projection oracle capped at n <= {MAX_ALS_DIM}, got {p.n}")
+    bc = real_base_change(p)
+    xt, yt = bc.inverse @ x, bc.inverse @ y
+    w = xt @ xt.T
+    u = np.linalg.solve(w, xt @ yt.T).T
+    uw = u @ w
+    u_proj = np.zeros_like(u)
+    solvers = []
+    for blk, sl in zip(bc.spectrum.real_blocks, bc.block_slices):
+        wbb = w[sl, sl]
+        ub = np.linalg.solve(wbb, uw[sl, sl].T).T
+        u_proj[sl, sl] = ub
+        if blk.kind == "complex_pair":
+            P = np.kron(np.eye(blk.size), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+            S = wbb + P @ wbb @ P.T
+            u0 = np.linalg.solve(S, (ub @ wbb + P @ ub @ wbb @ P.T).T).T
+            diff = u0 - ub
+            base = float(np.trace(diff @ wbb @ diff.T))
+            root, iroot = _sqrt_pair(_decode_pattern(S))
+            U1, s, V1h = np.linalg.svd(_decode_pattern(u0) @ root)
+        else:
+            base = 0.0
+            root, iroot = _sqrt_pair(wbb)
+            U1, s, V1h = np.linalg.svd(ub @ root)
+        solvers.append((blk.kind, base, U1, s, V1h, iroot))
+    diff = u - u_proj
+    constant = (float(np.linalg.norm(yt) ** 2 - np.trace(u @ w @ u.T))
+                + float(np.trace(diff @ w @ diff.T)))
+
+    def loss_of(values) -> float:
+        return constant + sum(base + float(np.sum(s[t:] ** 2))
+                              for (_, base, _, s, _, _), t in zip(solvers, values))
+
+    if component is not None:
+        candidates = ((tuple(component), loss_of(component)),)
+    else:
+        candidates = tuple((d.rank_vector.values, loss_of(d.rank_vector.values))
+                           for d in enumerate_components(bc.spectrum, r, "real", limit=None))
+    best = min(candidates, key=lambda c: (c[1], c[0]))[0]
+    B = np.zeros_like(w)
+    for (kind, _, U1, s, V1h, iroot), sl, t in zip(solvers, bc.block_slices, best):
+        b = ((U1[:, :t] * s[:t]) @ V1h[:t]) @ iroot
+        B[sl, sl] = realize(b) if kind == "complex_pair" else b
+    minimizer = bc.matrix @ B @ bc.inverse
+    return minimizer, float(np.linalg.norm(minimizer @ x - y) ** 2), candidates

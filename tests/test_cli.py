@@ -263,6 +263,16 @@ class TestVerifyDemo:
                 "component_count_real", "rank_bounded_fit_vs_als"} <= names
         validate("verify", payload)
 
+    def test_verify_checks_equivariant_fit_against_projection_oracle(self, tmp_path):
+        for perm, n in [("(1 4 3 2)(5 8 7 6)", 9), ("(1 2 3 4 5 6 7)(8 9 10)(11 12)", 12)]:
+            out = tmp_path / "v.json"
+            rc, payload = run_cli(["verify", "--perm", perm, "--n", str(n),
+                                   "--rank", "4", "--out", str(out)], out)
+            assert rc == 0
+            checks = {c["check"]: c for c in payload["checks"]}
+            assert checks["equivariant_fit_vs_projection_oracle"]["ok"] is True
+            validate("verify", payload)
+
     def test_demo_shift_small(self, tmp_path):
         out = tmp_path / "d.json"
         rc, payload = run_cli(["demo-shift", "--height", "8", "--width", "8",
@@ -318,3 +328,83 @@ class TestVerifyDemo:
                              capture_output=True, text=True)
         assert res.returncode == 0
         assert res.stdout.strip().isdigit()
+
+
+class TestNonFiniteAndFailures:
+    """Every failure exits 1 with a schema-valid JSON error, never a traceback
+    or NaN in the output."""
+
+    ROT = ["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9"]
+
+    def expect_error(self, capsys, args, name):
+        rc, _ = run_cli(args)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == name
+        validate("error", err)
+
+    def write_data(self, tmp_path, bad=None):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((9, 20))
+        y = rng.standard_normal((9, 20))
+        xf, yf = tmp_path / "x.csv", tmp_path / "y.csv"
+        matio.write_matrix_csv(xf, x)
+        matio.write_matrix_csv(yf, y)
+        if bad is not None:
+            lines = xf.read_text().splitlines()
+            lines[4] = ",".join([bad] + lines[4].split(",")[1:])
+            xf.write_text("\n".join(lines) + "\n")
+        return xf, yf
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_read_matrix_rejects_non_finite_csv(self, tmp_path, token):
+        from permlin.errors import NonFiniteError
+
+        f = tmp_path / "m.csv"
+        f.write_text(f"1,2\n{token},4\n")
+        with pytest.raises(NonFiniteError):
+            matio.read_matrix(f)
+
+    def test_read_matrix_rejects_non_finite_json(self, tmp_path):
+        from permlin.errors import NonFiniteError
+
+        f = tmp_path / "m.json"
+        f.write_text('{"rows": 1, "cols": 2, "data": [1.0, NaN]}')
+        with pytest.raises(NonFiniteError):
+            matio.read_matrix(f)
+
+    @pytest.mark.parametrize("mode", ["equivariant", "invariant"])
+    def test_project_nan_matrix(self, tmp_path, capsys, mode):
+        f = tmp_path / "m.csv"
+        f.write_text("\n".join(",".join(["nan" if (i, j) == (2, 3) else "1.5"
+                                          for j in range(9)]) for i in range(9)) + "\n")
+        self.expect_error(capsys, ["project", *self.ROT, "--mode", mode,
+                                   "--matrix", str(f)], "NonFiniteError")
+
+    @pytest.mark.parametrize("mode", ["equivariant", "invariant"])
+    def test_fit_nan_data(self, tmp_path, capsys, mode):
+        xf, yf = self.write_data(tmp_path, bad="nan")
+        self.expect_error(capsys, ["fit", *self.ROT, "--mode", mode, "--rank", "3",
+                                   "--x", str(xf), "--y", str(yf)], "NonFiniteError")
+
+    def test_fit_lapack_failure(self, tmp_path, capsys, monkeypatch):
+        import permlin.optimize as optimize
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(optimize.scipy.linalg, "eigh", fail)
+        xf, yf = self.write_data(tmp_path)
+        self.expect_error(capsys, ["fit", *self.ROT, "--mode", "equivariant", "--rank", "3",
+                                   "--x", str(xf), "--y", str(yf)], "ConvergenceError")
+
+    def test_non_finite_output_is_an_error(self, tmp_path, capsys, monkeypatch):
+        import permlin.cli as cli
+
+        monkeypatch.setattr(cli.equivariant, "equivariant_project",
+                            lambda m, gens: np.full_like(m, np.nan))
+        f = tmp_path / "m.csv"
+        matio.write_matrix_csv(f, np.eye(9))
+        self.expect_error(capsys, ["project", *self.ROT, "--mode", "equivariant",
+                                   "--matrix", str(f)], "NonFiniteError")

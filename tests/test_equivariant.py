@@ -417,3 +417,20 @@ def test_pair_orbit_labels_dimension_large():
 
     labels, count = pair_orbit_labels([horizontal_shift_permutation(28, 28)])
     assert count == 28 * 28 * 28
+
+
+def test_is_equivariant_matches_dense_permutation_products():
+    # indexing by the image replaces the dense products bit for bit
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        p = random_perm(rng, n)
+        P = permutation_matrix(p).astype(float)
+        img = np.asarray(p.image) - 1
+        m = rng.standard_normal((n, n))
+        assert np.array_equal(m[:, np.argsort(img)], m @ P)
+        assert np.array_equal(m[img], P @ m)
+        for eps in (0.0, 1e-10, 1e-6):
+            near = equivariant_project(m, [p]) + eps * rng.standard_normal((n, n))
+            dense = np.linalg.norm(near @ P - P @ near) <= 1e-8 * (1.0 + np.linalg.norm(near))
+            assert is_equivariant(near, p) == dense

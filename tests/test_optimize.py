@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permlin.equivariant import classify_component, enumerate_components, make_rank_vector
-from permlin.errors import ComponentError, RankDeficientError, SearchLimitError, SizeMismatchError
+from permlin.errors import (
+    ComponentError,
+    ConvergenceError,
+    NonFiniteError,
+    RankDeficientError,
+    SearchLimitError,
+    SizeMismatchError,
+)
 from permlin.linalg import numeric_rank, realize, unrealize
-from permlin.oracles import als_low_rank
+from permlin.oracles import AGREEMENT_TOL, als_low_rank, projection_fit_equivariant
 from permlin.optimize import (
     eckart_young,
     ed_degrees,
@@ -296,26 +304,26 @@ class TestFitEquivariant:
         rng = np.random.default_rng(22)
         for p, n in [(parse_permutation("(1 2 3)(4 5)", 6), 6),
                      (parse_permutation("(1 2 3 4)", 5), 5)]:
-            bc = real_base_change(p)
-            spec = bc.spectrum
             x = rng.standard_normal((n, 14))
             y = rng.standard_normal((n, 14))
             r = 2
             fit = fit_equivariant(x, y, p, r)
-            xt, yt = bc.inverse @ x, bc.inverse @ y
-            best = np.inf
-            for desc in enumerate_components(spec, r, "real"):
-                total = 0.0
-                for blk, sl, (_, _, rb) in zip(spec.real_blocks, bc.block_slices,
-                                               desc.rank_vector.entries):
-                    xb, yb = xt[sl], yt[sl]
-                    if blk.kind == "complex_pair":
-                        xc = xb[0::2] + 1j * xb[1::2]
-                        yc = yb[0::2] + 1j * yb[1::2]
-                        total += complex_als(xc, yc, rb, rng)
-                    else:
-                        total += real_als(xb, yb, rb, rng)
-                best = min(best, total)
+            best = blockwise_als_best(x, y, p, r, rng)
+            assert fit.loss <= best + 1e-5
+            assert abs(fit.loss - best) <= 1e-5 * (1 + best)
+
+    def test_globally_rank_deficient_data_full_rank_per_block(self):
+        # the rank condition is per block: X of rank 3 < 5 still fits when
+        # every block of Q^T X has full row rank, and the fit is optimal
+        rng = np.random.default_rng(27)
+        for p in [parse_permutation("(1 2 3)(4 5)", 5), parse_permutation("(1 2 3 4)", 5)]:
+            bc = real_base_change(p)
+            assert max(sl.stop - sl.start for sl in bc.block_slices) <= 3
+            x = bc.matrix @ rng.standard_normal((5, 3))
+            y = rng.standard_normal((5, 3))
+            assert numeric_rank(x) == 3
+            fit = fit_equivariant(x, y, p, 2)
+            best = blockwise_als_best(x, y, p, 2, rng)
             assert fit.loss <= best + 1e-5
             assert abs(fit.loss - best) <= 1e-5 * (1 + best)
 
@@ -402,6 +410,161 @@ class TestFitEquivariantEdges:
         from permlin.equivariant import is_equivariant
 
         assert is_equivariant(fit.minimizer, ROT9, tol=1e-8)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-15])
+    def test_data_constant_along_cycles_needs_ridge(self, noise):
+        """X constant along each cycle lies in the +1 eigenspace, so every
+        other block of Q^T X holds zeros or rounding noise.  A noise block is
+        well conditioned on its own scale; the floor is relative to the
+        largest Gram eigenvalue of all blocks, so it still fails."""
+        from permlin.equivariant import is_equivariant
+
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((3, 40))[[0, 0, 0, 0, 1, 1, 1, 1, 2]]
+        x += noise * rng.standard_normal(x.shape)
+        y = rng.standard_normal((9, 40))
+        with pytest.raises(RankDeficientError):
+            fit_equivariant(x, y, ROT9, 3)
+        fit = fit_equivariant(x, y, ROT9, 3, ridge=1e-3)
+        assert np.linalg.norm(fit.minimizer) < 10.0
+        assert is_equivariant(fit.minimizer, ROT9, tol=1e-8)
+        assert abs(fit.loss - np.linalg.norm(fit.minimizer @ x - y) ** 2) <= 1e-9 * fit.loss
+
+
+@st.composite
+def equivariant_instances(draw):
+    """A permutation of random cycle type on n <= 12 points with random
+    labels, data with d >= n + 2 samples, a rank budget and a component pick.
+
+    Square Gaussian X is too often ill-conditioned for agreement to 1e-9:
+    the oracle's constant ||Y||^2 - tr(U W U^T) loses digits with cond(W)."""
+    n = draw(st.integers(1, 12))
+    lengths, left = [], n
+    while left:
+        lengths.append(draw(st.integers(1, left)))
+        left -= lengths[-1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(n) + 1
+    image = [0] * n
+    start = 0
+    for l in lengths:
+        cyc = labels[start:start + l]
+        for a, b in zip(cyc, np.roll(cyc, -1)):
+            image[a - 1] = int(b)
+        start += l
+    d = draw(st.integers(n + 2, 2 * n + 2))
+    x = rng.standard_normal((n, d))
+    y = rng.standard_normal((n, d))
+    return Permutation(n, tuple(image)), x, y, draw(st.integers(0, n)), draw(st.integers(0, 10**6))
+
+
+def assert_agree(fast_m, fast_loss, m, loss, y):
+    assert abs(fast_loss - loss) <= AGREEMENT_TOL * float(np.linalg.norm(y)) ** 2
+    assert np.linalg.norm(fast_m - m) <= AGREEMENT_TOL * (1.0 + np.linalg.norm(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(equivariant_instances())
+def test_fit_equivariant_matches_projection_oracle(instance):
+    p, x, y, r, pick = instance
+    spec = eigen_multiplicities(cycle_decomposition(p))
+    descs = list(enumerate_components(spec, r, "real"))
+    rvec = descs[pick % len(descs)].rank_vector
+    named = fit_equivariant(x, y, p, r, component=rvec)
+    m, loss, _ = projection_fit_equivariant(x, y, p, r, component=rvec.values)
+    assert_agree(named.minimizer, named.loss, m, loss, y)
+
+    searched = fit_equivariant(x, y, p, r)
+    m, loss, candidates = projection_fit_equivariant(x, y, p, r)
+    assert_agree(searched.minimizer, searched.loss, m, loss, y)
+    assert [v for v, _ in searched.candidates] == [v for v, _ in candidates]
+    scale = float(np.linalg.norm(y)) ** 2
+    for (_, fast), (_, slow) in zip(searched.candidates, candidates):
+        assert abs(fast - slow) <= AGREEMENT_TOL * scale
+
+
+class TestScaleInvariance:
+    """The rank floor is relative: fitting c X gives minimizer / c and the
+    same loss, however small or large c is."""
+
+    def test_fits_scale_with_data(self):
+        from permlin.invariant import fit_invariant, invariant_space
+
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((9, 30))
+        y = rng.standard_normal((9, 30))
+        space = invariant_space([ROT9], 9, 9, 2)
+        fits = {
+            "dense": lambda xs: fit_rank_bounded(xs, y, 3),
+            "equivariant": lambda xs: fit_equivariant(xs, y, ROT9, 3),
+            "invariant": lambda xs: fit_invariant(xs, y, space),
+        }
+        for name, fit in fits.items():
+            base = fit(x)
+            for c in (1e-6, 1.0, 1e6):
+                scaled = fit(c * x)
+                assert abs(scaled.loss - base.loss) <= 1e-9 * (1 + base.loss), (name, c)
+                assert (np.linalg.norm(c * scaled.minimizer - base.minimizer)
+                        <= 1e-9 * (1 + np.linalg.norm(base.minimizer))), (name, c)
+
+
+class TestBadInput:
+    def test_non_finite_data_rejected(self):
+        from permlin.invariant import fit_invariant, invariant_space
+
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((9, 20))
+        y = rng.standard_normal((9, 20))
+        for bad in (np.nan, np.inf):
+            xb = x.copy()
+            xb[2, 3] = bad
+            with pytest.raises(NonFiniteError):
+                fit_rank_bounded(xb, y, 3)
+            with pytest.raises(NonFiniteError):
+                fit_equivariant(xb, y, ROT9, 3)
+            with pytest.raises(NonFiniteError):
+                fit_invariant(xb, y, invariant_space([ROT9], 9, 9, 2))
+            yb = y.copy()
+            yb[0, 0] = bad
+            with pytest.raises(NonFiniteError):
+                sel_to_target(x, yb)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        import permlin.optimize as optimize
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((9, 20))
+        monkeypatch.setattr(optimize.scipy.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            fit_rank_bounded(x, x, 3)
+        monkeypatch.undo()
+        monkeypatch.setattr(optimize.np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceError):
+            fit_equivariant(x, x, ROT9, 3)
+
+
+def blockwise_als_best(x, y, p, r, rng):
+    """Least loss over all components of restarted ALS per block, in the Q basis."""
+    bc = real_base_change(p)
+    spec = bc.spectrum
+    xt, yt = bc.inverse @ x, bc.inverse @ y
+    best = np.inf
+    for desc in enumerate_components(spec, r, "real"):
+        total = 0.0
+        for blk, sl, (_, _, rb) in zip(spec.real_blocks, bc.block_slices,
+                                       desc.rank_vector.entries):
+            xb, yb = xt[sl], yt[sl]
+            if blk.kind == "complex_pair":
+                xc = xb[0::2] + 1j * xb[1::2]
+                yc = yb[0::2] + 1j * yb[1::2]
+                total += complex_als(xc, yc, rb, rng)
+            else:
+                total += real_als(xb, yb, rb, rng)
+        best = min(best, total)
+    return best
 
 
 def real_als(x, y, r, rng, restarts=25, sweeps=60):

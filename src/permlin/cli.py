@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, equivariant, invariant, matio, optimize, oracles, spectral
+from . import datasets, equivariant, invariant, linalg, matio, optimize, oracles, spectral
 from .errors import CyclicOnlyError, NonFiniteError, PermlinError
 from .perms import Permutation, cycle_decomposition, parse_permutation
 
@@ -211,7 +211,8 @@ def cmd_fit(args):
             component = equivariant.make_rank_vector(_spectrum_of(gens[0]), "real", values)
         fit = optimize.fit_equivariant(
             x, y, gens[0], args.rank, component=component,
-            search_limit=args.search_limit, heuristic=args.heuristic, ridge=args.ridge)
+            search_limit=args.search_limit, heuristic=args.heuristic, ridge=args.ridge,
+            candidates=args.candidates)
         extras = None
     _emit(_fit_result_json(fit, extras), args.out)
     return 0
@@ -275,6 +276,7 @@ def cmd_verify(args):
     rng = np.random.default_rng(args.seed)
     checks = []
     n = gens[0].n
+    r = max(1, min(args.rank, n - 1))
     if n <= oracles.MAX_NULLSPACE_N:
         fast = equivariant.pair_orbit_labels(gens)[1]
         slow = oracles.nullspace_commutant_dim(gens)
@@ -293,7 +295,6 @@ def cmd_verify(args):
     if n <= oracles.MAX_ALS_DIM:
         x = rng.standard_normal((n, n + 2))
         y = rng.standard_normal((n, n + 2))
-        r = max(1, min(args.rank, n - 1))
         if x.shape[1] <= oracles.MAX_ALS_DIM:
             fast = optimize.fit_rank_bounded(x, y, r).loss
             slow = oracles.als_low_rank(r, restarts=40, x=x, y=y, seed=args.seed)
@@ -307,6 +308,14 @@ def cmd_verify(args):
                      and np.linalg.norm(fit.minimizer - m) <= tol * (1.0 + np.linalg.norm(m)))
             checks.append({"check": "equivariant_fit_vs_projection_oracle", "fast": fit.loss,
                            "oracle": loss, "ok": bool(agree)})
+    if len(gens) == 1 and n <= oracles.MAX_SCORED_N:
+        x = rng.standard_normal((n, n + 2))
+        y = rng.standard_normal((n, n + 2))
+        fit = optimize.fit_equivariant(x, y, gens[0], r, candidates=True)
+        fast, slow = fit.component.values, oracles.best_scored(fit.candidates, linalg.tie_slack(y))
+        checks.append({"check": "component_search_vs_enumeration",
+                       "fast": ",".join(map(str, fast)), "oracle": ",".join(map(str, slow)),
+                       "ok": fast == slow})
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.out)
     return 0 if ok else 1
@@ -423,7 +432,10 @@ def build_parser():
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--component", help='comma-separated block ranks in canonical order (equivariant)')
-    sp.add_argument("--search-limit", type=int, default=10**6)
+    sp.add_argument("--candidates", action="store_true",
+                    help="also list every component with its loss (equivariant; enumerates the census)")
+    sp.add_argument("--search-limit", type=int, default=10**6,
+                    help="largest census --candidates may list")
     sp.add_argument("--heuristic", choices=["energy"])
     sp.add_argument("--ridge", type=float)
     sp.add_argument("--out")

@@ -36,6 +36,7 @@ from .perms import Permutation, cycle_decomposition
 from .spectral import BaseChange, BlockSpectrum, RealBlock, _cycle_sort_order, real_base_change
 
 __all__ = [
+    "EQUIVARIANCE_TOL",
     "RankVector",
     "ComponentDescriptor",
     "WeightSharingReport",
@@ -55,6 +56,12 @@ __all__ = [
     "parameterize_component",
     "free_parameter_count",
 ]
+
+# relative tolerance of the equivariance tests: a deviation from commuting
+# with P_sigma (is_equivariant), from circulant cycle blocks
+# (check_circulant_blocks) or off-block mass after the base change
+# (classify_component) is accepted up to EQUIVARIANCE_TOL * (1 + ||M||_F)
+EQUIVARIANCE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,7 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
     return (sums / sizes)[labels]
 
 
-def is_equivariant(m: np.ndarray, p: Permutation, tol: float = 1e-8) -> bool:
+def is_equivariant(m: np.ndarray, p: Permutation, tol: float = EQUIVARIANCE_TOL) -> bool:
     m = np.asarray(m, dtype=float)
     if m.shape != (p.n, p.n):
         raise SizeMismatchError(f"expected a {p.n} x {p.n} matrix, got {m.shape}")
@@ -271,7 +278,7 @@ def is_equivariant(m: np.ndarray, p: Permutation, tol: float = 1e-8) -> bool:
     return dev <= tol * (1.0 + np.linalg.norm(m))
 
 
-def check_circulant_blocks(m: np.ndarray, p: Permutation, tol: float = 1e-8) -> bool:
+def check_circulant_blocks(m: np.ndarray, p: Permutation, tol: float = EQUIVARIANCE_TOL) -> bool:
     """Blockwise test: after cycle sorting, every cycle-by-cycle block must be
     circulant (each row the previous one shifted right, cyclically)."""
     m = np.asarray(m, dtype=float)
@@ -307,7 +314,7 @@ def _require_real(rvec: RankVector) -> None:
 def classify_component(
     m: np.ndarray,
     p: Permutation,
-    tol: float = 1e-8,
+    tol: float = EQUIVARIANCE_TOL,
     rank_tol: float = DEFAULT_TOL,
     base_change: Optional[BaseChange] = None,
 ) -> RankVector:

@@ -15,6 +15,10 @@ import scipy.linalg
 from .errors import ConvergenceError, IndefiniteError, SizeMismatchError, StructuralError
 
 DEFAULT_TOL = 1e-10
+# relative tie tolerance: a truncation flags a boundary tie when
+# sigma_r - sigma_{r+1} <= TIE_TOL (1 + sigma_1), and the component search
+# treats fit losses within `tie_slack(Y)` = TIE_TOL ||Y||_F^2 as tied
+TIE_TOL = 1e-9
 
 __all__ = [
     "SvdResult",
@@ -26,7 +30,16 @@ __all__ = [
     "weighted_inner",
     "psd_sqrt",
     "DEFAULT_TOL",
+    "TIE_TOL",
+    "tie_slack",
 ]
+
+
+def tie_slack(y: np.ndarray, tie_tol: float = TIE_TOL) -> float:
+    """Absolute slack within which two losses ||M X - Y||_F^2 count as tied:
+    tie_tol times ||Y||_F^2, the loss of M = 0.  Relative to the data, so
+    scaling Y scales the slack with every loss and leaves ties unchanged."""
+    return tie_tol * float(np.linalg.norm(y) ** 2)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,14 @@ the complex matrix Z: the complex regression of Yt_b[0::2] + i Yt_b[1::2] on
 Xt_b[0::2] + i Xt_b[1::2].  The rank condition is per block, weaker than
 full-rank X: each block Gram's smallest eigenvalue must exceed DEFAULT_TOL
 times the largest eigenvalue over all blocks, so a block that holds only
-rounding noise still fails.  A component's loss is a
-constant plus, per block, the tail sum of squared singular values below its
-rank, so the component search adds numbers from per-block tables.
+rounding noise still fails.
+
+A component's loss is a constant plus, per block, the tail sum of squared
+singular values below its rank.  Under sum_b mult_b t_b = r the best component
+is therefore a knapsack over blocks, solved exactly by the min-plus form of
+the `count_components` recursion: no component is enumerated or refitted, at
+any census size.  Enumerate-and-score survives in `oracles` as the reference
+check and as the candidate listing `fit_equivariant` returns on request.
 """
 
 from __future__ import annotations
@@ -34,17 +39,17 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import scipy.linalg
 
+from . import oracles
 from .errors import (
     ComponentError,
     ConvergenceError,
     NonFiniteError,
     RankDeficientError,
-    SearchLimitError,
     SizeCapError,
     SizeMismatchError,
 )
-from .linalg import DEFAULT_TOL, realize
-from .equivariant import RankVector, count_components, enumerate_components, make_rank_vector
+from .linalg import DEFAULT_TOL, TIE_TOL, realize, tie_slack
+from .equivariant import RankVector, make_rank_vector
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
 
@@ -63,8 +68,6 @@ __all__ = [
     "fit_equivariant",
     "ed_degrees",
 ]
-
-TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,8 @@ class FitResult:
     candidates: Optional[tuple[tuple[tuple[int, ...], float], ...]] = None
     constant_loss: Optional[float] = None
     component_source: Optional[str] = None
+    # heuristic fits only: the heuristic component's loss minus the exact optimum
+    search_gap: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -305,6 +310,43 @@ def _energy_component(blocks, fits, r: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _best_component(blocks, tails, r: int, slack: float) -> tuple[tuple[int, ...], float]:
+    """Exact component search: minimize sum_b tails[b][t_b] subject to
+    sum_b mult_b t_b = r and 0 <= t_b <= d_b, by min-plus dynamic programming.
+
+    best[i, j] is the least tail sum of blocks i.. at total rank j (inf when
+    no allocation reaches j).  The answer is rebuilt front to back taking at
+    each block the smallest t that still reaches the optimum best[0, r]
+    within `slack`: the lexicographically smallest near-optimal rank vector.
+    Returns (rank vector, least tail sum).
+    """
+    if r < 0:
+        raise ComponentError(f"no admissible component of total rank {r}")
+    tails = [np.asarray(tail) for tail in tails]
+    best = np.full((len(blocks) + 1, r + 1), np.inf)
+    best[-1, 0] = 0.0
+    for i in range(len(blocks) - 1, -1, -1):
+        mult = blocks[i].rank_multiplier
+        for t in range(min(len(tails[i]) - 1, r // mult) + 1):
+            k = t * mult
+            np.minimum(best[i, k:], tails[i][t] + best[i + 1, :r + 1 - k], out=best[i, k:])
+    optimum = float(best[0, r])
+    if optimum == np.inf:
+        raise ComponentError(f"no admissible component of total rank {r}")
+    bound = optimum + slack
+    values, prefix, j = [], 0.0, r
+    for i, blk in enumerate(blocks):
+        mult = blk.rank_multiplier
+        ts = np.arange(min(len(tails[i]) - 1, j // mult) + 1)
+        reach = prefix + tails[i][ts] + best[i + 1, j - mult * ts]
+        # max(): rounding in `prefix` must not lose the exact argmin
+        t = int(np.flatnonzero(reach <= max(bound, reach.min()))[0])
+        values.append(t)
+        prefix += tails[i][t]
+        j -= mult * t
+    return tuple(values), optimum
+
+
 def fit_equivariant(
     x: np.ndarray,
     y: np.ndarray,
@@ -316,13 +358,22 @@ def fit_equivariant(
     ridge: Optional[float] = None,
     base_change: Optional[BaseChange] = None,
     tie_tol: float = TIE_TOL,
+    candidates: bool = False,
 ) -> FitResult:
     """Minimize ||M X - Y||_F^2 over rank <= r equivariant matrices.
 
-    With `component` given, fits that component only.  Otherwise enumerates
-    all admissible components (up to `search_limit`) and returns the best,
-    ties broken by the lexicographically smallest rank vector; or, with
-    heuristic="energy", fits the single greedily chosen component.
+    With `component` given, fits that component only.  Otherwise finds the
+    best component exactly, at any census size, by min-plus dynamic
+    programming over the per-block tail tables; ties (losses within
+    `tie_slack(y, tie_tol)` = tie_tol ||Y||_F^2 of the optimum) go to the
+    lexicographically smallest rank vector.  With heuristic="energy" it fits
+    the single greedily chosen component instead and sets `search_gap`, that
+    component's loss minus the exact optimum.  ComponentError when no
+    component has total rank r.
+
+    With candidates=True, `candidates` lists every component of total rank r
+    with its loss, scored by enumeration (`oracles.score_components`);
+    `search_limit` bounds that listing only (SearchLimitError above it).
     Raises RankDeficientError when the Gram of any block fails the rank floor,
     whose scale is the largest block Gram eigenvalue.
     """
@@ -351,11 +402,7 @@ def fit_equivariant(
     constant = sum(f.constant for f in fits)
     tails = [f.tails for f in fits]
 
-    def component_loss(values) -> float:
-        return constant + sum(tail[t] for tail, t in zip(tails, values))
-
-    candidates = None
-    source = "named"
+    search_gap = None
     if component is not None:
         if component.field != "real":
             raise ComponentError("fit_equivariant needs a real-admissible rank vector")
@@ -363,26 +410,18 @@ def fit_equivariant(
         if rvec.total_rank != r:
             raise ComponentError(f"component has total rank {rvec.total_rank}, expected {r}")
         best_values = rvec.values
-    elif heuristic == "energy":
-        best_values = _energy_component(blocks, fits, r)
-        source = "heuristic"
-    elif heuristic is not None:
-        raise ComponentError(f"unknown heuristic {heuristic!r}")
-    else:
-        total = count_components(bc.spectrum, r, "real")
-        if total == 0:
-            raise ComponentError(f"no admissible component of total rank {r}")
-        if total > search_limit:
-            raise SearchLimitError(
-                f"{total} components exceed search limit {search_limit}; name a component or use the heuristic"
-            )
-        scored = [
-            (desc.rank_vector.values, component_loss(desc.rank_vector.values))
-            for desc in enumerate_components(bc.spectrum, r, "real", limit=None)
-        ]
-        best_values = min(scored, key=lambda t: (t[1], t[0]))[0]
-        candidates = tuple(scored)
+        source = "named"
+    elif heuristic is None:
+        best_values = _best_component(blocks, tails, r, tie_slack(y, tie_tol))[0]
         source = "search"
+    elif heuristic == "energy":
+        optimum = _best_component(blocks, tails, r, 0.0)[1]
+        best_values = _energy_component(blocks, fits, r)
+        search_gap = max(0.0, sum(tail[t] for tail, t in zip(tails, best_values)) - optimum)
+        source = "heuristic"
+    else:
+        raise ComponentError(f"unknown heuristic {heuristic!r}")
+    listed = oracles.score_components(bc.spectrum, r, tails, constant, search_limit) if candidates else None
 
     # minimizer = Q blockdiag(B_b) Q^T, with Q blockdiag(B_b) formed per block
     qb = np.empty((n, n))
@@ -395,7 +434,7 @@ def fit_equivariant(
     loss = float(np.linalg.norm(minimizer @ x - y) ** 2)
     rvec = make_rank_vector(bc.spectrum, "real", best_values)
     return FitResult(
-        minimizer, loss, rvec, tuple(per_block), ridge, candidates, constant, source
+        minimizer, loss, rvec, tuple(per_block), ridge, listed, constant, source, search_gap
     )
 
 

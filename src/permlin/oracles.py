@@ -3,9 +3,10 @@
 These deliberately avoid the fast paths they cross-check: commutant dimension
 comes from a dense nullspace of the stacked commutation system, component
 counts from plain recursive enumeration, fit losses from alternating least
-squares restarts, and equivariant fits from the weighted projection of the
-full least-squares solution onto the commutant.  Hard size caps keep the
-full suite fast.
+squares restarts, equivariant fits from the weighted projection of the
+full least-squares solution onto the commutant, and the best component from
+enumerating and scoring every component.  Hard size caps keep the full suite
+fast.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .equivariant import enumerate_components
-from .errors import SizeCapError, SizeMismatchError
-from .linalg import realize
+from .errors import ComponentError, SizeCapError, SizeMismatchError
+from .linalg import realize, tie_slack
 from .perms import Permutation, permutation_matrix
 from .spectral import BlockSpectrum, real_base_change
 
@@ -25,6 +26,8 @@ __all__ = [
     "nullspace_commutant_dim",
     "recursive_component_count",
     "als_low_rank",
+    "score_components",
+    "best_scored",
     "projection_fit_equivariant",
 ]
 
@@ -32,6 +35,9 @@ MAX_NULLSPACE_N = 16
 MAX_COUNT_BLOCKS = 8
 MAX_COUNT_BOUND = 30
 MAX_ALS_DIM = 12
+# size up to which `permlin verify` checks the component search by
+# enumeration; at n <= 16 a real census has at most 90 components
+MAX_SCORED_N = 16
 # relative agreement required between a closed-form fit and its oracle
 AGREEMENT_TOL = 1e-9
 
@@ -114,6 +120,34 @@ def als_low_rank(
     return best
 
 
+def score_components(
+    spec: BlockSpectrum,
+    r: int,
+    tails: Sequence[Sequence[float]],
+    constant: float,
+    limit: Optional[int] = None,
+) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """Every admissible real component of total rank r with its loss
+    constant + sum_b tails[b][t_b], in the order `enumerate_components`
+    streams them.  SearchLimitError when the census exceeds `limit`."""
+    return tuple((d.rank_vector.values, _component_loss(tails, constant, d.rank_vector.values))
+                 for d in enumerate_components(spec, r, "real", limit=limit))
+
+
+def _component_loss(tails, constant: float, values: Sequence[int]) -> float:
+    return constant + sum(tail[t] for tail, t in zip(tails, values))
+
+
+def best_scored(scored: Sequence[tuple[tuple[int, ...], float]], slack: float) -> tuple[int, ...]:
+    """The tie rule of the component search: the lexicographically smallest
+    rank vector whose loss is within `slack` of the least loss.  Pass
+    `linalg.tie_slack(y)` for the slack `optimize.fit_equivariant` uses."""
+    if not scored:
+        raise ComponentError("no admissible component to choose from")
+    bound = min(loss for _, loss in scored) + slack
+    return min(values for values, loss in scored if loss <= bound)
+
+
 def _sqrt_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Square root and inverse square root of a Hermitian positive definite matrix."""
     vals, vecs = scipy.linalg.eigh(0.5 * (h + h.conj().T))
@@ -145,8 +179,9 @@ def projection_fit_equivariant(
     solve each block by Eckart-Young on U_b W^{1/2} (complex on decoded pair
     blocks).  With `component` (block ranks) fits that component; otherwise
     scores every admissible component and keeps the least loss, ties to the
-    smallest rank vector.  Returns (minimizer, loss of the minimizer,
-    candidates as (rank vector, predicted loss)).
+    smallest rank vector within `tie_slack(y)` (`best_scored`).  Returns
+    (minimizer, loss of the minimizer, candidates as (rank vector, predicted
+    loss)).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -180,16 +215,13 @@ def projection_fit_equivariant(
     constant = (float(np.linalg.norm(yt) ** 2 - np.trace(u @ w @ u.T))
                 + float(np.trace(diff @ w @ diff.T)))
 
-    def loss_of(values) -> float:
-        return constant + sum(base + float(np.sum(s[t:] ** 2))
-                              for (_, base, _, s, _, _), t in zip(solvers, values))
-
+    tails = [[base + float(np.sum(s[t:] ** 2)) for t in range(len(s) + 1)]
+             for (_, base, _, s, _, _) in solvers]
     if component is not None:
-        candidates = ((tuple(component), loss_of(component)),)
+        candidates = ((tuple(component), _component_loss(tails, constant, component)),)
     else:
-        candidates = tuple((d.rank_vector.values, loss_of(d.rank_vector.values))
-                           for d in enumerate_components(bc.spectrum, r, "real", limit=None))
-    best = min(candidates, key=lambda c: (c[1], c[0]))[0]
+        candidates = score_components(bc.spectrum, r, tails, constant)
+    best = best_scored(candidates, tie_slack(y))
     B = np.zeros_like(w)
     for (kind, _, U1, s, V1h, iroot), sl, t in zip(solvers, bc.block_slices, best):
         b = ((U1[:, :t] * s[:t]) @ V1h[:t]) @ iroot

@@ -167,11 +167,23 @@ class TestProjectFitFactorize:
         rc, payload = run_cli(["fit", "--mode", "equivariant",
                                "--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9",
                                "--rank", "3", "--x", str(xf), "--y", str(yf),
-                               "--out", str(out)], out)
+                               "--candidates", "--out", str(out)], out)
         assert rc == 0
         assert payload["component_source"] == "search"
         assert len(payload["candidates"]) == 5
         validate("fit", payload)
+
+    @pytest.mark.parametrize("rank", ["-1", "10"])
+    def test_fit_rank_outside_census(self, tmp_path, capsys, rank):
+        rng = np.random.default_rng(2)
+        xf = tmp_path / "x.csv"
+        matio.write_matrix_csv(xf, rng.standard_normal((9, 20)))
+        rc, _ = run_cli(["fit", "--mode", "equivariant", "--perm", "(1 4 3 2)(5 8 7 6)",
+                         "--n", "9", "--rank", rank, "--x", str(xf), "--y", str(xf)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ComponentError"
+        validate("error", err)
 
     def test_project_invariant(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -272,6 +284,24 @@ class TestVerifyDemo:
             checks = {c["check"]: c for c in payload["checks"]}
             assert checks["equivariant_fit_vs_projection_oracle"]["ok"] is True
             validate("verify", payload)
+
+    def test_verify_checks_component_search_against_enumeration(self, tmp_path):
+        out = tmp_path / "v.json"
+        for args in (["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9", "--rank", "3"],
+                     ["--cycle-type", "2x8", "--rank", "6"]):
+            rc, payload = run_cli(["verify", *args, "--out", str(out)], out)
+            assert rc == 0
+            checks = {c["check"]: c for c in payload["checks"]}
+            check = checks["component_search_vs_enumeration"]
+            assert check["ok"] is True and check["fast"] == check["oracle"]
+            validate("verify", payload)
+        # a single 40-cycle is above the size cap of the check, whether its
+        # census is small (2 components at rank 1) or large (184,756 at rank 20)
+        for rank in ("1", "20"):
+            rc, payload = run_cli(["verify", "--cycle-type", "1x40", "--rank", rank,
+                                   "--out", str(out)], out)
+            assert rc == 0
+            assert "component_search_vs_enumeration" not in {c["check"] for c in payload["checks"]}
 
     def test_demo_shift_small(self, tmp_path):
         out = tmp_path / "d.json"

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permlin.equivariant import classify_component, enumerate_components, make_rank_vector
+from permlin.datasets import demo_shift_dataset, horizontal_shift_permutation
+from permlin.equivariant import (
+    classify_component,
+    count_components,
+    enumerate_components,
+    make_rank_vector,
+)
 from permlin.errors import (
     ComponentError,
     ConvergenceError,
@@ -13,8 +19,8 @@ from permlin.errors import (
     SearchLimitError,
     SizeMismatchError,
 )
-from permlin.linalg import numeric_rank, realize, unrealize
-from permlin.oracles import AGREEMENT_TOL, als_low_rank, projection_fit_equivariant
+from permlin.linalg import numeric_rank, realize, tie_slack, unrealize
+from permlin.oracles import AGREEMENT_TOL, als_low_rank, best_scored, projection_fit_equivariant
 from permlin.optimize import (
     eckart_young,
     ed_degrees,
@@ -248,7 +254,7 @@ class TestFitEquivariant:
         rng = np.random.default_rng(17)
         x = rng.standard_normal((9, 25))
         y = rng.standard_normal((9, 25))
-        fit = fit_equivariant(x, y, ROT9, 3)
+        fit = fit_equivariant(x, y, ROT9, 3, candidates=True)
         assert len(fit.candidates) == 5
         assert all(fit.loss <= loss + 1e-9 for _, loss in fit.candidates)
         # each candidate loss is a genuine per-component fit loss
@@ -288,7 +294,30 @@ class TestFitEquivariant:
         rng = np.random.default_rng(20)
         x = rng.standard_normal((9, 20))
         with pytest.raises(SearchLimitError):
-            fit_equivariant(x, x, ROT9, 3, search_limit=2)
+            fit_equivariant(x, x, ROT9, 3, search_limit=2, candidates=True)
+        # the limit bounds only the listing: the search itself still runs
+        fit = fit_equivariant(x, x, ROT9, 3, search_limit=2)
+        assert fit.component_source == "search" and fit.candidates is None
+
+    @pytest.mark.parametrize("r", [-1, 10])
+    def test_rank_outside_census_rejected(self, r):
+        x = np.random.default_rng(22).standard_normal((9, 20))
+        for kwargs in ({}, {"heuristic": "energy"}, {"candidates": True}):
+            with pytest.raises(ComponentError, match="no admissible"):
+                fit_equivariant(x, x, ROT9, r, **kwargs)
+
+    def test_search_gap_of_energy_heuristic(self):
+        # greedy allocation by energy per rank unit misses the optimum here,
+        # because the budget mixes unit and complex-pair blocks
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((9, 30))
+        y = rng.standard_normal((9, 30))
+        exact = fit_equivariant(x, y, ROT9, 6)
+        energy = fit_equivariant(x, y, ROT9, 6, heuristic="energy")
+        assert exact.component.values == (1, 1, 2) and energy.component.values == (2, 2, 1)
+        assert exact.search_gap is None
+        assert energy.search_gap > 0.1
+        assert abs(energy.search_gap - (energy.loss - exact.loss)) <= 1e-9 * (1 + energy.loss)
 
     def test_energy_heuristic_runs_and_is_flagged(self):
         rng = np.random.default_rng(21)
@@ -474,7 +503,7 @@ def test_fit_equivariant_matches_projection_oracle(instance):
     m, loss, _ = projection_fit_equivariant(x, y, p, r, component=rvec.values)
     assert_agree(named.minimizer, named.loss, m, loss, y)
 
-    searched = fit_equivariant(x, y, p, r)
+    searched = fit_equivariant(x, y, p, r, candidates=True)
     m, loss, candidates = projection_fit_equivariant(x, y, p, r)
     assert_agree(searched.minimizer, searched.loss, m, loss, y)
     assert [v for v, _ in searched.candidates] == [v for v, _ in candidates]
@@ -483,9 +512,52 @@ def test_fit_equivariant_matches_projection_oracle(instance):
         assert abs(fast - slow) <= AGREEMENT_TOL * scale
 
 
+@settings(max_examples=100, deadline=None)
+@given(equivariant_instances(), st.sampled_from(["random", "zero", "same", "planted"]))
+def test_component_search_matches_enumeration(instance, target):
+    """The min-plus search names the component that enumerate-and-score
+    names over the same per-block tails, and fits it with the same loss.
+    Y = 0 ties every component exactly; Y = M0 X with M0 on a component of
+    lower rank ties, up to rounding, every component that contains it."""
+    p, x, y, r, pick = instance
+    if target == "zero":
+        y = np.zeros_like(y)
+    elif target == "same":
+        y = x.copy()
+    elif target == "planted":
+        spec = eigen_multiplicities(cycle_decomposition(p))
+        _, m0 = sample_component_matrix(np.random.default_rng(pick), p, spec, pick % (r + 1))
+        y = m0 @ x
+    fit = fit_equivariant(x, y, p, r, candidates=True)
+    assert fit.component.values == best_scored(fit.candidates, tie_slack(y))
+    if target == "zero":
+        assert fit.component.values == min(v for v, _ in fit.candidates)
+    assert fit_equivariant(x, y, p, r, component=fit.component).loss == fit.loss
+    least = min(loss for _, loss in fit.candidates)
+    assert fit.loss <= least + tie_slack(y) + 1e-9 * (1 + float(np.linalg.norm(y)) ** 2)
+
+
+def test_exact_search_at_image_scale():
+    """12x16 shift images at r=50 have 16,980,080 components; the search is
+    exact without listing them."""
+    sigma = horizontal_shift_permutation(12, 16)
+    assert count_components(eigen_multiplicities(cycle_decomposition(sigma)), 50, "real") == 16_980_080
+    x = demo_shift_dataset(12, 16, samples=400, seed=3)
+    exact = fit_equivariant(x, x, sigma, 50)
+    energy = fit_equivariant(x, x, sigma, 50, heuristic="energy")
+    dense = fit_rank_bounded(x, x, 50)
+    slack = 1e-9 * (1 + float(np.linalg.norm(x)) ** 2)
+    assert dense.loss <= exact.loss + slack
+    assert exact.loss <= energy.loss + slack
+    assert exact.component.total_rank == 50
+    assert classify_component(exact.minimizer, sigma).values == exact.component.values
+    assert 0.0 <= energy.search_gap <= energy.loss - exact.loss + slack
+
+
 class TestScaleInvariance:
     """The rank floor is relative: fitting c X gives minimizer / c and the
-    same loss, however small or large c is."""
+    same loss, however small or large c is.  The tie rule of the component
+    search is relative too: fitting c Y picks the same component."""
 
     def test_fits_scale_with_data(self):
         from permlin.invariant import fit_invariant, invariant_space
@@ -506,6 +578,20 @@ class TestScaleInvariance:
                 assert abs(scaled.loss - base.loss) <= 1e-9 * (1 + base.loss), (name, c)
                 assert (np.linalg.norm(c * scaled.minimizer - base.minimizer)
                         <= 1e-9 * (1 + np.linalg.norm(base.minimizer))), (name, c)
+
+    def test_component_does_not_change_with_the_scale_of_y(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((9, 25))
+        y = rng.standard_normal((9, 25))
+        # Y = M0 X with M0 on a rank-2 component: the components that contain
+        # it tie up to rounding
+        planted = sample_component_matrix(rng, ROT9, eigen_multiplicities(cycle_decomposition(ROT9)), 2)[1] @ x
+        for target in (y, planted):
+            base = fit_equivariant(x, target, ROT9, 3)
+            for c in (1e-6, 1e6):
+                scaled = fit_equivariant(x, c * target, ROT9, 3)
+                assert scaled.component.values == base.component.values, c
+                assert abs(scaled.loss - c**2 * base.loss) <= 1e-9 * c**2 * (1 + base.loss), c
 
 
 class TestBadInput:

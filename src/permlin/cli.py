@@ -23,7 +23,7 @@ import numpy as np
 
 from . import datasets, equivariant, invariant, linalg, matio, optimize, oracles, spectral
 from .errors import CyclicOnlyError, NonFiniteError, PermlinError
-from .perms import Permutation, cycle_decomposition, parse_permutation
+from .perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
 
 JSON_KW = dict(indent=2, sort_keys=True)
 
@@ -301,6 +301,10 @@ def cmd_verify(args):
             checks.append({"check": "rank_bounded_fit_vs_als", "fast": fast, "oracle": slow,
                            "ok": bool(fast <= slow + 1e-6)})
         if len(gens) == 1:
+            bc = spectral.real_base_change(gens[0])
+            dev = float(np.linalg.norm(bc.conjugate(permutation_matrix(gens[0])) - bc.expected_block_form()))
+            checks.append({"check": "base_change_block_form", "fast": dev, "oracle": 0.0,
+                           "ok": bool(dev <= oracles.BLOCK_FORM_TOL * n)})
             fit = optimize.fit_equivariant(x, y, gens[0], r)
             m, loss, _ = oracles.projection_fit_equivariant(x, y, gens[0], r)
             tol = oracles.AGREEMENT_TOL

@@ -182,17 +182,14 @@ def count_components(spec: BlockSpectrum, r: int, field: str) -> int:
     return ways[r]
 
 
-def enumerate_components(
-    spec: BlockSpectrum, r: int, field: str, limit: Optional[int] = 10**6
-) -> Iterator[ComponentDescriptor]:
-    """Stream descriptors in descending lexicographic order of the rank vector.
-
-    Raises SearchLimitError (reporting the exact count) when the census
-    exceeds `limit`; pass limit=None to stream regardless.
-    """
-    total = count_components(spec, r, field)
-    if limit is not None and total > limit:
-        raise SearchLimitError(f"{total} components exceed the limit {limit}; raise it or pick a component")
+def _rank_vectors(spec: BlockSpectrum, r: int, field: str, limit: Optional[int]) -> Iterator[tuple[int, ...]]:
+    """Admissible block-rank tuples of total rank r, in descending
+    lexicographic order.  The census is counted, at the call, only when a
+    `limit` is given: SearchLimitError (reporting the count) above it."""
+    if limit is not None:
+        total = count_components(spec, r, field)
+        if total > limit:
+            raise SearchLimitError(f"{total} components exceed the limit {limit}; raise it or pick a component")
     blocks = _field_blocks(spec, field)
     suffix_max = [0] * (len(blocks) + 1)
     for i in range(len(blocks) - 1, -1, -1):
@@ -211,7 +208,18 @@ def enumerate_components(
                 for tail in rec(i + 1, rest):
                     yield (t,) + tail
 
-    for values in rec(0, r):
+    return rec(0, r)
+
+
+def enumerate_components(
+    spec: BlockSpectrum, r: int, field: str, limit: Optional[int] = 10**6
+) -> Iterator[ComponentDescriptor]:
+    """Stream descriptors in descending lexicographic order of the rank vector.
+
+    Raises SearchLimitError (reporting the exact count) when the census
+    exceeds `limit`; pass limit=None to stream regardless.
+    """
+    for values in _rank_vectors(spec, r, field, limit):
         yield describe_component(spec, make_rank_vector(spec, field, values))
 
 
@@ -231,21 +239,20 @@ def pair_orbit_labels(gens: Sequence[Permutation]) -> tuple[np.ndarray, int]:
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise SizeMismatchError("generators act on different ground sets")
-    idx = np.arange(n * n)
-    rows, cols = [], []
-    for g in gens:
-        img = np.asarray(g.image) - 1
-        target = img[idx // n] * n + img[idx % n]
-        rows.append(idx)
-        cols.append(target)
-    graph = scipy.sparse.coo_matrix(
-        (np.ones(len(gens) * n * n), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n),
-    )
-    count, labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
-    # relabel so orbits are numbered by their smallest pair index
-    first = np.full(count, n * n, dtype=np.int64)
-    np.minimum.at(first, labels, idx)
+    # one CSR row per pair (i, j), one column entry per generator: its image
+    # pair (g(i), g(j)); weak components of this directed graph are the orbits
+    pairs = n * n
+    itype = np.int32 if pairs * len(gens) < 2**31 else np.int64
+    targets = np.empty((pairs, len(gens)), dtype=itype)
+    for k, g in enumerate(gens):
+        img = np.asarray(g.image, dtype=itype) - 1
+        targets[:, k] = (img[:, None] * n + img[None, :]).ravel()
+    indptr = np.arange(0, targets.size + 1, len(gens), dtype=itype)
+    graph = scipy.sparse.csr_matrix((np.ones(targets.size), targets.ravel(), indptr), shape=(pairs, pairs))
+    count, labels = scipy.sparse.csgraph.connected_components(graph, directed=True, connection="weak")
+    # number the orbits by their first pair index
+    first = np.full(count, pairs, dtype=itype)
+    np.minimum.at(first, labels, np.arange(pairs, dtype=itype))
     rank = np.argsort(np.argsort(first))
     return rank[labels].reshape(n, n), count
 
@@ -326,13 +333,12 @@ def classify_component(
     m = np.asarray(m, dtype=float)
     bc = base_change if base_change is not None else real_base_change(p)
     B = bc.conjugate(m)
-    off = B.copy()
+    svals = [np.linalg.svd(B[sl, sl], compute_uv=False) for sl in bc.block_slices]
     for sl in bc.block_slices:
-        off[sl, sl] = 0.0
-    dev = np.linalg.norm(off)
+        B[sl, sl] = 0.0
+    dev = np.linalg.norm(B)
     if dev > tol * (1.0 + np.linalg.norm(m)):
         raise EquivarianceError(f"off-block mass {dev:.3e} after base change; input is not equivariant")
-    svals = [np.linalg.svd(B[sl, sl], compute_uv=False) for sl in bc.block_slices]
     # rank decisions share one threshold scaled by the whole matrix, so that
     # numerically-zero blocks read as rank 0.  Q is orthogonal, so ||M||_2 is
     # the largest block singular value up to the off-block mass checked above.
@@ -439,8 +445,7 @@ def parameterize_component(
     report = WeightSharingReport(
         tuple(dec_groups), tuple(enc_groups), tuple(inactive), tuple(inactive)
     )
-    Q = bc.matrix
-    return Parameterization(Q @ D, E @ Q.T, report, D, E)
+    return Parameterization(bc.from_basis(D), bc.from_basis(E.T).T, report, D, E)
 
 
 def _block_factors(factors, idx: int, blk: RealBlock, rb: int, rng):

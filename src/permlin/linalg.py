@@ -16,7 +16,7 @@ from .errors import ConvergenceError, IndefiniteError, SizeMismatchError, Struct
 
 DEFAULT_TOL = 1e-10
 # relative tie tolerance: a truncation flags a boundary tie when
-# sigma_r - sigma_{r+1} <= TIE_TOL (1 + sigma_1), and the component search
+# sigma_r - sigma_{r+1} <= TIE_TOL sigma_1, and the component search
 # treats fit losses within `tie_slack(Y)` = TIE_TOL ||Y||_F^2 as tied
 TIE_TOL = 1e-9
 

@@ -80,7 +80,9 @@ class EckartYoungResult:
 
 
 def _boundary_tie(s: np.ndarray, r: int, tie_tol: float) -> bool:
-    return bool(0 < r < len(s) and s[r - 1] - s[r] <= tie_tol * (1.0 + s[0]))
+    """sigma_r - sigma_{r+1} <= tie_tol * sigma_1: relative to the largest
+    singular value, so the flag does not change with the scale of the data."""
+    return bool(0 < r < len(s) and s[r - 1] - s[r] <= tie_tol * s[0])
 
 
 def eckart_young(
@@ -382,8 +384,8 @@ def fit_equivariant(
     n = bc.spectrum.n
     if x.shape[0] != n or y.shape[0] != n:
         raise SizeMismatchError(f"equivariant fit needs n x d data with n={n}")
-    xt = bc.inverse @ x
-    yt = bc.inverse @ y
+    xt = bc.to_basis(x)
+    yt = bc.to_basis(y)
     blocks = bc.spectrum.real_blocks
     pieces = list(zip(blocks, bc.block_slices))
 
@@ -399,6 +401,7 @@ def fit_equivariant(
     for (blk, sl), (vals, vecs) in zip(pieces, eighs):
         check_rank_floor(vals, top)
         fits.append(_solve_eigh(rows(xt, blk, sl), rows(yt, blk, sl), vals, vecs))
+    del xt, yt  # not needed again; frees two data-sized arrays before the n x n products
     constant = sum(f.constant for f in fits)
     tails = [f.tails for f in fits]
 
@@ -423,14 +426,14 @@ def fit_equivariant(
         raise ComponentError(f"unknown heuristic {heuristic!r}")
     listed = oracles.score_components(bc.spectrum, r, tails, constant, search_limit) if candidates else None
 
-    # minimizer = Q blockdiag(B_b) Q^T, with Q blockdiag(B_b) formed per block
-    qb = np.empty((n, n))
+    # minimizer = Q blockdiag(B_b) Q^T
+    blockdiag = np.zeros((n, n))
     per_block = []
     for (blk, sl), fit, t in zip(pieces, fits, best_values):
         b = fit.build(t)
-        qb[:, sl] = bc.matrix[:, sl] @ (realize(b) if blk.kind == "complex_pair" else b)
+        blockdiag[sl, sl] = realize(b) if blk.kind == "complex_pair" else b
         per_block.append(fit.block_fit((blk.kind, blk.l, blk.m), t, tie_tol))
-    minimizer = qb @ bc.inverse
+    minimizer = bc.unconjugate(blockdiag)
     loss = float(np.linalg.norm(minimizer @ x - y) ** 2)
     rvec = make_rank_vector(bc.spectrum, "real", best_values)
     return FitResult(

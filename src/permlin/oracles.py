@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .equivariant import enumerate_components
+from .equivariant import _rank_vectors
 from .errors import ComponentError, SizeCapError, SizeMismatchError
 from .linalg import realize, tie_slack
 from .perms import Permutation, permutation_matrix
@@ -40,6 +40,9 @@ MAX_ALS_DIM = 12
 MAX_SCORED_N = 16
 # relative agreement required between a closed-form fit and its oracle
 AGREEMENT_TOL = 1e-9
+# Frobenius deviation per coordinate allowed between a base change's
+# conjugation of P_sigma and its documented block form
+BLOCK_FORM_TOL = 1e-9
 
 
 def nullspace_commutant_dim(gens: Sequence[Permutation]) -> int:
@@ -130,8 +133,8 @@ def score_components(
     """Every admissible real component of total rank r with its loss
     constant + sum_b tails[b][t_b], in the order `enumerate_components`
     streams them.  SearchLimitError when the census exceeds `limit`."""
-    return tuple((d.rank_vector.values, _component_loss(tails, constant, d.rank_vector.values))
-                 for d in enumerate_components(spec, r, "real", limit=limit))
+    return tuple((values, _component_loss(tails, constant, values))
+                 for values in _rank_vectors(spec, r, "real", limit))
 
 
 def _component_loss(tails, constant: float, values: Sequence[int]) -> float:

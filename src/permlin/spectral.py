@@ -27,12 +27,20 @@ Two base changes are provided:
       Id_{d_1}  (+)  -Id_{d_2}  (+)  realize(zeta_l^{l-m} Id_{d_l})  per pair,
 
   with pairs labeled by the representative m satisfying 1/2 < m/l < 1.
+
+Both are held in factored form, never as n x n arrays: the cycle-sort order,
+one l x l factor per distinct cycle length (the Vandermonde for the complex
+base change, the orthogonal `_real_cycle_basis(l)` for the real one), and the
+grouping.  Applying one to an n x k matrix is a gather of rows, one batched
+l x l product per distinct length and a scatter: O(n l k) work in place of
+O(n^2 k).  The dense matrix and inverse are built on request only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -146,27 +154,117 @@ def commutant_dimension(c: CycleDecomposition) -> int:
 
 @dataclass(frozen=True)
 class BaseChange:
-    """An invertible base change together with its block layout.
+    """An invertible base change T = T1 T2 T3, held as its three factors.
 
-    `matrix` @ `inverse` is the identity; for field "real" the matrix is
-    orthogonal and inverse is its transpose.  `block_slices` maps each block
-    of the layout (in canonical order) to its row/column range; `grouping` is
-    the final block-collecting permutation (step 3), kept for debuggability.
+    * `order`: the cycle sort T1, as 0-based labels in cycle-sorted order
+      (cycles by smallest label, each followed along sigma^{-1});
+    * `factors`: T2, one l x l pair (F_l, F_l^{-1}) per distinct cycle length
+      l, applied to every cycle of that length;
+    * `grouping`: T3, the cycle-sorted position of each basis coordinate.
+
+    `to_basis`, `from_basis`, `conjugate` and `unconjugate` apply T and T^{-1}
+    by indexing and one batched l x l product per distinct length, without
+    forming T or T^{-1}.  `matrix` @ `inverse` is the identity (for field "real"
+    the matrix is orthogonal and inverse is its transpose); both are built
+    densely on first access only, for oracles and tests.  `block_slices` maps
+    each block of the layout (in canonical order) to its coordinate range.
     """
 
     field: str
-    matrix: np.ndarray
-    inverse: np.ndarray
     spectrum: BlockSpectrum
     block_slices: tuple[slice, ...]
+    order: tuple[int, ...]
+    factors: dict[int, tuple[np.ndarray, np.ndarray]]
     grouping: tuple[int, ...]
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+        """The cycles regrouped by length, cycles of equal length side by side.
+
+        Run position k holds label labels[k] and basis coordinate coords[k];
+        label_pos and coord_pos invert these maps.  Each run is
+        (start, stop, l, F_l, F_l^{-1}) over run positions.
+        """
+        n = self.spectrum.n
+        lengths = np.asarray(self.spectrum.cycle_lengths)
+        starts = np.cumsum(lengths) - lengths
+        coord_of = np.empty(n, dtype=np.intp)
+        coord_of[np.asarray(self.grouping, dtype=np.intp)] = np.arange(n)
+        pos, runs, stop = [], [], 0
+        for l, (f, f_inv) in sorted(self.factors.items()):
+            pos.append((starts[lengths == l][:, None] + np.arange(l)).ravel())
+            runs.append((stop, stop + len(pos[-1]), l, f, f_inv))
+            stop += len(pos[-1])
+        pos = np.concatenate(pos)
+        labels = np.asarray(self.order, dtype=np.intp)[pos]
+        coords = coord_of[pos]
+        return labels, coords, np.argsort(labels), np.argsort(coords), runs
+
+    def _change(self, a: np.ndarray, axis: int, into_basis: bool) -> np.ndarray:
+        """T^{-1} a or T a (axis 0), a T or a T^{-1} (axis 1): gather the
+        rows (columns) into runs of equal cycle length, one batched l x l
+        product per run on its (cycles, l, cols) view, scatter into place."""
+        a = np.asarray(a)
+        n = self.spectrum.n
+        if a.ndim == 1 and axis == 0:
+            return self._change(a[:, None], 0, into_basis)[:, 0]
+        if a.ndim != 2 or a.shape[axis] != n:
+            raise SizeMismatchError(f"base change of size {n} cannot act on axis {axis} of shape {a.shape}")
+        labels, coords, label_pos, coord_pos, runs = self._runs
+        src, back = (labels, coord_pos) if into_basis else (coords, label_pos)
+        dtype = np.result_type(a.dtype, *(f.dtype for _, _, _, f, _ in runs))
+        g = np.take(a, src, axis=axis).astype(dtype, copy=False)
+        h = np.empty_like(g)
+        for start, stop, l, f, f_inv in runs:
+            # T^{-1} a and a T^{-1} apply F^{-1}; T a and a T apply F
+            if axis == 0:
+                view = ((stop - start) // l, l, g.shape[1])
+                np.matmul(f_inv if into_basis else f, g[start:stop].reshape(view),
+                          out=h[start:stop].reshape(view))
+            else:
+                view = (g.shape[0], (stop - start) // l, l)
+                np.matmul(g[:, start:stop].reshape(view), f if into_basis else f_inv,
+                          out=h[:, start:stop].reshape(view))
+        # into g, which is free now; mode="clip" never acts on a permutation
+        # and, unlike the default, writes to `out` without a buffer
+        return np.take(h, back, axis=axis, out=g, mode="clip")
+
+    def to_basis(self, x: np.ndarray) -> np.ndarray:
+        """inverse @ x, the coordinates of x in the new basis."""
+        return self._change(x, 0, True)
+
+    def from_basis(self, z: np.ndarray) -> np.ndarray:
+        """matrix @ z."""
+        return self._change(z, 0, False)
 
     def conjugate(self, m: np.ndarray) -> np.ndarray:
         """inverse @ m @ matrix."""
-        return self.inverse @ np.asarray(m, dtype=self.matrix.dtype) @ self.matrix
+        return self._change(self._change(m, 0, True), 1, True)
 
     def unconjugate(self, b: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(b, dtype=self.matrix.dtype) @ self.inverse
+        """matrix @ b @ inverse."""
+        return self._change(self._change(b, 0, False), 1, False)
+
+    def _dense(self, k: int) -> np.ndarray:
+        """T (k = 0) or T^{-1} (k = 1) as a dense array, from the block
+        diagonal of the per-cycle factors in cycle-sorted order."""
+        n = self.spectrum.n
+        t = np.zeros((n, n), dtype=np.result_type(*(f[k].dtype for f in self.factors.values())))
+        pos = 0
+        for l in self.spectrum.cycle_lengths:
+            t[pos:pos + l, pos:pos + l] = self.factors[l][k]
+            pos += l
+        unsort = np.argsort(self.order)
+        grouping = list(self.grouping)
+        return t[unsort][:, grouping] if k == 0 else t[grouping][:, unsort]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self._dense(0)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return self._dense(1)
 
     def expected_block_form(self) -> np.ndarray:
         """The documented conjugated form of P under this base change."""
@@ -212,46 +310,44 @@ def _reduced_label(num: int, den: int) -> tuple[int, int]:
     return (den // g, num // g)
 
 
+def _group(lengths, keys: dict[int, list], blocks) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    """The grouping T3 and the block slices.  keys[l][j] names the block of
+    position j inside every length-l cycle; for each (key, size) of `blocks`
+    in canonical order, the cycle-sorted positions named key are collected."""
+    positions: dict = {}
+    offset = 0
+    for l in lengths:
+        for j, key in enumerate(keys[l]):
+            positions.setdefault(key, []).append(offset + j)
+        offset += l
+    grouping: list[int] = []
+    slices = []
+    for key, size in blocks:
+        cols = positions.get(key, [])
+        if len(cols) != size:
+            raise SizeMismatchError(f"block {key} collected {len(cols)} columns, expected {size}")
+        slices.append(slice(len(grouping), len(grouping) + size))
+        grouping.extend(cols)
+    return tuple(grouping), tuple(slices)
+
+
 def complex_base_change(p: Permutation) -> BaseChange:
     """T = T1 T2 T3 with T^{-1} P T diagonal, equal eigenvalues grouped.
 
-    The permutation factors T1 (cycle sort) and T3 (eigenvalue grouping) are
-    applied by row/column indexing rather than matrix products.
+    T2 holds one Vandermonde V_l = (zeta_l^{jk}) per distinct cycle length,
+    with inverse conj(V_l) / l.
     """
     cd = cycle_decomposition(p)
     spec = eigen_multiplicities(cd)
-    n = p.n
-    order = np.asarray(_cycle_sort_order(p))
-    unsort = np.argsort(order)
-
-    vanders = []
-    for l in cd.lengths:
+    factors, keys = {}, {}
+    for l in set(cd.lengths):
         zeta = np.exp(2j * np.pi / l)
-        vanders.append(zeta ** (np.outer(np.arange(l), np.arange(l))))
-    T2 = scipy.linalg.block_diag(*vanders).astype(complex)
-    T2_inv = scipy.linalg.block_diag(*[np.conj(v) / v.shape[0] for v in vanders]).astype(complex)
-
-    # Position j inside a length-l cycle carries the eigenvalue zeta_l^{-j};
-    # collect positions per reduced label in canonical (l asc, m asc) order.
-    positions: dict[tuple[int, int], list[int]] = {}
-    offset = 0
-    for l in cd.lengths:
-        for j in range(l):
-            positions.setdefault(_reduced_label(l - j, l), []).append(offset + j)
-        offset += l
-    grouping = []
-    slices, pos = [], 0
-    for b in spec.complex_blocks:
-        cols = positions[(b.l, b.m)]
-        if len(cols) != b.size:
-            raise SizeMismatchError(f"eigenvalue group ({b.l},{b.m}) has {len(cols)} columns, expected {b.size}")
-        grouping.extend(cols)
-        slices.append(slice(pos, pos + b.size))
-        pos += b.size
-
-    matrix = T2[unsort][:, grouping]
-    inverse = T2_inv[grouping][:, unsort]
-    return BaseChange("complex", matrix, inverse, spec, tuple(slices), tuple(grouping))
+        vander = zeta ** (np.outer(np.arange(l), np.arange(l)))
+        factors[l] = (vander, np.conj(vander) / l)
+        # position j inside a length-l cycle carries the eigenvalue zeta_l^{-j}
+        keys[l] = [_reduced_label(l - j, l) for j in range(l)]
+    grouping, slices = _group(cd.lengths, keys, [((b.l, b.m), b.size) for b in spec.complex_blocks])
+    return BaseChange("complex", spec, slices, tuple(_cycle_sort_order(p)), factors, grouping)
 
 
 def _real_cycle_basis(l: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
@@ -277,41 +373,21 @@ def _real_cycle_basis(l: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
 
 
 def real_base_change(p: Permutation) -> BaseChange:
-    """Orthogonal Q with Q^T P Q = Id (+) -Id (+) realization blocks per pair."""
+    """Orthogonal Q with Q^T P Q = Id (+) -Id (+) realization blocks per pair.
+
+    T2 holds one `_real_cycle_basis(l)` factor O_l per distinct cycle length,
+    with inverse O_l^T.
+    """
     cd = cycle_decomposition(p)
     spec = eigen_multiplicities(cd)
-    n = p.n
-    unsort = np.argsort(_cycle_sort_order(p))
-
-    blocks, tag_rows = [], []
-    offset = 0
-    for l in cd.lengths:
-        O, tags = _real_cycle_basis(l)
-        blocks.append(O)
-        for t, tag in enumerate(tags):
-            tag_rows.append((tag, l, offset + t))
-        offset += l
-    Q1 = scipy.linalg.block_diag(*blocks)
-
-    # Collect coordinates per canonical real block; a pair j in a length-l
-    # cycle carries eigenvalues zeta_l^{+-j} and is labeled by the reduced
-    # (l', m') of (l - j)/l, which satisfies 1/2 < m'/l' < 1.
-    grouping = []
-    slices, pos = [], 0
-    for b in spec.real_blocks:
-        cols = []
-        for (kind, j), l, col in tag_rows:
-            if b.kind == "real_plus" and kind == "plus":
-                cols.append(col)
-            elif b.kind == "real_minus" and kind == "minus":
-                cols.append(col)
-            elif b.kind == "complex_pair" and kind == "pair" and _reduced_label(l - j, l) == (b.l, b.m):
-                cols.append(col)
-        if len(cols) != b.rows:
-            raise SizeMismatchError(f"block {b} collected {len(cols)} columns, expected {b.rows}")
-        grouping.extend(cols)
-        slices.append(slice(pos, pos + b.rows))
-        pos += b.rows
-
-    Q = Q1[unsort][:, grouping]
-    return BaseChange("real", Q, Q.T.copy(), spec, tuple(slices), tuple(grouping))
+    real_keys = {"plus": ("real_plus", 1, 1), "minus": ("real_minus", 2, 1)}
+    factors, keys = {}, {}
+    for l in set(cd.lengths):
+        basis, tags = _real_cycle_basis(l)
+        factors[l] = (basis, basis.T)
+        # a pair j in a length-l cycle carries eigenvalues zeta_l^{+-j} and is
+        # labeled by the reduced (l', m') of (l - j)/l, with 1/2 < m'/l' < 1
+        keys[l] = [real_keys[kind] if kind in real_keys else ("complex_pair", *_reduced_label(l - j, l))
+                   for kind, j in tags]
+    grouping, slices = _group(cd.lengths, keys, [((b.kind, b.l, b.m), b.rows) for b in spec.real_blocks])
+    return BaseChange("real", spec, slices, tuple(_cycle_sort_order(p)), factors, grouping)

@@ -285,6 +285,17 @@ class TestVerifyDemo:
             assert checks["equivariant_fit_vs_projection_oracle"]["ok"] is True
             validate("verify", payload)
 
+    def test_verify_checks_base_change_block_form(self, tmp_path):
+        out = tmp_path / "v.json"
+        for args, n in ((["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9"], 9),
+                        (["--cycle-type", "2x3,1x4,1x1"], 11)):
+            rc, payload = run_cli(["verify", *args, "--rank", "3", "--out", str(out)], out)
+            assert rc == 0
+            validate("verify", payload)
+            check = {c["check"]: c for c in payload["checks"]}["base_change_block_form"]
+            assert check["ok"] is True and check["oracle"] == 0.0
+            assert 0.0 <= check["fast"] <= 1e-9 * n
+
     def test_verify_checks_component_search_against_enumeration(self, tmp_path):
         out = tmp_path / "v.json"
         for args in (["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9", "--rank", "3"],

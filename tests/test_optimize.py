@@ -59,6 +59,11 @@ class TestEckartYoung:
         assert res.boundary_tie
         assert not eckart_young(np.diag([2.0, 1.0, 0.5]), 2).boundary_tie
 
+    def test_boundary_tie_flag_ignores_scale(self):
+        u = np.random.default_rng(7).standard_normal((6, 6))
+        flags = {eckart_young(c * u, 3).boundary_tie for c in (1e-10, 1.0, 1e6)}
+        assert flags == {False}
+
     def test_all_critical_count_and_distinct_losses(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((4, 3))

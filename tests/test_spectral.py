@@ -1,6 +1,9 @@
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
+from permlin.equivariant import classify_component, parameterize_component
 from permlin.linalg import realize
+from permlin.optimize import fit_equivariant
 from permlin.oracles import nullspace_commutant_dim
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
 from permlin.spectral import (
@@ -199,3 +202,72 @@ class TestRealBaseChange:
             if blk.kind == "complex_pair":
                 zeta = np.exp(2j * np.pi * (blk.l - blk.m) / blk.l)
                 assert np.linalg.norm(B[sl, sl] - realize(zeta * np.eye(blk.size, dtype=complex))) <= 1e-10
+
+
+@st.composite
+def cycle_type_perms(draw, max_n=30):
+    """A permutation of random cycle type on n <= max_n points, with the
+    labels of its cycles shuffled."""
+    n = draw(st.integers(1, max_n))
+    lengths, left = [], n
+    while left:
+        lengths.append(draw(st.integers(1, left)))
+        left -= lengths[-1]
+    return perm_of_lengths(lengths, draw(st.integers(0, 2**32 - 1)))
+
+
+def perm_of_lengths(lengths, seed):
+    n = sum(lengths)
+    labels = np.random.default_rng(seed).permutation(n) + 1
+    image = [0] * n
+    start = 0
+    for l in lengths:
+        cyc = labels[start:start + l]
+        for a, b in zip(cyc, np.roll(cyc, -1)):
+            image[a - 1] = int(b)
+        start += l
+    return Permutation(n, tuple(image))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycle_type_perms(), st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1))
+@example(perm_of_lengths([1, 3, 1, 2, 3, 4, 6], 0), "real", 0)
+@example(perm_of_lengths([1, 3, 1, 2, 3, 4, 6], 0), "complex", 0)
+@example(Permutation.identity(1), "real", 0)
+def test_factored_base_change_matches_dense(p, field, seed):
+    """to_basis, from_basis, conjugate and unconjugate agree with products by
+    the dense matrix and inverse, on fixed points and mixed cycle lengths."""
+    bc = (real_base_change if field == "real" else complex_base_change)(p)
+    rng = np.random.default_rng(seed)
+    n = p.n
+    x = rng.standard_normal((n, int(rng.integers(0, 5))))
+    v = rng.standard_normal(n)
+    m = rng.standard_normal((n, n))
+    if field == "complex":
+        m = m + 1j * rng.standard_normal((n, n))
+    T, T_inv = bc.matrix, bc.inverse
+
+    def close(fast, dense, a):
+        assert fast.shape == dense.shape
+        assert np.linalg.norm(fast - dense) <= 1e-12 * (1.0 + np.linalg.norm(a))
+
+    close(bc.to_basis(x), T_inv @ x, x)
+    close(bc.from_basis(x), T @ x, x)
+    close(bc.to_basis(v), T_inv @ v, v)
+    close(bc.from_basis(v), T @ v, v)
+    close(bc.conjugate(m), T_inv @ m @ T, m)
+    close(bc.unconjugate(m), T @ m @ T_inv, m)
+
+
+def test_hot_paths_stay_matrix_free():
+    """Fitting, classifying and parameterizing never build the dense base change."""
+    p = perm_of_lengths([1, 2, 3, 4, 4, 6], 5)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((p.n, 2 * p.n))
+    y = rng.standard_normal((p.n, 2 * p.n))
+    bc = real_base_change(p)
+    fit = fit_equivariant(x, y, p, 5, base_change=bc)
+    assert classify_component(fit.minimizer, p, base_change=bc) == fit.component
+    par = parameterize_component(fit.component, p, rng=rng, base_change=bc)
+    assert classify_component(par.decoder @ par.encoder, p, base_change=bc) == fit.component
+    assert "matrix" not in vars(bc) and "inverse" not in vars(bc)

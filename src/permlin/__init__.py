@@ -13,7 +13,7 @@ from .perms import (
     finest_common_coarsening,
     replication_matrix,
 )
-from .linalg import svd, numeric_rank, circulant, realize, unrealize, weighted_inner, psd_sqrt
+from .linalg import svd, numeric_rank, circulant, realize, unrealize, weighted_inner
 from .spectral import (
     BlockSpectrum,
     BaseChange,

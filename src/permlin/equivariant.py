@@ -31,12 +31,11 @@ from .errors import (
     SizeMismatchError,
     StructuralError,
 )
-from .linalg import DEFAULT_TOL, realize
+from .linalg import STRUCTURE_TOL, rank_threshold, realize
 from .perms import Permutation, cycle_decomposition
 from .spectral import BaseChange, BlockSpectrum, RealBlock, _cycle_sort_order, real_base_change
 
 __all__ = [
-    "EQUIVARIANCE_TOL",
     "RankVector",
     "ComponentDescriptor",
     "WeightSharingReport",
@@ -56,13 +55,6 @@ __all__ = [
     "parameterize_component",
     "free_parameter_count",
 ]
-
-# relative tolerance of the equivariance tests: a deviation from commuting
-# with P_sigma (is_equivariant), from circulant cycle blocks
-# (check_circulant_blocks) or off-block mass after the base change
-# (classify_component) is accepted up to EQUIVARIANCE_TOL * (1 + ||M||_F)
-EQUIVARIANCE_TOL = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # rank vectors and component descriptors
@@ -274,20 +266,24 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
     return (sums / sizes)[labels]
 
 
-def is_equivariant(m: np.ndarray, p: Permutation, tol: float = EQUIVARIANCE_TOL) -> bool:
+def is_equivariant(m: np.ndarray, p: Permutation, tol: float = STRUCTURE_TOL) -> bool:
+    """||P_sigma M P_sigma^T - M||_F <= tol * ||M||_F, which is
+    ||P_sigma M - M P_sigma||_F since P_sigma is orthogonal."""
     m = np.asarray(m, dtype=float)
     if m.shape != (p.n, p.n):
         raise SizeMismatchError(f"expected a {p.n} x {p.n} matrix, got {m.shape}")
     img = np.asarray(p.image) - 1
-    # M P_sigma permutes the columns and P_sigma M the rows: row j of P_sigma
-    # is the unit vector e_{sigma(j)}
-    dev = np.linalg.norm(m[:, np.argsort(img)] - m[img])
-    return dev <= tol * (1.0 + np.linalg.norm(m))
+    # row i of P_sigma is the unit vector e_{sigma(i)}, so P_sigma M P_sigma^T
+    # is M gathered at (sigma(i), sigma(j)): one n x n copy
+    dev = m[np.ix_(img, img)]
+    dev -= m
+    return np.linalg.norm(dev) <= tol * np.linalg.norm(m)
 
 
-def check_circulant_blocks(m: np.ndarray, p: Permutation, tol: float = EQUIVARIANCE_TOL) -> bool:
+def check_circulant_blocks(m: np.ndarray, p: Permutation) -> bool:
     """Blockwise test: after cycle sorting, every cycle-by-cycle block must be
-    circulant (each row the previous one shifted right, cyclically)."""
+    circulant (each row the previous one shifted right, cyclically), up to
+    STRUCTURE_TOL * ||M||_F in every entry."""
     m = np.asarray(m, dtype=float)
     n = p.n
     if m.shape != (n, n):
@@ -295,7 +291,7 @@ def check_circulant_blocks(m: np.ndarray, p: Permutation, tol: float = EQUIVARIA
     order = _cycle_sort_order(p)
     ms = m[np.ix_(order, order)]
     lengths = cycle_decomposition(p).lengths
-    bound = tol * (1.0 + np.linalg.norm(m))
+    bound = STRUCTURE_TOL * np.linalg.norm(m)
     worst = 0.0
     ri = 0
     for li in lengths:
@@ -319,16 +315,14 @@ def _require_real(rvec: RankVector) -> None:
 
 
 def classify_component(
-    m: np.ndarray,
-    p: Permutation,
-    tol: float = EQUIVARIANCE_TOL,
-    rank_tol: float = DEFAULT_TOL,
-    base_change: Optional[BaseChange] = None,
+    m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None
 ) -> RankVector:
     """Read per-block ranks of an equivariant matrix in the Q basis.
 
-    Complex-pair block ranks are halved; an odd rank there certifies the
-    matrix lies outside every real component and raises StructuralError.
+    EquivarianceError when the off-block mass after the base change exceeds
+    STRUCTURE_TOL * ||M||_F.  Complex-pair block ranks are halved; an odd
+    rank there certifies the matrix lies outside every real component and
+    raises StructuralError.
     """
     m = np.asarray(m, dtype=float)
     bc = base_change if base_change is not None else real_base_change(p)
@@ -337,16 +331,16 @@ def classify_component(
     for sl in bc.block_slices:
         B[sl, sl] = 0.0
     dev = np.linalg.norm(B)
-    if dev > tol * (1.0 + np.linalg.norm(m)):
+    if dev > STRUCTURE_TOL * np.linalg.norm(m):
         raise EquivarianceError(f"off-block mass {dev:.3e} after base change; input is not equivariant")
-    # rank decisions share one threshold scaled by the whole matrix, so that
-    # numerically-zero blocks read as rank 0.  Q is orthogonal, so ||M||_2 is
-    # the largest block singular value up to the off-block mass checked above.
-    scale = max(s[0] for s in svals)
-    threshold = rank_tol * scale * m.shape[0]
+    # rank decisions share the numerical-rank threshold of the whole matrix,
+    # so that numerically-zero blocks read as rank 0.  Q is orthogonal, so
+    # ||M||_2 is the largest block singular value up to the off-block mass
+    # checked above.
+    threshold = rank_threshold(max(s[0] for s in svals), m.shape)
     values = []
     for blk, s in zip(bc.spectrum.real_blocks, svals):
-        rank = 0 if scale == 0.0 else int(np.sum(s > threshold))
+        rank = int(np.sum(s > threshold))
         if blk.kind == "complex_pair":
             if rank % 2:
                 raise StructuralError(

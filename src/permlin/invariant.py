@@ -16,11 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvarianceError, SizeMismatchError
-from .linalg import numeric_rank
+from .linalg import STRUCTURE_TOL, numeric_rank
 from .equivariant import determinantal_degree
 from .optimize import (
     FitResult,
-    TIE_TOL,
     _checked_data,
     check_rank_floor,
     gram_eigh,
@@ -47,9 +46,6 @@ __all__ = [
     "invariant_autoencoder",
     "invariant_project",
 ]
-
-INVARIANCE_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class InvariantSpace:
@@ -81,13 +77,13 @@ def invariant_space(gens: Sequence[Permutation], m: int, n: int, r: int) -> Inva
     return InvariantSpace(m, n, r, part)
 
 
-def psi_compress(m_mat: np.ndarray, part: Partition, tol: float = INVARIANCE_TOL) -> np.ndarray:
+def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     """Keep one column per block (the smallest label), after checking the
-    columns within each block agree within tol * (1 + ||M||_F)."""
+    columns within each block agree entrywise within STRUCTURE_TOL * ||M||_F."""
     m_mat = np.asarray(m_mat, dtype=float)
     if m_mat.shape[1] != part.n:
         raise SizeMismatchError(f"matrix has {m_mat.shape[1]} columns, partition needs {part.n}")
-    bound = tol * (1.0 + np.linalg.norm(m_mat))
+    bound = STRUCTURE_TOL * np.linalg.norm(m_mat)
     cols = []
     for i, block in enumerate(part.blocks):
         sub = m_mat[:, [j - 1 for j in block]]
@@ -115,9 +111,9 @@ def invariant_degree(space: InvariantSpace) -> int:
     return determinantal_degree(space.m, space.k, space.effective_rank)
 
 
-def is_singular_point(space: InvariantSpace, m_mat: np.ndarray, tol: float = INVARIANCE_TOL) -> bool:
+def is_singular_point(space: InvariantSpace, m_mat: np.ndarray) -> bool:
     """Singular iff the compressed rank drops below the effective rank bound."""
-    compact = psi_compress(m_mat, space.partition, tol)
+    compact = psi_compress(m_mat, space.partition)
     if space.effective_rank >= min(space.m, space.k):
         return False
     return numeric_rank(compact) < space.effective_rank
@@ -128,7 +124,6 @@ def fit_invariant(
     y: np.ndarray,
     space: InvariantSpace,
     ridge: Optional[float] = None,
-    tie_tol: float = TIE_TOL,
 ) -> FitResult:
     """Minimize ||M X - Y||_F^2 over the invariant space, by weighted
     Eckart-Young on the compressed problem (row sums of X per block).
@@ -147,13 +142,11 @@ def fit_invariant(
     r = space.effective_rank
     minimizer = psi_expand(fit.build(r), space.partition)
     loss = float(np.linalg.norm(minimizer @ x - y) ** 2)
-    blk = fit.block_fit(("invariant", 1, 1), r, tie_tol)
+    blk = fit.block_fit(("invariant", 1, 1), r)
     return FitResult(minimizer, loss, "invariant", (blk,), ridge, None, fit.constant)
 
 
-def invariant_autoencoder(
-    space: InvariantSpace, m_mat: np.ndarray, tol: float = INVARIANCE_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def invariant_autoencoder(space: InvariantSpace, m_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor an invariant matrix as decoder @ encoder with the weight-shared
     encoder B' E (columns tied within each block).
 
@@ -161,7 +154,7 @@ def invariant_autoencoder(
     compressed matrix is split through its SVD.  Rank above the bound is
     rejected.
     """
-    compact = psi_compress(m_mat, space.partition, tol)
+    compact = psi_compress(m_mat, space.partition)
     r = space.effective_rank
     if numeric_rank(compact) > r:
         raise InvarianceError(f"matrix rank exceeds the bound {r}")

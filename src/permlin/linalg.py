@@ -2,7 +2,31 @@
 complex-to-real realization embedding, and weighted (Gram) inner products.
 
 All routines work on plain numpy arrays; real matrices are float64, complex
-ones complex128.  Tolerances are relative with default 1e-10.
+ones complex128.
+
+This module holds the tolerance table of the whole library.  Every tolerance
+is relative, by one rule: a check compares its deviation with the tolerance
+times a norm of the matrix under test (no "1 +", no floor at 1), so scaling
+the input by any c > 0 leaves every verdict unchanged.
+
+    DEFAULT_TOL    1e-10  rank decisions: the rank floor of every fit (Gram
+                          eigenvalues relative to the largest) and the
+                          numerical rank (`rank_threshold`, singular values
+                          relative to sigma_1 times the larger dimension);
+                          also the exact patterns of `unrealize` (relative to
+                          the largest entry) and `weighted_inner` (symmetry,
+                          relative to the largest weight entry)
+    TIE_TOL        1e-9   ties: a truncation flags a boundary tie when
+                          sigma_r - sigma_{r+1} <= TIE_TOL sigma_1, and the
+                          component search treats fit losses within
+                          `tie_slack(Y)` = TIE_TOL ||Y||_F^2 as tied
+    STRUCTURE_TOL  1e-8   membership in a linear subspace: equivariance,
+                          circulant cycle blocks, off-block mass after the
+                          base change, and column equality of invariant maps,
+                          each relative to ||M||_F
+
+The brute-force checks in `oracles` keep their own named tolerances so that
+they stay independent of this module.
 """
 
 from __future__ import annotations
@@ -10,36 +34,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, IndefiniteError, SizeMismatchError, StructuralError
 
 DEFAULT_TOL = 1e-10
-# relative tie tolerance: a truncation flags a boundary tie when
-# sigma_r - sigma_{r+1} <= TIE_TOL sigma_1, and the component search
-# treats fit losses within `tie_slack(Y)` = TIE_TOL ||Y||_F^2 as tied
 TIE_TOL = 1e-9
+STRUCTURE_TOL = 1e-8
 
 __all__ = [
     "SvdResult",
     "svd",
     "numeric_rank",
+    "rank_threshold",
     "circulant",
     "realize",
     "unrealize",
     "weighted_inner",
-    "psd_sqrt",
     "DEFAULT_TOL",
     "TIE_TOL",
+    "STRUCTURE_TOL",
     "tie_slack",
 ]
 
 
-def tie_slack(y: np.ndarray, tie_tol: float = TIE_TOL) -> float:
+def tie_slack(y: np.ndarray) -> float:
     """Absolute slack within which two losses ||M X - Y||_F^2 count as tied:
-    tie_tol times ||Y||_F^2, the loss of M = 0.  Relative to the data, so
+    TIE_TOL times ||Y||_F^2, the loss of M = 0.  Relative to the data, so
     scaling Y scales the slack with every loss and leaves ties unchanged."""
-    return tie_tol * float(np.linalg.norm(y) ** 2)
+    return TIE_TOL * float(np.linalg.norm(y) ** 2)
 
 
 @dataclass(frozen=True)
@@ -68,15 +90,20 @@ def svd(m: np.ndarray) -> SvdResult:
     return SvdResult(u, s, vt)
 
 
-def numeric_rank(m: np.ndarray, rel_tol: float = DEFAULT_TOL) -> int:
-    """Count singular values above rel_tol * sigma_max * max(rows, cols)."""
+def rank_threshold(sigma_max: float, shape: tuple[int, ...]) -> float:
+    """The one numerical-rank rule: a singular value counts toward the rank
+    of a matrix of this shape when it exceeds DEFAULT_TOL * sigma_max *
+    max(shape), sigma_max being the largest singular value of the matrix."""
+    return DEFAULT_TOL * sigma_max * max(shape)
+
+
+def numeric_rank(m: np.ndarray) -> int:
+    """Count singular values above `rank_threshold`."""
     m = np.asarray(m)
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0] * max(m.shape)))
+    return int(np.sum(s > rank_threshold(s[0], m.shape)))
 
 
 def circulant(v) -> np.ndarray:
@@ -98,14 +125,15 @@ def realize(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def unrealize(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of realize, reading odd rows/columns; rejects pattern violations."""
+def unrealize(m: np.ndarray) -> np.ndarray:
+    """Inverse of realize, reading odd rows/columns; rejects entries that
+    deviate from the pattern by more than DEFAULT_TOL * max |m_ij|."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
         raise StructuralError(f"realization pattern needs even dimensions, got {m.shape}")
     a, b = m[0::2, 0::2], m[1::2, 0::2]
     a2, b2 = m[1::2, 1::2], -m[0::2, 1::2]
-    scale = tol * (1.0 + np.abs(m).max(initial=0.0))
+    scale = DEFAULT_TOL * np.abs(m).max(initial=0.0)
     dev = np.maximum(np.abs(a - a2), np.abs(b - b2))
     if dev.size and dev.max() > scale:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
@@ -115,22 +143,11 @@ def unrealize(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return a + 1j * b
 
 
-def weighted_inner(a: np.ndarray, b: np.ndarray, w: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """<a, b>_w = trace(a w b^T) for symmetric PSD w."""
+def weighted_inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
+    """<a, b>_w = trace(a w b^T) for symmetric PSD w; IndefiniteError when w
+    is asymmetric by more than DEFAULT_TOL * max |w_ij|."""
     a, b, w = np.asarray(a, float), np.asarray(b, float), np.asarray(w, float)
     asym = np.abs(w - w.T).max(initial=0.0)
-    if asym > tol * (1.0 + np.abs(w).max(initial=0.0)):
+    if asym > DEFAULT_TOL * np.abs(w).max(initial=0.0):
         raise IndefiniteError(f"weight matrix is asymmetric (max deviation {asym:.3e})")
     return float(np.trace(a @ w @ b.T))
-
-
-def psd_sqrt(w: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition; rejects indefinite input."""
-    w = np.asarray(w, dtype=float)
-    w = 0.5 * (w + w.T)
-    vals, vecs = scipy.linalg.eigh(w)
-    bound = -tol * max(1.0, np.abs(vals).max(initial=0.0))
-    if vals.size and vals.min() < bound:
-        raise IndefiniteError(f"matrix has negative eigenvalue {vals.min():.3e}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T

@@ -79,25 +79,23 @@ class EckartYoungResult:
     all_critical: Optional[tuple[np.ndarray, ...]] = None
 
 
-def _boundary_tie(s: np.ndarray, r: int, tie_tol: float) -> bool:
-    """sigma_r - sigma_{r+1} <= tie_tol * sigma_1: relative to the largest
+# most critical points `eckart_young` lists on request (SizeCapError above)
+MAX_CRITICAL = 100_000
+
+
+def _boundary_tie(s: np.ndarray, r: int) -> bool:
+    """sigma_r - sigma_{r+1} <= TIE_TOL * sigma_1: relative to the largest
     singular value, so the flag does not change with the scale of the data."""
-    return bool(0 < r < len(s) and s[r - 1] - s[r] <= tie_tol * s[0])
+    return bool(0 < r < len(s) and s[r - 1] - s[r] <= TIE_TOL * s[0])
 
 
-def eckart_young(
-    u: np.ndarray,
-    r: int,
-    want_all_critical: bool = False,
-    tie_tol: float = TIE_TOL,
-    max_critical: int = 100_000,
-) -> EckartYoungResult:
+def eckart_young(u: np.ndarray, r: int, want_all_critical: bool = False) -> EckartYoungResult:
     """Closest rank <= r matrix in Frobenius norm, via truncated SVD.
 
     On request, `all_critical` enumerates every subset-truncation (all
     binom(min(m,n), r) critical points of the distance function; they are all
-    real).  Ties sigma_r = sigma_{r+1} keep the lowest indices and set the
-    boundary flag.
+    real; at most MAX_CRITICAL).  Ties sigma_r = sigma_{r+1} keep the lowest
+    indices and set the boundary flag.
     """
     u = np.asarray(u, dtype=float)
     q = min(u.shape)
@@ -108,13 +106,13 @@ def eckart_young(
     crit = None
     if want_all_critical:
         n_crit = math.comb(q, r)
-        if n_crit > max_critical:
-            raise SizeCapError(f"{n_crit} critical points exceed cap {max_critical}")
+        if n_crit > MAX_CRITICAL:
+            raise SizeCapError(f"{n_crit} critical points exceed cap {MAX_CRITICAL}")
         crit = tuple(
             (U1[:, list(subset)] * s[list(subset)]) @ V1t[list(subset), :]
             for subset in combinations(range(q), r)
         )
-    return EckartYoungResult(trunc, tuple(s[:r]), tuple(s[r:]), _boundary_tie(s, r, tie_tol), crit)
+    return EckartYoungResult(trunc, tuple(s[:r]), tuple(s[r:]), _boundary_tie(s, r), crit)
 
 
 @dataclass(frozen=True)
@@ -161,9 +159,9 @@ class WeightedEckartYoung:
     def build(self, r: int) -> np.ndarray:
         return (self.left[:, :r] * self.svals[:r]) @ self.right[:r]
 
-    def block_fit(self, key: tuple[str, int, int], r: int, tie_tol: float = TIE_TOL) -> BlockFit:
+    def block_fit(self, key: tuple[str, int, int], r: int) -> BlockFit:
         s = self.svals
-        return BlockFit(key, r, tuple(s[:r]), tuple(s[r:]), _boundary_tie(s, r, tie_tol), self.tails[r])
+        return BlockFit(key, r, tuple(s[:r]), tuple(s[r:]), _boundary_tie(s, r), self.tails[r])
 
 
 def _checked_data(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +357,6 @@ def fit_equivariant(
     heuristic: Optional[str] = None,
     ridge: Optional[float] = None,
     base_change: Optional[BaseChange] = None,
-    tie_tol: float = TIE_TOL,
     candidates: bool = False,
 ) -> FitResult:
     """Minimize ||M X - Y||_F^2 over rank <= r equivariant matrices.
@@ -367,7 +364,7 @@ def fit_equivariant(
     With `component` given, fits that component only.  Otherwise finds the
     best component exactly, at any census size, by min-plus dynamic
     programming over the per-block tail tables; ties (losses within
-    `tie_slack(y, tie_tol)` = tie_tol ||Y||_F^2 of the optimum) go to the
+    `tie_slack(y)` = TIE_TOL ||Y||_F^2 of the optimum) go to the
     lexicographically smallest rank vector.  With heuristic="energy" it fits
     the single greedily chosen component instead and sets `search_gap`, that
     component's loss minus the exact optimum.  ComponentError when no
@@ -415,7 +412,7 @@ def fit_equivariant(
         best_values = rvec.values
         source = "named"
     elif heuristic is None:
-        best_values = _best_component(blocks, tails, r, tie_slack(y, tie_tol))[0]
+        best_values = _best_component(blocks, tails, r, tie_slack(y))[0]
         source = "search"
     elif heuristic == "energy":
         optimum = _best_component(blocks, tails, r, 0.0)[1]
@@ -432,7 +429,7 @@ def fit_equivariant(
     for (blk, sl), fit, t in zip(pieces, fits, best_values):
         b = fit.build(t)
         blockdiag[sl, sl] = realize(b) if blk.kind == "complex_pair" else b
-        per_block.append(fit.block_fit((blk.kind, blk.l, blk.m), t, tie_tol))
+        per_block.append(fit.block_fit((blk.kind, blk.l, blk.m), t))
     minimizer = bc.unconjugate(blockdiag)
     loss = float(np.linalg.norm(minimizer @ x - y) ** 2)
     rvec = make_rank_vector(bc.spectrum, "real", best_values)

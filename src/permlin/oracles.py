@@ -43,6 +43,9 @@ AGREEMENT_TOL = 1e-9
 # Frobenius deviation per coordinate allowed between a base change's
 # conjugation of P_sigma and its documented block form
 BLOCK_FORM_TOL = 1e-9
+# absolute singular-value cutoff of the nullspace oracle's rank; its
+# commutation system has entries in {-1, 0, 1} and n <= MAX_NULLSPACE_N
+NULLSPACE_RANK_TOL = 1e-9
 
 
 def nullspace_commutant_dim(gens: Sequence[Permutation]) -> int:
@@ -59,7 +62,7 @@ def nullspace_commutant_dim(gens: Sequence[Permutation]) -> int:
         # row-major vec: vec(M P) = kron(I, P^T) vec(M), vec(P M) = kron(P, I) vec(M)
         rows.append(np.kron(eye, P.T) - np.kron(P, eye))
     system = np.vstack(rows)
-    return n * n - np.linalg.matrix_rank(system, tol=1e-9)
+    return n * n - np.linalg.matrix_rank(system, tol=NULLSPACE_RANK_TOL)
 
 
 def recursive_component_count(spec: BlockSpectrum, r: int, field: str) -> int:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from permlin.errors import IndefiniteError, StructuralError
 from permlin.linalg import (
     circulant,
     numeric_rank,
-    psd_sqrt,
     realize,
     svd,
     unrealize,
@@ -135,7 +135,8 @@ class TestWeightedInner:
         a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
         w = rng.standard_normal((4, 5))
         w = w @ w.T
-        s = psd_sqrt(w)
+        vals, vecs = scipy.linalg.eigh(w)
+        s = (vecs * np.sqrt(vals)) @ vecs.T
         lhs = weighted_inner(a, b, w)
         rhs = np.sum((a @ s) * (b @ s))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
@@ -144,22 +145,3 @@ class TestWeightedInner:
         with pytest.raises(IndefiniteError):
             weighted_inner(np.eye(2), np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_gram_residual(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((5, 8))
-        w = x @ x.T
-        s = psd_sqrt(w)
-        assert np.linalg.norm(s @ s - w) <= 1e-8 * np.linalg.norm(w)
-        assert np.allclose(s, s.T)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(IndefiniteError):
-            psd_sqrt(np.diag([1.0, -1.0]))

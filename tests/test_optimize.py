@@ -6,20 +6,27 @@ from hypothesis import given, settings, strategies as st
 
 from permlin.datasets import demo_shift_dataset, horizontal_shift_permutation
 from permlin.equivariant import (
+    check_circulant_blocks,
     classify_component,
     count_components,
     enumerate_components,
+    equivariant_project,
+    is_equivariant,
     make_rank_vector,
 )
 from permlin.errors import (
     ComponentError,
     ConvergenceError,
+    EquivarianceError,
+    IndefiniteError,
+    InvarianceError,
     NonFiniteError,
     RankDeficientError,
     SearchLimitError,
     SizeMismatchError,
+    StructuralError,
 )
-from permlin.linalg import numeric_rank, realize, tie_slack, unrealize
+from permlin.linalg import numeric_rank, realize, tie_slack, unrealize, weighted_inner
 from permlin.oracles import AGREEMENT_TOL, als_low_rank, best_scored, projection_fit_equivariant
 from permlin.optimize import (
     eckart_young,
@@ -562,7 +569,9 @@ def test_exact_search_at_image_scale():
 class TestScaleInvariance:
     """The rank floor is relative: fitting c X gives minimizer / c and the
     same loss, however small or large c is.  The tie rule of the component
-    search is relative too: fitting c Y picks the same component."""
+    search is relative too: fitting c Y picks the same component.  Every
+    structure check compares its deviation with a norm of the matrix under
+    test, so its verdict on c M is its verdict on M."""
 
     def test_fits_scale_with_data(self):
         from permlin.invariant import fit_invariant, invariant_space
@@ -597,6 +606,42 @@ class TestScaleInvariance:
                 scaled = fit_equivariant(x, c * target, ROT9, 3)
                 assert scaled.component.values == base.component.values, c
                 assert abs(scaled.loss - c**2 * base.loss) <= 1e-9 * c**2 * (1 + base.loss), c
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1.0, 1e6])
+    def test_structure_checks_reject_at_every_scale(self, c):
+        from permlin.invariant import invariant_space, psi_compress
+
+        a = c * np.random.default_rng(43).standard_normal((9, 9))
+        assert not is_equivariant(a, ROT9)
+        assert not check_circulant_blocks(a, ROT9)
+        with pytest.raises(EquivarianceError):
+            classify_component(a, ROT9)
+        with pytest.raises(InvarianceError):
+            psi_compress(a, invariant_space([ROT9], 9, 9, 3).partition)
+        with pytest.raises(StructuralError):
+            unrealize(a[:8, :8])
+        with pytest.raises(IndefiniteError):
+            weighted_inner(np.eye(9), np.eye(9), a)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1.0, 1e6])
+    def test_structure_checks_accept_at_every_scale(self, c):
+        from permlin.invariant import invariant_project, invariant_space, psi_compress
+
+        rng = np.random.default_rng(44)
+        a = rng.standard_normal((9, 9))
+        # a rank-3 component: the block ranks must read the same at every scale
+        rvec, planted = sample_component_matrix(rng, ROT9, eigen_multiplicities(cycle_decomposition(ROT9)), 3)
+        for m in (c * equivariant_project(a, [ROT9]), c * planted):
+            assert is_equivariant(m, ROT9)
+            assert check_circulant_blocks(m, ROT9)
+        assert classify_component(c * planted, ROT9).values == rvec.values
+        part = invariant_space([ROT9], 9, 9, 3).partition
+        inv = invariant_project(c * a, part)
+        assert np.array_equal(psi_compress(inv, part), inv[:, [block[0] - 1 for block in part.blocks]])
+        z = c * (a[:4, :4] + 1j * a[4:8, 4:8])
+        assert np.array_equal(unrealize(realize(z)), z)
+        w = c * (a @ a.T)
+        assert weighted_inner(a, a, w) == pytest.approx(c * float(np.trace(a @ a @ a.T @ a.T)), rel=1e-12)
 
 
 class TestBadInput:

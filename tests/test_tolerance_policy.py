@@ -1,0 +1,55 @@
+"""The tolerance policy, pinned: every tolerance of the library is a named
+constant in the `linalg` table (or, for the brute-force checks, in
+`oracles`), and no public function takes a tolerance argument except
+`is_equivariant`, whose callers may ask for a tighter bound."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import permlin
+
+SRC = Path(permlin.__file__).parent
+TABLES = {"linalg.py", "oracles.py"}
+SMALL = 1e-3
+
+
+def _table_constants(tree: ast.Module) -> set[int]:
+    """ids of the constants assigned directly to module-level names."""
+    return {id(node.value) for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Constant)}
+
+
+def test_small_float_literals_live_only_in_the_tolerance_tables():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = _table_constants(tree) if path.name in TABLES else set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0.0 < abs(node.value) < SMALL and id(node) not in allowed):
+                stray.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert not stray, stray
+
+
+def _public_callables():
+    for info in pkgutil.iter_modules(permlin.__path__):
+        mod = importlib.import_module(f"permlin.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for mname, meth in vars(obj).items():
+                    if inspect.isfunction(meth) and (mname == "__init__" or not mname.startswith("_")):
+                        yield f"{info.name}.{name}.{mname}", meth
+
+
+def test_only_is_equivariant_takes_a_tolerance():
+    knobs = {(qualname, param)
+             for qualname, fn in _public_callables()
+             for param in inspect.signature(fn).parameters if "tol" in param}
+    assert knobs == {("equivariant.is_equivariant", "tol")}

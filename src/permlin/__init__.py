@@ -39,9 +39,7 @@ from .equivariant import (
     ComponentDescriptor,
     Parameterization,
     WeightSharingReport,
-    commutant_basis,
     equivariant_project,
-    check_circulant_blocks,
     is_equivariant,
     count_components,
     enumerate_components,
@@ -56,9 +54,7 @@ from .equivariant import (
 from .optimize import (
     FitResult,
     eckart_young,
-    sel_to_target,
     fit_rank_bounded,
-    fit_realization_block,
     fit_equivariant,
     ed_degrees,
 )

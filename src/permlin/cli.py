@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, equivariant, invariant, linalg, matio, optimize, oracles, spectral
-from .errors import CyclicOnlyError, NonFiniteError, PermlinError
+from .errors import ComponentError, CyclicOnlyError, NonFiniteError, PermlinError
 from .perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
 
 JSON_KW = dict(indent=2, sort_keys=True)
@@ -88,6 +88,17 @@ def _resolve_gens(args, allow_many=False):
 
 def _spectrum_of(gen):
     return spectral.eigen_multiplicities(cycle_decomposition(gen))
+
+
+def _component_arg(text, spec):
+    """The real rank vector named by a --component value such as "1,0,1"."""
+    if text is None:
+        raise ComponentError("name a component with --component")
+    try:
+        values = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ComponentError(f"--component needs comma-separated integers, got {text!r}") from None
+    return equivariant.make_rank_vector(spec, "real", values)
 
 
 def _block_layout_json(spec):
@@ -207,8 +218,7 @@ def cmd_fit(args):
     else:
         component = None
         if args.component:
-            values = [int(t) for t in args.component.split(",")]
-            component = equivariant.make_rank_vector(_spectrum_of(gens[0]), "real", values)
+            component = _component_arg(args.component, _spectrum_of(gens[0]))
         fit = optimize.fit_equivariant(
             x, y, gens[0], args.rank, component=component,
             search_limit=args.search_limit, heuristic=args.heuristic, ridge=args.ridge,
@@ -248,8 +258,7 @@ def cmd_factorize(args):
         }
     else:
         spec = _spectrum_of(gens[0])
-        values = [int(t) for t in args.component.split(",")]
-        rvec = equivariant.make_rank_vector(spec, "real", values)
+        rvec = _component_arg(args.component, spec)
         if args.matrix:
             m = np.asarray(matio.read_matrix(args.matrix), dtype=float)
             got = equivariant.classify_component(m, gens[0])
@@ -326,6 +335,9 @@ def cmd_verify(args):
 
 
 def cmd_demo_shift(args):
+    for name in ("height", "width", "samples"):
+        if getattr(args, name) < 1:
+            raise PermlinError(f"--{name} must be positive, got {getattr(args, name)}")
     rng_seed = args.seed
     X = datasets.demo_shift_dataset(args.height, args.width, args.samples,
                                     seed=rng_seed, noise=args.noise)

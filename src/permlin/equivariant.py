@@ -1,4 +1,4 @@
-"""Rank-bounded equivariant maps: commutant bases, the irreducible-component
+"""Rank-bounded equivariant maps: commutant orbits, the irreducible-component
 census over R and C, per-component dimension/degree, membership classification,
 and weight-shared encoder/decoder parameterizations.
 
@@ -31,20 +31,18 @@ from .errors import (
     SizeMismatchError,
     StructuralError,
 )
-from .linalg import STRUCTURE_TOL, rank_threshold, realize
-from .perms import Permutation, cycle_decomposition
-from .spectral import BaseChange, BlockSpectrum, RealBlock, _cycle_sort_order, real_base_change
+from .linalg import STRUCTURE_TOL, rank_threshold, realize, svdvals
+from .perms import Permutation
+from .spectral import BaseChange, BlockSpectrum, RealBlock, real_base_change
 
 __all__ = [
     "RankVector",
     "ComponentDescriptor",
     "WeightSharingReport",
     "Parameterization",
-    "commutant_basis",
     "pair_orbit_labels",
     "equivariant_project",
     "is_equivariant",
-    "check_circulant_blocks",
     "count_components",
     "enumerate_components",
     "describe_component",
@@ -249,12 +247,6 @@ def pair_orbit_labels(gens: Sequence[Permutation]) -> tuple[np.ndarray, int]:
     return rank[labels].reshape(n, n), count
 
 
-def commutant_basis(gens: Sequence[Permutation]) -> list[np.ndarray]:
-    """0/1 indicator basis of {M : M P_g = P_g M for all g}, canonically ordered."""
-    labels, count = pair_orbit_labels(gens)
-    return [(labels == c).astype(np.int64) for c in range(count)]
-
-
 def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarray:
     """Frobenius-orthogonal projection onto the commutant: average over orbits."""
     m = np.asarray(m, dtype=float)
@@ -280,31 +272,6 @@ def is_equivariant(m: np.ndarray, p: Permutation, tol: float = STRUCTURE_TOL) ->
     return np.linalg.norm(dev) <= tol * np.linalg.norm(m)
 
 
-def check_circulant_blocks(m: np.ndarray, p: Permutation) -> bool:
-    """Blockwise test: after cycle sorting, every cycle-by-cycle block must be
-    circulant (each row the previous one shifted right, cyclically), up to
-    STRUCTURE_TOL * ||M||_F in every entry."""
-    m = np.asarray(m, dtype=float)
-    n = p.n
-    if m.shape != (n, n):
-        raise SizeMismatchError(f"expected a {n} x {n} matrix, got {m.shape}")
-    order = _cycle_sort_order(p)
-    ms = m[np.ix_(order, order)]
-    lengths = cycle_decomposition(p).lengths
-    bound = STRUCTURE_TOL * np.linalg.norm(m)
-    worst = 0.0
-    ri = 0
-    for li in lengths:
-        ci = 0
-        for lj in lengths:
-            sub = ms[ri:ri + li, ci:ci + lj]
-            dev = np.abs(sub - np.roll(sub, (1, 1), axis=(0, 1))).max(initial=0.0)
-            worst = max(worst, dev)
-            ci += lj
-        ri += li
-    return worst <= bound
-
-
 # ---------------------------------------------------------------------------
 # classification and parameterization
 
@@ -327,7 +294,7 @@ def classify_component(
     m = np.asarray(m, dtype=float)
     bc = base_change if base_change is not None else real_base_change(p)
     B = bc.conjugate(m)
-    svals = [np.linalg.svd(B[sl, sl], compute_uv=False) for sl in bc.block_slices]
+    svals = [svdvals(B[sl, sl]) for sl in bc.block_slices]
     for sl in bc.block_slices:
         B[sl, sl] = 0.0
     dev = np.linalg.norm(B)

@@ -16,15 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvarianceError, SizeMismatchError
-from .linalg import STRUCTURE_TOL, numeric_rank
+from .linalg import STRUCTURE_TOL, numeric_rank, require_finite, svd
 from .equivariant import determinantal_degree
-from .optimize import (
-    FitResult,
-    _checked_data,
-    check_rank_floor,
-    gram_eigh,
-    weighted_eckart_young,
-)
+from .optimize import FitResult, _checked_data, weighted_eckart_young
 from .perms import (
     Partition,
     Permutation,
@@ -80,7 +74,7 @@ def invariant_space(gens: Sequence[Permutation], m: int, n: int, r: int) -> Inva
 def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     """Keep one column per block (the smallest label), after checking the
     columns within each block agree entrywise within STRUCTURE_TOL * ||M||_F."""
-    m_mat = np.asarray(m_mat, dtype=float)
+    m_mat = require_finite(np.asarray(m_mat, dtype=float))
     if m_mat.shape[1] != part.n:
         raise SizeMismatchError(f"matrix has {m_mat.shape[1]} columns, partition needs {part.n}")
     bound = STRUCTURE_TOL * np.linalg.norm(m_mat)
@@ -128,15 +122,13 @@ def fit_invariant(
     """Minimize ||M X - Y||_F^2 over the invariant space, by weighted
     Eckart-Young on the compressed problem (row sums of X per block).
 
-    Without a ridge, X X^T must clear the rank floor (RankDeficientError)."""
+    Without a ridge, the Gram of the compressed data E X must clear the rank
+    floor (RankDeficientError); X itself may be rank deficient."""
     x, y = _checked_data(x, y)
     if x.shape[0] != space.n or y.shape[0] != space.m:
         raise SizeMismatchError(
             f"data shapes {x.shape}, {y.shape} do not match the {space.m} x {space.n} space"
         )
-    if ridge is None:
-        vals, _ = gram_eigh(x)
-        check_rank_floor(vals, vals[-1])
     E = replication_matrix(space.partition).astype(float)
     fit = weighted_eckart_young(E @ x, y, ridge)  # M X = psi(M) (E X) exactly
     r = space.effective_rank
@@ -163,7 +155,7 @@ def invariant_autoencoder(space: InvariantSpace, m_mat: np.ndarray) -> tuple[np.
         return compact, E
     if not np.any(compact):
         return np.zeros((space.m, r)), E[:r, :]
-    u1, s, v1t = np.linalg.svd(compact)
+    u1, s, v1t = svd(compact)
     decoder = u1[:, :r] * s[:r]
     encoder = v1t[:r, :] @ E
     return decoder, encoder
@@ -173,6 +165,8 @@ def invariant_project(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     """Frobenius-orthogonal projection onto the invariant linear space:
     average the columns within each block."""
     m_mat = np.asarray(m_mat, dtype=float)
+    if m_mat.ndim != 2 or m_mat.shape[1] != part.n:
+        raise SizeMismatchError(f"matrix of shape {m_mat.shape} needs {part.n} columns")
     out = np.empty_like(m_mat)
     for block in part.blocks:
         idx = [j - 1 for j in block]

@@ -1,8 +1,17 @@
-"""Dense linear-algebra primitives: SVD, numerical rank, circulants, the
-complex-to-real realization embedding, and weighted (Gram) inner products.
+"""Dense linear-algebra primitives: the guarded decompositions, numerical
+rank, circulants, the complex-to-real realization embedding, and weighted
+(Gram) inner products.
 
 All routines work on plain numpy arrays; real matrices are float64, complex
 ones complex128.
+
+Every SVD and symmetric eigendecomposition of the library goes through
+`svd` (thin), `svdvals` or `eigh` here; only the brute-force `oracles` call
+LAPACK directly, to stay independent.  The three decide failures in one
+place: an input with a NaN or infinite entry raises NonFiniteError before
+LAPACK runs, and a LAPACK failure (numpy's LinAlgError) becomes
+ConvergenceError.  `require_finite` is the same finiteness check for the
+structure checks here and in the other modules.
 
 This module holds the tolerance table of the whole library.  Every tolerance
 is relative, by one rule: a check compares its deviation with the tolerance
@@ -21,9 +30,9 @@ the input by any c > 0 leaves every verdict unchanged.
                           component search treats fit losses within
                           `tie_slack(Y)` = TIE_TOL ||Y||_F^2 as tied
     STRUCTURE_TOL  1e-8   membership in a linear subspace: equivariance,
-                          circulant cycle blocks, off-block mass after the
-                          base change, and column equality of invariant maps,
-                          each relative to ||M||_F
+                          off-block mass after the base change, and column
+                          equality of invariant maps, each relative to
+                          ||M||_F
 
 The brute-force checks in `oracles` keep their own named tolerances so that
 they stay independent of this module.
@@ -31,19 +40,20 @@ they stay independent of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.linalg
 
-from .errors import ConvergenceError, IndefiniteError, SizeMismatchError, StructuralError
+from .errors import ConvergenceError, IndefiniteError, NonFiniteError, StructuralError
 
 DEFAULT_TOL = 1e-10
 TIE_TOL = 1e-9
 STRUCTURE_TOL = 1e-8
 
 __all__ = [
-    "SvdResult",
+    "require_finite",
     "svd",
+    "svdvals",
+    "eigh",
     "numeric_rank",
     "rank_threshold",
     "circulant",
@@ -64,30 +74,37 @@ def tie_slack(y: np.ndarray) -> float:
     return TIE_TOL * float(np.linalg.norm(y) ** 2)
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Full SVD m = u @ diag(singular_values) @ vt with square orthogonal factors."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        m, n = self.u.shape[0], self.vt.shape[0]
-        S = np.zeros((m, n))
-        np.fill_diagonal(S, self.singular_values)
-        return self.u @ S @ self.vt
+def require_finite(a, what: str = "matrix") -> np.ndarray:
+    """`a` as an array; NonFiniteError when it has a NaN or infinite entry."""
+    a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{what} has NaN or infinite entries")
+    return a
 
 
-def svd(m: np.ndarray) -> SvdResult:
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise SizeMismatchError("matrix has non-finite entries")
+def _lapack(kernel, what: str, a, **kwargs):
+    """kernel(a, **kwargs) on a finite `a`, with LAPACK failure as ConvergenceError."""
+    a = require_finite(a, f"{what} input")
     try:
-        u, s, vt = np.linalg.svd(m, full_matrices=True)
+        return kernel(a, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    return SvdResult(u, s, vt)
+        raise ConvergenceError(f"{what} did not converge: {exc}") from exc
+
+
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vh) of a real or complex matrix: a = (u * s) @ vh."""
+    return _lapack(np.linalg.svd, "SVD", a, full_matrices=False)
+
+
+def svdvals(a: np.ndarray) -> np.ndarray:
+    """Singular values of a real or complex matrix, in descending order."""
+    return _lapack(np.linalg.svd, "SVD", a, compute_uv=False)
+
+
+def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a real symmetric or complex
+    Hermitian matrix."""
+    return _lapack(scipy.linalg.eigh, "eigendecomposition", h)
 
 
 def rank_threshold(sigma_max: float, shape: tuple[int, ...]) -> float:
@@ -102,7 +119,7 @@ def numeric_rank(m: np.ndarray) -> int:
     m = np.asarray(m)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
+    s = svdvals(m)
     return int(np.sum(s > rank_threshold(s[0], m.shape)))
 
 
@@ -128,7 +145,7 @@ def realize(z: np.ndarray) -> np.ndarray:
 def unrealize(m: np.ndarray) -> np.ndarray:
     """Inverse of realize, reading odd rows/columns; rejects entries that
     deviate from the pattern by more than DEFAULT_TOL * max |m_ij|."""
-    m = np.asarray(m, dtype=float)
+    m = require_finite(np.asarray(m, dtype=float))
     if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
         raise StructuralError(f"realization pattern needs even dimensions, got {m.shape}")
     a, b = m[0::2, 0::2], m[1::2, 0::2]
@@ -146,7 +163,7 @@ def unrealize(m: np.ndarray) -> np.ndarray:
 def weighted_inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     """<a, b>_w = trace(a w b^T) for symmetric PSD w; IndefiniteError when w
     is asymmetric by more than DEFAULT_TOL * max |w_ij|."""
-    a, b, w = np.asarray(a, float), np.asarray(b, float), np.asarray(w, float)
+    a, b, w = (require_finite(np.asarray(v, float), "weighted_inner input") for v in (a, b, w))
     asym = np.abs(w - w.T).max(initial=0.0)
     if asym > DEFAULT_TOL * np.abs(w).max(initial=0.0):
         raise IndefiniteError(f"weight matrix is asymmetric (max deviation {asym:.3e})")

@@ -33,22 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from . import oracles
-from .errors import (
-    ComponentError,
-    ConvergenceError,
-    NonFiniteError,
-    RankDeficientError,
-    SizeCapError,
-    SizeMismatchError,
-)
-from .linalg import DEFAULT_TOL, TIE_TOL, realize, tie_slack
+from .errors import ComponentError, RankDeficientError, SizeMismatchError
+from .linalg import DEFAULT_TOL, TIE_TOL, eigh, realize, require_finite, svd, tie_slack
 from .equivariant import RankVector, make_rank_vector
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
@@ -60,11 +51,7 @@ __all__ = [
     "WeightedEckartYoung",
     "eckart_young",
     "weighted_eckart_young",
-    "gram_eigh",
-    "check_rank_floor",
-    "sel_to_target",
     "fit_rank_bounded",
-    "fit_realization_block",
     "fit_equivariant",
     "ed_degrees",
 ]
@@ -76,11 +63,6 @@ class EckartYoungResult:
     kept: tuple[float, ...]
     dropped: tuple[float, ...]
     boundary_tie: bool
-    all_critical: Optional[tuple[np.ndarray, ...]] = None
-
-
-# most critical points `eckart_young` lists on request (SizeCapError above)
-MAX_CRITICAL = 100_000
 
 
 def _boundary_tie(s: np.ndarray, r: int) -> bool:
@@ -89,30 +71,20 @@ def _boundary_tie(s: np.ndarray, r: int) -> bool:
     return bool(0 < r < len(s) and s[r - 1] - s[r] <= TIE_TOL * s[0])
 
 
-def eckart_young(u: np.ndarray, r: int, want_all_critical: bool = False) -> EckartYoungResult:
+def eckart_young(u: np.ndarray, r: int) -> EckartYoungResult:
     """Closest rank <= r matrix in Frobenius norm, via truncated SVD.
 
-    On request, `all_critical` enumerates every subset-truncation (all
-    binom(min(m,n), r) critical points of the distance function; they are all
-    real; at most MAX_CRITICAL).  Ties sigma_r = sigma_{r+1} keep the lowest
-    indices and set the boundary flag.
+    Ties sigma_r = sigma_{r+1} keep the lowest indices and set the boundary
+    flag.  All binom(min(m, n), r) critical points of the distance are listed
+    by `oracles.critical_points`.
     """
     u = np.asarray(u, dtype=float)
     q = min(u.shape)
     if not 0 <= r <= q:
         raise SizeMismatchError(f"rank {r} outside 0..{q}")
-    U1, s, V1t = np.linalg.svd(u)
+    U1, s, V1t = svd(u)
     trunc = (U1[:, :r] * s[:r]) @ V1t[:r]
-    crit = None
-    if want_all_critical:
-        n_crit = math.comb(q, r)
-        if n_crit > MAX_CRITICAL:
-            raise SizeCapError(f"{n_crit} critical points exceed cap {MAX_CRITICAL}")
-        crit = tuple(
-            (U1[:, list(subset)] * s[list(subset)]) @ V1t[list(subset), :]
-            for subset in combinations(range(q), r)
-        )
-    return EckartYoungResult(trunc, tuple(s[:r]), tuple(s[r:]), _boundary_tie(s, r), crit)
+    return EckartYoungResult(trunc, tuple(s[:r]), tuple(s[r:]), _boundary_tie(s, r))
 
 
 @dataclass(frozen=True)
@@ -170,26 +142,20 @@ def _checked_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 2 or y.shape[1] != x.shape[1]:
         raise SizeMismatchError(f"X {x.shape} and Y {y.shape} need the same number of samples")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteError("data contain NaN or infinite entries")
-    return x, y
+    return require_finite(x, "data"), require_finite(y, "data")
 
 
-def gram_eigh(x: np.ndarray, ridge: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the Gram X X^H (+ ridge * Id) of real or complex
-    data; ConvergenceError when LAPACK fails."""
+def _gram_eigh(x: np.ndarray, ridge: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the Gram X X^H (+ ridge * Id) of real or complex data."""
     g = x @ x.conj().T
     if ridge is not None:
         if ridge <= 0:
             raise RankDeficientError("ridge must be positive")
         g[np.diag_indices_from(g)] += ridge
-    try:
-        return scipy.linalg.eigh(g)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    return eigh(g)
 
 
-def check_rank_floor(vals: np.ndarray, top: float) -> None:
+def _check_rank_floor(vals: np.ndarray, top: float) -> None:
     """The one rank check of every fit: RankDeficientError unless the smallest
     Gram eigenvalue exceeds DEFAULT_TOL * top, where `top` is the largest Gram
     eigenvalue of the whole fit (of all blocks of an equivariant fit).  So the
@@ -206,10 +172,7 @@ def _solve_eigh(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray
     iroot = 1.0 / np.sqrt(vals)
     # C V diag(iroot) is C G^{-1/2} without its unitary right factor V^H:
     # same singular values and left vectors, one matrix product fewer.
-    try:
-        left, s, wh = np.linalg.svd(((y @ x.conj().T) @ vecs) * iroot, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    left, s, wh = svd(((y @ x.conj().T) @ vecs) * iroot)
     right = (wh * iroot) @ vecs.conj().T
     sq = s**2
     tails = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
@@ -223,25 +186,12 @@ def weighted_eckart_young(
     """Solve min ||M X - Y||^2 (+ ridge ||M||^2) over rank <= r, for real or
     complex X and Y, as Eckart-Young on C G^{-1/2}.
 
-    Raises RankDeficientError when the Gram G fails `check_rank_floor` on its
-    own scale, and ConvergenceError when LAPACK fails.
+    Raises RankDeficientError when the Gram G fails the rank floor on its own
+    scale; NonFiniteError and ConvergenceError come from the `linalg` layer.
     """
-    vals, vecs = gram_eigh(x, ridge)
-    check_rank_floor(vals, vals[-1])
+    vals, vecs = _gram_eigh(x, ridge)
+    _check_rank_floor(vals, vals[-1])
     return _solve_eigh(x, y, vals, vecs)
-
-
-def sel_to_target(
-    x: np.ndarray, y: np.ndarray, ridge: Optional[float] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (U, W) with argmin ||M X - Y||_F^2 = argmin ||M - U||_W^2.
-
-    U = Y X^T W^{-1} is the full-rank solution of the weighted problem and
-    W = X X^T (+ ridge * Id).
-    """
-    x, y = _checked_data(x, y)
-    fit = weighted_eckart_young(x, y, ridge)
-    return fit.build(len(fit.svals)), x @ x.T + (ridge or 0.0) * np.eye(len(x))
 
 
 def fit_rank_bounded(
@@ -250,6 +200,8 @@ def fit_rank_bounded(
     """Global minimizer of ||M X - Y||_F^2 over all rank <= r matrices.
 
     A bound at or above min(m, n) is vacuous and gives plain least squares."""
+    if r < 0:
+        raise SizeMismatchError(f"rank bound {r} is negative")
     x, y = _checked_data(x, y)
     fit = weighted_eckart_young(x, y, ridge)
     r = min(r, len(fit.svals))
@@ -262,27 +214,6 @@ def fit_rank_bounded(
 def _complex_rows(a: np.ndarray) -> np.ndarray:
     """Row pairs (2i, 2i+1) of a realization block as complex rows."""
     return a[0::2] + 1j * a[1::2]
-
-
-def fit_realization_block(u_block: np.ndarray, x_block: np.ndarray, r: int) -> np.ndarray:
-    """Minimize ||B - u_block||^2 weighted by x_block x_block^T over realization
-    matrices of complex rank <= r; returns the 2d x 2d minimizer.
-
-    The weighted distance is ||B X - U X||^2, so this is the complex
-    regression of the row pairs of U X on those of X; the result satisfies
-    the realization pattern exactly and has real rank at most 2r."""
-    u_block = np.asarray(u_block, dtype=float)
-    x_block = np.asarray(x_block, dtype=float)
-    d2 = u_block.shape[0]
-    if d2 % 2 or u_block.shape != (d2, d2):
-        raise SizeMismatchError(f"realization block needs even square shape, got {u_block.shape}")
-    if x_block.shape[0] != d2:
-        raise SizeMismatchError("u_block and x_block row counts differ")
-    if 2 * r > d2:
-        raise SizeMismatchError(f"rank {r} exceeds the block's complex size")
-    x_block, y_block = _checked_data(x_block, u_block @ x_block)
-    fit = weighted_eckart_young(_complex_rows(x_block), _complex_rows(y_block))
-    return realize(fit.build(r))
 
 
 def _energy_component(blocks, fits, r: int) -> tuple[int, ...]:
@@ -391,12 +322,12 @@ def fit_equivariant(
 
     # every block Gram first: the rank floor's scale is their largest eigenvalue.
     # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block.
-    eighs = [gram_eigh(rows(xt, blk, sl), ridge and ridge * (2.0 if blk.kind == "complex_pair" else 1.0))
+    eighs = [_gram_eigh(rows(xt, blk, sl), ridge and ridge * (2.0 if blk.kind == "complex_pair" else 1.0))
              for blk, sl in pieces]
     top = max(vals[-1] for vals, _ in eighs)
     fits = []
     for (blk, sl), (vals, vecs) in zip(pieces, eighs):
-        check_rank_floor(vals, top)
+        _check_rank_floor(vals, top)
         fits.append(_solve_eigh(rows(xt, blk, sl), rows(yt, blk, sl), vals, vecs))
     del xt, yt  # not needed again; frees two data-sized arrays before the n x n products
     constant = sum(f.constant for f in fits)

@@ -4,13 +4,17 @@ These deliberately avoid the fast paths they cross-check: commutant dimension
 comes from a dense nullspace of the stacked commutation system, component
 counts from plain recursive enumeration, fit losses from alternating least
 squares restarts, equivariant fits from the weighted projection of the
-full least-squares solution onto the commutant, and the best component from
-enumerating and scoring every component.  Hard size caps keep the full suite
-fast.
+full least-squares solution onto the commutant, the best component from
+enumerating and scoring every component, equivariance from the circulant
+pattern of cycle-by-cycle blocks, and the ED degree of a determinantal
+variety from listing every critical point.  Hard size caps keep the full
+suite fast.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +23,7 @@ import scipy.linalg
 from .equivariant import _rank_vectors
 from .errors import ComponentError, SizeCapError, SizeMismatchError
 from .linalg import realize, tie_slack
-from .perms import Permutation, permutation_matrix
+from .perms import Permutation, cycle_decomposition, permutation_matrix
 from .spectral import BlockSpectrum, real_base_change
 
 __all__ = [
@@ -29,6 +33,8 @@ __all__ = [
     "score_components",
     "best_scored",
     "projection_fit_equivariant",
+    "critical_points",
+    "check_circulant_blocks",
 ]
 
 MAX_NULLSPACE_N = 16
@@ -46,6 +52,11 @@ BLOCK_FORM_TOL = 1e-9
 # absolute singular-value cutoff of the nullspace oracle's rank; its
 # commutation system has entries in {-1, 0, 1} and n <= MAX_NULLSPACE_N
 NULLSPACE_RANK_TOL = 1e-9
+# most critical points `critical_points` lists (SizeCapError above)
+MAX_CRITICAL = 100_000
+# largest entry off the circulant pattern, relative to ||M||_F, that
+# `check_circulant_blocks` still accepts
+CIRCULANT_TOL = 1e-8
 
 
 def nullspace_commutant_dim(gens: Sequence[Permutation]) -> int:
@@ -234,3 +245,37 @@ def projection_fit_equivariant(
         B[sl, sl] = realize(b) if kind == "complex_pair" else b
     minimizer = bc.matrix @ B @ bc.inverse
     return minimizer, float(np.linalg.norm(minimizer @ x - y) ** 2), candidates
+
+
+def critical_points(u: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
+    """Every critical point of the distance from u to the rank <= r matrices,
+    one subset-truncation of the SVD per r-subset of the singular values:
+    binom(min(m, n), r) of them, all real, the ED degree of the determinantal
+    variety (Draisma et al. 2016).  At most MAX_CRITICAL (SizeCapError)."""
+    u = np.asarray(u, dtype=float)
+    q = min(u.shape)
+    if not 0 <= r <= q:
+        raise SizeMismatchError(f"rank {r} outside 0..{q}")
+    n_crit = math.comb(q, r)
+    if n_crit > MAX_CRITICAL:
+        raise SizeCapError(f"{n_crit} critical points exceed cap {MAX_CRITICAL}")
+    U1, s, V1t = np.linalg.svd(u, full_matrices=False)
+    return tuple((U1[:, list(subset)] * s[list(subset)]) @ V1t[list(subset)]
+                 for subset in combinations(range(q), r))
+
+
+def check_circulant_blocks(m: np.ndarray, p: Permutation) -> bool:
+    """Equivariance by the circulant pattern: with the labels of each cycle
+    listed along sigma, every cycle-by-cycle block of M must be circulant
+    (invariant under a simultaneous cyclic shift of rows and columns), up to
+    CIRCULANT_TOL * ||M||_F in every entry."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (p.n, p.n):
+        raise SizeMismatchError(f"expected a {p.n} x {p.n} matrix, got {m.shape}")
+    cycles = [[a - 1 for a in cyc] for cyc in cycle_decomposition(p).cycles]
+    worst = 0.0
+    for ci in cycles:
+        for cj in cycles:
+            sub = m[np.ix_(ci, cj)]
+            worst = max(worst, np.abs(sub - np.roll(sub, (1, 1), axis=(0, 1))).max(initial=0.0))
+    return worst <= CIRCULANT_TOL * np.linalg.norm(m)

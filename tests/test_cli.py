@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
 from permlin import matio
 from permlin.cli import main
+from permlin.perms import Permutation, cycle_decomposition
+from permlin.spectral import eigen_multiplicities
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "permlin" / "schemas"
 
@@ -430,12 +437,12 @@ class TestNonFiniteAndFailures:
                                    "--x", str(xf), "--y", str(yf)], "NonFiniteError")
 
     def test_fit_lapack_failure(self, tmp_path, capsys, monkeypatch):
-        import permlin.optimize as optimize
+        import scipy.linalg
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("forced failure")
 
-        monkeypatch.setattr(optimize.scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
         xf, yf = self.write_data(tmp_path)
         self.expect_error(capsys, ["fit", *self.ROT, "--mode", "equivariant", "--rank", "3",
                                    "--x", str(xf), "--y", str(yf)], "ConvergenceError")
@@ -449,3 +456,155 @@ class TestNonFiniteAndFailures:
         matio.write_matrix_csv(f, np.eye(9))
         self.expect_error(capsys, ["project", *self.ROT, "--mode", "equivariant",
                                    "--matrix", str(f)], "NonFiniteError")
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract: every subcommand, on any input, exits 0 with output valid
+# under its schema or exits 1 with a valid JSON error, never a traceback
+
+SCHEMA_OF = {"analyze": "analyze", "count": "count", "components": "components",
+             "project": "project", "fit": "fit", "factorize": "factorize",
+             "verify": "verify", "demo-shift": "demo_shift"}
+INPUTS = ("good", "good", "nan", "wrong_shape", "empty")
+
+
+def write_input(path, kind, shape, rng):
+    """A CSV matrix of the given shape, or a malformed one of the given kind."""
+    if kind == "empty":
+        path.write_text("")
+        return str(path)
+    rows, cols = (shape[0] + 1, shape[1] + 2) if kind == "wrong_shape" else shape
+    m = rng.standard_normal((rows, cols))
+    if kind == "nan":
+        m[rng.integers(rows), rng.integers(cols)] = np.nan
+    matio.write_matrix_csv(path, m)
+    return str(path)
+
+
+@st.composite
+def cli_invocations(draw):
+    """One subcommand on a random permutation (n <= 12) and random inputs."""
+    n = draw(st.integers(1, 12))
+    gens = [draw(st.permutations(range(1, n + 1))) for _ in range(draw(st.sampled_from([1, 1, 1, 2])))]
+    command = draw(st.sampled_from(sorted(SCHEMA_OF)))
+    blocks = len(eigen_multiplicities(cycle_decomposition(Permutation(n, tuple(gens[0])))).real_blocks)
+    component = draw(st.one_of(
+        st.none(), st.just("1,x"),
+        st.lists(st.integers(0, 2), min_size=blocks, max_size=blocks + 1).map(
+            lambda v: ",".join(map(str, v)))))
+    return {
+        "command": command, "n": n, "gens": gens, "component": component,
+        "mode": draw(st.sampled_from(["invariant", "equivariant"])),
+        "field": draw(st.sampled_from(["real", "complex"])),
+        "input": draw(st.sampled_from(INPUTS)),
+        "rank": draw(st.integers(-1, n + 2)),
+        "rows": draw(st.integers(1, 4)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "image": (draw(st.sampled_from([0, 1, 2, 3, 3])), draw(st.integers(1, 4)),
+                  draw(st.sampled_from([0, 40, 60]))),
+    }
+
+
+def cli_argv(run, workdir):
+    """permlin arguments for one drawn invocation; inputs written to workdir."""
+    rng = np.random.default_rng(run["seed"])
+    n, mode, command = run["n"], run["mode"], run["command"]
+    rows = n if mode == "equivariant" else run["rows"]
+    perm = []
+    for image in run["gens"]:
+        perm += ["--perm", " ".join(map(str, image))]
+    perm += ["--n", str(n)]
+    rank = ["--rank", str(run["rank"])]
+    component = [] if run["component"] is None else ["--component", run["component"]]
+    if command == "analyze":
+        return ["analyze", *perm]
+    if command in ("count", "components"):
+        return [command, *perm, *rank, "--field", run["field"]]
+    if command == "project":
+        return ["project", *perm, "--mode", mode,
+                "--matrix", write_input(workdir / "m.csv", run["input"], (rows, n), rng)]
+    if command == "fit":
+        d = n + 3
+        x = write_input(workdir / "x.csv", run["input"], (n, d), rng)
+        y = write_input(workdir / "y.csv", "good", (rows, d), rng)
+        return ["fit", *perm, "--mode", mode, *rank, "--x", x, "--y", y,
+                *(component if mode == "equivariant" else [])]
+    if command == "factorize":
+        m = write_input(workdir / "m.csv", run["input"], (rows, n), rng)
+        if mode == "invariant":
+            return ["factorize", *perm, "--mode", mode, *rank, "--matrix", m]
+        return ["factorize", *perm, "--mode", mode, *component, "--seed", "1",
+                *(["--matrix", m] if run["input"] != "good" else [])]
+    if command == "verify":
+        return ["verify", *perm, *rank]
+    height, width, samples = run["image"]
+    return ["demo-shift", "--height", str(height), "--width", str(width),
+            "--samples", str(samples), *rank, "--seed", "3"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_invocations())
+def test_every_subcommand_exits_cleanly_on_any_input(run):
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        out = workdir / "out.json"
+        argv = cli_argv(run, workdir) + ["--out", str(out)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+        if rc == 0:
+            validate(SCHEMA_OF[run["command"]], json.loads(out.read_text()))
+        else:
+            assert rc == 1, argv
+            validate("error", json.loads(stderr.getvalue()))
+
+
+DETERMINISM_SCRIPT = """
+import contextlib, io, json, sys
+from permlin.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    results.append([argv[0], rc, out.getvalue(), err.getvalue()])
+sys.stdout.write(json.dumps(results))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    rng = np.random.default_rng(11)
+    files = {}
+    for name, shape in (("x", (9, 14)), ("y", (9, 14)), ("yi", (4, 14)), ("m", (9, 9))):
+        files[name] = str(tmp_path / f"{name}.csv")
+        matio.write_matrix_csv(files[name], rng.standard_normal(shape))
+    rot = ["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9"]
+    runs = [
+        ["analyze", *rot],
+        ["count", *rot, "--rank", "3", "--field", "complex"],
+        ["components", *rot, "--rank", "3"],
+        ["project", *rot, "--mode", "equivariant", "--matrix", files["m"]],
+        ["project", *rot, "--mode", "invariant", "--matrix", files["m"]],
+        ["fit", *rot, "--mode", "equivariant", "--rank", "3", "--x", files["x"], "--y", files["y"],
+         "--candidates"],
+        ["fit", *rot, "--mode", "invariant", "--rank", "2", "--x", files["x"], "--y", files["yi"]],
+        ["factorize", *rot, "--mode", "equivariant", "--component", "1,0,1", "--seed", "7"],
+        ["factorize", *rot, "--mode", "invariant", "--rank", "3", "--matrix", files["m"]],
+        ["verify", *rot, "--rank", "3"],
+        ["demo-shift", "--height", "4", "--width", "6", "--samples", "60", "--rank", "8"],
+    ]
+    assert {argv[0] for argv in runs} == set(SCHEMA_OF)
+    procs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        procs.append(subprocess.Popen([sys.executable, "-c", DETERMINISM_SCRIPT, json.dumps(runs)],
+                                      env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    outputs = [proc.communicate() for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs), [err for _, err in outputs]
+    first, second = (out for out, _ in outputs)
+    assert first == second
+    results = json.loads(first)
+    # invariant factorize rejects the non-invariant M (exit 1)
+    assert [rc for _, rc, _, _ in results] == [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from permlin.equivariant import (
-    check_circulant_blocks,
     classify_component,
-    commutant_basis,
     component_degree_complex,
     component_dimension,
     count_components,
@@ -22,7 +20,7 @@ from permlin.equivariant import (
 )
 from permlin.errors import ComponentError, EquivarianceError, SearchLimitError, StructuralError
 from permlin.linalg import circulant, numeric_rank, realize
-from permlin.oracles import recursive_component_count
+from permlin.oracles import check_circulant_blocks, recursive_component_count
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
 from permlin.spectral import BlockSpectrum, eigen_multiplicities, real_base_change
 
@@ -34,6 +32,12 @@ SPEC9 = eigen_multiplicities(cycle_decomposition(ROT9))
 
 def random_perm(rng, n):
     return Permutation(n, tuple(rng.permutation(n) + 1))
+
+
+def commutant_basis(gens):
+    """0/1 indicator matrices of the pair orbits: a basis of the commutant."""
+    labels, count = pair_orbit_labels(gens)
+    return [(labels == c).astype(np.int64) for c in range(count)]
 
 
 class TestCommutantBasis:

@@ -191,6 +191,22 @@ class TestFitInvariant:
         X = np.zeros((5, 8))
         X[:2] = rng.standard_normal((2, 8))  # rank 2 < 5
         Y = rng.standard_normal((3, 8))
+        # blocks {1,3,4} and {2,5}: E X = [x_1; x_2] has full row rank, so
+        # X itself may be rank deficient
+        fit = fit_invariant(X, Y, space)
+        xt = replication_matrix(space.partition).astype(float) @ X
+        oracle = als_oracle(xt, Y, 2, restarts=80, seed=1)
+        assert fit.loss <= oracle + 1e-6
+        assert abs(fit.loss - oracle) <= 1e-5
+        fit = fit_invariant(X, Y, space, ridge=1e-6)
+        assert fit.regularization == 1e-6
+
+    def test_compressed_rank_deficient_needs_ridge(self):
+        rng = np.random.default_rng(6)
+        space = invariant_space([SIGMA5], 3, 5, 2)
+        X = rng.standard_normal((5, 8))  # rank 5
+        X[3] = -X[0] - X[2]  # block {1,3,4} sums to zero: E X has rank 1
+        Y = rng.standard_normal((3, 8))
         with pytest.raises(RankDeficientError):
             fit_invariant(X, Y, space)
         fit = fit_invariant(X, Y, space, ridge=1e-6)
@@ -285,14 +301,15 @@ class TestAutoencoder:
 def test_eckart_young_critical_count_matches_degree():
     # the number of subset-truncation critical values on the compressed
     # problem equals binom(min(m,k), min(r,k))
-    from permlin.optimize import eckart_young, ed_degrees
+    from permlin.optimize import ed_degrees
+    from permlin.oracles import critical_points
 
     rng = np.random.default_rng(12)
     for m, k, r in [(3, 5, 2), (4, 4, 2), (5, 3, 1), (2, 2, 1)]:
         target = rng.standard_normal((m, k))
-        res = eckart_young(target, min(r, k), want_all_critical=True)
-        assert len(res.all_critical) == ed_degrees("invariant", (m, k, r))
-        losses = sorted(float(np.linalg.norm(c - target) ** 2) for c in res.all_critical)
+        crits = critical_points(target, min(r, k))
+        assert len(crits) == ed_degrees("invariant", (m, k, r))
+        losses = sorted(float(np.linalg.norm(c - target) ** 2) for c in crits)
         assert all(b - a > 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -305,3 +322,10 @@ def test_invariant_project_is_column_average():
     # projection: idempotent, and residual orthogonal to the space
     assert np.allclose(invariant_project(proj, part), proj)
     assert abs(np.sum((M - proj) * proj)) <= 1e-9
+
+
+def test_invariant_project_rejects_wrong_column_count():
+    part = Partition.from_blocks(5, [{1, 3, 4}, {2, 5}])
+    for cols in (4, 6):
+        with pytest.raises(SizeMismatchError):
+            invariant_project(np.ones((3, cols)), part)

@@ -3,34 +3,133 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from permlin.errors import IndefiniteError, StructuralError
+from permlin.equivariant import classify_component
+from permlin.errors import ConvergenceError, IndefiniteError, NonFiniteError, StructuralError
+from permlin.invariant import invariant_autoencoder, invariant_space, is_singular_point, psi_compress
 from permlin.linalg import (
     circulant,
+    eigh,
     numeric_rank,
     realize,
     svd,
+    svdvals,
     unrealize,
     weighted_inner,
 )
+from permlin.optimize import eckart_young
+from permlin.perms import Permutation, parse_permutation
 
 
 class TestSvd:
     def test_diagonal(self):
-        res = svd(np.diag([3.0, 1.0]))
-        assert np.allclose(res.singular_values, [3.0, 1.0])
-        assert np.allclose(np.abs(res.u), np.eye(2))
+        u, s, vh = svd(np.diag([3.0, 1.0]))
+        assert np.allclose(s, [3.0, 1.0])
+        assert np.allclose(np.abs(u), np.eye(2))
 
     def test_zero(self):
-        assert np.allclose(svd(np.zeros((3, 2))).singular_values, 0.0)
+        assert np.allclose(svd(np.zeros((3, 2)))[1], 0.0)
 
     def test_reconstruction_and_orthogonality(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((4, 3))
-        res = svd(m)
-        assert np.linalg.norm(res.reconstruct() - m) <= 1e-10 * (1 + np.linalg.norm(m))
-        assert np.linalg.norm(res.u.T @ res.u - np.eye(4)) <= 1e-10
-        assert np.linalg.norm(res.vt @ res.vt.T - np.eye(3)) <= 1e-10
-        assert np.all(np.diff(res.singular_values) <= 0)
+        u, s, vh = svd(m)
+        assert u.shape == (4, 3) and vh.shape == (3, 3)  # thin
+        assert np.linalg.norm((u * s) @ vh - m) <= 1e-10 * (1 + np.linalg.norm(m))
+        assert np.linalg.norm(u.T @ u - np.eye(3)) <= 1e-10
+        assert np.linalg.norm(vh @ vh.T - np.eye(3)) <= 1e-10
+        assert np.all(np.diff(s) <= 0)
+
+    def test_complex_input(self):
+        rng = np.random.default_rng(1)
+        z = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        u, s, vh = svd(z)
+        assert u.shape == (3, 3) and vh.shape == (3, 5)
+        assert np.linalg.norm((u * s) @ vh - z) <= 1e-10 * np.linalg.norm(z)
+        assert np.array_equal(svdvals(z), np.linalg.svd(z, compute_uv=False))
+
+    def test_eigh_hermitian(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = a @ a.conj().T
+        vals, vecs = eigh(h)
+        assert np.all(np.diff(vals) >= 0)
+        assert np.linalg.norm((vecs * vals) @ vecs.conj().T - h) <= 1e-10 * np.linalg.norm(h)
+
+
+def _failure_sites(n):
+    """Every caller of a decomposition that once let numpy's LinAlgError out,
+    as a function of one n x n matrix."""
+    cycle = Permutation(n, tuple(range(2, n + 1)) + (1,))
+    space = invariant_space([Permutation.identity(n)], n, n, 1)
+    return {
+        "svd": svd,
+        "svdvals": svdvals,
+        "eigh": eigh,
+        "numeric_rank": numeric_rank,
+        "classify_component": lambda m: classify_component(m, cycle),
+        "is_singular_point": lambda m: is_singular_point(space, m),
+        "invariant_autoencoder": lambda m: invariant_autoencoder(space, m),
+        "eckart_young": lambda m: eckart_young(m, 1),
+    }
+
+
+SITES = sorted(_failure_sites(2))
+BAD = {"all_nan_3x3": np.full((3, 3), np.nan), "one_nan_2x2": np.array([[np.nan, 1.0], [0.0, 1.0]])}
+
+
+class TestGuardedDecompositions:
+    """One failure policy for every decomposition: a NaN or infinite input is
+    NonFiniteError, a LAPACK failure is ConvergenceError."""
+
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_non_finite_input(self, site, bad):
+        m = BAD[bad]
+        with pytest.raises(NonFiniteError):
+            _failure_sites(m.shape[0])[site](m)
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_lapack_failure(self, site, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            _failure_sites(3)[site](np.eye(3))
+
+    def test_autoencoder_factor_svd_failure(self, monkeypatch):
+        # numeric_rank's singular values succeed; the factoring SVD fails
+        svd_of = np.linalg.svd
+
+        def fail_with_vectors(a, full_matrices=True, compute_uv=True, **kwargs):
+            if compute_uv:
+                raise np.linalg.LinAlgError("forced failure")
+            return svd_of(a, full_matrices=full_matrices, compute_uv=False, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fail_with_vectors)
+        space = invariant_space([Permutation.identity(3)], 3, 3, 1)
+        with pytest.raises(ConvergenceError):
+            invariant_autoencoder(space, np.outer([1.0, 2.0, 3.0], [1.0, 0.0, -1.0]))
+
+
+class TestStructureChecksRejectNonFinite:
+    def test_psi_compress(self):
+        part = invariant_space([parse_permutation("(1 2)", 3)], 3, 3, 1).partition
+        with pytest.raises(NonFiniteError):
+            psi_compress(np.full((3, 3), np.nan), part)
+
+    def test_unrealize(self):
+        with pytest.raises(NonFiniteError):
+            unrealize(np.full((2, 2), np.nan))
+
+    def test_weighted_inner(self):
+        a = np.ones((2, 2))
+        for bad in (np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]])):
+            with pytest.raises(NonFiniteError):
+                weighted_inner(a, a, bad)
+            with pytest.raises(NonFiniteError):
+                weighted_inner(bad, a, np.eye(2))
 
 
 class TestNumericRank:

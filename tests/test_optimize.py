@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from permlin.datasets import demo_shift_dataset, horizontal_shift_permutation
 from permlin.equivariant import (
-    check_circulant_blocks,
     classify_component,
     count_components,
     enumerate_components,
@@ -27,19 +27,43 @@ from permlin.errors import (
     StructuralError,
 )
 from permlin.linalg import numeric_rank, realize, tie_slack, unrealize, weighted_inner
-from permlin.oracles import AGREEMENT_TOL, als_low_rank, best_scored, projection_fit_equivariant
+from permlin.oracles import (
+    AGREEMENT_TOL,
+    als_low_rank,
+    best_scored,
+    check_circulant_blocks,
+    critical_points,
+    projection_fit_equivariant,
+)
 from permlin.optimize import (
     eckart_young,
     ed_degrees,
     fit_equivariant,
     fit_rank_bounded,
-    fit_realization_block,
-    sel_to_target,
+    weighted_eckart_young,
 )
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation
 from permlin.spectral import eigen_multiplicities, real_base_change
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
+
+
+def sel_to_target(x, y, ridge=None):
+    """(U, W) with argmin ||M X - Y||_F^2 = argmin ||M - U||_W^2: U is the
+    full-rank solution of `weighted_eckart_young`, W = X X^T (+ ridge * Id)."""
+    fit = weighted_eckart_young(x, y, ridge)
+    return fit.build(len(fit.svals)), x @ x.T + (ridge or 0.0) * np.eye(len(x))
+
+
+def fit_realization_block(u_block, x_block, r):
+    """Minimize ||B - u_block||^2 weighted by x_block x_block^T over
+    realization matrices of complex rank <= r: the complex regression of the
+    row pairs of U X on those of X, by `weighted_eckart_young`."""
+    x_block = np.asarray(x_block, dtype=float)
+    xc = x_block[0::2] + 1j * x_block[1::2]
+    y_block = u_block @ x_block
+    fit = weighted_eckart_young(xc, y_block[0::2] + 1j * y_block[1::2])
+    return realize(fit.build(r))
 
 
 class TestEckartYoung:
@@ -74,16 +98,16 @@ class TestEckartYoung:
     def test_all_critical_count_and_distinct_losses(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((4, 3))
-        res = eckart_young(m, 2, want_all_critical=True)
-        assert len(res.all_critical) == math.comb(3, 2)
-        losses = sorted(float(np.linalg.norm(c - m) ** 2) for c in res.all_critical)
+        crits = critical_points(m, 2)
+        assert len(crits) == math.comb(3, 2)
+        losses = sorted(float(np.linalg.norm(c - m) ** 2) for c in crits)
         assert all(b - a > 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_critical_cap(self):
         from permlin.errors import SizeCapError
 
         with pytest.raises(SizeCapError):
-            eckart_young(np.eye(40), 20, want_all_critical=True)
+            critical_points(np.eye(40), 20)
 
 
 class TestSelToTarget:
@@ -173,6 +197,11 @@ class TestFitRankBounded:
             mp = (np.eye(5) + eps * g1) @ m @ (np.eye(5) + eps * g2)  # rank preserved
             assert float(np.linalg.norm(mp @ x - y) ** 2) >= fit.loss - 1e-9
 
+    def test_negative_rank_rejected(self):
+        x = np.random.default_rng(12).standard_normal((4, 9))
+        with pytest.raises(SizeMismatchError):
+            fit_rank_bounded(x, x, -1)
+
     def test_orthogonal_sample_invariance(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((4, 9))
@@ -236,10 +265,6 @@ class TestFitRealizationBlock:
             diff = realize(m - zc)
             best = min(best, float(np.trace(diff @ w @ diff.T)))
         assert loss <= best + const + 1e-6
-
-    def test_parity_violation(self):
-        with pytest.raises(SizeMismatchError):
-            fit_realization_block(np.zeros((5, 5)), np.zeros((5, 2)), 1)
 
 
 def sample_component_matrix(rng, p, spec, r):
@@ -663,21 +688,19 @@ class TestBadInput:
             yb = y.copy()
             yb[0, 0] = bad
             with pytest.raises(NonFiniteError):
-                sel_to_target(x, yb)
+                weighted_eckart_young(x, yb)
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch):
-        import permlin.optimize as optimize
-
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("forced failure")
 
         rng = np.random.default_rng(42)
         x = rng.standard_normal((9, 20))
-        monkeypatch.setattr(optimize.scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError):
             fit_rank_bounded(x, x, 3)
         monkeypatch.undo()
-        monkeypatch.setattr(optimize.np.linalg, "svd", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(ConvergenceError):
             fit_equivariant(x, x, ROT9, 3)
 

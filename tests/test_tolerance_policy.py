@@ -1,12 +1,16 @@
-"""The tolerance policy, pinned: every tolerance of the library is a named
-constant in the `linalg` table (or, for the brute-force checks, in
-`oracles`), and no public function takes a tolerance argument except
-`is_equivariant`, whose callers may ask for a tighter bound."""
+"""The tolerance and failure policies, pinned: every tolerance of the
+library is a named constant in the `linalg` table (or, for the brute-force
+checks, in `oracles`), and no public function takes a tolerance argument
+except `is_equivariant`, whose callers may ask for a tighter bound.  Every
+decomposition goes through the guarded layer in `linalg` (the oracles call
+LAPACK directly to stay independent), and only `linalg` turns numpy's
+LinAlgError into a package error."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import permlin
@@ -53,3 +57,48 @@ def test_only_is_equivariant_takes_a_tolerance():
              for qualname, fn in _public_callables()
              for param in inspect.signature(fn).parameters if "tol" in param}
     assert knobs == {("equivariant.is_equivariant", "tol")}
+
+
+DECOMPOSITION = re.compile(r"^(svd\w*|eig\w*|solve|lstsq|pinv|inv|qr|cholesky|matrix_rank)$")
+LINALG_MODULES = {"np.linalg", "numpy.linalg", "scipy.linalg"}
+
+
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _decomposition_uses(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and DECOMPOSITION.match(node.attr):
+            if _dotted(node.value) in LINALG_MODULES:
+                yield node.lineno, _dotted(node)
+        elif isinstance(node, ast.ImportFrom) and node.module in LINALG_MODULES:
+            for alias in node.names:
+                if DECOMPOSITION.match(alias.name):
+                    yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def test_decompositions_only_in_the_guarded_layer_and_the_oracles():
+    stray = [f"{path.name}:{line} {name}"
+             for path in sorted(SRC.glob("*.py")) if path.name not in TABLES
+             for line, name in _decomposition_uses(ast.parse(path.read_text()))]
+    assert not stray, stray
+
+
+def test_linalg_error_is_caught_only_in_linalg():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                    _dotted(n).endswith("LinAlgError")
+                    for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute))):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, stray

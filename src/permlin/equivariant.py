@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .errors import (
     ComponentError,
@@ -31,8 +29,8 @@ from .errors import (
     SizeMismatchError,
     StructuralError,
 )
-from .linalg import STRUCTURE_TOL, rank_threshold, realize, svdvals
-from .perms import Permutation
+from .linalg import STRUCTURE_TOL, rank_threshold, realize, require_finite, svdvals
+from .perms import Permutation, cycle_decomposition
 from .spectral import BaseChange, BlockSpectrum, RealBlock, real_base_change
 
 __all__ = [
@@ -217,39 +215,84 @@ def enumerate_components(
 # the commutant as a linear space
 
 
+def _cycle_pair_labels(g: Permutation) -> tuple[np.ndarray, int]:
+    """pair_orbit_labels of one permutation by the gcd rule, numbered
+    densely through an offset table over ordered cycle pairs."""
+    cycles = cycle_decomposition(g).cycles
+    lengths = np.array([len(c) for c in cycles])
+    members = np.concatenate(cycles) - 1
+    cyc = np.empty(g.n, dtype=np.intp)
+    cyc[members] = np.repeat(np.arange(len(cycles)), lengths)
+    pos = np.empty(g.n, dtype=np.intp)
+    pos[members] = np.arange(g.n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    gcd = np.gcd.outer(lengths, lengths)
+    offset = np.cumsum(gcd).reshape(gcd.shape) - gcd
+    ci, cj = np.ix_(cyc, cyc)
+    labels = pos[None, :] - pos[:, None]
+    labels %= gcd[ci, cj]
+    labels += offset[ci, cj]
+    return labels, int(gcd.sum())
+
+
 def pair_orbit_labels(gens: Sequence[Permutation]) -> tuple[np.ndarray, int]:
     """Orbit labels of the diagonal action (i, j) -> (g(i), g(j)) on index pairs.
 
     M commutes with every generator matrix iff M is constant on these orbits,
     so the orbit count is the commutant dimension and the indicator matrices
     form an exact 0/1 basis.  Returns (labels shaped n x n, orbit count).
+
+    One generator g (the gcd rule): with i at position a of cycle C and j at
+    position b of cycle C', one step adds 1 to both positions, so
+    (b - a) mod gcd(|C|, |C'|) is invariant, and the lcm(|C|, |C'|) pairs of
+    each residue form one orbit.  The pairs of C x C' thus split into
+    gcd(|C|, |C'|) orbits, and the count is the sum of gcds over ordered
+    cycle pairs.
+
+    Several generators join their partitions over the classes of the
+    generator with the fewest, the base: root[c] is the least base class
+    known to share an orbit with class c.  Each step takes one other
+    generator, finds the least root over each of its classes, hooks the
+    roots of the members onto it and then jumps root = root[root] until it
+    stops changing, so chains collapse in a logarithmic number of gathers.
+    The join ends once every other generator in a row leaves the roots
+    constant on its classes, and the orbits are numbered by their root.
     """
     if not gens:
         raise SizeMismatchError("need at least one generator")
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise SizeMismatchError("generators act on different ground sets")
-    # one CSR row per pair (i, j), one column entry per generator: its image
-    # pair (g(i), g(j)); weak components of this directed graph are the orbits
-    pairs = n * n
-    itype = np.int32 if pairs * len(gens) < 2**31 else np.int64
-    targets = np.empty((pairs, len(gens)), dtype=itype)
-    for k, g in enumerate(gens):
-        img = np.asarray(g.image, dtype=itype) - 1
-        targets[:, k] = (img[:, None] * n + img[None, :]).ravel()
-    indptr = np.arange(0, targets.size + 1, len(gens), dtype=itype)
-    graph = scipy.sparse.csr_matrix((np.ones(targets.size), targets.ravel(), indptr), shape=(pairs, pairs))
-    count, labels = scipy.sparse.csgraph.connected_components(graph, directed=True, connection="weak")
-    # number the orbits by their first pair index
-    first = np.full(count, pairs, dtype=itype)
-    np.minimum.at(first, labels, np.arange(pairs, dtype=itype))
-    rank = np.argsort(np.argsort(first))
-    return rank[labels].reshape(n, n), count
+    if len(gens) == 1:
+        return _cycle_pair_labels(gens[0])
+    classes = sorted((_cycle_pair_labels(g) for g in gens), key=lambda c: c[1])
+    base, nodes = classes[0][0].ravel(), classes[0][1]
+    rest = [(labels.ravel(), count) for labels, count in classes[1:]]
+    root = np.arange(nodes)
+    settled = step = 0
+    while settled < len(rest):
+        labels, count = rest[step % len(rest)]
+        step += 1
+        current = root[base]
+        least = np.full(count, nodes)
+        np.minimum.at(least, labels, current)
+        hooked = least[labels]
+        if np.array_equal(hooked, current):
+            settled += 1
+            continue
+        settled = 0
+        np.minimum.at(root, current, hooked)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    first = root == np.arange(nodes)
+    return (np.cumsum(first) - 1)[root][base].reshape(n, n), int(first.sum())
 
 
 def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarray:
     """Frobenius-orthogonal projection onto the commutant: average over orbits."""
-    m = np.asarray(m, dtype=float)
+    m = require_finite(np.asarray(m, dtype=float))
     labels, count = pair_orbit_labels(gens)
     if m.shape != labels.shape:
         raise SizeMismatchError(f"matrix shape {m.shape} does not match n={labels.shape[0]}")
@@ -260,8 +303,9 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
 
 def is_equivariant(m: np.ndarray, p: Permutation, tol: float = STRUCTURE_TOL) -> bool:
     """||P_sigma M P_sigma^T - M||_F <= tol * ||M||_F, which is
-    ||P_sigma M - M P_sigma||_F since P_sigma is orthogonal."""
-    m = np.asarray(m, dtype=float)
+    ||P_sigma M - M P_sigma||_F since P_sigma is orthogonal.  NonFiniteError
+    on a NaN or infinite entry."""
+    m = require_finite(np.asarray(m, dtype=float))
     if m.shape != (p.n, p.n):
         raise SizeMismatchError(f"expected a {p.n} x {p.n} matrix, got {m.shape}")
     img = np.asarray(p.image) - 1

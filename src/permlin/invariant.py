@@ -164,7 +164,7 @@ def invariant_autoencoder(space: InvariantSpace, m_mat: np.ndarray) -> tuple[np.
 def invariant_project(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     """Frobenius-orthogonal projection onto the invariant linear space:
     average the columns within each block."""
-    m_mat = np.asarray(m_mat, dtype=float)
+    m_mat = require_finite(np.asarray(m_mat, dtype=float))
     if m_mat.ndim != 2 or m_mat.shape[1] != part.n:
         raise SizeMismatchError(f"matrix of shape {m_mat.shape} needs {part.n} columns")
     out = np.empty_like(m_mat)

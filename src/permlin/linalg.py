@@ -41,7 +41,6 @@ they stay independent of this module.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, IndefiniteError, NonFiniteError, StructuralError
 
@@ -104,7 +103,7 @@ def svdvals(a: np.ndarray) -> np.ndarray:
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a real symmetric or complex
     Hermitian matrix."""
-    return _lapack(scipy.linalg.eigh, "eigendecomposition", h)
+    return _lapack(np.linalg.eigh, "eigendecomposition", h)
 
 
 def rank_threshold(sigma_max: float, shape: tuple[int, ...]) -> float:

@@ -187,8 +187,10 @@ def weighted_eckart_young(
     complex X and Y, as Eckart-Young on C G^{-1/2}.
 
     Raises RankDeficientError when the Gram G fails the rank floor on its own
-    scale; NonFiniteError and ConvergenceError come from the `linalg` layer.
+    scale; NonFiniteError (checked before the Gram is formed) and
+    ConvergenceError come from the `linalg` layer.
     """
+    x, y = require_finite(x, "data"), require_finite(y, "data")
     vals, vecs = _gram_eigh(x, ridge)
     _check_rank_floor(vals, vals[-1])
     return _solve_eigh(x, y, vals, vecs)

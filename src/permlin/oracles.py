@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .equivariant import _rank_vectors
 from .errors import ComponentError, SizeCapError, SizeMismatchError
@@ -167,7 +166,7 @@ def best_scored(scored: Sequence[tuple[tuple[int, ...], float]], slack: float) -
 
 def _sqrt_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Square root and inverse square root of a Hermitian positive definite matrix."""
-    vals, vecs = scipy.linalg.eigh(0.5 * (h + h.conj().T))
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
     root = np.sqrt(vals)
     return (vecs * root) @ vecs.conj().T, (vecs / root) @ vecs.conj().T
 

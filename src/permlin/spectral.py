@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SizeMismatchError
 from .linalg import realize
@@ -273,16 +272,16 @@ class BaseChange:
                 [np.full(b.size, np.exp(2j * np.pi * b.m / b.l)) for b in self.spectrum.complex_blocks]
             )
             return np.diag(diag)
-        parts = []
-        for b in self.spectrum.real_blocks:
+        form = np.zeros((self.spectrum.n, self.spectrum.n))
+        for b, sl in zip(self.spectrum.real_blocks, self.block_slices):
             if b.kind == "real_plus":
-                parts.append(np.eye(b.size))
+                form[sl, sl] = np.eye(b.size)
             elif b.kind == "real_minus":
-                parts.append(-np.eye(b.size))
+                form[sl, sl] = -np.eye(b.size)
             else:
                 zeta = np.exp(2j * np.pi * (b.l - b.m) / b.l)
-                parts.append(realize(zeta * np.eye(b.size, dtype=complex)))
-        return scipy.linalg.block_diag(*parts)
+                form[sl, sl] = realize(zeta * np.eye(b.size, dtype=complex))
+        return form
 
 
 def _cycle_sort_order(p: Permutation) -> list[int]:

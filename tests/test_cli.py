@@ -437,12 +437,10 @@ class TestNonFiniteAndFailures:
                                    "--x", str(xf), "--y", str(yf)], "NonFiniteError")
 
     def test_fit_lapack_failure(self, tmp_path, capsys, monkeypatch):
-        import scipy.linalg
-
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("forced failure")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         xf, yf = self.write_data(tmp_path)
         self.expect_error(capsys, ["fit", *self.ROT, "--mode", "equivariant", "--rank", "3",
                                    "--x", str(xf), "--y", str(yf)], "ConvergenceError")

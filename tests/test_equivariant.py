@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permlin.equivariant import (
     classify_component,
@@ -20,9 +21,9 @@ from permlin.equivariant import (
 )
 from permlin.errors import ComponentError, EquivarianceError, SearchLimitError, StructuralError
 from permlin.linalg import circulant, numeric_rank, realize
-from permlin.oracles import check_circulant_blocks, recursive_component_count
+from permlin.oracles import check_circulant_blocks, nullspace_commutant_dim, recursive_component_count
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
-from permlin.spectral import BlockSpectrum, eigen_multiplicities, real_base_change
+from permlin.spectral import BlockSpectrum, commutant_dimension, eigen_multiplicities, real_base_change
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 CHI9 = parse_permutation("(1 2)(3 4)(6 8)", 9)
@@ -38,6 +39,36 @@ def commutant_basis(gens):
     """0/1 indicator matrices of the pair orbits: a basis of the commutant."""
     labels, count = pair_orbit_labels(gens)
     return [(labels == c).astype(np.int64) for c in range(count)]
+
+
+@st.composite
+def generator_sets(draw):
+    """1-3 permutations of one ground set of size n <= 12, each moving a
+    random subset of labels: the identity, fixed points, or none fixed."""
+    n = draw(st.integers(1, 12))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        moved = draw(st.lists(st.integers(0, n - 1), unique=True))
+        image = list(range(1, n + 1))
+        for a, b in zip(moved, draw(st.permutations(moved))):
+            image[a] = b + 1
+        gens.append(Permutation(n, tuple(image)))
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_pair_orbit_labels_are_the_orbits(gens):
+    # labels constant on orbits, with as many values as the commutant has
+    # dimensions: that pins the orbit partition
+    labels, count = pair_orbit_labels(gens)
+    for g in gens:
+        img = np.asarray(g.image) - 1
+        assert np.array_equal(labels[np.ix_(img, img)], labels)
+    assert np.array_equal(np.unique(labels), np.arange(count))
+    assert count == nullspace_commutant_dim(gens)
+    if len(gens) == 1:
+        assert count == commutant_dimension(cycle_decomposition(gens[0]))
 
 
 class TestCommutantBasis:
@@ -85,6 +116,26 @@ class TestCommutantBasis:
         labels, count = pair_orbit_labels([ROT9, CHI9, SHIFT9])
         assert count == 3
         assert labels[0, 0] == labels[4, 4] == labels[8, 8]
+
+    @pytest.mark.parametrize(
+        "cycles, count",
+        [
+            # S_64: the diagonal and everything off it
+            (["(1 2)", "(" + " ".join(map(str, range(1, 65))) + ")"], 2),
+            # the dihedral group of the 64-gon: one orbit per distance 0..32
+            (["(2 64)(3 63)" + "".join(f"({k} {66 - k})" for k in range(4, 33)),
+              "(1 64)(2 63)" + "".join(f"({k} {65 - k})" for k in range(3, 33))], 33),
+        ],
+    )
+    def test_orbit_graph_of_large_diameter(self, cycles, count):
+        # each generator's classes link only neighbouring pair differences,
+        # so the join has to cross about n/2 of them
+        gens = [parse_permutation(c, 64) for c in cycles]
+        labels, got = pair_orbit_labels(gens)
+        assert got == count
+        for g in gens:
+            img = np.asarray(g.image) - 1
+            assert np.array_equal(labels[np.ix_(img, img)], labels)
 
 
 class TestCirculantBlocks:

@@ -3,9 +3,15 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from permlin.equivariant import classify_component
+from permlin.equivariant import classify_component, equivariant_project, is_equivariant
 from permlin.errors import ConvergenceError, IndefiniteError, NonFiniteError, StructuralError
-from permlin.invariant import invariant_autoencoder, invariant_space, is_singular_point, psi_compress
+from permlin.invariant import (
+    invariant_autoencoder,
+    invariant_project,
+    invariant_space,
+    is_singular_point,
+    psi_compress,
+)
 from permlin.linalg import (
     circulant,
     eigh,
@@ -94,7 +100,7 @@ class TestGuardedDecompositions:
             raise np.linalg.LinAlgError("forced failure")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError):
             _failure_sites(3)[site](np.eye(3))
 
@@ -130,6 +136,21 @@ class TestStructureChecksRejectNonFinite:
                 weighted_inner(a, a, bad)
             with pytest.raises(NonFiniteError):
                 weighted_inner(bad, a, np.eye(2))
+
+    def test_is_equivariant(self):
+        with pytest.raises(NonFiniteError):
+            is_equivariant(np.full((3, 3), np.nan), parse_permutation("(1 2 3)", 3))
+
+    def test_equivariant_project(self):
+        bad = np.eye(3)
+        bad[0, 1] = np.inf
+        with pytest.raises(NonFiniteError):
+            equivariant_project(bad, [parse_permutation("(1 2 3)", 3)])
+
+    def test_invariant_project(self):
+        part = invariant_space([parse_permutation("(1 2)", 3)], 3, 3, 1).partition
+        with pytest.raises(NonFiniteError):
+            invariant_project(np.full((3, 3), np.nan), part)
 
 
 class TestNumericRank:

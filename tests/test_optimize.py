@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from permlin.datasets import demo_shift_dataset, horizontal_shift_permutation
@@ -670,6 +669,7 @@ class TestScaleInvariance:
 
 
 class TestBadInput:
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_data_rejected(self):
         from permlin.invariant import fit_invariant, invariant_space
 
@@ -696,7 +696,7 @@ class TestBadInput:
 
         rng = np.random.default_rng(42)
         x = rng.standard_normal((9, 20))
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError):
             fit_rank_bounded(x, x, 3)
         monkeypatch.undo()

@@ -4,13 +4,17 @@ checks, in `oracles`), and no public function takes a tolerance argument
 except `is_equivariant`, whose callers may ask for a tighter bound.  Every
 decomposition goes through the guarded layer in `linalg` (the oracles call
 LAPACK directly to stay independent), and only `linalg` turns numpy's
-LinAlgError into a package error."""
+LinAlgError into a package error.  numpy is the only runtime dependency, so
+that layer wraps one LAPACK binding."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import permlin
@@ -102,3 +106,12 @@ def test_linalg_error_is_caught_only_in_linalg():
                     for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute))):
                 stray.append(f"{path.name}:{node.lineno}")
     assert not stray, stray
+
+
+def test_import_loads_no_scipy():
+    script = ("import sys, permlin, permlin.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert res.stdout.strip() == "[]"

@@ -293,9 +293,10 @@ def pair_orbit_labels(gens: Sequence[Permutation]) -> tuple[np.ndarray, int]:
 def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarray:
     """Frobenius-orthogonal projection onto the commutant: average over orbits."""
     m = require_finite(np.asarray(m, dtype=float))
+    # checked before the n x n orbit labels are built
+    if gens and m.shape != (gens[0].n, gens[0].n):
+        raise SizeMismatchError(f"matrix shape {m.shape} does not match n={gens[0].n}")
     labels, count = pair_orbit_labels(gens)
-    if m.shape != labels.shape:
-        raise SizeMismatchError(f"matrix shape {m.shape} does not match n={labels.shape[0]}")
     sums = np.bincount(labels.ravel(), weights=m.ravel(), minlength=count)
     sizes = np.bincount(labels.ravel(), minlength=count)
     return (sums / sizes)[labels]

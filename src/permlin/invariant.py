@@ -130,12 +130,12 @@ def fit_invariant(
             f"data shapes {x.shape}, {y.shape} do not match the {space.m} x {space.n} space"
         )
     E = replication_matrix(space.partition).astype(float)
-    fit = weighted_eckart_young(E @ x, y, ridge)  # M X = psi(M) (E X) exactly
+    ex = E @ x
+    fit = weighted_eckart_young(ex, y, ridge)  # M X = psi(M) (E X) exactly
     r = space.effective_rank
-    minimizer = psi_expand(fit.build(r), space.partition)
-    loss = float(np.linalg.norm(minimizer @ x - y) ** 2)
     blk = fit.block_fit(("invariant", 1, 1), r)
-    return FitResult(minimizer, loss, "invariant", (blk,), ridge, None, fit.constant)
+    return FitResult(lambda: psi_expand(fit.build(r), space.partition), fit.residual(r, ex, y),
+                     "invariant", (blk,), ridge, None, fit.constant)
 
 
 def invariant_autoencoder(space: InvariantSpace, m_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

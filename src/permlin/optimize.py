@@ -27,13 +27,23 @@ is therefore a knapsack over blocks, solved exactly by the min-plus form of
 the `count_components` recursion: no component is enumerated or refitted, at
 any census size.  Enumerate-and-score survives in `oracles` as the reference
 check and as the candidate listing `fit_equivariant` returns on request.
+
+The tails only rank components.  The loss a fit reports is the residual
+||B_b Xt_b - Yt_b||^2 of each block, summed, with B_b applied through its
+rank-r factors (`WeightedEckartYoung.residual`), so no n x n matrix is formed
+for it.  `constant + sum of tails` is the same number in exact arithmetic,
+but it subtracts two nearly equal sums: on an exact fit it leaves rounding
+error of order eps ||Y||^2 and either sign, where the residual is of order
+eps^2 ||Y||^2.  The dense minimizer M = Q blockdiag(B_b) Q^T is built only when
+`FitResult.minimizer` is first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -101,7 +111,13 @@ class BlockFit:
 
 @dataclass(frozen=True)
 class FitResult:
-    minimizer: np.ndarray
+    """The outcome of a fit.  `loss` is ||M X - Y||_F^2 of the minimizer M,
+    computed from the factors the fit holds.  `minimizer` is M as a dense
+    array, built on first read (for an equivariant fit an n x n product with
+    the base change) and cached, so a fit whose minimizer is never read
+    never allocates it."""
+
+    _build_minimizer: Callable[[], np.ndarray] = field(repr=False, compare=False)
     loss: float
     component: Union[RankVector, str]
     per_block: tuple[BlockFit, ...]
@@ -111,6 +127,10 @@ class FitResult:
     component_source: Optional[str] = None
     # heuristic fits only: the heuristic component's loss minus the exact optimum
     search_gap: Optional[float] = None
+
+    @cached_property
+    def minimizer(self) -> np.ndarray:
+        return self._build_minimizer()
 
 
 @dataclass(frozen=True)
@@ -130,6 +150,12 @@ class WeightedEckartYoung:
 
     def build(self, r: int) -> np.ndarray:
         return (self.left[:, :r] * self.svals[:r]) @ self.right[:r]
+
+    def residual(self, r: int, x: np.ndarray, y: np.ndarray) -> float:
+        """||build(r) x - y||_F^2, applying the rank-r factors right to left
+        so that build(r) itself is never formed."""
+        fitted = self.left[:, :r] @ (self.svals[:r, None] * (self.right[:r] @ x))
+        return float(np.linalg.norm(fitted - y) ** 2)
 
     def block_fit(self, key: tuple[str, int, int], r: int) -> BlockFit:
         s = self.svals
@@ -207,10 +233,9 @@ def fit_rank_bounded(
     x, y = _checked_data(x, y)
     fit = weighted_eckart_young(x, y, ridge)
     r = min(r, len(fit.svals))
-    minimizer = fit.build(r)
-    loss = float(np.linalg.norm(minimizer @ x - y) ** 2)
     blk = fit.block_fit(("dense", 0, 0), r)
-    return FitResult(minimizer, loss, "unconstrained", (blk,), ridge, None, fit.constant)
+    return FitResult(lambda: fit.build(r), fit.residual(r, x, y), "unconstrained", (blk,),
+                     ridge, None, fit.constant)
 
 
 def _complex_rows(a: np.ndarray) -> np.ndarray:
@@ -331,7 +356,6 @@ def fit_equivariant(
     for (blk, sl), (vals, vecs) in zip(pieces, eighs):
         _check_rank_floor(vals, top)
         fits.append(_solve_eigh(rows(xt, blk, sl), rows(yt, blk, sl), vals, vecs))
-    del xt, yt  # not needed again; frees two data-sized arrays before the n x n products
     constant = sum(f.constant for f in fits)
     tails = [f.tails for f in fits]
 
@@ -356,15 +380,19 @@ def fit_equivariant(
         raise ComponentError(f"unknown heuristic {heuristic!r}")
     listed = oracles.score_components(bc.spectrum, r, tails, constant, search_limit) if candidates else None
 
-    # minimizer = Q blockdiag(B_b) Q^T
-    blockdiag = np.zeros((n, n))
-    per_block = []
+    # Q is orthogonal, so ||M X - Y||^2 is the sum of the block residuals
+    per_block, loss = [], 0.0
     for (blk, sl), fit, t in zip(pieces, fits, best_values):
-        b = fit.build(t)
-        blockdiag[sl, sl] = realize(b) if blk.kind == "complex_pair" else b
         per_block.append(fit.block_fit((blk.kind, blk.l, blk.m), t))
-    minimizer = bc.unconjugate(blockdiag)
-    loss = float(np.linalg.norm(minimizer @ x - y) ** 2)
+        loss += fit.residual(t, rows(xt, blk, sl), rows(yt, blk, sl))
+
+    def minimizer() -> np.ndarray:  # Q blockdiag(B_b) Q^T
+        blockdiag = np.zeros((n, n))
+        for (blk, sl), fit, t in zip(pieces, fits, best_values):
+            b = fit.build(t)
+            blockdiag[sl, sl] = realize(b) if blk.kind == "complex_pair" else b
+        return bc.unconjugate(blockdiag)
+
     rvec = make_rank_vector(bc.spectrum, "real", best_values)
     return FitResult(
         minimizer, loss, rvec, tuple(per_block), ridge, listed, constant, source, search_gap

@@ -19,7 +19,13 @@ from permlin.equivariant import (
     pair_orbit_labels,
     parameterize_component,
 )
-from permlin.errors import ComponentError, EquivarianceError, SearchLimitError, StructuralError
+from permlin.errors import (
+    ComponentError,
+    EquivarianceError,
+    SearchLimitError,
+    SizeMismatchError,
+    StructuralError,
+)
 from permlin.linalg import circulant, numeric_rank, realize
 from permlin.oracles import check_circulant_blocks, nullspace_commutant_dim, recursive_component_count
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
@@ -464,6 +470,25 @@ def test_equivariant_project_properties():
     proj3 = equivariant_project(M, [ROT9, CHI9, SHIFT9])
     for g in (ROT9, CHI9, SHIFT9):
         assert is_equivariant(proj3, g, tol=1e-12)
+
+
+def test_equivariant_project_checks_the_shape_first():
+    """A wrong-shaped matrix is rejected before the n x n orbit labels are
+    built; against the 48x48 shift (n=2304) they take tens of megabytes."""
+    import tracemalloc
+
+    from permlin.datasets import horizontal_shift_permutation
+
+    sigma = horizontal_shift_permutation(48, 48)
+    m = np.ones((5, 5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeMismatchError):
+            equivariant_project(m, [sigma])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_pair_orbit_labels_dimension_large():

@@ -239,6 +239,26 @@ class TestFitInvariant:
             assert numeric_rank(fit.minimizer) <= space.effective_rank
 
 
+@pytest.mark.parametrize("ridge", [None, 1e-3, 1.0])
+def test_loss_is_the_dense_residual(ridge):
+    """The loss computed from the compressed factors is ||M X - Y||^2 of the
+    expanded minimizer, on the spaces the fits above use."""
+    rng = np.random.default_rng(21)
+    spaces = [
+        invariant_space([SIGMA5], 4, 5, 2),
+        invariant_space([SIGMA5], 4, 5, 1),
+        invariant_space([SIGMA5], 3, 5, 2),
+        invariant_space([Permutation.identity(4)], 4, 4, 2),
+        invariant_space([parse_permutation("(1 4)(2 5 6)", 6)], 4, 6, 2),
+    ]
+    for space in spaces:
+        x = rng.standard_normal((space.n, space.n + 7))
+        y = rng.standard_normal((space.m, space.n + 7))
+        fit = fit_invariant(x, y, space, ridge=ridge)
+        scale = float(np.linalg.norm(y)) ** 2
+        assert abs(fit.loss - float(np.linalg.norm(fit.minimizer @ x - y)) ** 2) <= 1e-12 * scale
+
+
 class TestAutoencoder:
     def test_full_rank_factors_are_compact_and_replication(self):
         compact = np.array([[1, 0, 1], [2, 4, 1], [3, 4, 1], [0, 2, 1]], dtype=float)

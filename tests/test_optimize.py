@@ -573,6 +573,69 @@ def test_component_search_matches_enumeration(instance, target):
     assert fit.loss <= least + tie_slack(y) + 1e-9 * (1 + float(np.linalg.norm(y)) ** 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(equivariant_instances(), st.sampled_from([None, 1e-3, 1.0]))
+def test_loss_is_the_dense_residual(instance, ridge):
+    """The loss computed from the rank-r factors is ||M X - Y||^2 of the
+    dense minimizer, with and without a ridge."""
+    p, x, y, r, _ = instance
+    scale = float(np.linalg.norm(y)) ** 2
+    for fit in (fit_equivariant(x, y, p, r, ridge=ridge), fit_rank_bounded(x, y, r, ridge=ridge)):
+        assert abs(fit.loss - float(np.linalg.norm(fit.minimizer @ x - y)) ** 2) <= 1e-12 * scale
+
+
+def test_exact_fit_loss_is_at_rounding_level():
+    """Y = M0 X with M0 equivariant of rank one in every block of the 6x8
+    shift.  The block residuals give a loss of order eps^2 ||Y||^2; the tail
+    form constant + sum of tails would leave rounding error of order
+    eps ||Y||^2 here, of either sign."""
+    from permlin.equivariant import parameterize_component
+
+    sigma = horizontal_shift_permutation(6, 8)
+    spec = eigen_multiplicities(cycle_decomposition(sigma))
+    rvec = make_rank_vector(spec, "real", [1] * len(spec.real_blocks))
+    par = parameterize_component(rvec, sigma, rng=np.random.default_rng(43))
+    x = np.random.default_rng(44).standard_normal((sigma.n, 100))
+    y = par.decoder @ par.encoder @ x
+    scale = float(np.linalg.norm(y)) ** 2
+    fit = fit_equivariant(x, y, sigma, rvec.total_rank)
+    assert fit.component.values == rvec.values
+    assert 0.0 <= fit.loss <= 1e-20 * scale
+    assert 0.0 <= fit_rank_bounded(x, y, rvec.total_rank).loss <= 1e-20 * scale
+
+
+def test_minimizer_is_built_on_first_read():
+    """Fitting the 32x32 shift (n=1024) allocates less than one n x n float64
+    array; the dense minimizer is built when first read, then cached."""
+    import tracemalloc
+
+    sigma = horizontal_shift_permutation(32, 32)
+    n = sigma.n
+    rng = np.random.default_rng(45)
+    x = rng.standard_normal((n, 128))
+    y = rng.standard_normal((n, 128))
+    tracemalloc.start()
+    try:
+        fit = fit_equivariant(x, y, sigma, 99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+    m = fit.minimizer
+    assert fit.minimizer is m
+    assert is_equivariant(m, sigma)
+    assert abs(fit.loss - float(np.linalg.norm(m @ x - y)) ** 2) <= 1e-12 * float(np.linalg.norm(y)) ** 2
+
+    # the projection oracle is capped at n <= 12: agreement on the 3x4 shift
+    small = horizontal_shift_permutation(3, 4)
+    x = rng.standard_normal((small.n, 20))
+    y = rng.standard_normal((small.n, 20))
+    fit = fit_equivariant(x, y, small, 5)
+    m = fit.minimizer
+    assert fit.minimizer is m
+    assert_agree(m, fit.loss, *projection_fit_equivariant(x, y, small, 5)[:2], y)
+
+
 def test_exact_search_at_image_scale():
     """12x16 shift images at r=50 have 16,980,080 components; the search is
     exact without listing them."""

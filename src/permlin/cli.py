@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, equivariant, invariant, linalg, matio, optimize, oracles, spectral
-from .errors import ComponentError, CyclicOnlyError, NonFiniteError, PermlinError
-from .perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
+from .errors import ComponentError, CyclicOnlyError, MatrixFormatError, NonFiniteError, PermlinError
+from .perms import consecutive_cycles, cycle_decomposition, parse_permutation, permutation_matrix
 
 JSON_KW = dict(indent=2, sort_keys=True)
 
@@ -62,22 +62,19 @@ def _cycle_lengths_from_type(text):
     return lengths
 
 
-def _shift_perm_for_lengths(lengths):
-    """A concrete permutation with the given cycle type (consecutive cycles)."""
-    image = []
-    start = 1
-    for l in lengths:
-        block = list(range(start, start + l))
-        image.extend(block[1:] + block[:1])
-        start += l
-    return Permutation(sum(lengths), tuple(image))
+def _read_real(path):
+    """The matrix in a file; MatrixFormatError when it has complex entries."""
+    m = matio.read_matrix(path)
+    if np.iscomplexobj(m):
+        raise MatrixFormatError(f"matrix in {path} has complex entries; this command needs a real matrix")
+    return m
 
 
 def _resolve_gens(args, allow_many=False):
     if args.cycle_type:
         if args.perm:
             raise PermlinError("pass either --perm or --cycle-type, not both")
-        return [_shift_perm_for_lengths(_cycle_lengths_from_type(args.cycle_type))]
+        return [consecutive_cycles(_cycle_lengths_from_type(args.cycle_type))]
     if args.perm is None or args.n is None:
         raise PermlinError("need --perm with --n, or --cycle-type")
     gens = [parse_permutation(t, args.n) for t in args.perm]
@@ -167,7 +164,7 @@ def cmd_components(args):
 
 def cmd_project(args):
     gens = _resolve_gens(args, allow_many=True)
-    m = np.asarray(matio.read_matrix(args.matrix), dtype=float)
+    m = _read_real(args.matrix)
     if args.mode == "invariant":
         space = invariant.invariant_space(gens, m.shape[0], gens[0].n, min(m.shape))
         proj = invariant.invariant_project(m, space.partition)
@@ -208,8 +205,8 @@ def _fit_result_json(fit, extras=None):
 
 def cmd_fit(args):
     gens = _resolve_gens(args, allow_many=(args.mode == "invariant"))
-    x = np.asarray(matio.read_matrix(args.x), dtype=float)
-    y = np.asarray(matio.read_matrix(args.y), dtype=float)
+    x = _read_real(args.x)
+    y = _read_real(args.y)
     if args.mode == "invariant":
         space = invariant.invariant_space(gens, y.shape[0], x.shape[0], args.rank)
         fit = invariant.fit_invariant(x, y, space, ridge=args.ridge)
@@ -240,7 +237,7 @@ def _weight_report_json(report):
 def cmd_factorize(args):
     gens = _resolve_gens(args, allow_many=(args.mode == "invariant"))
     if args.mode == "invariant":
-        m = np.asarray(matio.read_matrix(args.matrix), dtype=float)
+        m = _read_real(args.matrix)
         space = invariant.invariant_space(
             gens, m.shape[0], gens[0].n, args.rank if args.rank is not None else min(m.shape))
         dec, enc = invariant.invariant_autoencoder(space, m)
@@ -260,7 +257,7 @@ def cmd_factorize(args):
         spec = _spectrum_of(gens[0])
         rvec = _component_arg(args.component, spec)
         if args.matrix:
-            m = np.asarray(matio.read_matrix(args.matrix), dtype=float)
+            m = _read_real(args.matrix)
             got = equivariant.classify_component(m, gens[0])
             if got.values != rvec.values:
                 raise PermlinError(f"matrix lies in component {list(got.values)}, not {list(rvec.values)}")

@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .perms import Permutation
+from .perms import Permutation, consecutive_cycles
 
 __all__ = ["horizontal_shift_permutation", "demo_shift_dataset"]
 
 
 def horizontal_shift_permutation(height: int, width: int) -> Permutation:
     """The one-pixel cyclic horizontal shift on row-major height x width images."""
-    image = []
-    for i in range(height):
-        for j in range(width):
-            image.append(i * width + (j + 1) % width + 1)
-    return Permutation(height * width, tuple(image))
+    return consecutive_cycles([width] * height)
 
 
 def demo_shift_dataset(

@@ -30,7 +30,7 @@ from .errors import (
     StructuralError,
 )
 from .linalg import STRUCTURE_TOL, rank_threshold, realize, require_finite, svdvals
-from .perms import Permutation, cycle_decomposition
+from .perms import Permutation, cycle_decomposition, induced_partition, join_labels
 from .spectral import BaseChange, BlockSpectrum, RealBlock, real_base_change
 
 __all__ = [
@@ -154,7 +154,7 @@ def describe_component(spec: BlockSpectrum, rvec: RankVector) -> ComponentDescri
 
 def count_components(spec: BlockSpectrum, r: int, field: str) -> int:
     """Number of admissible rank vectors, exact, by bounded-composition DP."""
-    if r < 0:
+    if not 0 <= r <= spec.n:  # the total rank never exceeds n
         return 0
     blocks = _field_blocks(spec, field)
     ways = [0] * (r + 1)
@@ -218,11 +218,10 @@ def enumerate_components(
 def _cycle_pair_labels(g: Permutation) -> tuple[np.ndarray, int]:
     """pair_orbit_labels of one permutation by the gcd rule, numbered
     densely through an offset table over ordered cycle pairs."""
-    cycles = cycle_decomposition(g).cycles
-    lengths = np.array([len(c) for c in cycles])
-    members = np.concatenate(cycles) - 1
-    cyc = np.empty(g.n, dtype=np.intp)
-    cyc[members] = np.repeat(np.arange(len(cycles)), lengths)
+    cd = cycle_decomposition(g)
+    cyc = induced_partition(cd).labels  # cycles and blocks share the order by smallest label
+    lengths = np.array(cd.lengths)
+    members = np.concatenate(cd.cycles) - 1
     pos = np.empty(g.n, dtype=np.intp)
     pos[members] = np.arange(g.n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     gcd = np.gcd.outer(lengths, lengths)
@@ -248,46 +247,10 @@ def pair_orbit_labels(gens: Sequence[Permutation]) -> tuple[np.ndarray, int]:
     gcd(|C|, |C'|) orbits, and the count is the sum of gcds over ordered
     cycle pairs.
 
-    Several generators join their partitions over the classes of the
-    generator with the fewest, the base: root[c] is the least base class
-    known to share an orbit with class c.  Each step takes one other
-    generator, finds the least root over each of its classes, hooks the
-    roots of the members onto it and then jumps root = root[root] until it
-    stops changing, so chains collapse in a logarithmic number of gathers.
-    The join ends once every other generator in a row leaves the roots
-    constant on its classes, and the orbits are numbered by their root.
+    Several generators join their labels by `perms.join_labels`, numbering
+    the orbits by their least label under the generator with the fewest.
     """
-    if not gens:
-        raise SizeMismatchError("need at least one generator")
-    n = gens[0].n
-    if any(g.n != n for g in gens):
-        raise SizeMismatchError("generators act on different ground sets")
-    if len(gens) == 1:
-        return _cycle_pair_labels(gens[0])
-    classes = sorted((_cycle_pair_labels(g) for g in gens), key=lambda c: c[1])
-    base, nodes = classes[0][0].ravel(), classes[0][1]
-    rest = [(labels.ravel(), count) for labels, count in classes[1:]]
-    root = np.arange(nodes)
-    settled = step = 0
-    while settled < len(rest):
-        labels, count = rest[step % len(rest)]
-        step += 1
-        current = root[base]
-        least = np.full(count, nodes)
-        np.minimum.at(least, labels, current)
-        hooked = least[labels]
-        if np.array_equal(hooked, current):
-            settled += 1
-            continue
-        settled = 0
-        np.minimum.at(root, current, hooked)
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-    first = root == np.arange(nodes)
-    return (np.cumsum(first) - 1)[root][base].reshape(n, n), int(first.sum())
+    return join_labels([_cycle_pair_labels(g) for g in gens])
 
 
 def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarray:

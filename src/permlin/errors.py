@@ -33,6 +33,10 @@ class NonFiniteError(PermlinError, ValueError):
     """Input data or an output value is NaN or infinite."""
 
 
+class MatrixFormatError(PermlinError, ValueError):
+    """A matrix file is missing or malformed, or has complex entries where real ones are needed."""
+
+
 class IndefiniteError(PermlinError, ValueError):
     """A matrix required to be positive semidefinite is not."""
 

@@ -78,14 +78,12 @@ def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     if m_mat.shape[1] != part.n:
         raise SizeMismatchError(f"matrix has {m_mat.shape[1]} columns, partition needs {part.n}")
     bound = STRUCTURE_TOL * np.linalg.norm(m_mat)
-    cols = []
-    for i, block in enumerate(part.blocks):
-        sub = m_mat[:, [j - 1 for j in block]]
-        dev = np.abs(sub - sub[:, :1]).max(initial=0.0)
-        if dev > bound:
-            raise InvarianceError(f"columns of block {i} differ by {dev:.3e} (> {bound:.3e})")
-        cols.append(sub[:, 0])
-    return np.column_stack(cols)
+    compact = m_mat[:, [b[0] - 1 for b in part.blocks]]
+    dev = np.abs(m_mat - compact[:, part.labels]).max(axis=0, initial=0.0)
+    worst = int(np.argmax(dev))
+    if dev[worst] > bound:
+        raise InvarianceError(f"columns of block {part.labels[worst]} differ by {dev[worst]:.3e} (> {bound:.3e})")
+    return compact
 
 
 def psi_expand(compact: np.ndarray, part: Partition) -> np.ndarray:
@@ -167,8 +165,10 @@ def invariant_project(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     m_mat = require_finite(np.asarray(m_mat, dtype=float))
     if m_mat.ndim != 2 or m_mat.shape[1] != part.n:
         raise SizeMismatchError(f"matrix of shape {m_mat.shape} needs {part.n} columns")
-    out = np.empty_like(m_mat)
-    for block in part.blocks:
-        idx = [j - 1 for j in block]
-        out[:, idx] = m_mat[:, idx].mean(axis=1, keepdims=True)
-    return out
+    sizes = np.bincount(part.labels)
+    members, starts = np.argsort(part.labels, kind="stable"), np.cumsum(sizes) - sizes
+    means = np.empty((m_mat.shape[0], part.k))
+    for size in np.unique(sizes):  # one gather per block size; each mean is over one block's columns
+        same = np.flatnonzero(sizes == size)
+        means[:, same] = m_mat[:, members[starts[same, None] + np.arange(size)]].mean(axis=2)
+    return means[:, part.labels]

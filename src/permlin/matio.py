@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteError, SizeMismatchError
+from .errors import MatrixFormatError, NonFiniteError, PermlinError, SizeMismatchError
 
 __all__ = [
     "read_matrix",
@@ -53,20 +53,26 @@ def _format_entry(v) -> str:
 def read_matrix(path) -> np.ndarray:
     """Read a matrix from .csv or .json by extension; complex promoted as needed.
 
-    Rejects NaN and infinite entries with NonFiniteError."""
+    Rejects NaN and infinite entries with NonFiniteError, a missing or malformed file with
+    MatrixFormatError."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        arr = matrix_from_json_obj(json.loads(path.read_text()))
-    else:
-        rows = []
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            rows.append([_parse_entry(tok) for tok in line.split(",")])
-        if not rows or len({len(r) for r in rows}) != 1:
-            raise SizeMismatchError(f"ragged or empty CSV matrix in {path}")
-        arr = np.array(rows, dtype=complex)
-        arr = arr.real.copy() if np.all(arr.imag == 0.0) else arr
+    try:
+        if path.suffix.lower() == ".json":
+            arr = matrix_from_json_obj(json.loads(path.read_text()))
+        else:
+            rows = []
+            for line in path.read_text().splitlines():
+                if not line.strip():
+                    continue
+                rows.append([_parse_entry(tok) for tok in line.split(",")])
+            if not rows or len({len(r) for r in rows}) != 1:
+                raise SizeMismatchError(f"ragged or empty CSV matrix in {path}")
+            arr = np.array(rows, dtype=complex)
+            arr = arr.real.copy() if np.all(arr.imag == 0.0) else arr
+    except PermlinError:
+        raise
+    except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+        raise MatrixFormatError(f"cannot read a matrix from {path}: {type(exc).__name__}: {exc}") from None
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"matrix in {path} has NaN or infinite entries")
     return arr
@@ -89,6 +95,8 @@ def matrix_to_json_obj(m: np.ndarray) -> dict:
 
 def matrix_from_json_obj(obj: dict) -> np.ndarray:
     rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+    if rows < 1 or cols < 1:
+        raise MatrixFormatError(f"rows and cols must be positive, got {rows} and {cols}")
     if len(data) != rows * cols:
         raise SizeMismatchError(f"data length {len(data)} != rows*cols = {rows * cols}")
     vals = [_parse_entry(v) if isinstance(v, str) else complex(v) for v in data]

@@ -278,7 +278,7 @@ def _best_component(blocks, tails, r: int, slack: float) -> tuple[tuple[int, ...
     within `slack`: the lexicographically smallest near-optimal rank vector.
     Returns (rank vector, least tail sum).
     """
-    if r < 0:
+    if not 0 <= r <= sum(blk.rows for blk in blocks):  # the total rank never exceeds n
         raise ComponentError(f"no admissible component of total rank {r}")
     tails = [np.asarray(tail) for tail in tails]
     best = np.full((len(blocks) + 1, r + 1), np.inf)

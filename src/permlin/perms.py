@@ -1,4 +1,4 @@
-"""Permutations on [n] = {1, ..., n}, their cycle structure, and induced partitions.
+"""Permutations on [n] = {1, ..., n}, their cycle structure, induced partitions and their joins.
 
 Labels are 1-based everywhere in the public interface.  A permutation sigma is
 stored by its image tuple, image[j-1] = sigma(j).  Its matrix P has row j equal
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +29,9 @@ __all__ = [
     "cycle_decomposition",
     "induced_partition",
     "permutation_matrix",
+    "consecutive_cycles",
     "finest_common_coarsening",
+    "join_labels",
     "replication_matrix",
     "refines",
 ]
@@ -62,9 +65,6 @@ class Permutation:
         for _ in range(abs(t)):
             img = [base(j) for j in img]
         return Permutation(self.n, tuple(img))
-
-    def order(self) -> int:
-        return int(np.lcm.reduce([len(c) for c in cycle_decomposition(self).cycles]))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-free application of P_sigma: (P x)_j = x_{sigma(j)}."""
@@ -120,9 +120,13 @@ class Partition:
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
         return Partition(n, canon)
 
-    def block_of(self) -> dict[int, int]:
-        """Map label -> 0-based block index."""
-        return {x: i for i, b in enumerate(self.blocks) for x in b}
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Read-only 0-based block index per element: labels[x - 1] is the block of x."""
+        labels = np.empty(self.n, dtype=np.intp)
+        labels[np.concatenate(self.blocks) - 1] = np.repeat(np.arange(self.k), [len(b) for b in self.blocks])
+        labels.flags.writeable = False
+        return labels
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -207,40 +211,72 @@ def permutation_matrix(p: Permutation) -> np.ndarray:
     return P
 
 
-def finest_common_coarsening(parts: Sequence[Partition]) -> Partition:
-    """Finest partition coarsening every input, by union-find chaining."""
+def join_labels(parts: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
+    """Finest common coarsening of partitions of one set, each given as
+    (dense labels 0..count-1 of any shape, count); returns the same for the join.
+
+    The join runs over the blocks of the input with the fewest, the base:
+    root[c] is the least base block known to share a joined block with block
+    c.  Each step takes one other input, finds the least root over each of
+    its blocks, hooks the roots of the members onto it and then jumps
+    root = root[root] until it stops changing, so chains collapse in a
+    logarithmic number of gathers.  The join ends once every other input in
+    a row leaves the roots constant on its blocks, and the joined blocks are
+    numbered by their root.
+    """
     if not parts:
-        raise SizeMismatchError("need at least one partition")
-    n = parts[0].n
-    if any(q.n != n for q in parts):
-        raise SizeMismatchError("partitions are over different ground sets")
-    parent = list(range(n + 1))
+        raise SizeMismatchError("need at least one partition to join")
+    if any(labels.shape != parts[0][0].shape for labels, _ in parts):
+        raise SizeMismatchError("partitions to join are over different sets")
+    if len(parts) == 1:
+        return parts[0]
+    classes = sorted(parts, key=lambda c: c[1])
+    base, nodes = classes[0][0].ravel(), classes[0][1]
+    rest = [(labels.ravel(), count) for labels, count in classes[1:]]
+    root = np.arange(nodes)
+    settled = step = 0
+    while settled < len(rest):
+        labels, count = rest[step % len(rest)]
+        step += 1
+        current = root[base]
+        least = np.full(count, nodes)
+        np.minimum.at(least, labels, current)
+        hooked = least[labels]
+        if np.array_equal(hooked, current):
+            settled += 1
+            continue
+        settled = 0
+        np.minimum.at(root, current, hooked)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    first = root == np.arange(nodes)
+    return (np.cumsum(first) - 1)[root][base].reshape(parts[0][0].shape), int(first.sum())
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for q in parts:
-        for block in q.blocks:
-            root = find(block[0])
-            for x in block[1:]:
-                rx = find(x)
-                if rx != root:
-                    parent[rx] = root
-    groups: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    return Partition.from_blocks(n, groups.values())
+def consecutive_cycles(lengths: Sequence[int]) -> Permutation:
+    """Cycles of the given lengths on runs of consecutive labels: (1 2 ... l_1)(l_1 + 1 ...)..."""
+    image, start = [], 1
+    for l in lengths:
+        image += [*range(start + 1, start + l), start]
+        start += l
+    return Permutation(start - 1, tuple(image))
+
+
+def finest_common_coarsening(parts: Sequence[Partition]) -> Partition:
+    """Finest partition coarsening every input, by `join_labels`."""
+    labels, count = join_labels([(q.labels, q.k) for q in parts])
+    members = np.argsort(labels, kind="stable") + 1
+    blocks = np.split(members, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    return Partition.from_blocks(labels.size, (b.tolist() for b in blocks))
 
 
 def replication_matrix(part: Partition) -> np.ndarray:
     """The k x n matrix E with column j = e_i whenever j lies in block i."""
     E = np.zeros((part.k, part.n), dtype=np.int64)
-    for i, block in enumerate(part.blocks):
-        for j in block:
-            E[i, j - 1] = 1
+    E[part.labels, np.arange(part.n)] = 1
     return E
 
 
@@ -248,5 +284,6 @@ def refines(fine: Partition, coarse: Partition) -> bool:
     """True iff every block of `fine` is contained in a block of `coarse`."""
     if fine.n != coarse.n:
         raise SizeMismatchError("partitions are over different ground sets")
-    owner = coarse.block_of()
-    return all(len({owner[x] for x in b}) == 1 for b in fine.blocks)
+    # the coarse block of each element equals that of its fine block's first element
+    firsts = np.array([b[0] for b in fine.blocks]) - 1
+    return bool(np.array_equal(coarse.labels[firsts][fine.labels], coarse.labels))

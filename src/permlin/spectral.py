@@ -285,19 +285,13 @@ class BaseChange:
 
 
 def _cycle_sort_order(p: Permutation) -> list[int]:
-    """0-based label order: cycles by smallest label, each followed along sigma^{-1}.
+    """0-based label order: cycles by smallest label, each followed along
+    sigma^{-1}, which is its first label and then the rest of it reversed.
 
     This ordering turns every diagonal block of the sorted P into the
     circulant with ones on the subdiagonal and in the top-right corner.
     """
-    inv = p.inverse()
-    order = []
-    for cyc in cycle_decomposition(p).cycles:
-        cur = cyc[0]
-        for _ in range(len(cyc)):
-            order.append(cur - 1)
-            cur = inv(cur)
-    return order
+    return [a - 1 for cyc in cycle_decomposition(p).cycles for a in (cyc[0], *reversed(cyc[1:]))]
 
 
 def _reduced_label(num: int, den: int) -> tuple[int, int]:

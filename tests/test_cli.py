@@ -19,6 +19,8 @@ from permlin.perms import Permutation, cycle_decomposition
 from permlin.spectral import eigen_multiplicities
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "permlin" / "schemas"
+BAD_JSON = ("[1, 2]", '{"rows": 1}', '{"rows": 1, "cols": 1, "data": [null]}', "{bad",
+            '{"rows": -1, "cols": 1, "data": [1]}')
 
 
 def validate(name, payload):
@@ -422,6 +424,56 @@ class TestNonFiniteAndFailures:
         with pytest.raises(NonFiniteError):
             matio.read_matrix(f)
 
+    @pytest.mark.parametrize("name, text", [
+        *(("m.json", text) for text in BAD_JSON),
+        ("m.csv", "1,a\n2,3\n"),
+        ("m.csv", None),  # missing file
+        pytest.param("m.json", "[" * 10**5 + "]" * 10**5, id="nested-too-deep"),
+    ])
+    def test_read_matrix_rejects_malformed_files(self, tmp_path, capsys, name, text):
+        from permlin.errors import MatrixFormatError
+
+        f = tmp_path / name
+        if text is not None:
+            f.write_text(text)
+        with pytest.raises(MatrixFormatError):
+            matio.read_matrix(f)
+        self.expect_error(capsys, ["project", *self.ROT, "--mode", "equivariant",
+                                   "--matrix", str(f)], "MatrixFormatError")
+
+    def test_complex_matrix_is_rejected(self, tmp_path, capsys):
+        x, y = self.write_data(tmp_path, bad="1+2i")
+        for mode in ("equivariant", "invariant"):
+            self.expect_error(capsys, ["fit", *self.ROT, "--mode", mode, "--rank", "2",
+                                       "--x", str(x), "--y", str(y)], "MatrixFormatError")
+            self.expect_error(capsys, ["project", *self.ROT, "--mode", mode, "--matrix", str(x)],
+                              "MatrixFormatError")
+
+    @pytest.mark.parametrize("command", ["count", "components", "fit", "verify", "demo-shift"])
+    def test_rank_above_capacity(self, tmp_path, capsys, command):
+        # the total rank never exceeds n, so no table of size r is built
+        rank = ["--rank", "1000000000000000"]
+        x, y = self.write_data(tmp_path)
+        argv = {
+            "count": ["count", *self.ROT, *rank],
+            "components": ["components", *self.ROT, *rank, "--field", "complex"],
+            "fit": ["fit", *self.ROT, "--mode", "equivariant", *rank, "--x", str(x), "--y", str(y)],
+            "verify": ["verify", *self.ROT, *rank],
+            "demo-shift": ["demo-shift", "--height", "3", "--width", "4", "--samples", "30", *rank],
+        }[command]
+        if command in ("fit", "demo-shift"):
+            self.expect_error(capsys, argv, "ComponentError")
+            return
+        rc, _ = run_cli(argv)
+        out = capsys.readouterr().out
+        assert rc == 0
+        if command == "count":
+            assert out == "0\n"
+        elif command == "components":
+            assert json.loads(out)["components"] == [] and json.loads(out)["count"] == "0"
+        else:
+            assert json.loads(out)["ok"]
+
     @pytest.mark.parametrize("mode", ["equivariant", "invariant"])
     def test_project_nan_matrix(self, tmp_path, capsys, mode):
         f = tmp_path / "m.csv"
@@ -463,7 +515,7 @@ class TestNonFiniteAndFailures:
 SCHEMA_OF = {"analyze": "analyze", "count": "count", "components": "components",
              "project": "project", "fit": "fit", "factorize": "factorize",
              "verify": "verify", "demo-shift": "demo_shift"}
-INPUTS = ("good", "good", "nan", "wrong_shape", "empty")
+INPUTS = ("good", "good", "nan", "wrong_shape", "empty", "text", "complex", "json", "missing")
 
 
 def write_input(path, kind, shape, rng):
@@ -471,11 +523,22 @@ def write_input(path, kind, shape, rng):
     if kind == "empty":
         path.write_text("")
         return str(path)
+    if kind == "missing":
+        return str(path.with_name("missing.csv"))
+    if kind == "json":
+        path = path.with_suffix(".json")
+        path.write_text(BAD_JSON[rng.integers(len(BAD_JSON))])
+        return str(path)
     rows, cols = (shape[0] + 1, shape[1] + 2) if kind == "wrong_shape" else shape
     m = rng.standard_normal((rows, cols))
+    if kind == "complex":
+        m = m.astype(complex)
+        m[rng.integers(rows), rng.integers(cols)] += 2j
     if kind == "nan":
         m[rng.integers(rows), rng.integers(cols)] = np.nan
     matio.write_matrix_csv(path, m)
+    if kind == "text":
+        path.write_text(path.read_text().replace(",", ",a", 1) if cols > 1 else "a\n")
     return str(path)
 
 

@@ -26,6 +26,7 @@ from permlin.errors import (
     SizeMismatchError,
     StructuralError,
 )
+from permlin.invariant import invariant_space
 from permlin.linalg import circulant, numeric_rank, realize
 from permlin.oracles import check_circulant_blocks, nullspace_commutant_dim, recursive_component_count
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
@@ -75,6 +76,12 @@ def test_pair_orbit_labels_are_the_orbits(gens):
     assert count == nullspace_commutant_dim(gens)
     if len(gens) == 1:
         assert count == commutant_dimension(cycle_decomposition(gens[0]))
+    # (i, i) and (j, j) share an orbit exactly when i and j share a block of
+    # the invariant partition; both come from perms.join_labels
+    n = gens[0].n
+    diagonal = np.diagonal(labels)
+    part = invariant_space(gens, n, n, 0).partition
+    assert np.array_equal(diagonal[:, None] == diagonal, part.labels[:, None] == part.labels)
 
 
 class TestCommutantBasis:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permlin.datasets import horizontal_shift_permutation
 from permlin.errors import PermParseError, SizeMismatchError
 from permlin.perms import (
     Partition,
     Permutation,
+    consecutive_cycles,
     cycle_decomposition,
     finest_common_coarsening,
     induced_partition,
@@ -155,6 +157,18 @@ def test_coarsening_lattice_laws(triple):
     assert join([a, a]) == a
     # the result coarsens every input
     assert refines(a, join([a, b])) and refines(b, join([a, b]))
+
+
+def test_partition_labels():
+    part = Partition.from_blocks(5, [{4, 2}, {1, 3}, {5}])
+    assert part.labels.tolist() == [0, 1, 0, 1, 2]
+    assert part.labels is part.labels and not part.labels.flags.writeable
+
+
+def test_consecutive_cycles():
+    assert consecutive_cycles([2, 1, 3]).image == (2, 1, 3, 5, 6, 4)
+    assert cycle_decomposition(consecutive_cycles([2, 1, 3])).cycles == ((1, 2), (3,), (4, 5, 6))
+    assert horizontal_shift_permutation(3, 4) == consecutive_cycles([4, 4, 4])
 
 
 class TestReplication:

@@ -271,3 +271,21 @@ def test_hot_paths_stay_matrix_free():
     par = parameterize_component(fit.component, p, rng=rng, base_change=bc)
     assert classify_component(par.decoder @ par.encoder, p, base_change=bc) == fit.component
     assert "matrix" not in vars(bc) and "inverse" not in vars(bc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_cycle_sort_order_follows_sigma_inverse(image):
+    # each cycle starts at its smallest label, and sigma maps every label of
+    # the order onto the one before it
+    from permlin.spectral import _cycle_sort_order
+
+    p = Permutation(len(image), tuple(image))
+    order = [a + 1 for a in _cycle_sort_order(p)]
+    start = 0
+    for cyc in cycle_decomposition(p).cycles:
+        run = order[start:start + len(cyc)]
+        assert run[0] == cyc[0] and sorted(run) == sorted(cyc)
+        assert all(p(b) == a for a, b in zip(run, run[1:]))
+        start += len(cyc)
+    assert start == p.n

@@ -196,8 +196,6 @@ def _fit_result_json(fit, extras=None):
     }
     if fit.component_source:
         obj["component_source"] = fit.component_source
-    if fit.candidates is not None:
-        obj["candidates"] = [{"rank_vector": list(v), "loss": l} for v, l in fit.candidates]
     if extras:
         obj.update(extras)
     return obj
@@ -213,14 +211,15 @@ def cmd_fit(args):
         extras = {"compact_factor": matio.matrix_to_json_obj(
             invariant.psi_compress(fit.minimizer, space.partition))}
     else:
-        component = None
-        if args.component:
-            component = _component_arg(args.component, _spectrum_of(gens[0]))
-        fit = optimize.fit_equivariant(
-            x, y, gens[0], args.rank, component=component,
-            search_limit=args.search_limit, heuristic=args.heuristic, ridge=args.ridge,
-            candidates=args.candidates)
+        spec = _spectrum_of(gens[0])
+        component = _component_arg(args.component, spec) if args.component else None
+        fit = optimize.fit_equivariant(x, y, gens[0], args.rank, component=component,
+                                       heuristic=args.heuristic, ridge=args.ridge)
         extras = None
+        if args.candidates:
+            listed = oracles.score_components(spec, args.rank, oracles.block_tails(fit.per_block),
+                                              fit.constant_loss, args.search_limit)
+            extras = {"candidates": [{"rank_vector": list(v), "loss": l} for v, l in listed]}
     _emit(_fit_result_json(fit, extras), args.out)
     return 0
 
@@ -308,7 +307,7 @@ def cmd_verify(args):
                            "ok": bool(fast <= slow + linalg.tie_slack(y))})
         if len(gens) == 1:
             bc = spectral.real_base_change(gens[0])
-            dev = float(np.linalg.norm(bc.conjugate(permutation_matrix(gens[0])) - bc.expected_block_form()))
+            dev = float(np.linalg.norm(bc.conjugate(permutation_matrix(gens[0])) - oracles.expected_block_form(bc)))
             checks.append({"check": "base_change_block_form", "fast": dev, "oracle": 0.0,
                            "ok": bool(dev <= oracles.BLOCK_FORM_TOL * n)})
             fit = optimize.fit_equivariant(x, y, gens[0], r)
@@ -321,8 +320,9 @@ def cmd_verify(args):
     if len(gens) == 1 and n <= oracles.MAX_SCORED_N:
         x = rng.standard_normal((n, n + 2))
         y = rng.standard_normal((n, n + 2))
-        fit = optimize.fit_equivariant(x, y, gens[0], r, candidates=True)
-        fast, slow = fit.component.values, oracles.best_scored(fit.candidates, linalg.tie_slack(y))
+        fit = optimize.fit_equivariant(x, y, gens[0], r)
+        scored = oracles.score_components(spec, r, oracles.block_tails(fit.per_block), fit.constant_loss)
+        fast, slow = fit.component.values, oracles.best_scored(scored, linalg.tie_slack(y))
         checks.append({"check": "component_search_vs_enumeration",
                        "fast": ",".join(map(str, fast)), "oracle": ",".join(map(str, slow)),
                        "ok": fast == slow})

@@ -170,10 +170,16 @@ def count_components(spec: BlockSpectrum, r: int, field: str) -> int:
     return ways[r]
 
 
-def _rank_vectors(spec: BlockSpectrum, r: int, field: str, limit: Optional[int]) -> Iterator[tuple[int, ...]]:
-    """Admissible block-rank tuples of total rank r, in descending
-    lexicographic order.  The census is counted, at the call, only when a
-    `limit` is given: SearchLimitError (reporting the count) above it."""
+def enumerate_components(
+    spec: BlockSpectrum, r: int, field: str, limit: Optional[int] = 10**6
+) -> Iterator[ComponentDescriptor]:
+    """Stream descriptors in descending lexicographic order of the rank vector.
+
+    Raises SearchLimitError (reporting the exact count) when the census
+    exceeds `limit`; pass limit=None to stream regardless.  Branches that
+    cannot reach total rank r are cut by the most rank the remaining blocks
+    can hold.
+    """
     if limit is not None:
         total = count_components(spec, r, field)
         if total > limit:
@@ -196,18 +202,7 @@ def _rank_vectors(spec: BlockSpectrum, r: int, field: str, limit: Optional[int])
                 for tail in rec(i + 1, rest):
                     yield (t,) + tail
 
-    return rec(0, r)
-
-
-def enumerate_components(
-    spec: BlockSpectrum, r: int, field: str, limit: Optional[int] = 10**6
-) -> Iterator[ComponentDescriptor]:
-    """Stream descriptors in descending lexicographic order of the rank vector.
-
-    Raises SearchLimitError (reporting the exact count) when the census
-    exceeds `limit`; pass limit=None to stream regardless.
-    """
-    for values in _rank_vectors(spec, r, field, limit):
+    for values in rec(0, r):
         yield describe_component(spec, make_rank_vector(spec, field, values))
 
 
@@ -294,19 +289,31 @@ def classify_component(
 ) -> RankVector:
     """Read per-block ranks of an equivariant matrix in the Q basis.
 
-    EquivarianceError when the off-block mass after the base change exceeds
-    STRUCTURE_TOL * ||M||_F.  Complex-pair block ranks are halved; an odd
-    rank there certifies the matrix lies outside every real component and
-    raises StructuralError.
+    M is equivariant iff Q^T M Q is block diagonal with every complex-pair
+    block on the realization pattern.  EquivarianceError when the mass off
+    that structure exceeds STRUCTURE_TOL * ||M||_F: first the off-block mass
+    alone, then with each pair block's distance to the pattern added.
+    Complex-pair block ranks are halved.  An odd rank there, read between the
+    two checks, raises StructuralError: a realization has even rank, so it
+    certifies the matrix lies outside every real component.
     """
     m = np.asarray(m, dtype=float)
     bc = base_change if base_change is not None else real_base_change(p)
     B = bc.conjugate(m)
-    svals = [svdvals(B[sl, sl]) for sl in bc.block_slices]
-    for sl in bc.block_slices:
+    svals, pattern = [], 0.0
+    for blk, sl in zip(bc.spectrum.real_blocks, bc.block_slices):
+        b = B[sl, sl]
+        svals.append(svdvals(b))
+        if blk.kind == "complex_pair":
+            # ||b - realize(Z)||_F^2 for the nearest pattern Z = (a + d)/2 + i (c - e)/2,
+            # with a, e, c, d the (even, even), (even, odd), (odd, even) and
+            # (odd, odd) entries of b
+            pattern += 0.5 * (np.linalg.norm(b[0::2, 0::2] - b[1::2, 1::2]) ** 2
+                              + np.linalg.norm(b[1::2, 0::2] + b[0::2, 1::2]) ** 2)
         B[sl, sl] = 0.0
-    dev = np.linalg.norm(B)
-    if dev > STRUCTURE_TOL * np.linalg.norm(m):
+    dev = float(np.linalg.norm(B))
+    bound = STRUCTURE_TOL * np.linalg.norm(m)
+    if dev > bound:
         raise EquivarianceError(f"off-block mass {dev:.3e} after base change; input is not equivariant")
     # rank decisions share the numerical-rank threshold of the whole matrix,
     # so that numerically-zero blocks read as rank 0.  Q is orthogonal, so
@@ -323,6 +330,12 @@ def classify_component(
                 )
             rank //= 2
         values.append(rank)
+    mass = math.sqrt(dev**2 + pattern)
+    if mass > bound:
+        raise EquivarianceError(
+            f"off-structure mass {mass:.3e} after base change (pair blocks off the realization "
+            "pattern); input is not equivariant"
+        )
     return make_rank_vector(bc.spectrum, "real", values)
 
 

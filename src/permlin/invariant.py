@@ -133,7 +133,7 @@ def fit_invariant(
     r = space.effective_rank
     blk = fit.block_fit(("invariant", 1, 1), r)
     return FitResult(lambda: psi_expand(fit.build(r), space.partition), fit.residual(r, ex, y),
-                     "invariant", (blk,), ridge, None, fit.constant)
+                     "invariant", (blk,), ridge, fit.constant)
 
 
 def invariant_autoencoder(space: InvariantSpace, m_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

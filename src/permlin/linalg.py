@@ -30,7 +30,9 @@ the input by any c > 0 leaves every verdict unchanged.
                           component search treats fit losses within
                           `tie_slack(Y)` = TIE_TOL ||Y||_F^2 as tied
     STRUCTURE_TOL  1e-8   membership in a linear subspace: equivariance,
-                          off-block mass after the base change, and column
+                          mass off the block structure after the base
+                          change (off-block entries and pair blocks off
+                          the realization pattern), and column
                           equality of invariant maps, each relative to
                           ||M||_F
 

@@ -94,9 +94,12 @@ def matrix_to_json_obj(m: np.ndarray) -> dict:
 
 
 def matrix_from_json_obj(obj: dict) -> np.ndarray:
-    rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    if rows < 1 or cols < 1:
-        raise MatrixFormatError(f"rows and cols must be positive, got {rows} and {cols}")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    # checked, not coerced: `type(v) is int` is False for floats, strings and booleans
+    if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
+        raise MatrixFormatError(f"rows and cols must be positive integers, got {rows!r} and {cols!r}")
+    if type(data) is not list or any(isinstance(v, bool) for v in data):
+        raise MatrixFormatError("data must be a list of numbers or entry strings, without booleans")
     if len(data) != rows * cols:
         raise SizeMismatchError(f"data length {len(data)} != rows*cols = {rows * cols}")
     vals = [_parse_entry(v) if isinstance(v, str) else complex(v) for v in data]

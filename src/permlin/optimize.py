@@ -25,8 +25,9 @@ A component's loss is a constant plus, per block, the tail sum of squared
 singular values below its rank.  Under sum_b mult_b t_b = r the best component
 is therefore a knapsack over blocks, solved exactly by the min-plus form of
 the `count_components` recursion: no component is enumerated or refitted, at
-any census size.  Enumerate-and-score survives in `oracles` as the reference
-check and as the candidate listing `fit_equivariant` returns on request.
+any census size.  Enumerate-and-score lives in `oracles` only, as the
+reference check and the candidate listing of `permlin fit --candidates`; it
+rebuilds the tails from the singular values in `FitResult.per_block`.
 
 The tails only rank components.  The loss a fit reports is the residual
 ||B_b Xt_b - Yt_b||^2 of each block, summed, with B_b applied through its
@@ -47,7 +48,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import oracles
 from .errors import ComponentError, RankDeficientError, SizeMismatchError
 from .linalg import DEFAULT_TOL, TIE_TOL, eigh, realize, require_finite, svd, tie_slack
 from .equivariant import RankVector, make_rank_vector
@@ -122,7 +122,6 @@ class FitResult:
     component: Union[RankVector, str]
     per_block: tuple[BlockFit, ...]
     regularization: Optional[float] = None
-    candidates: Optional[tuple[tuple[tuple[int, ...], float], ...]] = None
     constant_loss: Optional[float] = None
     component_source: Optional[str] = None
     # heuristic fits only: the heuristic component's loss minus the exact optimum
@@ -235,7 +234,7 @@ def fit_rank_bounded(
     r = min(r, len(fit.svals))
     blk = fit.block_fit(("dense", 0, 0), r)
     return FitResult(lambda: fit.build(r), fit.residual(r, x, y), "unconstrained", (blk,),
-                     ridge, None, fit.constant)
+                     ridge, fit.constant)
 
 
 def _complex_rows(a: np.ndarray) -> np.ndarray:
@@ -311,11 +310,9 @@ def fit_equivariant(
     p: Permutation,
     r: int,
     component: Optional[RankVector] = None,
-    search_limit: int = 10**6,
     heuristic: Optional[str] = None,
     ridge: Optional[float] = None,
     base_change: Optional[BaseChange] = None,
-    candidates: bool = False,
 ) -> FitResult:
     """Minimize ||M X - Y||_F^2 over rank <= r equivariant matrices.
 
@@ -328,9 +325,6 @@ def fit_equivariant(
     component's loss minus the exact optimum.  ComponentError when no
     component has total rank r.
 
-    With candidates=True, `candidates` lists every component of total rank r
-    with its loss, scored by enumeration (`oracles.score_components`);
-    `search_limit` bounds that listing only (SearchLimitError above it).
     Raises RankDeficientError when the Gram of any block fails the rank floor,
     whose scale is the largest block Gram eigenvalue.
     """
@@ -378,7 +372,6 @@ def fit_equivariant(
         source = "heuristic"
     else:
         raise ComponentError(f"unknown heuristic {heuristic!r}")
-    listed = oracles.score_components(bc.spectrum, r, tails, constant, search_limit) if candidates else None
 
     # Q is orthogonal, so ||M X - Y||^2 is the sum of the block residuals
     per_block, loss = [], 0.0
@@ -395,7 +388,7 @@ def fit_equivariant(
 
     rvec = make_rank_vector(bc.spectrum, "real", best_values)
     return FitResult(
-        minimizer, loss, rvec, tuple(per_block), ridge, listed, constant, source, search_gap
+        minimizer, loss, rvec, tuple(per_block), ridge, constant, source, search_gap
     )
 
 

@@ -1,39 +1,48 @@
-"""Independent brute-force verifiers, intentionally slow and simple.
+"""Independent brute-force verifiers and the dense reference forms,
+intentionally slow and simple.
 
 These deliberately avoid the fast paths they cross-check: commutant dimension
 comes from a dense nullspace of the stacked commutation system, component
-counts from plain recursive enumeration, fit losses from alternating least
-squares restarts, equivariant fits from the weighted projection of the
-full least-squares solution onto the commutant, the best component from
-enumerating and scoring every component, equivariance from the circulant
-pattern of cycle-by-cycle blocks, and the ED degree of a determinantal
-variety from listing every critical point.  Hard size caps keep the full
-suite fast.
+counts and listings from one plain recursive enumeration, fit losses from
+alternating least squares restarts, equivariant fits from the weighted
+projection of the full least-squares solution onto the commutant (in the
+dense base change), the best component from enumerating and scoring every
+component, equivariance from the circulant pattern of cycle-by-cycle blocks,
+and the ED degree of a determinantal variety from listing every critical
+point.  The dense T and T^{-1} of a base change and its documented block form
+live here too, as the references its factored application is checked
+against.  Hard size caps keep the full suite fast.
+
+The library itself never calls this module; only the CLI (`fit --candidates`,
+`verify`) and the tests do.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .equivariant import _rank_vectors
-from .errors import ComponentError, SizeCapError, SizeMismatchError
+from .equivariant import count_components
+from .errors import ComponentError, SearchLimitError, SizeCapError, SizeMismatchError
 from .linalg import realize, tie_slack
 from .perms import Permutation, cycle_decomposition, permutation_matrix
-from .spectral import BlockSpectrum, real_base_change
+from .spectral import BaseChange, BlockSpectrum, real_base_change
 
 __all__ = [
     "nullspace_commutant_dim",
     "recursive_component_count",
     "als_low_rank",
+    "block_tails",
     "score_components",
     "best_scored",
     "projection_fit_equivariant",
     "critical_points",
     "check_circulant_blocks",
+    "dense_base_change",
+    "expected_block_form",
 ]
 
 MAX_NULLSPACE_N = 16
@@ -75,26 +84,36 @@ def nullspace_commutant_dim(gens: Sequence[Permutation]) -> int:
     return n * n - np.linalg.matrix_rank(system, tol=NULLSPACE_RANK_TOL)
 
 
-def recursive_component_count(spec: BlockSpectrum, r: int, field: str) -> int:
-    """Plain recursive enumeration of admissible rank vectors (no DP table)."""
+def _blocks(spec: BlockSpectrum, field: str) -> list[tuple[int, int]]:
+    """(bound d_l, rank multiplier) per canonical block of the field."""
     if field == "complex":
-        blocks = [(b.size, 1) for b in spec.complex_blocks]
-    elif field == "real":
-        blocks = [(b.size, b.rank_multiplier) for b in spec.real_blocks]
-    else:
-        raise SizeMismatchError(f"unknown field {field!r}")
+        return [(b.size, 1) for b in spec.complex_blocks]
+    if field == "real":
+        return [(b.size, b.rank_multiplier) for b in spec.real_blocks]
+    raise SizeMismatchError(f"unknown field {field!r}")
+
+
+def _rank_vectors(blocks: Sequence[tuple[int, int]], r: int) -> Iterator[tuple[int, ...]]:
+    """Every (t_b) with 0 <= t_b <= d_b and sum_b mult_b t_b = r, for blocks
+    (d_b, mult_b), by plain recursion in descending lexicographic order."""
+    if not blocks:
+        if r == 0:
+            yield ()
+        return
+    (d, mult), rest = blocks[0], blocks[1:]
+    for t in range(min(d, r // mult), -1, -1):
+        for tail in _rank_vectors(rest, r - t * mult):
+            yield (t, *tail)
+
+
+def recursive_component_count(spec: BlockSpectrum, r: int, field: str) -> int:
+    """Admissible rank vectors counted one by one (no DP table)."""
+    blocks = _blocks(spec, field)
     if len(blocks) > MAX_COUNT_BLOCKS:
         raise SizeCapError(f"counting oracle capped at {MAX_COUNT_BLOCKS} blocks, got {len(blocks)}")
     if any(d > MAX_COUNT_BOUND for d, _ in blocks):
         raise SizeCapError(f"counting oracle capped at bounds <= {MAX_COUNT_BOUND}")
-
-    def rec(i: int, remaining: int) -> int:
-        if i == len(blocks):
-            return 1 if remaining == 0 else 0
-        d, mult = blocks[i]
-        return sum(rec(i + 1, remaining - t * mult) for t in range(min(d, remaining // mult) + 1))
-
-    return rec(0, r) if r >= 0 else 0
+    return sum(1 for _ in _rank_vectors(blocks, r))
 
 
 def als_low_rank(
@@ -136,6 +155,18 @@ def als_low_rank(
     return best
 
 
+def block_tails(per_block) -> list[tuple[float, ...]]:
+    """Each block's tail table tails[t] = sum of s[t:]**2 over its weighted
+    singular values s, the kept and dropped values of one `BlockFit` of a
+    fit's `per_block`.  The suffix sum is the one `optimize` ranks components
+    with, so with the fit's `constant_loss` it gives bit-identical losses."""
+    tails = []
+    for blk in per_block:
+        sq = np.asarray(blk.kept + blk.dropped) ** 2
+        tails.append(tuple(float(v) for v in np.append(np.cumsum(sq[::-1])[::-1], 0.0)))
+    return tails
+
+
 def score_components(
     spec: BlockSpectrum,
     r: int,
@@ -144,10 +175,15 @@ def score_components(
     limit: Optional[int] = None,
 ) -> tuple[tuple[tuple[int, ...], float], ...]:
     """Every admissible real component of total rank r with its loss
-    constant + sum_b tails[b][t_b], in the order `enumerate_components`
-    streams them.  SearchLimitError when the census exceeds `limit`."""
+    constant + sum_b tails[b][t_b], in descending lexicographic order of the
+    rank vector.  SearchLimitError, reporting the exact `count_components`,
+    when the census exceeds `limit`."""
+    if limit is not None:
+        total = count_components(spec, r, "real")
+        if total > limit:
+            raise SearchLimitError(f"{total} components exceed the limit {limit}; raise it or pick a component")
     return tuple((values, _component_loss(tails, constant, values))
-                 for values in _rank_vectors(spec, r, "real", limit))
+                 for values in _rank_vectors(_blocks(spec, "real"), r))
 
 
 def _component_loss(tails, constant: float, values: Sequence[int]) -> float:
@@ -204,7 +240,8 @@ def projection_fit_equivariant(
     if p.n > MAX_ALS_DIM:
         raise SizeCapError(f"projection oracle capped at n <= {MAX_ALS_DIM}, got {p.n}")
     bc = real_base_change(p)
-    xt, yt = bc.inverse @ x, bc.inverse @ y
+    q, q_inv = dense_base_change(bc)
+    xt, yt = q_inv @ x, q_inv @ y
     w = xt @ xt.T
     u = np.linalg.solve(w, xt @ yt.T).T
     uw = u @ w
@@ -242,7 +279,7 @@ def projection_fit_equivariant(
     for (kind, _, U1, s, V1h, iroot), sl, t in zip(solvers, bc.block_slices, best):
         b = ((U1[:, :t] * s[:t]) @ V1h[:t]) @ iroot
         B[sl, sl] = realize(b) if kind == "complex_pair" else b
-    minimizer = bc.matrix @ B @ bc.inverse
+    minimizer = q @ B @ q_inv
     return minimizer, float(np.linalg.norm(minimizer @ x - y) ** 2), candidates
 
 
@@ -278,3 +315,42 @@ def check_circulant_blocks(m: np.ndarray, p: Permutation) -> bool:
             sub = m[np.ix_(ci, cj)]
             worst = max(worst, np.abs(sub - np.roll(sub, (1, 1), axis=(0, 1))).max(initial=0.0))
     return worst <= CIRCULANT_TOL * np.linalg.norm(m)
+
+
+def dense_base_change(bc: BaseChange) -> tuple[np.ndarray, np.ndarray]:
+    """T and T^{-1} of a base change as dense n x n arrays, from its factors:
+    the block diagonal of the per-cycle factors in cycle-sorted order, rows
+    unsorted and columns grouped for T, the reverse for T^{-1}."""
+    n = bc.spectrum.n
+
+    def cycle_blocks(k: int) -> np.ndarray:  # F_l (k = 0) or F_l^{-1} (k = 1) per cycle
+        t = np.zeros((n, n), dtype=np.result_type(*(f[k].dtype for f in bc.factors.values())))
+        pos = 0
+        for l in bc.spectrum.cycle_lengths:
+            t[pos:pos + l, pos:pos + l] = bc.factors[l][k]
+            pos += l
+        return t
+
+    unsort, grouping = np.argsort(bc.order), list(bc.grouping)
+    return cycle_blocks(0)[unsort][:, grouping], cycle_blocks(1)[grouping][:, unsort]
+
+
+def expected_block_form(bc: BaseChange) -> np.ndarray:
+    """The documented conjugated form T^{-1} P_sigma T of the permutation a
+    base change was built for: diagonal roots of unity (complex), or
+    Id (+) -Id (+) realize(zeta_l^{l-m} Id) per pair block (real)."""
+    if bc.field == "complex":
+        diag = np.concatenate(
+            [np.full(b.size, np.exp(2j * np.pi * b.m / b.l)) for b in bc.spectrum.complex_blocks]
+        )
+        return np.diag(diag)
+    form = np.zeros((bc.spectrum.n, bc.spectrum.n))
+    for b, sl in zip(bc.spectrum.real_blocks, bc.block_slices):
+        if b.kind == "real_plus":
+            form[sl, sl] = np.eye(b.size)
+        elif b.kind == "real_minus":
+            form[sl, sl] = -np.eye(b.size)
+        else:
+            zeta = np.exp(2j * np.pi * (b.l - b.m) / b.l)
+            form[sl, sl] = realize(zeta * np.eye(b.size, dtype=complex))
+    return form

@@ -33,7 +33,8 @@ one l x l factor per distinct cycle length (the Vandermonde for the complex
 base change, the orthogonal `_real_cycle_basis(l)` for the real one), and the
 grouping.  Applying one to an n x k matrix is a gather of rows, one batched
 l x l product per distinct length and a scatter: O(n l k) work in place of
-O(n^2 k).  The dense matrix and inverse are built on request only.
+O(n^2 k).  The dense T and T^{-1} exist only as a reference, built from
+these factors by `oracles.dense_base_change`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SizeMismatchError
-from .linalg import realize
 from .perms import CycleDecomposition, Permutation, cycle_decomposition
 
 __all__ = [
@@ -163,10 +163,9 @@ class BaseChange:
 
     `to_basis`, `from_basis`, `conjugate` and `unconjugate` apply T and T^{-1}
     by indexing and one batched l x l product per distinct length, without
-    forming T or T^{-1}.  `matrix` @ `inverse` is the identity (for field "real"
-    the matrix is orthogonal and inverse is its transpose); both are built
-    densely on first access only, for oracles and tests.  `block_slices` maps
-    each block of the layout (in canonical order) to its coordinate range.
+    forming T or T^{-1}.  For field "real" T is orthogonal and T^{-1} is its
+    transpose.  `block_slices` maps each block of the layout (in canonical
+    order) to its coordinate range.
     """
 
     field: str
@@ -229,69 +228,30 @@ class BaseChange:
         return np.take(h, back, axis=axis, out=g, mode="clip")
 
     def to_basis(self, x: np.ndarray) -> np.ndarray:
-        """inverse @ x, the coordinates of x in the new basis."""
+        """T^{-1} x, the coordinates of x in the new basis."""
         return self._change(x, 0, True)
 
     def from_basis(self, z: np.ndarray) -> np.ndarray:
-        """matrix @ z."""
+        """T z."""
         return self._change(z, 0, False)
 
     def conjugate(self, m: np.ndarray) -> np.ndarray:
-        """inverse @ m @ matrix."""
+        """T^{-1} m T."""
         return self._change(self._change(m, 0, True), 1, True)
 
     def unconjugate(self, b: np.ndarray) -> np.ndarray:
-        """matrix @ b @ inverse."""
+        """T b T^{-1}."""
         return self._change(self._change(b, 0, False), 1, False)
 
-    def _dense(self, k: int) -> np.ndarray:
-        """T (k = 0) or T^{-1} (k = 1) as a dense array, from the block
-        diagonal of the per-cycle factors in cycle-sorted order."""
-        n = self.spectrum.n
-        t = np.zeros((n, n), dtype=np.result_type(*(f[k].dtype for f in self.factors.values())))
-        pos = 0
-        for l in self.spectrum.cycle_lengths:
-            t[pos:pos + l, pos:pos + l] = self.factors[l][k]
-            pos += l
-        unsort = np.argsort(self.order)
-        grouping = list(self.grouping)
-        return t[unsort][:, grouping] if k == 0 else t[grouping][:, unsort]
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self._dense(0)
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        return self._dense(1)
-
-    def expected_block_form(self) -> np.ndarray:
-        """The documented conjugated form of P under this base change."""
-        if self.field == "complex":
-            diag = np.concatenate(
-                [np.full(b.size, np.exp(2j * np.pi * b.m / b.l)) for b in self.spectrum.complex_blocks]
-            )
-            return np.diag(diag)
-        form = np.zeros((self.spectrum.n, self.spectrum.n))
-        for b, sl in zip(self.spectrum.real_blocks, self.block_slices):
-            if b.kind == "real_plus":
-                form[sl, sl] = np.eye(b.size)
-            elif b.kind == "real_minus":
-                form[sl, sl] = -np.eye(b.size)
-            else:
-                zeta = np.exp(2j * np.pi * (b.l - b.m) / b.l)
-                form[sl, sl] = realize(zeta * np.eye(b.size, dtype=complex))
-        return form
-
-
-def _cycle_sort_order(p: Permutation) -> list[int]:
+def _cycle_sort_order(cd: CycleDecomposition) -> list[int]:
     """0-based label order: cycles by smallest label, each followed along
     sigma^{-1}, which is its first label and then the rest of it reversed.
 
     This ordering turns every diagonal block of the sorted P into the
     circulant with ones on the subdiagonal and in the top-right corner.
     """
-    return [a - 1 for cyc in cycle_decomposition(p).cycles for a in (cyc[0], *reversed(cyc[1:]))]
+    return [a - 1 for cyc in cd.cycles for a in (cyc[0], *reversed(cyc[1:]))]
 
 
 def _reduced_label(num: int, den: int) -> tuple[int, int]:
@@ -340,7 +300,7 @@ def complex_base_change(p: Permutation) -> BaseChange:
         # position j inside a length-l cycle carries the eigenvalue zeta_l^{-j}
         keys[l] = [_reduced_label(l - j, l) for j in range(l)]
     grouping, slices = _group(cd.lengths, keys, [((b.l, b.m), b.size) for b in spec.complex_blocks])
-    return BaseChange("complex", spec, slices, tuple(_cycle_sort_order(p)), factors, grouping)
+    return BaseChange("complex", spec, slices, tuple(_cycle_sort_order(cd)), factors, grouping)
 
 
 def _real_cycle_basis(l: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
@@ -383,4 +343,4 @@ def real_base_change(p: Permutation) -> BaseChange:
         keys[l] = [real_keys[kind] if kind in real_keys else ("complex_pair", *_reduced_label(l - j, l))
                    for kind, j in tags]
     grouping, slices = _group(cd.lengths, keys, [((b.kind, b.l, b.m), b.rows) for b in spec.real_blocks])
-    return BaseChange("real", spec, slices, tuple(_cycle_sort_order(p)), factors, grouping)
+    return BaseChange("real", spec, slices, tuple(_cycle_sort_order(cd)), factors, grouping)

@@ -429,6 +429,13 @@ class TestNonFiniteAndFailures:
         ("m.csv", "1,a\n2,3\n"),
         ("m.csv", None),  # missing file
         pytest.param("m.json", "[" * 10**5 + "]" * 10**5, id="nested-too-deep"),
+        # sizes and entries are checked, not coerced
+        pytest.param("m.json", '{"rows": 1.9, "cols": 1, "data": [true]}', id="float-rows-bool-entry"),
+        pytest.param("m.json", '{"rows": 2.0, "cols": 1, "data": [1, 2]}', id="float-rows"),
+        pytest.param("m.json", '{"rows": "2", "cols": 1, "data": [1, 2]}', id="string-rows"),
+        pytest.param("m.json", '{"rows": 1, "cols": true, "data": [1]}', id="bool-cols"),
+        pytest.param("m.json", '{"rows": 1, "cols": 2, "data": [1, false]}', id="bool-entry"),
+        pytest.param("m.json", '{"rows": 1, "cols": 2, "data": "12"}', id="string-data"),
     ])
     def test_read_matrix_rejects_malformed_files(self, tmp_path, capsys, name, text):
         from permlin.errors import MatrixFormatError

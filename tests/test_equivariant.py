@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from permlin.equivariant import (
     classify_component,
@@ -28,7 +28,12 @@ from permlin.errors import (
 )
 from permlin.invariant import invariant_space
 from permlin.linalg import circulant, numeric_rank, realize
-from permlin.oracles import check_circulant_blocks, nullspace_commutant_dim, recursive_component_count
+from permlin.oracles import (
+    check_circulant_blocks,
+    dense_base_change,
+    nullspace_commutant_dim,
+    recursive_component_count,
+)
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
 from permlin.spectral import BlockSpectrum, commutant_dimension, eigen_multiplicities, real_base_change
 
@@ -319,7 +324,8 @@ class TestClassify:
         bc = real_base_change(ROT9)
         B = np.zeros((9, 9))
         B[:3, :3] = np.eye(3)
-        M = bc.matrix @ B @ bc.matrix.T
+        q = dense_base_change(bc)[0]
+        M = q @ B @ q.T
         assert classify_component(M, ROT9).values == (3, 0, 0)
 
     def test_generic_real_form_pattern(self):
@@ -329,7 +335,8 @@ class TestClassify:
         B[:3, :3] = rng.standard_normal((3, 3))
         B[3:5, 3:5] = rng.standard_normal((2, 2))
         B[5:9, 5:9] = realize(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        M = bc.matrix @ B @ bc.matrix.T
+        q = dense_base_change(bc)[0]
+        M = q @ B @ q.T
         got = classify_component(M, ROT9)
         assert got.values == (3, 2, 2)
         assert got.total_rank == 9 == numeric_rank(M)
@@ -365,9 +372,19 @@ class TestClassify:
         bc = real_base_change(ROT9)
         B = np.zeros((9, 9))
         B[5, 5] = 1.0
-        M = bc.matrix @ B @ bc.matrix.T
+        q = dense_base_change(bc)[0]
+        M = q @ B @ q.T
         with pytest.raises(StructuralError, match="odd rank"):
             classify_component(M, ROT9)
+
+    def test_off_pattern_pair_block_rejected(self):
+        # block-diagonal in the Q basis with an even pair-block rank, but the
+        # pair block diag(1, 2) is no realization: P M != M P
+        p = parse_permutation("(1 2 3)", 3)
+        M = real_base_change(p).unconjugate(np.diag([1.0, 1.0, 2.0]))
+        assert not is_equivariant(M, p)
+        with pytest.raises(EquivarianceError, match="realization pattern"):
+            classify_component(M, p)
 
     def test_singularity_law(self):
         # a matrix lies in the singular locus of the rank <= r set iff its
@@ -521,3 +538,41 @@ def test_is_equivariant_matches_dense_permutation_products():
             near = equivariant_project(m, [p]) + eps * rng.standard_normal((n, n))
             dense = np.linalg.norm(near @ P - P @ near) <= 1e-8 * (1.0 + np.linalg.norm(near))
             assert is_equivariant(near, p) == dense
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.permutations(range(1, n + 1))),
+       st.sampled_from(["none", "dense", "block"]), st.sampled_from([1e-4, 1e-2, 0.5]),
+       st.integers(0, 2**32 - 1))
+def test_classify_rejects_exactly_the_non_equivariant(image, kind, eps, seed):
+    """classify_component raises EquivarianceError exactly when
+    is_equivariant is False, away from the tolerance boundary.  The input is
+    an equivariant matrix plus a perturbation of relative size eps <= 1/2
+    (so that the sum is never zero): none, a
+    dense one, or one that is block diagonal in the Q basis and so leaves
+    the off-block mass at zero and moves the pair blocks off the
+    realization pattern."""
+    p = Permutation(len(image), tuple(image))
+    n = p.n
+    rng = np.random.default_rng(seed)
+    bc = real_base_change(p)
+    m = equivariant_project(rng.standard_normal((n, n)), [p])
+    if kind == "dense":
+        e = rng.standard_normal((n, n))
+    else:
+        e = np.zeros((n, n))
+        if kind == "block":
+            for sl in bc.block_slices:
+                e[sl, sl] = rng.standard_normal((sl.stop - sl.start, sl.stop - sl.start))
+            e = bc.unconjugate(e)
+    if kind != "none":
+        m = m + eps * np.linalg.norm(m) / np.linalg.norm(e) * e
+    P = permutation_matrix(p).astype(float)
+    rel = np.linalg.norm(P @ m - m @ P) / np.linalg.norm(m)
+    assume(rel < 1e-12 or rel > 1e-6)
+    try:
+        classify_component(m, p, base_change=bc)
+        rejected = False
+    except EquivarianceError:
+        rejected = True
+    assert rejected == (not is_equivariant(m, p))

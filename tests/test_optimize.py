@@ -30,9 +30,12 @@ from permlin.oracles import (
     AGREEMENT_TOL,
     als_low_rank,
     best_scored,
+    block_tails,
     check_circulant_blocks,
     critical_points,
+    dense_base_change,
     projection_fit_equivariant,
+    score_components,
 )
 from permlin.optimize import (
     eckart_young,
@@ -45,6 +48,13 @@ from permlin.perms import Permutation, cycle_decomposition, parse_permutation
 from permlin.spectral import eigen_multiplicities, real_base_change
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
+
+
+def listed(fit, p, r, limit=None):
+    """Every component of total rank r with its loss, scored by the oracle
+    from the fit's per-block singular values and constant."""
+    spec = eigen_multiplicities(cycle_decomposition(p))
+    return score_components(spec, r, block_tails(fit.per_block), fit.constant_loss, limit)
 
 
 def sel_to_target(x, y, ridge=None):
@@ -290,11 +300,12 @@ class TestFitEquivariant:
         rng = np.random.default_rng(17)
         x = rng.standard_normal((9, 25))
         y = rng.standard_normal((9, 25))
-        fit = fit_equivariant(x, y, ROT9, 3, candidates=True)
-        assert len(fit.candidates) == 5
-        assert all(fit.loss <= loss + 1e-9 for _, loss in fit.candidates)
+        fit = fit_equivariant(x, y, ROT9, 3)
+        candidates = listed(fit, ROT9, 3)
+        assert len(candidates) == 5
+        assert all(fit.loss <= loss + 1e-9 for _, loss in candidates)
         # each candidate loss is a genuine per-component fit loss
-        for values, loss in fit.candidates:
+        for values, loss in candidates:
             single = fit_equivariant(x, y, ROT9, 3,
                                      component=make_rank_vector(
                                          eigen_multiplicities(cycle_decomposition(ROT9)),
@@ -317,7 +328,7 @@ class TestFitEquivariant:
         y = rng.standard_normal((9, 20))
         fit = fit_equivariant(x, y, ROT9, 3, component=rvec)
         assert fit.component.values == (1, 2, 0)
-        assert fit.candidates is None
+        assert fit.component_source == "named"
         assert classify_component(fit.minimizer, ROT9).values == (1, 2, 0)
 
     def test_wrong_total_rank_rejected(self):
@@ -329,18 +340,22 @@ class TestFitEquivariant:
     def test_search_limit(self):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((9, 20))
-        with pytest.raises(SearchLimitError):
-            fit_equivariant(x, x, ROT9, 3, search_limit=2, candidates=True)
+        fit = fit_equivariant(x, x, ROT9, 3)
+        with pytest.raises(SearchLimitError, match="^5 components exceed the limit 2"):
+            listed(fit, ROT9, 3, limit=2)
         # the limit bounds only the listing: the search itself still runs
-        fit = fit_equivariant(x, x, ROT9, 3, search_limit=2)
-        assert fit.component_source == "search" and fit.candidates is None
+        assert fit.component_source == "search"
 
     @pytest.mark.parametrize("r", [-1, 10])
     def test_rank_outside_census_rejected(self, r):
         x = np.random.default_rng(22).standard_normal((9, 20))
-        for kwargs in ({}, {"heuristic": "energy"}, {"candidates": True}):
+        for kwargs in ({}, {"heuristic": "energy"}):
             with pytest.raises(ComponentError, match="no admissible"):
                 fit_equivariant(x, x, ROT9, r, **kwargs)
+        # nor has the oracle listing a component to offer at that rank
+        fit = fit_equivariant(x, x, ROT9, 3)
+        with pytest.raises(ComponentError, match="no admissible"):
+            best_scored(listed(fit, ROT9, r), tie_slack(x))
 
     def test_search_gap_of_energy_heuristic(self):
         # greedy allocation by energy per rank unit misses the optimum here,
@@ -384,7 +399,7 @@ class TestFitEquivariant:
         for p in [parse_permutation("(1 2 3)(4 5)", 5), parse_permutation("(1 2 3 4)", 5)]:
             bc = real_base_change(p)
             assert max(sl.stop - sl.start for sl in bc.block_slices) <= 3
-            x = bc.matrix @ rng.standard_normal((5, 3))
+            x = dense_base_change(bc)[0] @ rng.standard_normal((5, 3))
             y = rng.standard_normal((5, 3))
             assert numeric_rank(x) == 3
             fit = fit_equivariant(x, y, p, 2)
@@ -539,12 +554,13 @@ def test_fit_equivariant_matches_projection_oracle(instance):
     m, loss, _ = projection_fit_equivariant(x, y, p, r, component=rvec.values)
     assert_agree(named.minimizer, named.loss, m, loss, y)
 
-    searched = fit_equivariant(x, y, p, r, candidates=True)
+    searched = fit_equivariant(x, y, p, r)
+    searched_candidates = listed(searched, p, r)
     m, loss, candidates = projection_fit_equivariant(x, y, p, r)
     assert_agree(searched.minimizer, searched.loss, m, loss, y)
-    assert [v for v, _ in searched.candidates] == [v for v, _ in candidates]
+    assert [v for v, _ in searched_candidates] == [v for v, _ in candidates]
     scale = float(np.linalg.norm(y)) ** 2
-    for (_, fast), (_, slow) in zip(searched.candidates, candidates):
+    for (_, fast), (_, slow) in zip(searched_candidates, candidates):
         assert abs(fast - slow) <= AGREEMENT_TOL * scale
 
 
@@ -564,12 +580,13 @@ def test_component_search_matches_enumeration(instance, target):
         spec = eigen_multiplicities(cycle_decomposition(p))
         _, m0 = sample_component_matrix(np.random.default_rng(pick), p, spec, pick % (r + 1))
         y = m0 @ x
-    fit = fit_equivariant(x, y, p, r, candidates=True)
-    assert fit.component.values == best_scored(fit.candidates, tie_slack(y))
+    fit = fit_equivariant(x, y, p, r)
+    candidates = listed(fit, p, r)
+    assert fit.component.values == best_scored(candidates, tie_slack(y))
     if target == "zero":
-        assert fit.component.values == min(v for v, _ in fit.candidates)
+        assert fit.component.values == min(v for v, _ in candidates)
     assert fit_equivariant(x, y, p, r, component=fit.component).loss == fit.loss
-    least = min(loss for _, loss in fit.candidates)
+    least = min(loss for _, loss in candidates)
     assert fit.loss <= least + tie_slack(y) + 1e-9 * (1 + float(np.linalg.norm(y)) ** 2)
 
 
@@ -772,7 +789,8 @@ def blockwise_als_best(x, y, p, r, rng):
     """Least loss over all components of restarted ALS per block, in the Q basis."""
     bc = real_base_change(p)
     spec = bc.spectrum
-    xt, yt = bc.inverse @ x, bc.inverse @ y
+    q_inv = dense_base_change(bc)[1]
+    xt, yt = q_inv @ x, q_inv @ y
     best = np.inf
     for desc in enumerate_components(spec, r, "real"):
         total = 0.0

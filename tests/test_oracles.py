@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from permlin.equivariant import count_components, enumerate_components
 from permlin.errors import SizeCapError
-from permlin.oracles import als_low_rank, nullspace_commutant_dim, recursive_component_count
+from permlin.optimize import fit_equivariant
+from permlin.oracles import (
+    als_low_rank,
+    block_tails,
+    nullspace_commutant_dim,
+    recursive_component_count,
+    score_components,
+)
 from permlin.perms import Permutation, parse_permutation
 from permlin.spectral import BlockSpectrum
 
@@ -38,6 +46,33 @@ class TestRecursiveCount:
         spec = BlockSpectrum.from_cycle_lengths([31])
         with pytest.raises(SizeCapError):
             recursive_component_count(spec, 3, "real")
+
+
+class TestScoreComponents:
+    @pytest.mark.parametrize("lengths", [[4, 4, 1], [1, 2, 3, 4, 6], [12, 12], [5]])
+    def test_lists_the_census_in_the_order_of_enumerate_components(self, lengths):
+        # the oracle's plain recursion and the pruned fast enumeration are
+        # separate code; both stream descending lexicographic order
+        spec = BlockSpectrum.from_cycle_lengths(lengths)
+        tails = [[0.0] * (b.size + 1) for b in spec.real_blocks]
+        for r in range(spec.n + 2):
+            listed = [v for v, _ in score_components(spec, r, tails, 0.0)]
+            streamed = [d.rank_vector.values for d in enumerate_components(spec, r, "real", None)]
+            assert listed == streamed
+            assert len(listed) == count_components(spec, r, "real")
+
+    def test_block_tails_rebuild_the_fit_losses_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        p = parse_permutation("(1 2 3 4 5 6)(7 8 9)", 10)
+        x = rng.standard_normal((10, 30))
+        y = rng.standard_normal((10, 30))
+        spec = BlockSpectrum.from_cycle_lengths([6, 3, 1])
+        for ridge in (None, 0.5):
+            fit = fit_equivariant(x, y, p, 4, ridge=ridge)
+            tails = block_tails(fit.per_block)
+            assert [t[b.rank] for t, b in zip(tails, fit.per_block)] == [b.loss for b in fit.per_block]
+            scored = dict(score_components(spec, 4, tails, fit.constant_loss))
+            assert scored[fit.component.values] == fit.constant_loss + sum(b.loss for b in fit.per_block)
 
 
 class TestAls:

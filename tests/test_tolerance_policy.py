@@ -5,7 +5,9 @@ except `is_equivariant`, whose callers may ask for a tighter bound.  Every
 decomposition goes through the guarded layer in `linalg` (the oracles call
 LAPACK directly to stay independent), and only `linalg` turns numpy's
 LinAlgError into a package error.  numpy is the only runtime dependency, so
-that layer wraps one LAPACK binding."""
+that layer wraps one LAPACK binding.  The fast paths and their brute-force
+checks stay apart: only the CLI front end imports `oracles`, and `oracles`
+imports no private helper of the modules it checks."""
 
 import ast
 import importlib
@@ -115,3 +117,33 @@ def test_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert res.stdout.strip() == "[]"
+
+
+def _permlin_imports(tree: ast.Module):
+    """(line, module, name) per name imported from a permlin module; module
+    is the permlin module's bare name, name None for a plain module import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "permlin"):
+            base = (node.module or "").removeprefix("permlin").lstrip(".")
+            for alias in node.names:
+                if base:
+                    yield node.lineno, base, alias.name
+                else:  # from . import oracles
+                    yield node.lineno, alias.name, None
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("permlin."):
+                    yield node.lineno, alias.name.removeprefix("permlin."), None
+
+
+def test_fast_paths_and_oracles_stay_apart():
+    """Only the CLI front end reaches the oracles, and the oracles use no
+    private helper of the fast paths they check."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for line, module, name in _permlin_imports(ast.parse(path.read_text())):
+            if module == "oracles" and path.name not in {"cli.py", "oracles.py"}:
+                stray.append(f"{path.name}:{line} imports oracles")
+            if path.name == "oracles.py" and name is not None and name.startswith("_"):
+                stray.append(f"oracles.py:{line} imports {module}.{name}")
+    assert not stray, stray

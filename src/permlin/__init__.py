@@ -13,7 +13,7 @@ from .perms import (
     finest_common_coarsening,
     replication_matrix,
 )
-from .linalg import svd, numeric_rank, circulant, realize, unrealize, weighted_inner
+from .linalg import svd, numeric_rank, circulant, realize
 from .spectral import (
     BlockSpectrum,
     BaseChange,
@@ -53,8 +53,8 @@ from .equivariant import (
 )
 from .optimize import (
     FitResult,
-    eckart_young,
     fit_rank_bounded,
+    solve_equivariant,
     fit_equivariant,
     ed_degrees,
 )

@@ -291,9 +291,8 @@ def cmd_verify(args):
         spec = _spectrum_of(gens[0])
         for field in ("complex", "real"):
             blocks = spec.complex_blocks if field == "complex" else spec.real_blocks
-            if len(blocks) <= oracles.MAX_COUNT_BLOCKS and all(
-                    b.size <= oracles.MAX_COUNT_BOUND for b in blocks):
-                fast = equivariant.count_components(spec, args.rank, field)
+            fast = equivariant.count_components(spec, args.rank, field)
+            if len(blocks) <= oracles.MAX_COUNT_BLOCKS and fast <= oracles.MAX_COUNT_CENSUS:
                 slow = oracles.recursive_component_count(spec, args.rank, field)
                 checks.append({"check": f"component_count_{field}", "fast": str(fast),
                                "oracle": str(slow), "ok": bool(fast == slow)})
@@ -341,10 +340,12 @@ def cmd_demo_shift(args):
     sigma = datasets.horizontal_shift_permutation(args.height, args.width)
     spec = _spectrum_of(sigma)
     r = args.rank
-    bc = spectral.real_base_change(sigma)
 
+    # the dense fit first: the solve holds its block rows until the last read,
+    # and holding them through the dense fit would raise the peak memory
     dense = optimize.fit_rank_bounded(X, X, r)
-    best = optimize.fit_equivariant(X, X, sigma, r, heuristic="energy", base_change=bc)
+    solve = optimize.solve_equivariant(X, X, sigma)
+    best = solve.fit(r, heuristic="energy")
 
     blocks = [(b.kind, b.size, b.rank_multiplier) for b in spec.real_blocks]
     unit = sum(1 for _, _, mult in blocks if mult == 1)
@@ -352,8 +353,7 @@ def cmd_demo_shift(args):
     c = max(1, r // (unit + 2 * pair))
     equal_vals = [min(c, b.size) for b in spec.real_blocks]
     equal_rvec = equivariant.make_rank_vector(spec, "real", equal_vals)
-    equal = optimize.fit_equivariant(
-        X, X, sigma, equal_rvec.total_rank, component=equal_rvec, base_change=bc)
+    equal = solve.fit(equal_rvec.total_rank, component=equal_rvec)
 
     # high-pass: zero rank on the low-frequency half of the blocks (by angle),
     # full rank on the rest
@@ -368,8 +368,7 @@ def cmd_demo_shift(args):
     for i in order[cut:]:
         high_vals[i] = spec.real_blocks[i].size
     high_rvec = equivariant.make_rank_vector(spec, "real", high_vals)
-    high = optimize.fit_equivariant(
-        X, X, sigma, high_rvec.total_rank, component=high_rvec, base_change=bc)
+    high = solve.fit(high_rvec.total_rank, component=high_rvec)
 
     slack = linalg.tie_slack(X)
     payload = {

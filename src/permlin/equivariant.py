@@ -17,7 +17,8 @@ irreducible components, one per admissible rank vector
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -359,13 +360,19 @@ class WeightSharingReport:
 @dataclass(frozen=True)
 class Parameterization:
     """decoder @ encoder is the equivariant matrix; the tilde factors are the
-    same maps written in the Q basis, where the block sparsity lives."""
+    same maps written in the Q basis, where the block sparsity lives.  The
+    tied weights of the tilde factors, `pattern`, are listed on first read."""
 
     decoder: np.ndarray
     encoder: np.ndarray
-    pattern: WeightSharingReport
     tilde_decoder: np.ndarray
     tilde_encoder: np.ndarray
+    rank_vector: RankVector
+    base_change: BaseChange = field(repr=False)
+
+    @cached_property
+    def pattern(self) -> WeightSharingReport:
+        return _weight_sharing(self.rank_vector, self.base_change)
 
 
 def parameterize_component(
@@ -385,49 +392,52 @@ def parameterize_component(
     bc = base_change if base_change is not None else real_base_change(p)
     spec = bc.spectrum
     make_rank_vector(spec, "real", rvec.values)  # bounds check against this spectrum
-    if rng is None:
+    if rng is None and factors is None:  # numpy.random costs 5 MB of RSS to load
         rng = np.random.default_rng(0)
-    n = spec.n
-    r = rvec.total_rank
-    D = np.zeros((n, r))
-    E = np.zeros((r, n))
+    D = np.zeros((spec.n, rvec.total_rank))
+    E = np.zeros((rvec.total_rank, spec.n))
+    col = 0
+    for idx, (blk, sl, (_, _, rb)) in enumerate(zip(spec.real_blocks, bc.block_slices, rvec.entries)):
+        if rb == 0:
+            continue
+        A, B = _block_factors(factors, idx, blk, rb, rng)
+        if blk.kind == "complex_pair":
+            A, B = realize(A), realize(B)
+        cols = slice(col, col + A.shape[1])
+        D[sl, cols] = A
+        E[cols, sl] = B
+        col = cols.stop
+    return Parameterization(bc.from_basis(D), bc.from_basis(E.T).T, D, E, rvec, bc)
+
+
+def _weight_sharing(rvec: RankVector, bc: BaseChange) -> WeightSharingReport:
+    """The tied weights of the tilde factors of component rvec."""
     dec_groups: list[tuple] = []
     enc_groups: list[tuple] = []
     inactive: list[int] = []
     col = 0
-    for idx, (blk, sl, (_, _, rb)) in enumerate(zip(spec.real_blocks, bc.block_slices, rvec.entries)):
-        d = blk.size
+    for blk, sl, (_, _, rb) in zip(bc.spectrum.real_blocks, bc.block_slices, rvec.entries):
         if rb == 0:
             inactive.extend(range(sl.start, sl.stop))
             continue
-        A, B = _block_factors(factors, idx, blk, rb, rng)
-        if blk.kind == "complex_pair":
-            D[sl, col:col + 2 * rb] = realize(A)
-            E[col:col + 2 * rb, sl] = realize(B)
-            ro, co = sl.start, col
-            for i in range(d):
-                for j in range(rb):
-                    dec_groups.append(((ro + 2 * i, co + 2 * j, 1), (ro + 2 * i + 1, co + 2 * j + 1, 1)))
-                    dec_groups.append(((ro + 2 * i + 1, co + 2 * j, 1), (ro + 2 * i, co + 2 * j + 1, -1)))
-            for i in range(rb):
-                for j in range(d):
-                    enc_groups.append(((co + 2 * i, ro + 2 * j, 1), (co + 2 * i + 1, ro + 2 * j + 1, 1)))
-                    enc_groups.append(((co + 2 * i + 1, ro + 2 * j, 1), (co + 2 * i, ro + 2 * j + 1, -1)))
-            col += 2 * rb
-        else:
-            D[sl, col:col + rb] = A
-            E[col:col + rb, sl] = B
-            for i in range(d):
-                for j in range(rb):
-                    dec_groups.append(((sl.start + i, col + j, 1),))
-            for i in range(rb):
-                for j in range(d):
-                    enc_groups.append(((col + i, sl.start + j, 1),))
-            col += rb
-    report = WeightSharingReport(
+        pair = blk.kind == "complex_pair"
+        dec_groups += _tied(sl.start, col, blk.size, rb, pair)
+        enc_groups += _tied(col, sl.start, rb, blk.size, pair)
+        col += blk.rank_multiplier * rb
+    return WeightSharingReport(
         tuple(dec_groups), tuple(enc_groups), tuple(inactive), tuple(inactive)
     )
-    return Parameterization(bc.from_basis(D), bc.from_basis(E.T).T, report, D, E)
+
+
+def _tied(r0: int, c0: int, rows: int, cols: int, pair: bool) -> list[tuple]:
+    """The groups of one free rows x cols block placed at (r0, c0): one entry
+    each, or with `pair` a realization 2 x 2 per entry, whose diagonal is tied
+    equally and antidiagonal with opposite signs."""
+    if not pair:
+        return [((r0 + i, c0 + j, 1),) for i in range(rows) for j in range(cols)]
+    return [group for i in range(rows) for j in range(cols) for group in (
+        ((r0 + 2 * i, c0 + 2 * j, 1), (r0 + 2 * i + 1, c0 + 2 * j + 1, 1)),
+        ((r0 + 2 * i + 1, c0 + 2 * j, 1), (r0 + 2 * i, c0 + 2 * j + 1, -1)))]
 
 
 def _block_factors(factors, idx: int, blk: RealBlock, rb: int, rng):

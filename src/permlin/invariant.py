@@ -132,7 +132,9 @@ def fit_invariant(
     fit = weighted_eckart_young(ex, y, ridge)  # M X = psi(M) (E X) exactly
     r = space.effective_rank
     blk = fit.block_fit(("invariant", 1, 1), r)
-    return FitResult(lambda: psi_expand(fit.build(r), space.partition), fit.residual(r, ex, y),
+    decoder, compact_encoder = fit.factors(r)
+    # the weight-shared encoder B' E: one column per partition block, repeated
+    return FitResult(decoder, compact_encoder[:, space.partition.labels], fit.residual(r, ex, y),
                      "invariant", (blk,), ridge, fit.constant)
 
 

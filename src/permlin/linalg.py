@@ -1,6 +1,5 @@
 """Dense linear-algebra primitives: the guarded decompositions, numerical
-rank, circulants, the complex-to-real realization embedding, and weighted
-(Gram) inner products.
+rank, circulants and the complex-to-real realization embedding.
 
 All routines work on plain numpy arrays; real matrices are float64, complex
 ones complex128.
@@ -21,10 +20,7 @@ the input by any c > 0 leaves every verdict unchanged.
     DEFAULT_TOL    1e-10  rank decisions: the rank floor of every fit (Gram
                           eigenvalues relative to the largest) and the
                           numerical rank (`rank_threshold`, singular values
-                          relative to sigma_1 times the larger dimension);
-                          also the exact patterns of `unrealize` (relative to
-                          the largest entry) and `weighted_inner` (symmetry,
-                          relative to the largest weight entry)
+                          relative to sigma_1 times the larger dimension)
     TIE_TOL        1e-9   ties: a truncation flags a boundary tie when
                           sigma_r - sigma_{r+1} <= TIE_TOL sigma_1, and the
                           component search treats fit losses within
@@ -44,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, IndefiniteError, NonFiniteError, StructuralError
+from .errors import ConvergenceError, NonFiniteError
 
 DEFAULT_TOL = 1e-10
 TIE_TOL = 1e-9
@@ -59,8 +55,6 @@ __all__ = [
     "rank_threshold",
     "circulant",
     "realize",
-    "unrealize",
-    "weighted_inner",
     "DEFAULT_TOL",
     "TIE_TOL",
     "STRUCTURE_TOL",
@@ -141,31 +135,3 @@ def realize(z: np.ndarray) -> np.ndarray:
     out[1::2, 0::2] = z.imag
     out[1::2, 1::2] = z.real
     return out
-
-
-def unrealize(m: np.ndarray) -> np.ndarray:
-    """Inverse of realize, reading odd rows/columns; rejects entries that
-    deviate from the pattern by more than DEFAULT_TOL * max |m_ij|."""
-    m = require_finite(np.asarray(m, dtype=float))
-    if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
-        raise StructuralError(f"realization pattern needs even dimensions, got {m.shape}")
-    a, b = m[0::2, 0::2], m[1::2, 0::2]
-    a2, b2 = m[1::2, 1::2], -m[0::2, 1::2]
-    scale = DEFAULT_TOL * np.abs(m).max(initial=0.0)
-    dev = np.maximum(np.abs(a - a2), np.abs(b - b2))
-    if dev.size and dev.max() > scale:
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        raise StructuralError(
-            f"block ({i}, {j}) deviates from the realization pattern by {dev[i, j]:.3e}"
-        )
-    return a + 1j * b
-
-
-def weighted_inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
-    """<a, b>_w = trace(a w b^T) for symmetric PSD w; IndefiniteError when w
-    is asymmetric by more than DEFAULT_TOL * max |w_ij|."""
-    a, b, w = (require_finite(np.asarray(v, float), "weighted_inner input") for v in (a, b, w))
-    asym = np.abs(w - w.T).max(initial=0.0)
-    if asym > DEFAULT_TOL * np.abs(w).max(initial=0.0):
-        raise IndefiniteError(f"weight matrix is asymmetric (max deviation {asym:.3e})")
-    return float(np.trace(a @ w @ b.T))

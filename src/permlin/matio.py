@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MatrixFormatError, NonFiniteError, PermlinError, SizeMismatchError
+from .errors import MatrixFormatError, NonFiniteError, SizeMismatchError
 
 __all__ = [
     "read_matrix",
@@ -54,7 +54,8 @@ def read_matrix(path) -> np.ndarray:
     """Read a matrix from .csv or .json by extension; complex promoted as needed.
 
     Rejects NaN and infinite entries with NonFiniteError, a missing or malformed file with
-    MatrixFormatError."""
+    MatrixFormatError, and a ragged CSV or a JSON data length other than rows * cols with
+    SizeMismatchError; every message names the file."""
     path = Path(path)
     try:
         if path.suffix.lower() == ".json":
@@ -66,11 +67,11 @@ def read_matrix(path) -> np.ndarray:
                     continue
                 rows.append([_parse_entry(tok) for tok in line.split(",")])
             if not rows or len({len(r) for r in rows}) != 1:
-                raise SizeMismatchError(f"ragged or empty CSV matrix in {path}")
+                raise SizeMismatchError("ragged or empty CSV matrix")
             arr = np.array(rows, dtype=complex)
             arr = arr.real.copy() if np.all(arr.imag == 0.0) else arr
-    except PermlinError:
-        raise
+    except (MatrixFormatError, SizeMismatchError) as exc:
+        raise type(exc)(f"matrix in {path}: {exc}") from None
     except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         raise MatrixFormatError(f"cannot read a matrix from {path}: {type(exc).__name__}: {exc}") from None
     if not np.isfinite(arr).all():

@@ -35,8 +35,13 @@ rank-r factors (`WeightedEckartYoung.residual`), so no n x n matrix is formed
 for it.  `constant + sum of tails` is the same number in exact arithmetic,
 but it subtracts two nearly equal sums: on an exact fit it leaves rounding
 error of order eps ||Y||^2 and either sign, where the residual is of order
-eps^2 ||Y||^2.  The dense minimizer M = Q blockdiag(B_b) Q^T is built only when
-`FitResult.minimizer` is first read.
+eps^2 ||Y||^2.
+
+The block solves depend on neither the rank nor the component, so
+`solve_equivariant` runs them once and `EquivariantSolve.fit` reads any rank
+and component.  Every fit holds its minimizer as rank-r factors M = decoder
+@ encoder (equivariant: the block factors placed by `parameterize_component`);
+the dense M is formed only when `FitResult.minimizer` is first read.
 """
 
 from __future__ import annotations
@@ -44,57 +49,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ComponentError, RankDeficientError, SizeMismatchError
-from .linalg import DEFAULT_TOL, TIE_TOL, eigh, realize, require_finite, svd, tie_slack
-from .equivariant import RankVector, make_rank_vector
+from .linalg import DEFAULT_TOL, TIE_TOL, eigh, require_finite, svd, tie_slack
+from .equivariant import RankVector, make_rank_vector, parameterize_component
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
 
 __all__ = [
-    "EckartYoungResult",
     "BlockFit",
     "FitResult",
     "WeightedEckartYoung",
-    "eckart_young",
+    "EquivariantSolve",
     "weighted_eckart_young",
     "fit_rank_bounded",
+    "solve_equivariant",
     "fit_equivariant",
     "ed_degrees",
 ]
-
-
-@dataclass(frozen=True)
-class EckartYoungResult:
-    truncated: np.ndarray
-    kept: tuple[float, ...]
-    dropped: tuple[float, ...]
-    boundary_tie: bool
 
 
 def _boundary_tie(s: np.ndarray, r: int) -> bool:
     """sigma_r - sigma_{r+1} <= TIE_TOL * sigma_1: relative to the largest
     singular value, so the flag does not change with the scale of the data."""
     return bool(0 < r < len(s) and s[r - 1] - s[r] <= TIE_TOL * s[0])
-
-
-def eckart_young(u: np.ndarray, r: int) -> EckartYoungResult:
-    """Closest rank <= r matrix in Frobenius norm, via truncated SVD.
-
-    Ties sigma_r = sigma_{r+1} keep the lowest indices and set the boundary
-    flag.  All binom(min(m, n), r) critical points of the distance are listed
-    by `oracles.critical_points`.
-    """
-    u = np.asarray(u, dtype=float)
-    q = min(u.shape)
-    if not 0 <= r <= q:
-        raise SizeMismatchError(f"rank {r} outside 0..{q}")
-    U1, s, V1t = svd(u)
-    trunc = (U1[:, :r] * s[:r]) @ V1t[:r]
-    return EckartYoungResult(trunc, tuple(s[:r]), tuple(s[r:]), _boundary_tie(s, r))
 
 
 @dataclass(frozen=True)
@@ -111,13 +92,14 @@ class BlockFit:
 
 @dataclass(frozen=True)
 class FitResult:
-    """The outcome of a fit.  `loss` is ||M X - Y||_F^2 of the minimizer M,
-    computed from the factors the fit holds.  `minimizer` is M as a dense
-    array, built on first read (for an equivariant fit an n x n product with
-    the base change) and cached, so a fit whose minimizer is never read
-    never allocates it."""
+    """The outcome of a fit: the minimizer M = decoder @ encoder as a linear
+    autoencoder, with decoder m x r and encoder r x n, r the rank of the fit.
+    `loss` is ||M X - Y||_F^2, computed from the factors.  `minimizer` is M
+    as a dense array, formed on first read and cached, so a fit whose
+    minimizer is never read never allocates it."""
 
-    _build_minimizer: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    decoder: np.ndarray = field(repr=False, compare=False)
+    encoder: np.ndarray = field(repr=False, compare=False)
     loss: float
     component: Union[RankVector, str]
     per_block: tuple[BlockFit, ...]
@@ -129,7 +111,7 @@ class FitResult:
 
     @cached_property
     def minimizer(self) -> np.ndarray:
-        return self._build_minimizer()
+        return self.decoder @ self.encoder
 
 
 @dataclass(frozen=True)
@@ -147,12 +129,14 @@ class WeightedEckartYoung:
     tails: tuple[float, ...]
     constant: float
 
-    def build(self, r: int) -> np.ndarray:
-        return (self.left[:, :r] * self.svals[:r]) @ self.right[:r]
+    def factors(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """(decoder, encoder) of the rank-r minimizer decoder @ encoder, as
+        copies that do not keep the full solve alive."""
+        return self.left[:, :r] * self.svals[:r], self.right[:r].copy()
 
     def residual(self, r: int, x: np.ndarray, y: np.ndarray) -> float:
-        """||build(r) x - y||_F^2, applying the rank-r factors right to left
-        so that build(r) itself is never formed."""
+        """||M x - y||_F^2 for the rank-r minimizer M, applying its factors
+        right to left so that M itself is never formed."""
         fitted = self.left[:, :r] @ (self.svals[:r, None] * (self.right[:r] @ x))
         return float(np.linalg.norm(fitted - y) ** 2)
 
@@ -233,13 +217,16 @@ def fit_rank_bounded(
     fit = weighted_eckart_young(x, y, ridge)
     r = min(r, len(fit.svals))
     blk = fit.block_fit(("dense", 0, 0), r)
-    return FitResult(lambda: fit.build(r), fit.residual(r, x, y), "unconstrained", (blk,),
+    return FitResult(*fit.factors(r), fit.residual(r, x, y), "unconstrained", (blk,),
                      ridge, fit.constant)
 
 
-def _complex_rows(a: np.ndarray) -> np.ndarray:
-    """Row pairs (2i, 2i+1) of a realization block as complex rows."""
-    return a[0::2] + 1j * a[1::2]
+def _block_rows(a: np.ndarray, blk, sl: slice) -> np.ndarray:
+    """A copy of the rows of one block of Q^T a, so that Q^T a itself can be
+    freed; on a complex-pair block the row pairs (2i, 2i+1) as the complex
+    rows a_2i + i a_2i+1."""
+    b = a[sl]
+    return b[0::2] + 1j * b[1::2] if blk.kind == "complex_pair" else b.copy()
 
 
 def _energy_component(blocks, fits, r: int) -> tuple[int, ...]:
@@ -304,6 +291,92 @@ def _best_component(blocks, tails, r: int, slack: float) -> tuple[tuple[int, ...
     return tuple(values), optimum
 
 
+@dataclass(frozen=True)
+class EquivariantSolve:
+    """The equivariant fit of Y on X, solved for every rank and component:
+    per block of the base change, its rows of Q^T X and Q^T Y (complex on a
+    complex-pair block) and their `WeightedEckartYoung`.  `slack` is
+    `tie_slack(Y)`, the tie slack of the component search."""
+
+    permutation: Permutation
+    base_change: BaseChange
+    rows: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    solves: tuple[WeightedEckartYoung, ...] = field(repr=False)
+    ridge: Optional[float]
+    constant: float
+    slack: float
+
+    def fit(
+        self, r: int, component: Optional[RankVector] = None, heuristic: Optional[str] = None
+    ) -> FitResult:
+        """The rank-r fit: of `component` when given; otherwise of the best
+        component, found exactly by min-plus dynamic programming over the
+        per-block tail tables, ties (losses within `slack`) going to the
+        lexicographically smallest rank vector; with heuristic="energy" of
+        the greedily chosen component, with `search_gap` its loss minus the
+        exact optimum.  ComponentError when no component has total rank r."""
+        spec = self.base_change.spectrum
+        blocks = spec.real_blocks
+        tails = [s.tails for s in self.solves]
+        search_gap = None
+        if component is not None:
+            if component.field != "real":
+                raise ComponentError("fit_equivariant needs a real-admissible rank vector")
+            values, source = component.values, "named"
+        elif heuristic is None:
+            values, source = _best_component(blocks, tails, r, self.slack)[0], "search"
+        elif heuristic == "energy":
+            optimum = _best_component(blocks, tails, r, 0.0)[1]
+            values, source = _energy_component(blocks, self.solves, r), "heuristic"
+            search_gap = max(0.0, sum(tail[t] for tail, t in zip(tails, values)) - optimum)
+        else:
+            raise ComponentError(f"unknown heuristic {heuristic!r}")
+        rvec = make_rank_vector(spec, "real", values)
+        if rvec.total_rank != r:  # a named component; the search and the heuristic meet r
+            raise ComponentError(f"component has total rank {rvec.total_rank}, expected {r}")
+
+        # Q is orthogonal, so ||M X - Y||^2 is the sum of the block residuals
+        per_block, loss, factors = [], 0.0, []
+        for blk, solve, (xb, yb), t in zip(blocks, self.solves, self.rows, values):
+            per_block.append(solve.block_fit((blk.kind, blk.l, blk.m), t))
+            loss += solve.residual(t, xb, yb)
+            factors.append(solve.factors(t))
+        par = parameterize_component(rvec, self.permutation, factors, base_change=self.base_change)
+        return FitResult(par.decoder, par.encoder, loss, rvec, tuple(per_block), self.ridge,
+                         self.constant, source, search_gap)
+
+
+def solve_equivariant(
+    x: np.ndarray,
+    y: np.ndarray,
+    p: Permutation,
+    ridge: Optional[float] = None,
+    base_change: Optional[BaseChange] = None,
+) -> EquivariantSolve:
+    """Change the basis of X and Y once and solve every block once.
+    RankDeficientError when the Gram of any block fails the rank floor, whose
+    scale is the largest block Gram eigenvalue."""
+    x, y = _checked_data(x, y)
+    bc = base_change if base_change is not None else real_base_change(p)
+    n = bc.spectrum.n
+    if x.shape[0] != n or y.shape[0] != n:
+        raise SizeMismatchError(f"equivariant fit needs n x d data with n={n}")
+    xt, yt = bc.to_basis(x), bc.to_basis(y)
+    pieces = list(zip(bc.spectrum.real_blocks, bc.block_slices))
+    rows = tuple((_block_rows(xt, blk, sl), _block_rows(yt, blk, sl)) for blk, sl in pieces)
+    # every block Gram first: the rank floor's scale is their largest eigenvalue.
+    # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block.
+    eighs = [_gram_eigh(xb, ridge and ridge * blk.rank_multiplier)
+             for (blk, _), (xb, _) in zip(pieces, rows)]
+    top = max(vals[-1] for vals, _ in eighs)
+    solves = []
+    for (xb, yb), (vals, vecs) in zip(rows, eighs):
+        _check_rank_floor(vals, top)
+        solves.append(_solve_eigh(xb, yb, vals, vecs))
+    return EquivariantSolve(p, bc, rows, tuple(solves), ridge,
+                            sum(s.constant for s in solves), tie_slack(y))
+
+
 def fit_equivariant(
     x: np.ndarray,
     y: np.ndarray,
@@ -314,82 +387,10 @@ def fit_equivariant(
     ridge: Optional[float] = None,
     base_change: Optional[BaseChange] = None,
 ) -> FitResult:
-    """Minimize ||M X - Y||_F^2 over rank <= r equivariant matrices.
-
-    With `component` given, fits that component only.  Otherwise finds the
-    best component exactly, at any census size, by min-plus dynamic
-    programming over the per-block tail tables; ties (losses within
-    `tie_slack(y)` = TIE_TOL ||Y||_F^2 of the optimum) go to the
-    lexicographically smallest rank vector.  With heuristic="energy" it fits
-    the single greedily chosen component instead and sets `search_gap`, that
-    component's loss minus the exact optimum.  ComponentError when no
-    component has total rank r.
-
-    Raises RankDeficientError when the Gram of any block fails the rank floor,
-    whose scale is the largest block Gram eigenvalue.
-    """
-    x, y = _checked_data(x, y)
-    bc = base_change if base_change is not None else real_base_change(p)
-    n = bc.spectrum.n
-    if x.shape[0] != n or y.shape[0] != n:
-        raise SizeMismatchError(f"equivariant fit needs n x d data with n={n}")
-    xt = bc.to_basis(x)
-    yt = bc.to_basis(y)
-    blocks = bc.spectrum.real_blocks
-    pieces = list(zip(blocks, bc.block_slices))
-
-    def rows(a, blk, sl):  # complex row pairs on a complex-pair block
-        return _complex_rows(a[sl]) if blk.kind == "complex_pair" else a[sl]
-
-    # every block Gram first: the rank floor's scale is their largest eigenvalue.
-    # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block.
-    eighs = [_gram_eigh(rows(xt, blk, sl), ridge and ridge * (2.0 if blk.kind == "complex_pair" else 1.0))
-             for blk, sl in pieces]
-    top = max(vals[-1] for vals, _ in eighs)
-    fits = []
-    for (blk, sl), (vals, vecs) in zip(pieces, eighs):
-        _check_rank_floor(vals, top)
-        fits.append(_solve_eigh(rows(xt, blk, sl), rows(yt, blk, sl), vals, vecs))
-    constant = sum(f.constant for f in fits)
-    tails = [f.tails for f in fits]
-
-    search_gap = None
-    if component is not None:
-        if component.field != "real":
-            raise ComponentError("fit_equivariant needs a real-admissible rank vector")
-        rvec = make_rank_vector(bc.spectrum, "real", component.values)
-        if rvec.total_rank != r:
-            raise ComponentError(f"component has total rank {rvec.total_rank}, expected {r}")
-        best_values = rvec.values
-        source = "named"
-    elif heuristic is None:
-        best_values = _best_component(blocks, tails, r, tie_slack(y))[0]
-        source = "search"
-    elif heuristic == "energy":
-        optimum = _best_component(blocks, tails, r, 0.0)[1]
-        best_values = _energy_component(blocks, fits, r)
-        search_gap = max(0.0, sum(tail[t] for tail, t in zip(tails, best_values)) - optimum)
-        source = "heuristic"
-    else:
-        raise ComponentError(f"unknown heuristic {heuristic!r}")
-
-    # Q is orthogonal, so ||M X - Y||^2 is the sum of the block residuals
-    per_block, loss = [], 0.0
-    for (blk, sl), fit, t in zip(pieces, fits, best_values):
-        per_block.append(fit.block_fit((blk.kind, blk.l, blk.m), t))
-        loss += fit.residual(t, rows(xt, blk, sl), rows(yt, blk, sl))
-
-    def minimizer() -> np.ndarray:  # Q blockdiag(B_b) Q^T
-        blockdiag = np.zeros((n, n))
-        for (blk, sl), fit, t in zip(pieces, fits, best_values):
-            b = fit.build(t)
-            blockdiag[sl, sl] = realize(b) if blk.kind == "complex_pair" else b
-        return bc.unconjugate(blockdiag)
-
-    rvec = make_rank_vector(bc.spectrum, "real", best_values)
-    return FitResult(
-        minimizer, loss, rvec, tuple(per_block), ridge, constant, source, search_gap
-    )
+    """Minimize ||M X - Y||_F^2 over rank <= r equivariant matrices: one
+    `solve_equivariant` and one `EquivariantSolve.fit`, whose documentation
+    gives the choice of component and the errors."""
+    return solve_equivariant(x, y, p, ridge, base_change).fit(r, component, heuristic)
 
 
 def ed_degrees(kind: str, dims: Sequence[int]) -> int:

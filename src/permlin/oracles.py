@@ -11,7 +11,8 @@ component, equivariance from the circulant pattern of cycle-by-cycle blocks,
 and the ED degree of a determinantal variety from listing every critical
 point.  The dense T and T^{-1} of a base change and its documented block form
 live here too, as the references its factored application is checked
-against.  Hard size caps keep the full suite fast.
+against, and so do `unrealize` and `weighted_inner`, which only the checks
+use.  Hard size caps keep the full suite fast.
 
 The library itself never calls this module; only the CLI (`fit --candidates`,
 `verify`) and the tests do.
@@ -26,8 +27,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .equivariant import count_components
-from .errors import ComponentError, SearchLimitError, SizeCapError, SizeMismatchError
-from .linalg import realize, tie_slack
+from .errors import (ComponentError, IndefiniteError, SearchLimitError, SizeCapError,
+                     SizeMismatchError, StructuralError)
+from .linalg import realize, require_finite, tie_slack
 from .perms import Permutation, cycle_decomposition, permutation_matrix
 from .spectral import BaseChange, BlockSpectrum, real_base_change
 
@@ -43,11 +45,14 @@ __all__ = [
     "check_circulant_blocks",
     "dense_base_change",
     "expected_block_form",
+    "unrealize",
+    "weighted_inner",
 ]
 
 MAX_NULLSPACE_N = 16
 MAX_COUNT_BLOCKS = 8
-MAX_COUNT_BOUND = 30
+# largest census `recursive_component_count` lists one by one
+MAX_COUNT_CENSUS = 100_000
 MAX_ALS_DIM = 12
 # size up to which `permlin verify` checks the component search by
 # enumeration; at n <= 16 a real census has at most 90 components
@@ -65,6 +70,10 @@ MAX_CRITICAL = 100_000
 # largest entry off the circulant pattern, relative to ||M||_F, that
 # `check_circulant_blocks` still accepts
 CIRCULANT_TOL = 1e-8
+# largest deviation `unrealize` accepts from the pattern, relative to max |m_ij|
+UNREALIZE_TOL = 1e-10
+# largest entry of W - W^T `weighted_inner` accepts, relative to max |w_ij|
+WEIGHT_SYMMETRY_TOL = 1e-10
 
 
 def nullspace_commutant_dim(gens: Sequence[Permutation]) -> int:
@@ -95,24 +104,33 @@ def _blocks(spec: BlockSpectrum, field: str) -> list[tuple[int, int]]:
 
 def _rank_vectors(blocks: Sequence[tuple[int, int]], r: int) -> Iterator[tuple[int, ...]]:
     """Every (t_b) with 0 <= t_b <= d_b and sum_b mult_b t_b = r, for blocks
-    (d_b, mult_b), by plain recursion in descending lexicographic order."""
+    (d_b, mult_b), by plain recursion in descending lexicographic order.
+    A branch is entered only when the later blocks can make up the rest of r
+    (at most their capacity, and even if all have mult 2): with d_b >= 1 and
+    mult_b in {1, 2} that is exact, so every call but the first lies on the
+    way to a rank vector and the calls number at most 1 + blocks * census."""
     if not blocks:
         if r == 0:
             yield ()
         return
     (d, mult), rest = blocks[0], blocks[1:]
+    room = sum(size * m for size, m in rest)
+    step = min((m for _, m in rest), default=1)
     for t in range(min(d, r // mult), -1, -1):
-        for tail in _rank_vectors(rest, r - t * mult):
-            yield (t, *tail)
+        left = r - t * mult
+        if left <= room and left % step == 0:
+            for tail in _rank_vectors(rest, left):
+                yield (t, *tail)
 
 
 def recursive_component_count(spec: BlockSpectrum, r: int, field: str) -> int:
-    """Admissible rank vectors counted one by one (no DP table)."""
+    """Admissible rank vectors counted one by one (no DP table), capped by
+    block count and by census size (`count_components`)."""
     blocks = _blocks(spec, field)
     if len(blocks) > MAX_COUNT_BLOCKS:
         raise SizeCapError(f"counting oracle capped at {MAX_COUNT_BLOCKS} blocks, got {len(blocks)}")
-    if any(d > MAX_COUNT_BOUND for d, _ in blocks):
-        raise SizeCapError(f"counting oracle capped at bounds <= {MAX_COUNT_BOUND}")
+    if count_components(spec, r, field) > MAX_COUNT_CENSUS:
+        raise SizeCapError(f"counting oracle capped at censuses <= {MAX_COUNT_CENSUS}")
     return sum(1 for _ in _rank_vectors(blocks, r))
 
 
@@ -354,3 +372,32 @@ def expected_block_form(bc: BaseChange) -> np.ndarray:
             zeta = np.exp(2j * np.pi * (b.l - b.m) / b.l)
             form[sl, sl] = realize(zeta * np.eye(b.size, dtype=complex))
     return form
+
+
+def unrealize(m: np.ndarray) -> np.ndarray:
+    """Inverse of `linalg.realize`, reading odd rows/columns; StructuralError
+    when an entry deviates from the pattern by more than UNREALIZE_TOL *
+    max |m_ij|."""
+    m = require_finite(np.asarray(m, dtype=float))
+    if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
+        raise StructuralError(f"realization pattern needs even dimensions, got {m.shape}")
+    a, b = m[0::2, 0::2], m[1::2, 0::2]
+    a2, b2 = m[1::2, 1::2], -m[0::2, 1::2]
+    scale = UNREALIZE_TOL * np.abs(m).max(initial=0.0)
+    dev = np.maximum(np.abs(a - a2), np.abs(b - b2))
+    if dev.size and dev.max() > scale:
+        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        raise StructuralError(
+            f"block ({i}, {j}) deviates from the realization pattern by {dev[i, j]:.3e}"
+        )
+    return a + 1j * b
+
+
+def weighted_inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
+    """<a, b>_w = trace(a w b^T) for symmetric PSD w; IndefiniteError when w
+    is asymmetric by more than WEIGHT_SYMMETRY_TOL * max |w_ij|."""
+    a, b, w = (require_finite(np.asarray(v, float), "weighted_inner input") for v in (a, b, w))
+    asym = np.abs(w - w.T).max(initial=0.0)
+    if asym > WEIGHT_SYMMETRY_TOL * np.abs(w).max(initial=0.0):
+        raise IndefiniteError(f"weight matrix is asymmetric (max deviation {asym:.3e})")
+    return float(np.trace(a @ w @ b.T))

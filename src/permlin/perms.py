@@ -33,7 +33,6 @@ __all__ = [
     "finest_common_coarsening",
     "join_labels",
     "replication_matrix",
-    "refines",
 ]
 
 
@@ -52,19 +51,6 @@ class Permutation:
 
     def __call__(self, j: int) -> int:
         return self.image[j - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for j, s in enumerate(self.image, start=1):
-            inv[s - 1] = j
-        return Permutation(self.n, tuple(inv))
-
-    def power(self, t: int) -> "Permutation":
-        base = self if t >= 0 else self.inverse()
-        img = list(range(1, self.n + 1))
-        for _ in range(abs(t)):
-            img = [base(j) for j in img]
-        return Permutation(self.n, tuple(img))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-free application of P_sigma: (P x)_j = x_{sigma(j)}."""
@@ -278,12 +264,3 @@ def replication_matrix(part: Partition) -> np.ndarray:
     E = np.zeros((part.k, part.n), dtype=np.int64)
     E[part.labels, np.arange(part.n)] = 1
     return E
-
-
-def refines(fine: Partition, coarse: Partition) -> bool:
-    """True iff every block of `fine` is contained in a block of `coarse`."""
-    if fine.n != coarse.n:
-        raise SizeMismatchError("partitions are over different ground sets")
-    # the coarse block of each element equals that of its fine block's first element
-    firsts = np.array([b[0] for b in fine.blocks]) - 1
-    return bool(np.array_equal(coarse.labels[firsts][fine.labels], coarse.labels))

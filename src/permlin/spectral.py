@@ -161,7 +161,7 @@ class BaseChange:
       l, applied to every cycle of that length;
     * `grouping`: T3, the cycle-sorted position of each basis coordinate.
 
-    `to_basis`, `from_basis`, `conjugate` and `unconjugate` apply T and T^{-1}
+    `to_basis`, `from_basis` and `conjugate` apply T and T^{-1}
     by indexing and one batched l x l product per distinct length, without
     forming T or T^{-1}.  For field "real" T is orthogonal and T^{-1} is its
     transpose.  `block_slices` maps each block of the layout (in canonical
@@ -238,10 +238,6 @@ class BaseChange:
     def conjugate(self, m: np.ndarray) -> np.ndarray:
         """T^{-1} m T."""
         return self._change(self._change(m, 0, True), 1, True)
-
-    def unconjugate(self, b: np.ndarray) -> np.ndarray:
-        """T b T^{-1}."""
-        return self._change(self._change(b, 0, False), 1, False)
 
 
 def _cycle_sort_order(cd: CycleDecomposition) -> list[int]:

@@ -18,7 +18,7 @@ from permlin.equivariant import (
     parameterize_component,
 )
 from permlin.invariant import fit_invariant, invariant_space, psi_compress, psi_expand
-from permlin.linalg import numeric_rank, realize, unrealize
+from permlin.linalg import numeric_rank, realize
 from permlin.optimize import ed_degrees, fit_equivariant, fit_rank_bounded
 from permlin.oracles import (
     als_low_rank,
@@ -26,6 +26,7 @@ from permlin.oracles import (
     dense_base_change,
     expected_block_form,
     nullspace_commutant_dim,
+    unrealize,
 )
 from permlin.perms import (
     Permutation,

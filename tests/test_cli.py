@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -294,6 +295,29 @@ class TestVerifyDemo:
             assert checks["equivariant_fit_vs_projection_oracle"]["ok"] is True
             validate("verify", payload)
 
+    def test_verify_omits_the_count_check_above_the_census_cap(self, tmp_path, monkeypatch):
+        """30 cycles of length 8 at rank 40: the complex census (62,799,979)
+        is above the oracle's cap, so its check is omitted, and the oracle's
+        recursion makes at most 1 + 5 blocks x 19,201 calls for the real
+        census."""
+        from permlin import oracles
+
+        visits = [0]
+        rank_vectors = oracles._rank_vectors
+
+        def counted(blocks, r):
+            visits[0] += 1
+            return rank_vectors(blocks, r)
+
+        monkeypatch.setattr(oracles, "_rank_vectors", counted)
+        out = tmp_path / "v.json"
+        rc, payload = run_cli(["verify", "--cycle-type", "30x8", "--rank", "40", "--out", str(out)], out)
+        assert rc == 0 and payload["ok"] is True
+        assert [c["check"] for c in payload["checks"]] == ["component_count_real"]
+        assert payload["checks"][0]["fast"] == "19201" and payload["checks"][0]["ok"] is True
+        assert 0 < visits[0] <= 1 + 5 * 19201
+        validate("verify", payload)
+
     def test_verify_checks_base_change_block_form(self, tmp_path):
         out = tmp_path / "v.json"
         for args, n in ((["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9"], 9),
@@ -333,6 +357,24 @@ class TestVerifyDemo:
         assert losses["dense"] <= losses["equivariant_energy"] + 1e-12
         validate("demo_shift", payload)
 
+    def test_demo_shift_changes_basis_once_per_data_matrix(self, tmp_path, monkeypatch):
+        """One equivariant solve serves the three equivariant fits: Q^T X and
+        Q^T Y are formed once each."""
+        from permlin.spectral import BaseChange
+
+        calls = []
+        to_basis = BaseChange.to_basis
+
+        def counted(self, x):
+            calls.append(x.shape)
+            return to_basis(self, x)
+
+        monkeypatch.setattr(BaseChange, "to_basis", counted)
+        out = tmp_path / "d.json"
+        rc, _ = run_cli(["demo-shift", "--height", "4", "--width", "6", "--samples", "60",
+                         "--rank", "8", "--out", str(out)], out)
+        assert rc == 0 and calls == [(24, 60), (24, 60)]
+
     def test_cyclic_only_for_count(self, capsys):
         rc, _ = run_cli(["count", "--perm", "(1 2)", "--perm", "(2 3)", "--n", "3",
                          "--rank", "1", "--field", "real"])
@@ -360,12 +402,13 @@ class TestVerifyDemo:
         assert "component" in err["message"]
 
     def test_ragged_csv_rejected(self, tmp_path):
-        f = tmp_path / "bad.csv"
-        f.write_text("1,2\n3\n")
         from permlin.errors import SizeMismatchError
 
-        with pytest.raises(SizeMismatchError):
-            matio.read_matrix(f)
+        for name, text in (("bad.csv", "1,2\n3\n"), ("bad.json", '{"rows": 2, "cols": 2, "data": [1, 2]}')):
+            f = tmp_path / name
+            f.write_text(text)
+            with pytest.raises(SizeMismatchError, match=re.escape(str(f))):
+                matio.read_matrix(f)
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -373,9 +416,10 @@ class TestVerifyDemo:
         assert exc.value.code == 2
 
     def test_entry_point_installed(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         res = subprocess.run([sys.executable, "-m", "permlin.cli", "count",
                               "--cycle-type", "2x4", "--rank", "2", "--field", "real"],
-                             capture_output=True, text=True)
+                             env=env, capture_output=True, text=True)
         assert res.returncode == 0
         assert res.stdout.strip().isdigit()
 
@@ -393,6 +437,7 @@ class TestNonFiniteAndFailures:
         err = json.loads(captured.err)
         assert err["error"] == name
         validate("error", err)
+        return err
 
     def write_data(self, tmp_path, bad=None):
         rng = np.random.default_rng(7)
@@ -443,10 +488,11 @@ class TestNonFiniteAndFailures:
         f = tmp_path / name
         if text is not None:
             f.write_text(text)
-        with pytest.raises(MatrixFormatError):
+        with pytest.raises(MatrixFormatError, match=re.escape(str(f))):
             matio.read_matrix(f)
-        self.expect_error(capsys, ["project", *self.ROT, "--mode", "equivariant",
-                                   "--matrix", str(f)], "MatrixFormatError")
+        err = self.expect_error(capsys, ["project", *self.ROT, "--mode", "equivariant",
+                                         "--matrix", str(f)], "MatrixFormatError")
+        assert str(f) in err["message"]
 
     def test_complex_matrix_is_rejected(self, tmp_path, capsys):
         x, y = self.write_data(tmp_path, bad="1+2i")

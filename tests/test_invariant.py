@@ -170,6 +170,18 @@ class TestFitInvariant:
         trunc = (u[:, :2] * s[:2]) @ vt[:2]
         assert np.linalg.norm(fit.minimizer - trunc) <= 1e-9
 
+    def test_encoder_is_weight_shared(self):
+        """The fit holds the paper's factors: an m x r decoder and the r x n
+        encoder B' E, whose columns are equal within each partition block."""
+        rng = np.random.default_rng(6)
+        space = invariant_space([parse_permutation("(1 4)(2 5 6)", 6)], 4, 6, 2)
+        fit = fit_invariant(rng.standard_normal((6, 14)), rng.standard_normal((4, 14)), space)
+        assert fit.decoder.shape == (4, 2) and fit.encoder.shape == (2, 6)
+        for block in space.partition.blocks:
+            cols = fit.encoder[:, np.asarray(block) - 1]
+            assert np.array_equal(cols, np.repeat(cols[:, :1], len(block), axis=1))
+        assert np.array_equal(fit.minimizer, fit.decoder @ fit.encoder)
+
     def test_matches_als_oracle(self):
         rng = np.random.default_rng(5)
         part = Partition.from_blocks(6, [{1, 4}, {2, 5, 6}, {3}])

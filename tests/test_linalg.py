@@ -19,10 +19,9 @@ from permlin.linalg import (
     realize,
     svd,
     svdvals,
-    unrealize,
-    weighted_inner,
 )
-from permlin.optimize import eckart_young
+from permlin.optimize import weighted_eckart_young
+from permlin.oracles import unrealize, weighted_inner
 from permlin.perms import Permutation, parse_permutation
 
 
@@ -75,7 +74,7 @@ def _failure_sites(n):
         "classify_component": lambda m: classify_component(m, cycle),
         "is_singular_point": lambda m: is_singular_point(space, m),
         "invariant_autoencoder": lambda m: invariant_autoencoder(space, m),
-        "eckart_young": lambda m: eckart_young(m, 1),
+        "eckart_young": lambda m: weighted_eckart_young(np.eye(len(m)), m),
     }
 
 

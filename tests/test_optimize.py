@@ -25,7 +25,7 @@ from permlin.errors import (
     SizeMismatchError,
     StructuralError,
 )
-from permlin.linalg import numeric_rank, realize, tie_slack, unrealize, weighted_inner
+from permlin.linalg import numeric_rank, realize, tie_slack
 from permlin.oracles import (
     AGREEMENT_TOL,
     als_low_rank,
@@ -36,12 +36,14 @@ from permlin.oracles import (
     dense_base_change,
     projection_fit_equivariant,
     score_components,
+    unrealize,
+    weighted_inner,
 )
 from permlin.optimize import (
-    eckart_young,
     ed_degrees,
     fit_equivariant,
     fit_rank_bounded,
+    solve_equivariant,
     weighted_eckart_young,
 )
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation
@@ -60,8 +62,8 @@ def listed(fit, p, r, limit=None):
 def sel_to_target(x, y, ridge=None):
     """(U, W) with argmin ||M X - Y||_F^2 = argmin ||M - U||_W^2: U is the
     full-rank solution of `weighted_eckart_young`, W = X X^T (+ ridge * Id)."""
-    fit = weighted_eckart_young(x, y, ridge)
-    return fit.build(len(fit.svals)), x @ x.T + (ridge or 0.0) * np.eye(len(x))
+    decoder, encoder = weighted_eckart_young(x, y, ridge).factors(len(x))
+    return decoder @ encoder, x @ x.T + (ridge or 0.0) * np.eye(len(x))
 
 
 def fit_realization_block(u_block, x_block, r):
@@ -71,37 +73,43 @@ def fit_realization_block(u_block, x_block, r):
     x_block = np.asarray(x_block, dtype=float)
     xc = x_block[0::2] + 1j * x_block[1::2]
     y_block = u_block @ x_block
-    fit = weighted_eckart_young(xc, y_block[0::2] + 1j * y_block[1::2])
-    return realize(fit.build(r))
+    decoder, encoder = weighted_eckart_young(xc, y_block[0::2] + 1j * y_block[1::2]).factors(r)
+    return realize(decoder @ encoder)
+
+
+def truncation(u, r):
+    """The closest rank <= r matrix to u with its `BlockFit`: weighted
+    Eckart-Young with X = I is plain Eckart-Young."""
+    fit = weighted_eckart_young(np.eye(u.shape[1]), u)
+    decoder, encoder = fit.factors(r)
+    return decoder @ encoder, fit.block_fit(("dense", 0, 0), r)
 
 
 class TestEckartYoung:
     def test_diagonal_truncation(self):
-        res = eckart_young(np.diag([3.0, 2.0, 1.0]), 2)
-        assert np.allclose(res.truncated, np.diag([3.0, 2.0, 0.0]))
-        assert res.kept == (3.0, 2.0) and res.dropped == (1.0,)
+        truncated, blk = truncation(np.diag([3.0, 2.0, 1.0]), 2)
+        assert np.allclose(truncated, np.diag([3.0, 2.0, 0.0]))
+        assert blk.kept == (3.0, 2.0) and blk.dropped == (1.0,)
 
     def test_full_rank_unchanged(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((3, 4))
-        assert np.linalg.norm(eckart_young(m, 3).truncated - m) <= 1e-12
+        assert np.linalg.norm(truncation(m, 3)[0] - m) <= 1e-12
 
     def test_rank1_matches_als(self):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((3, 3))
-        res = eckart_young(m, 1)
-        loss = np.linalg.norm(res.truncated - m) ** 2
+        loss = np.linalg.norm(truncation(m, 1)[0] - m) ** 2
         oracle = als_low_rank(1, restarts=100, u=m, seed=0)
         assert abs(loss - oracle) <= 1e-6
 
     def test_boundary_tie_flag(self):
-        res = eckart_young(np.diag([2.0, 1.0, 1.0]), 2)
-        assert res.boundary_tie
-        assert not eckart_young(np.diag([2.0, 1.0, 0.5]), 2).boundary_tie
+        assert truncation(np.diag([2.0, 1.0, 1.0]), 2)[1].boundary_tie
+        assert not truncation(np.diag([2.0, 1.0, 0.5]), 2)[1].boundary_tie
 
     def test_boundary_tie_flag_ignores_scale(self):
         u = np.random.default_rng(7).standard_normal((6, 6))
-        flags = {eckart_young(c * u, 3).boundary_tie for c in (1e-10, 1.0, 1e6)}
+        flags = {truncation(c * u, 3)[1].boundary_tie for c in (1e-10, 1.0, 1e6)}
         assert flags == {False}
 
     def test_all_critical_count_and_distinct_losses(self):
@@ -172,7 +180,7 @@ class TestFitRankBounded:
         y = rng.standard_normal((6, 6))
         fit = fit_rank_bounded(x, y, 2)
         u, _ = sel_to_target(x, y)
-        assert np.linalg.norm(fit.minimizer - eckart_young(u, 2).truncated) <= 1e-9
+        assert np.linalg.norm(fit.minimizer - truncation(u, 2)[0]) <= 1e-9
 
     def test_matches_als_oracle(self):
         rng = np.random.default_rng(9)
@@ -295,6 +303,21 @@ class TestFitEquivariant:
         assert fit.loss <= 1e-8
         assert fit.component.values == rvec.values
         assert classify_component(fit.minimizer, ROT9).values == rvec.values
+
+    def test_one_solve_reads_every_rank(self):
+        """Reading one solve at several ranks gives the fits of separate
+        calls, each held as n x r and r x n factors, r the total rank."""
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((9, 25))
+        y = rng.standard_normal((9, 25))
+        solve = solve_equivariant(x, y, ROT9)
+        for r in (0, 3, 5, 3):
+            fit = solve.fit(r)
+            assert fit.component.total_rank == r
+            assert fit.decoder.shape == (9, r) and fit.encoder.shape == (r, 9)
+            again = fit_equivariant(x, y, ROT9, r)
+            assert (again.loss, again.component, again.per_block) == (fit.loss, fit.component, fit.per_block)
+            assert np.array_equal(again.minimizer, fit.minimizer)
 
     def test_search_returns_best_of_candidates(self):
         rng = np.random.default_rng(17)
@@ -424,6 +447,7 @@ class TestFitEquivariant:
         y = rng.standard_normal((9, 30))
         fit = fit_equivariant(x, y, ROT9, 3)
         B = bc.conjugate(fit.minimizer)
+        q, q_inv = dense_base_change(bc)
         eps = 1e-3
         for _ in range(200):
             g1 = np.zeros((9, 9))
@@ -438,7 +462,7 @@ class TestFitEquivariant:
                     g1[sl, sl] = rng.standard_normal((blk.size, blk.size))
                     g2[sl, sl] = rng.standard_normal((blk.size, blk.size))
             Bp = (np.eye(9) + eps * g1) @ B @ (np.eye(9) + eps * g2)
-            Mp = bc.unconjugate(Bp)
+            Mp = q @ Bp @ q_inv
             loss = float(np.linalg.norm(Mp @ x - y) ** 2)
             assert loss >= fit.loss - 1e-9
 
@@ -651,6 +675,30 @@ def test_minimizer_is_built_on_first_read():
     m = fit.minimizer
     assert fit.minimizer is m
     assert_agree(m, fit.loss, *projection_fit_equivariant(x, y, small, 5)[:2], y)
+
+
+def test_fits_pickle():
+    """A fit holds arrays, not a closure, so every kind round-trips through
+    pickle, before and after its minimizer is first read."""
+    import pickle
+
+    from permlin.invariant import fit_invariant, invariant_space
+
+    rng = np.random.default_rng(46)
+    x = rng.standard_normal((9, 30))
+    y = rng.standard_normal((9, 30))
+    fits = {
+        "dense": fit_rank_bounded(x, y, 3),
+        "equivariant": fit_equivariant(x, y, ROT9, 3),
+        "invariant": fit_invariant(x, y, invariant_space([ROT9], 9, 9, 2)),
+    }
+    for name, fit in fits.items():
+        for _ in range(2):
+            restored = pickle.loads(pickle.dumps(fit))
+            assert restored == fit, name
+            assert np.array_equal(restored.decoder, fit.decoder), name
+            assert np.array_equal(restored.encoder, fit.encoder), name
+            assert np.array_equal(restored.minimizer, fit.minimizer), name
 
 
 def test_exact_search_at_image_scale():

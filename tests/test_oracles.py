@@ -5,6 +5,7 @@ from permlin.equivariant import count_components, enumerate_components
 from permlin.errors import SizeCapError
 from permlin.optimize import fit_equivariant
 from permlin.oracles import (
+    MAX_COUNT_CENSUS,
     als_low_rank,
     block_tails,
     nullspace_commutant_dim,
@@ -46,6 +47,31 @@ class TestRecursiveCount:
         spec = BlockSpectrum.from_cycle_lengths([31])
         with pytest.raises(SizeCapError):
             recursive_component_count(spec, 3, "real")
+
+    def test_calls_are_bounded_by_the_census(self, monkeypatch):
+        # rank 97 of n=180: without the cut on what the later blocks can hold,
+        # the recursion would walk every prefix whose sum stays below 97
+        from permlin import oracles
+
+        calls = [0]
+        rank_vectors = oracles._rank_vectors
+
+        def counted(blocks, r):
+            calls[0] += 1
+            return rank_vectors(blocks, r)
+
+        monkeypatch.setattr(oracles, "_rank_vectors", counted)
+        spec = BlockSpectrum.from_cycle_lengths([6] * 30)
+        census = count_components(spec, 97, "real")
+        assert recursive_component_count(spec, 97, "real") == census == 12056
+        assert calls[0] <= 1 + len(spec.real_blocks) * census
+
+    def test_census_cap(self):
+        # 8 complex blocks of bound 30, within the other caps; 62,799,979 components
+        spec = BlockSpectrum.from_cycle_lengths([8] * 30)
+        assert count_components(spec, 40, "complex") > MAX_COUNT_CENSUS
+        with pytest.raises(SizeCapError):
+            recursive_component_count(spec, 40, "complex")
 
 
 class TestScoreComponents:

@@ -13,9 +13,13 @@ from permlin.perms import (
     induced_partition,
     parse_permutation,
     permutation_matrix,
-    refines,
     replication_matrix,
 )
+
+
+def refines(fine, coarse):
+    """True iff every block of `fine` lies inside one block of `coarse`."""
+    return all(len({coarse.labels[x - 1] for x in block}) == 1 for block in fine.blocks)
 
 
 class TestParse:
@@ -84,7 +88,10 @@ class TestPartition:
         p = parse_permutation("(1 2 3 4 5 6)(7 8)", 8)
         base = induced_partition(cycle_decomposition(p))
         for t in (1, 5, 7):  # coprime to ord = 6
-            assert induced_partition(cycle_decomposition(p.power(t))) == base
+            image = p.image
+            for _ in range(t - 1):
+                image = tuple(p(j) for j in image)
+            assert induced_partition(cycle_decomposition(Permutation(p.n, image))) == base
 
 
 class TestPermutationMatrix:
@@ -109,7 +116,8 @@ class TestPermutationMatrix:
             p = Permutation(7, img)
             P = permutation_matrix(p)
             assert np.array_equal(P @ P.T, np.eye(7, dtype=np.int64))
-            assert np.array_equal(P @ permutation_matrix(p.inverse()), np.eye(7, dtype=np.int64))
+            inverse = Permutation(7, tuple(int(j) + 1 for j in np.argsort(img)))
+            assert np.array_equal(P @ permutation_matrix(inverse), np.eye(7, dtype=np.int64))
 
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(1)

@@ -13,7 +13,7 @@ from .perms import (
     finest_common_coarsening,
     replication_matrix,
 )
-from .linalg import svd, numeric_rank, circulant, realize
+from .linalg import svd, numeric_rank, realize
 from .spectral import (
     BlockSpectrum,
     BaseChange,

@@ -99,12 +99,10 @@ def _component_arg(text, spec):
 
 
 def _block_layout_json(spec):
-    real, offs = [], spec.real_offsets()
-    for b, off in zip(spec.real_blocks, offs):
-        real.append({"kind": b.kind, "l": b.l, "m": b.m, "size": b.size,
-                     "rows": b.rows, "offset": off})
+    real = [{"kind": b.kind, "l": b.l, "m": b.m, "size": b.size, "rows": b.rows, "offset": off}
+            for b, off in zip(spec.real_blocks, spec.offsets("real"))]
     cplx = [{"l": b.l, "m": b.m, "size": b.size, "offset": off}
-            for b, off in zip(spec.complex_blocks, spec.complex_offsets())]
+            for b, off in zip(spec.complex_blocks, spec.offsets("complex"))]
     return {"complex_blocks": cplx, "real_blocks": real}
 
 
@@ -270,7 +268,7 @@ def cmd_factorize(args):
             "tilde_decoder": matio.matrix_to_json_obj(par.tilde_decoder),
             "tilde_encoder": matio.matrix_to_json_obj(par.tilde_encoder),
             "weight_sharing": _weight_report_json(par.pattern),
-            "free_parameters": equivariant.free_parameter_count(spec, rvec),
+            "free_parameters": equivariant.free_parameter_count(rvec),
         }
     _emit(payload, args.out)
     return 0
@@ -290,9 +288,8 @@ def cmd_verify(args):
     if len(gens) == 1:
         spec = _spectrum_of(gens[0])
         for field in ("complex", "real"):
-            blocks = spec.complex_blocks if field == "complex" else spec.real_blocks
             fast = equivariant.count_components(spec, args.rank, field)
-            if len(blocks) <= oracles.MAX_COUNT_BLOCKS and fast <= oracles.MAX_COUNT_CENSUS:
+            if len(spec.blocks(field)) <= oracles.MAX_COUNT_BLOCKS and fast <= oracles.MAX_COUNT_CENSUS:
                 slow = oracles.recursive_component_count(spec, args.rank, field)
                 checks.append({"check": f"component_count_{field}", "fast": str(fast),
                                "oracle": str(slow), "ok": bool(fast == slow)})
@@ -347,18 +344,15 @@ def cmd_demo_shift(args):
     solve = optimize.solve_equivariant(X, X, sigma)
     best = solve.fit(r, heuristic="energy")
 
-    blocks = [(b.kind, b.size, b.rank_multiplier) for b in spec.real_blocks]
-    unit = sum(1 for _, _, mult in blocks if mult == 1)
-    pair = len(blocks) - unit
-    c = max(1, r // (unit + 2 * pair))
-    equal_vals = [min(c, b.size) for b in spec.real_blocks]
-    equal_rvec = equivariant.make_rank_vector(spec, "real", equal_vals)
+    blocks = spec.real_blocks
+    c = max(1, r // sum(b.rank_multiplier for b in blocks))
+    equal_rvec = equivariant.make_rank_vector(spec, "real", [min(c, b.size) for b in blocks])
     equal = solve.fit(equal_rvec.total_rank, component=equal_rvec)
 
     # high-pass: zero rank on the low-frequency half of the blocks (by angle),
     # full rank on the rest
     angles = []
-    for b in spec.real_blocks:
+    for b in blocks:
         ang = 0.0 if b.kind == "real_plus" else (
             np.pi if b.kind == "real_minus" else 2 * np.pi * (b.l - b.m) / b.l)
         angles.append(ang)
@@ -366,7 +360,7 @@ def cmd_demo_shift(args):
     cut = len(order) // 2
     high_vals = [0] * len(blocks)
     for i in order[cut:]:
-        high_vals[i] = spec.real_blocks[i].size
+        high_vals[i] = blocks[i].size
     high_rvec = equivariant.make_rank_vector(spec, "real", high_vals)
     high = solve.fit(high_rvec.total_rank, component=high_rvec)
 
@@ -388,7 +382,7 @@ def cmd_demo_shift(args):
         },
         "free_parameters": {
             "dense": 2 * r * sigma.n,
-            "equivariant_energy": equivariant.free_parameter_count(spec, best.component),
+            "equivariant_energy": equivariant.free_parameter_count(best.component),
         },
         "components": {
             "equivariant_energy": list(best.component.values),

@@ -12,11 +12,18 @@ irreducible components, one per admissible rank vector
     r_{1,1} + r_{2,1} + sum over pairs of 2 r_{l,m} = r,   0 <= r_{l,m} <= d_l
 
 (over C the equation is the plain sum over all phi(l) eigenvalue groups).
+
+A `RankVector` carries the blocks of the spectrum it was made on, so its
+total rank, dimension, degree and parameter count are each one sum over its
+(block, rank) pairs, read from the block's size d_l and `rank_multiplier`,
+with no spectrum passed beside it.  A rank vector of another spectrum is
+rejected wherever a permutation's component is read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -32,7 +39,7 @@ from .errors import (
 )
 from .linalg import STRUCTURE_TOL, rank_threshold, realize, require_finite, svdvals
 from .perms import Permutation, cycle_decomposition, induced_partition, join_labels
-from .spectral import BaseChange, BlockSpectrum, RealBlock, real_base_change
+from .spectral import BaseChange, Block, BlockSpectrum, real_base_change
 
 __all__ = [
     "RankVector",
@@ -61,48 +68,46 @@ __all__ = [
 class RankVector:
     """Per-block rank allocation labeling one irreducible component.
 
-    Entries follow the canonical block order of BlockSpectrum for the given
-    field.  Over R the total rank counts complex-pair entries twice.
+    `values` holds one rank per block of `blocks`, the field's canonical
+    block list of the spectrum it was made on (`make_rank_vector`).  The
+    blocks travel with the values, so no reader needs the spectrum, and a
+    rank vector of another spectrum compares unequal and is rejected where
+    a permutation's component is read.
     """
 
     field: str
-    entries: tuple[tuple[int, int, int], ...]  # (l, m, r_{l,m})
+    blocks: tuple[Block, ...] = field(repr=False)
+    values: tuple[int, ...]
 
     @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(r for (_, _, r) in self.entries)
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        """(l, m, r_{l,m}) per block."""
+        return tuple((b.l, b.m, r) for b, r in zip(self.blocks, self.values))
 
     @property
     def total_rank(self) -> int:
-        if self.field == "complex":
-            return sum(self.values)
-        total = 0
-        for (l, m, r) in self.entries:
-            total += 2 * r if l >= 3 else r
-        return total
-
-
-def _field_blocks(spec: BlockSpectrum, field: str) -> list[tuple[int, int, int, int]]:
-    """(l, m, bound d_l, rank multiplier) per canonical block of the field."""
-    if field == "complex":
-        return [(b.l, b.m, b.size, 1) for b in spec.complex_blocks]
-    if field == "real":
-        return [(b.l, b.m, b.size, b.rank_multiplier) for b in spec.real_blocks]
-    raise ComponentError(f"unknown field {field!r}")
+        return sum(b.rank_multiplier * r for b, r in zip(self.blocks, self.values))
 
 
 def make_rank_vector(spec: BlockSpectrum, field: str, values: Sequence[int]) -> RankVector:
-    """Validate values against the spectrum's canonical block order."""
-    blocks = _field_blocks(spec, field)
+    """Validate values against the spectrum's canonical block order:
+    ComponentError unless each is an integer (numpy integers included,
+    booleans not) in 0..d_l of its block."""
+    blocks = spec.blocks(field)
     if len(values) != len(blocks):
         raise ComponentError(f"expected {len(blocks)} block ranks, got {len(values)}")
-    entries = []
-    for v, (l, m, d, _mult) in zip(values, blocks):
-        v = int(v)
-        if not 0 <= v <= d:
-            raise ComponentError(f"rank {v} for block ({l},{m}) outside 0..{d}")
-        entries.append((l, m, v))
-    return RankVector(field, tuple(entries))
+    checked = []
+    for v, b in zip(values, blocks):
+        try:
+            t = operator.index(v)  # checked, not coerced: 1.9 and "1" raise TypeError
+        except TypeError:
+            t = None
+        if t is None or isinstance(v, bool):
+            raise ComponentError(f"rank {v!r} for block ({b.l},{b.m}) is not an integer")
+        if not 0 <= t <= b.size:
+            raise ComponentError(f"rank {t} for block ({b.l},{b.m}) outside 0..{b.size}")
+        checked.append(t)
+    return RankVector(field, blocks, tuple(checked))
 
 
 @dataclass(frozen=True)
@@ -122,31 +127,21 @@ def determinantal_degree(m: int, n: int, r: int) -> int:
     return deg
 
 
-def component_dimension(spec: BlockSpectrum, rvec: RankVector) -> int:
-    blocks = _field_blocks(spec, rvec.field)
-    dim = 0
-    for (_, _, r), (_, _, d, mult) in zip(rvec.entries, blocks):
-        dim += mult * (2 * d - r) * r
-    return dim
+def component_dimension(rvec: RankVector) -> int:
+    return sum(b.rank_multiplier * (2 * b.size - r) * r for b, r in zip(rvec.blocks, rvec.values))
 
 
-def component_degree_complex(spec: BlockSpectrum, rvec: RankVector) -> int:
+def component_degree_complex(rvec: RankVector) -> int:
     if rvec.field != "complex":
         raise ComponentError("degree formula is proven for complex components only")
-    deg = 1
-    for (_, _, r), b in zip(rvec.entries, spec.complex_blocks):
-        deg *= determinantal_degree(b.size, b.size, r)
-    return deg
+    return math.prod(determinantal_degree(b.size, b.size, r) for b, r in zip(rvec.blocks, rvec.values))
 
 
-def describe_component(spec: BlockSpectrum, rvec: RankVector) -> ComponentDescriptor:
-    blocks = _field_blocks(spec, rvec.field)
-    shapes = []
-    for (l, _, r), (_, _, d, mult) in zip(rvec.entries, blocks):
-        kind = "realization" if (rvec.field == "real" and mult == 2) else "determinantal"
-        shapes.append((kind, d, r))
-    degree = component_degree_complex(spec, rvec) if rvec.field == "complex" else None
-    return ComponentDescriptor(rvec, component_dimension(spec, rvec), degree, tuple(shapes))
+def describe_component(rvec: RankVector) -> ComponentDescriptor:
+    shapes = tuple(("realization" if b.kind == "complex_pair" else "determinantal", b.size, r)
+                   for b, r in zip(rvec.blocks, rvec.values))
+    degree = component_degree_complex(rvec) if rvec.field == "complex" else None
+    return ComponentDescriptor(rvec, component_dimension(rvec), degree, shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +150,17 @@ def describe_component(spec: BlockSpectrum, rvec: RankVector) -> ComponentDescri
 
 def count_components(spec: BlockSpectrum, r: int, field: str) -> int:
     """Number of admissible rank vectors, exact, by bounded-composition DP."""
+    blocks = spec.blocks(field)
     if not 0 <= r <= spec.n:  # the total rank never exceeds n
         return 0
-    blocks = _field_blocks(spec, field)
     ways = [0] * (r + 1)
     ways[0] = 1
-    for (_, _, d, mult) in blocks:
+    for b in blocks:
+        mult = b.rank_multiplier
         new = [0] * (r + 1)
         for j, w in enumerate(ways):
             if w:
-                top = min(d, (r - j) // mult)
-                for t in range(top + 1):
+                for t in range(min(b.size, (r - j) // mult) + 1):
                     new[j + t * mult] += w
         ways = new
     return ways[r]
@@ -185,26 +180,25 @@ def enumerate_components(
         total = count_components(spec, r, field)
         if total > limit:
             raise SearchLimitError(f"{total} components exceed the limit {limit}; raise it or pick a component")
-    blocks = _field_blocks(spec, field)
+    blocks = spec.blocks(field)
     suffix_max = [0] * (len(blocks) + 1)
     for i in range(len(blocks) - 1, -1, -1):
-        (_, _, d, mult) = blocks[i]
-        suffix_max[i] = suffix_max[i + 1] + d * mult
+        suffix_max[i] = suffix_max[i + 1] + blocks[i].rows
 
     def rec(i: int, remaining: int):
         if i == len(blocks):
             if remaining == 0:
                 yield ()
             return
-        (_, _, d, mult) = blocks[i]
-        for t in range(min(d, remaining // mult), -1, -1):
+        mult = blocks[i].rank_multiplier
+        for t in range(min(blocks[i].size, remaining // mult), -1, -1):
             rest = remaining - t * mult
             if rest <= suffix_max[i + 1]:
                 for tail in rec(i + 1, rest):
                     yield (t,) + tail
 
     for values in rec(0, r):
-        yield describe_component(spec, make_rank_vector(spec, field, values))
+        yield describe_component(RankVector(field, blocks, values))
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +274,6 @@ def is_equivariant(m: np.ndarray, p: Permutation, tol: float = STRUCTURE_TOL) ->
 # classification and parameterization
 
 
-def _require_real(rvec: RankVector) -> None:
-    if rvec.field != "real":
-        raise ComponentError("a real-admissible rank vector is required")
-
-
 def classify_component(
     m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None
 ) -> RankVector:
@@ -294,9 +283,10 @@ def classify_component(
     block on the realization pattern.  EquivarianceError when the mass off
     that structure exceeds STRUCTURE_TOL * ||M||_F: first the off-block mass
     alone, then with each pair block's distance to the pattern added.
-    Complex-pair block ranks are halved.  An odd rank there, read between the
-    two checks, raises StructuralError: a realization has even rank, so it
-    certifies the matrix lies outside every real component.
+    Each block rank is divided by its rank multiplier, so complex-pair ranks
+    are halved.  An odd rank there, read between the two checks, raises
+    StructuralError: a realization has even rank, so it certifies the matrix
+    lies outside every real component.
     """
     m = np.asarray(m, dtype=float)
     bc = base_change if base_change is not None else real_base_change(p)
@@ -324,13 +314,11 @@ def classify_component(
     values = []
     for blk, s in zip(bc.spectrum.real_blocks, svals):
         rank = int(np.sum(s > threshold))
-        if blk.kind == "complex_pair":
-            if rank % 2:
-                raise StructuralError(
-                    f"block ({blk.l},{blk.m}) has odd rank {rank}; not in any real component"
-                )
-            rank //= 2
-        values.append(rank)
+        if rank % blk.rank_multiplier:
+            raise StructuralError(
+                f"block ({blk.l},{blk.m}) has odd rank {rank}; not in any real component"
+            )
+        values.append(rank // blk.rank_multiplier)
     mass = math.sqrt(dev**2 + pattern)
     if mass > bound:
         raise EquivarianceError(
@@ -388,16 +376,16 @@ def parameterize_component(
     pair blocks, then realized), placed block-diagonally in the Q basis and
     conjugated back.  Missing factors are sampled unit-normal from `rng`.
     """
-    _require_real(rvec)
     bc = base_change if base_change is not None else real_base_change(p)
     spec = bc.spectrum
-    make_rank_vector(spec, "real", rvec.values)  # bounds check against this spectrum
+    if rvec.blocks != spec.real_blocks:
+        raise ComponentError(f"{rvec} is not a real component of this permutation")
     if rng is None and factors is None:  # numpy.random costs 5 MB of RSS to load
         rng = np.random.default_rng(0)
     D = np.zeros((spec.n, rvec.total_rank))
     E = np.zeros((rvec.total_rank, spec.n))
     col = 0
-    for idx, (blk, sl, (_, _, rb)) in enumerate(zip(spec.real_blocks, bc.block_slices, rvec.entries)):
+    for idx, (blk, sl, rb) in enumerate(zip(rvec.blocks, bc.block_slices, rvec.values)):
         if rb == 0:
             continue
         A, B = _block_factors(factors, idx, blk, rb, rng)
@@ -416,7 +404,7 @@ def _weight_sharing(rvec: RankVector, bc: BaseChange) -> WeightSharingReport:
     enc_groups: list[tuple] = []
     inactive: list[int] = []
     col = 0
-    for blk, sl, (_, _, rb) in zip(bc.spectrum.real_blocks, bc.block_slices, rvec.entries):
+    for blk, sl, rb in zip(rvec.blocks, bc.block_slices, rvec.values):
         if rb == 0:
             inactive.extend(range(sl.start, sl.stop))
             continue
@@ -440,7 +428,7 @@ def _tied(r0: int, c0: int, rows: int, cols: int, pair: bool) -> list[tuple]:
         ((r0 + 2 * i + 1, c0 + 2 * j, 1), (r0 + 2 * i, c0 + 2 * j + 1, -1)))]
 
 
-def _block_factors(factors, idx: int, blk: RealBlock, rb: int, rng):
+def _block_factors(factors, idx: int, blk: Block, rb: int, rng):
     d = blk.size
     if factors is not None:
         A, B = factors[idx]
@@ -457,15 +445,12 @@ def _block_factors(factors, idx: int, blk: RealBlock, rb: int, rng):
     return rng.standard_normal((d, rb)), rng.standard_normal((rb, d))
 
 
-def free_parameter_count(spec: BlockSpectrum, rvec: RankVector) -> int:
+def free_parameter_count(rvec: RankVector) -> int:
     """Free parameters of the encoder+decoder pair for a real component.
 
     Real blocks contribute 2 d r (two d x r factors), pair blocks 4 d r
     (two complex d x r factors, two reals per entry).
     """
-    _require_real(rvec)
-    total = 0
-    for blk, (_, _, rb) in zip(spec.real_blocks, rvec.entries):
-        per_factor = 2 * blk.size * rb if blk.kind == "complex_pair" else blk.size * rb
-        total += 2 * per_factor
-    return total
+    if rvec.field != "real":
+        raise ComponentError("a real-admissible rank vector is required")
+    return sum(2 * b.rows * r for b, r in zip(rvec.blocks, rvec.values))

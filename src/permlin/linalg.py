@@ -1,5 +1,5 @@
 """Dense linear-algebra primitives: the guarded decompositions, numerical
-rank, circulants and the complex-to-real realization embedding.
+rank and the complex-to-real realization embedding.
 
 All routines work on plain numpy arrays; real matrices are float64, complex
 ones complex128.
@@ -53,7 +53,6 @@ __all__ = [
     "eigh",
     "numeric_rank",
     "rank_threshold",
-    "circulant",
     "realize",
     "DEFAULT_TOL",
     "TIE_TOL",
@@ -116,13 +115,6 @@ def numeric_rank(m: np.ndarray) -> int:
         return 0
     s = svdvals(m)
     return int(np.sum(s > rank_threshold(s[0], m.shape)))
-
-
-def circulant(v) -> np.ndarray:
-    """C_n(v): first row is v, each next row the previous shifted one step right."""
-    v = np.asarray(v)
-    n = v.shape[0]
-    return np.stack([np.roll(v, i) for i in range(n)])
 
 
 def realize(z: np.ndarray) -> np.ndarray:

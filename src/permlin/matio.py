@@ -1,7 +1,8 @@
 """Matrix file formats: CSV (one row per line, comma separated, complex
 entries as "a+bi") and the JSON object {"rows": m, "cols": n, "data": [...]}
-with row-major data.  Floats are written with their shortest round-trip
-representation, so decimal-representable values survive CSV <-> JSON exactly.
+with row-major data.  Both are read; the CLI writes the JSON object, floats
+with their shortest round-trip representation, so decimal-representable
+values survive CSV -> JSON exactly.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from .errors import MatrixFormatError, NonFiniteError, SizeMismatchError
 
 __all__ = [
     "read_matrix",
-    "write_matrix_csv",
-    "write_matrix_json",
     "matrix_to_json_obj",
     "matrix_from_json_obj",
 ]
@@ -79,12 +78,6 @@ def read_matrix(path) -> np.ndarray:
     return arr
 
 
-def write_matrix_csv(path, m: np.ndarray) -> None:
-    m = np.atleast_2d(np.asarray(m))
-    lines = [",".join(_format_entry(v) for v in row) for row in m]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def matrix_to_json_obj(m: np.ndarray) -> dict:
     m = np.atleast_2d(np.asarray(m))
     if np.iscomplexobj(m):
@@ -106,7 +99,3 @@ def matrix_from_json_obj(obj: dict) -> np.ndarray:
     vals = [_parse_entry(v) if isinstance(v, str) else complex(v) for v in data]
     arr = np.array(vals, dtype=complex).reshape(rows, cols)
     return arr.real.copy() if np.all(arr.imag == 0.0) else arr
-
-
-def write_matrix_json(path, m: np.ndarray) -> None:
-    Path(path).write_text(json.dumps(matrix_to_json_obj(m), indent=2, sort_keys=True) + "\n")

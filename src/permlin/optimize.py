@@ -320,8 +320,8 @@ class EquivariantSolve:
         tails = [s.tails for s in self.solves]
         search_gap = None
         if component is not None:
-            if component.field != "real":
-                raise ComponentError("fit_equivariant needs a real-admissible rank vector")
+            if component.blocks != blocks:
+                raise ComponentError(f"{component} is not a real component of this permutation")
             values, source = component.values, "named"
         elif heuristic is None:
             values, source = _best_component(blocks, tails, r, self.slack)[0], "search"
@@ -331,7 +331,7 @@ class EquivariantSolve:
             search_gap = max(0.0, sum(tail[t] for tail, t in zip(tails, values)) - optimum)
         else:
             raise ComponentError(f"unknown heuristic {heuristic!r}")
-        rvec = make_rank_vector(spec, "real", values)
+        rvec = component if component is not None else make_rank_vector(spec, "real", values)
         if rvec.total_rank != r:  # a named component; the search and the heuristic meet r
             raise ComponentError(f"component has total rank {rvec.total_rank}, expected {r}")
 

@@ -31,7 +31,7 @@ from .errors import (ComponentError, IndefiniteError, SearchLimitError, SizeCapE
                      SizeMismatchError, StructuralError)
 from .linalg import realize, require_finite, tie_slack
 from .perms import Permutation, cycle_decomposition, permutation_matrix
-from .spectral import BaseChange, BlockSpectrum, real_base_change
+from .spectral import BaseChange, Block, BlockSpectrum, real_base_change
 
 __all__ = [
     "nullspace_commutant_dim",
@@ -93,30 +93,22 @@ def nullspace_commutant_dim(gens: Sequence[Permutation]) -> int:
     return n * n - np.linalg.matrix_rank(system, tol=NULLSPACE_RANK_TOL)
 
 
-def _blocks(spec: BlockSpectrum, field: str) -> list[tuple[int, int]]:
-    """(bound d_l, rank multiplier) per canonical block of the field."""
-    if field == "complex":
-        return [(b.size, 1) for b in spec.complex_blocks]
-    if field == "real":
-        return [(b.size, b.rank_multiplier) for b in spec.real_blocks]
-    raise SizeMismatchError(f"unknown field {field!r}")
-
-
-def _rank_vectors(blocks: Sequence[tuple[int, int]], r: int) -> Iterator[tuple[int, ...]]:
-    """Every (t_b) with 0 <= t_b <= d_b and sum_b mult_b t_b = r, for blocks
-    (d_b, mult_b), by plain recursion in descending lexicographic order.
-    A branch is entered only when the later blocks can make up the rest of r
-    (at most their capacity, and even if all have mult 2): with d_b >= 1 and
-    mult_b in {1, 2} that is exact, so every call but the first lies on the
-    way to a rank vector and the calls number at most 1 + blocks * census."""
+def _rank_vectors(blocks: Sequence[Block], r: int) -> Iterator[tuple[int, ...]]:
+    """Every (t_b) with 0 <= t_b <= d_b and sum_b mult_b t_b = r, by plain
+    recursion in descending lexicographic order.  A branch is entered only
+    when the later blocks can make up the rest of r (at most their capacity,
+    and even if all have mult 2): with d_b >= 1 and mult_b in {1, 2} that is
+    exact, so every call but the first lies on the way to a rank vector and
+    the calls number at most 1 + blocks * census."""
     if not blocks:
         if r == 0:
             yield ()
         return
-    (d, mult), rest = blocks[0], blocks[1:]
-    room = sum(size * m for size, m in rest)
-    step = min((m for _, m in rest), default=1)
-    for t in range(min(d, r // mult), -1, -1):
+    first, rest = blocks[0], blocks[1:]
+    mult = first.rank_multiplier
+    room = sum(b.rows for b in rest)
+    step = min((b.rank_multiplier for b in rest), default=1)
+    for t in range(min(first.size, r // mult), -1, -1):
         left = r - t * mult
         if left <= room and left % step == 0:
             for tail in _rank_vectors(rest, left):
@@ -126,7 +118,7 @@ def _rank_vectors(blocks: Sequence[tuple[int, int]], r: int) -> Iterator[tuple[i
 def recursive_component_count(spec: BlockSpectrum, r: int, field: str) -> int:
     """Admissible rank vectors counted one by one (no DP table), capped by
     block count and by census size (`count_components`)."""
-    blocks = _blocks(spec, field)
+    blocks = spec.blocks(field)
     if len(blocks) > MAX_COUNT_BLOCKS:
         raise SizeCapError(f"counting oracle capped at {MAX_COUNT_BLOCKS} blocks, got {len(blocks)}")
     if count_components(spec, r, field) > MAX_COUNT_CENSUS:
@@ -201,7 +193,7 @@ def score_components(
         if total > limit:
             raise SearchLimitError(f"{total} components exceed the limit {limit}; raise it or pick a component")
     return tuple((values, _component_loss(tails, constant, values))
-                 for values in _rank_vectors(_blocks(spec, "real"), r))
+                 for values in _rank_vectors(spec.real_blocks, r))
 
 
 def _component_loss(tails, constant: float, values: Sequence[int]) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,10 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
+        # checked, not coerced: numpy integers pass, floats and booleans do not
+        bad = [v for v in (self.n, *self.image) if not isinstance(v, Integral) or isinstance(v, bool)]
+        if bad:
+            raise PermParseError(f"ground-set size and image entries must be integers, got {bad[0]!r}")
         if self.n <= 0:
             raise PermParseError(f"ground-set size must be positive, got {self.n}")
         if len(self.image) != self.n or sorted(self.image) != list(range(1, self.n + 1)):
@@ -51,15 +56,6 @@ class Permutation:
 
     def __call__(self, j: int) -> int:
         return self.image[j - 1]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-free application of P_sigma: (P x)_j = x_{sigma(j)}."""
-        idx = np.asarray(self.image) - 1
-        return np.asarray(x)[idx]
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(n, tuple(range(1, n + 1)))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,15 @@ roots of unity; d_l counts the cycles whose length l divides, and equals the
 multiplicity of every primitive l-th root of unity e^{2 pi i m / l} with
 gcd(m, l) = 1.
 
+Each eigenvalue group is one `Block` of size d_l: over C one per primitive
+root (kind "complex"); over R one real_plus block (eigenvalue 1), one
+real_minus block (eigenvalue -1, when some cycle has even length) and one
+complex_pair block per conjugate pair.  `Block.rank_multiplier` is the one
+rule for how much total rank a unit of block rank costs: 2 on a complex pair,
+whose realization doubles every rank, and 1 otherwise.
+`BlockSpectrum.blocks(field)` is the one place a field's block list is
+chosen, and `offsets(field)` gives each block's first coordinate.
+
 Two base changes are provided:
 
 * the complex one, T = T1 T2 T3: a cycle-sorting permutation T1 (after which P
@@ -45,12 +54,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SizeMismatchError
+from .errors import ComponentError, SizeMismatchError
 from .perms import CycleDecomposition, Permutation, cycle_decomposition
 
 __all__ = [
-    "ComplexBlock",
-    "RealBlock",
+    "Block",
     "BlockSpectrum",
     "BaseChange",
     "euler_phi",
@@ -66,20 +74,12 @@ def euler_phi(l: int) -> int:
 
 
 @dataclass(frozen=True)
-class ComplexBlock:
-    """One eigenvalue group e^{2 pi i m / l}, gcd(m, l) = 1, of multiplicity size = d_l."""
+class Block:
+    """One eigenvalue block, the unit a rank vector allots rank to.
 
-    l: int
-    m: int
-    size: int
-
-
-@dataclass(frozen=True)
-class RealBlock:
-    """One block of the real form: kind in {real_plus, real_minus, complex_pair}.
-
-    `size` is d_l; a complex_pair block spans 2 * size rows and contributes
-    2 * r to the total rank per unit of block rank r.
+    `kind` is "complex" for an eigenvalue group e^{2 pi i m / l} of the
+    complex form, and "real_plus", "real_minus" or "complex_pair" in the
+    real form.  `size` is d_l, the most rank the block can take.
     """
 
     kind: str
@@ -88,12 +88,13 @@ class RealBlock:
     size: int
 
     @property
-    def rows(self) -> int:
-        return 2 * self.size if self.kind == "complex_pair" else self.size
+    def rank_multiplier(self) -> int:
+        """Total rank per unit of block rank: 2 on a complex pair, else 1."""
+        return 2 if self.kind == "complex_pair" else 1
 
     @property
-    def rank_multiplier(self) -> int:
-        return 2 if self.kind == "complex_pair" else 1
+    def rows(self) -> int:
+        return self.rank_multiplier * self.size
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ class BlockSpectrum:
     k: int
     cycle_lengths: tuple[int, ...]
     multiplicities: dict[int, int]
-    complex_blocks: tuple[ComplexBlock, ...]
-    real_blocks: tuple[RealBlock, ...]
+    complex_blocks: tuple[Block, ...]
+    real_blocks: tuple[Block, ...]
 
     @staticmethod
     def from_cycle_lengths(lengths) -> "BlockSpectrum":
@@ -111,31 +112,26 @@ class BlockSpectrum:
         n = sum(lengths)
         ls = sorted({l for L in lengths for l in range(1, L + 1) if L % l == 0})
         d = {l: sum(1 for L in lengths if L % l == 0) for l in ls}
-        cplx = []
-        for l in ls:
-            for m in range(1, l + 1):
-                if math.gcd(m, l) == 1:
-                    cplx.append(ComplexBlock(l, m, d[l]))
-        real = [RealBlock("real_plus", 1, 1, d[1])]
+        cplx = [Block("complex", l, m, d[l]) for l in ls for m in range(1, l + 1) if math.gcd(m, l) == 1]
+        real = [Block("real_plus", 1, 1, d[1])]
         if 2 in d:
-            real.append(RealBlock("real_minus", 2, 1, d[2]))
-        for l in ls:
-            if l >= 3:
-                for m in range(l // 2 + 1, l):
-                    if math.gcd(m, l) == 1:
-                        real.append(RealBlock("complex_pair", l, m, d[l]))
+            real.append(Block("real_minus", 2, 1, d[2]))
+        real += [Block("complex_pair", l, m, d[l])
+                 for l in ls if l >= 3 for m in range(l // 2 + 1, l) if math.gcd(m, l) == 1]
         return BlockSpectrum(n, len(lengths), lengths, d, tuple(cplx), tuple(real))
 
-    def complex_offsets(self) -> list[int]:
-        offs, pos = [], 0
-        for b in self.complex_blocks:
-            offs.append(pos)
-            pos += b.size
-        return offs
+    def blocks(self, field: str) -> tuple[Block, ...]:
+        """The canonical block list of field "complex" or "real"."""
+        if field == "complex":
+            return self.complex_blocks
+        if field == "real":
+            return self.real_blocks
+        raise ComponentError(f"unknown field {field!r}")
 
-    def real_offsets(self) -> list[int]:
+    def offsets(self, field: str) -> list[int]:
+        """The first coordinate of each block of the field's layout."""
         offs, pos = [], 0
-        for b in self.real_blocks:
+        for b in self.blocks(field):
             offs.append(pos)
             pos += b.rows
         return offs

@@ -105,7 +105,7 @@ def test_criterion_4_parameter_accounting():
     assert par.decoder.shape == (784, 99) and par.encoder.shape == (99, 784)
     emitted = len(par.pattern.decoder_groups) + len(par.pattern.encoder_groups)
     assert emitted == 5544
-    assert free_parameter_count(spec, rvec) == 5544
+    assert free_parameter_count(rvec) == 5544
     dense = 2 * 99 * 784
     assert dense == 155_232
     print(f"ACCEPTANCE 4 PASS: shift-architecture rank vector yields has {emitted} free "
@@ -309,7 +309,7 @@ def test_criterion_8_structural_invariants():
         if not descs:
             continue
         rvec = descs[rng.integers(len(descs))].rank_vector
-        dim = component_dimension(spec, rvec)
+        dim = component_dimension(rvec)
         blocks = [(blk, rb) for blk, (_, _, rb) in zip(spec.real_blocks, rvec.entries)]
         sizes = []
         for blk, rb in blocks:

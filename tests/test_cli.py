@@ -19,6 +19,8 @@ from permlin.cli import main
 from permlin.perms import Permutation, cycle_decomposition
 from permlin.spectral import eigen_multiplicities
 
+from helpers import write_matrix_csv, write_matrix_json
+
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "permlin" / "schemas"
 BAD_JSON = ("[1, 2]", '{"rows": 1}', '{"rows": 1, "cols": 1, "data": [null]}', "{bad",
             '{"rows": -1, "cols": 1, "data": [1]}')
@@ -50,16 +52,16 @@ class TestMatio:
         m = np.array([[0.5, -1.25, 3.0], [2.0, 0.0, -0.875]])
         csv = tmp_path / "m.csv"
         js = tmp_path / "m.json"
-        matio.write_matrix_csv(csv, m)
+        write_matrix_csv(csv, m)
         back = matio.read_matrix(csv)
-        matio.write_matrix_json(js, back)
+        write_matrix_json(js, back)
         again = matio.read_matrix(js)
         assert np.array_equal(m, back) and np.array_equal(back, again)
 
     def test_complex_entries(self, tmp_path):
         m = np.array([[1 + 2j, -0.5j], [3.0 + 0j, -1 - 1j]])
         f = tmp_path / "z.csv"
-        matio.write_matrix_csv(f, m)
+        write_matrix_csv(f, m)
         assert np.array_equal(matio.read_matrix(f), m)
 
     def test_complex_token_forms(self, tmp_path):
@@ -152,7 +154,7 @@ class TestProjectFitFactorize:
         rng = np.random.default_rng(0)
         m = rng.standard_normal((9, 9))
         mfile = tmp_path / "m.csv"
-        matio.write_matrix_csv(mfile, m)
+        write_matrix_csv(mfile, m)
         out = tmp_path / "p.json"
         rc, payload = run_cli(["project", "--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9",
                                "--mode", "equivariant", "--matrix", str(mfile),
@@ -171,8 +173,8 @@ class TestProjectFitFactorize:
         x = rng.standard_normal((9, 20))
         y = rng.standard_normal((9, 20))
         xf, yf = tmp_path / "x.csv", tmp_path / "y.csv"
-        matio.write_matrix_csv(xf, x)
-        matio.write_matrix_csv(yf, y)
+        write_matrix_csv(xf, x)
+        write_matrix_csv(yf, y)
         out = tmp_path / "fit.json"
         rc, payload = run_cli(["fit", "--mode", "equivariant",
                                "--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9",
@@ -187,7 +189,7 @@ class TestProjectFitFactorize:
     def test_fit_rank_outside_census(self, tmp_path, capsys, rank):
         rng = np.random.default_rng(2)
         xf = tmp_path / "x.csv"
-        matio.write_matrix_csv(xf, rng.standard_normal((9, 20)))
+        write_matrix_csv(xf, rng.standard_normal((9, 20)))
         rc, _ = run_cli(["fit", "--mode", "equivariant", "--perm", "(1 4 3 2)(5 8 7 6)",
                          "--n", "9", "--rank", rank, "--x", str(xf), "--y", str(xf)])
         assert rc == 1
@@ -199,7 +201,7 @@ class TestProjectFitFactorize:
         rng = np.random.default_rng(4)
         m = rng.standard_normal((4, 5))
         mfile = tmp_path / "m.csv"
-        matio.write_matrix_csv(mfile, m)
+        write_matrix_csv(mfile, m)
         out = tmp_path / "p.json"
         rc, payload = run_cli(["project", "--perm", "(1 3 4)(2 5)", "--n", "5",
                                "--mode", "invariant", "--matrix", str(mfile),
@@ -214,8 +216,8 @@ class TestProjectFitFactorize:
         x = rng.standard_normal((9, 20))
         y = rng.standard_normal((9, 20))
         xf, yf = tmp_path / "x.csv", tmp_path / "y.csv"
-        matio.write_matrix_csv(xf, x)
-        matio.write_matrix_csv(yf, y)
+        write_matrix_csv(xf, x)
+        write_matrix_csv(yf, y)
         out = tmp_path / "fit.json"
         base = ["fit", "--mode", "equivariant", "--perm", "(1 4 3 2)(5 8 7 6)",
                 "--n", "9", "--rank", "3", "--x", str(xf), "--y", str(yf),
@@ -231,8 +233,8 @@ class TestProjectFitFactorize:
         x = rng.standard_normal((5, 15))
         y = rng.standard_normal((4, 15))
         xf, yf = tmp_path / "x.csv", tmp_path / "y.csv"
-        matio.write_matrix_csv(xf, x)
-        matio.write_matrix_csv(yf, y)
+        write_matrix_csv(xf, x)
+        write_matrix_csv(yf, y)
         out = tmp_path / "fit.json"
         rc, payload = run_cli(["fit", "--mode", "invariant",
                                "--perm", "(1 3 4)(2 5)", "--n", "5",
@@ -263,7 +265,7 @@ class TestProjectFitFactorize:
         space = invariant_space([__import__("permlin").parse_permutation("(1 3 4)(2 5)", 5)], 4, 5, 2)
         m = psi_expand(rng.standard_normal((4, 2)), space.partition)
         mfile = tmp_path / "m.csv"
-        matio.write_matrix_csv(mfile, m)
+        write_matrix_csv(mfile, m)
         out = tmp_path / "f.json"
         rc, payload = run_cli(["factorize", "--mode", "invariant",
                                "--perm", "(1 3 4)(2 5)", "--n", "5",
@@ -393,7 +395,7 @@ class TestVerifyDemo:
         par = parameterize_component(make_rank_vector(spec, "real", (3, 0, 0)), rot,
                                      rng=np.random.default_rng(0))
         mfile = tmp_path / "m.csv"
-        matio.write_matrix_csv(mfile, par.decoder @ par.encoder)
+        write_matrix_csv(mfile, par.decoder @ par.encoder)
         rc, _ = run_cli(["factorize", "--mode", "equivariant",
                          "--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9",
                          "--component", "1,0,1", "--matrix", str(mfile)])
@@ -444,8 +446,8 @@ class TestNonFiniteAndFailures:
         x = rng.standard_normal((9, 20))
         y = rng.standard_normal((9, 20))
         xf, yf = tmp_path / "x.csv", tmp_path / "y.csv"
-        matio.write_matrix_csv(xf, x)
-        matio.write_matrix_csv(yf, y)
+        write_matrix_csv(xf, x)
+        write_matrix_csv(yf, y)
         if bad is not None:
             lines = xf.read_text().splitlines()
             lines[4] = ",".join([bad] + lines[4].split(",")[1:])
@@ -556,7 +558,7 @@ class TestNonFiniteAndFailures:
         monkeypatch.setattr(cli.equivariant, "equivariant_project",
                             lambda m, gens: np.full_like(m, np.nan))
         f = tmp_path / "m.csv"
-        matio.write_matrix_csv(f, np.eye(9))
+        write_matrix_csv(f, np.eye(9))
         self.expect_error(capsys, ["project", *self.ROT, "--mode", "equivariant",
                                    "--matrix", str(f)], "NonFiniteError")
 
@@ -589,7 +591,7 @@ def write_input(path, kind, shape, rng):
         m[rng.integers(rows), rng.integers(cols)] += 2j
     if kind == "nan":
         m[rng.integers(rows), rng.integers(cols)] = np.nan
-    matio.write_matrix_csv(path, m)
+    write_matrix_csv(path, m)
     if kind == "text":
         path.write_text(path.read_text().replace(",", ",a", 1) if cols > 1 else "a\n")
     return str(path)
@@ -692,7 +694,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     files = {}
     for name, shape in (("x", (9, 14)), ("y", (9, 14)), ("yi", (4, 14)), ("m", (9, 9))):
         files[name] = str(tmp_path / f"{name}.csv")
-        matio.write_matrix_csv(files[name], rng.standard_normal(shape))
+        write_matrix_csv(files[name], rng.standard_normal(shape))
     rot = ["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9"]
     runs = [
         ["analyze", *rot],

@@ -27,7 +27,7 @@ from permlin.errors import (
     StructuralError,
 )
 from permlin.invariant import invariant_space
-from permlin.linalg import circulant, numeric_rank, realize
+from permlin.linalg import numeric_rank, realize
 from permlin.oracles import (
     check_circulant_blocks,
     dense_base_change,
@@ -36,6 +36,8 @@ from permlin.oracles import (
 )
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
 from permlin.spectral import BlockSpectrum, commutant_dimension, eigen_multiplicities, real_base_change
+
+from helpers import circulant
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 CHI9 = parse_permutation("(1 2)(3 4)(6 8)", 9)
@@ -213,6 +215,11 @@ class TestCounting:
         assert count_components(SPEC9, 0, "real") == 1
         assert count_components(SPEC9, 0, "complex") == 1
 
+    @pytest.mark.parametrize("r", [3, 10])
+    def test_unknown_field_rejected_at_any_rank(self, r):
+        with pytest.raises(ComponentError, match="unknown field"):
+            count_components(SPEC9, r, "quaternion")
+
     def test_matches_recursive_oracle_random(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -279,14 +286,14 @@ class TestEnumeration:
 class TestDimensionDegree:
     def test_full_rank_degree_one(self):
         rvec = make_rank_vector(SPEC9, "complex", (3, 2, 2, 2))
-        assert component_degree_complex(SPEC9, rvec) == 1
+        assert component_degree_complex(rvec) == 1
 
     def test_degree_formula_values(self):
         # 2x2 rank-1 block has degree 2; products multiply
         assert determinantal_degree(2, 2, 1) == 2
         assert determinantal_degree(3, 3, 1) == 6
         rvec = make_rank_vector(SPEC9, "complex", (3, 1, 1, 0))
-        assert component_degree_complex(SPEC9, rvec) == 2 * 2
+        assert component_degree_complex(rvec) == 2 * 2
 
     def test_degree_against_exact_fraction_oracle(self):
         from fractions import Fraction
@@ -305,18 +312,28 @@ class TestDimensionDegree:
     def test_real_degree_unsupported(self):
         rvec = make_rank_vector(SPEC9, "real", (1, 0, 1))
         with pytest.raises(ComponentError):
-            component_degree_complex(SPEC9, rvec)
-        assert describe_component(SPEC9, rvec).degree is None
+            component_degree_complex(rvec)
+        assert describe_component(rvec).degree is None
 
     def test_real_dimension_doubles_pairs(self):
         rvec = make_rank_vector(SPEC9, "real", (1, 0, 1))
-        assert component_dimension(SPEC9, rvec) == 1 * (6 - 1) + 2 * (4 - 1) * 1
+        assert component_dimension(rvec) == 1 * (6 - 1) + 2 * (4 - 1) * 1
 
     def test_bounds_validated(self):
         with pytest.raises(ComponentError):
             make_rank_vector(SPEC9, "real", (4, 0, 0))
         with pytest.raises(ComponentError):
             make_rank_vector(SPEC9, "real", (1, 0))
+
+    @pytest.mark.parametrize("bad", [1.9, True, "1", np.float64(1.0), np.True_],
+                             ids=["float", "bool", "str", "numpy-float", "numpy-bool"])
+    def test_non_integer_rank_rejected(self, bad):
+        with pytest.raises(ComponentError, match="not an integer"):
+            make_rank_vector(SPEC9, "real", (bad, 0, 0))
+
+    def test_numpy_integer_ranks_accepted(self):
+        rvec = make_rank_vector(SPEC9, "real", np.array([1, 0, 1]))
+        assert rvec.values == (1, 0, 1) and all(type(v) is int for v in rvec.values)
 
 
 class TestClassify:
@@ -478,7 +495,7 @@ class TestFreeParameters:
             values[by_label[label]] = r
         rvec = make_rank_vector(spec, "real", values)
         assert rvec.total_rank == 99
-        assert free_parameter_count(spec, rvec) == 5544
+        assert free_parameter_count(rvec) == 5544
 
     def test_dense_comparison(self):
         assert 2 * 99 * 784 == 155_232

@@ -24,6 +24,8 @@ from permlin.perms import (
     replication_matrix,
 )
 
+from helpers import identity
+
 SIGMA5 = parse_permutation("(1 3 4)(2 5)", 5)
 
 
@@ -49,7 +51,7 @@ class TestInvariantSpace:
             assert space.k == math.ceil(p * p / 4)
 
     def test_identity_full_space(self):
-        space = invariant_space([Permutation.identity(4)], 4, 4, 2)
+        space = invariant_space([identity(4)], 4, 4, 2)
         assert space.k == 4
 
     def test_generator_size_mismatch(self):
@@ -108,7 +110,7 @@ class TestDimensionDegree:
     def test_determinant_hypersurface(self):
         # m = k = n', r = n'-1 gives the degree-n' determinant hypersurface
         for nprime in (2, 3, 4):
-            ident = Permutation.identity(nprime)
+            ident = identity(nprime)
             space = invariant_space([ident], nprime, nprime, nprime - 1)
             assert invariant_degree(space) == nprime
 
@@ -163,7 +165,7 @@ class TestFitInvariant:
 
     def test_singleton_partition_reduces_to_eckart_young(self):
         rng = np.random.default_rng(4)
-        space = invariant_space([Permutation.identity(4)], 4, 4, 2)
+        space = invariant_space([identity(4)], 4, 4, 2)
         Y = rng.standard_normal((4, 4))
         fit = fit_invariant(np.eye(4), Y, space)
         u, s, vt = np.linalg.svd(Y)
@@ -260,7 +262,7 @@ def test_loss_is_the_dense_residual(ridge):
         invariant_space([SIGMA5], 4, 5, 2),
         invariant_space([SIGMA5], 4, 5, 1),
         invariant_space([SIGMA5], 3, 5, 2),
-        invariant_space([Permutation.identity(4)], 4, 4, 2),
+        invariant_space([identity(4)], 4, 4, 2),
         invariant_space([parse_permutation("(1 4)(2 5 6)", 6)], 4, 6, 2),
     ]
     for space in spaces:

@@ -13,7 +13,6 @@ from permlin.invariant import (
     psi_compress,
 )
 from permlin.linalg import (
-    circulant,
     eigh,
     numeric_rank,
     realize,
@@ -23,6 +22,8 @@ from permlin.linalg import (
 from permlin.optimize import weighted_eckart_young
 from permlin.oracles import unrealize, weighted_inner
 from permlin.perms import Permutation, parse_permutation
+
+from helpers import circulant, identity
 
 
 class TestSvd:
@@ -65,7 +66,7 @@ def _failure_sites(n):
     """Every caller of a decomposition that once let numpy's LinAlgError out,
     as a function of one n x n matrix."""
     cycle = Permutation(n, tuple(range(2, n + 1)) + (1,))
-    space = invariant_space([Permutation.identity(n)], n, n, 1)
+    space = invariant_space([identity(n)], n, n, 1)
     return {
         "svd": svd,
         "svdvals": svdvals,
@@ -113,7 +114,7 @@ class TestGuardedDecompositions:
             return svd_of(a, full_matrices=full_matrices, compute_uv=False, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", fail_with_vectors)
-        space = invariant_space([Permutation.identity(3)], 3, 3, 1)
+        space = invariant_space([identity(3)], 3, 3, 1)
         with pytest.raises(ConvergenceError):
             invariant_autoencoder(space, np.outer([1.0, 2.0, 3.0], [1.0, 0.0, -1.0]))
 

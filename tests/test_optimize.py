@@ -12,6 +12,7 @@ from permlin.equivariant import (
     equivariant_project,
     is_equivariant,
     make_rank_vector,
+    parameterize_component,
 )
 from permlin.errors import (
     ComponentError,
@@ -48,6 +49,8 @@ from permlin.optimize import (
 )
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation
 from permlin.spectral import eigen_multiplicities, real_base_change
+
+from helpers import identity
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 
@@ -293,6 +296,40 @@ def sample_component_matrix(rng, p, spec, r):
     return rvec, par.decoder @ par.encoder
 
 
+class TestForeignRankVector:
+    """A component of (1 2 3) read against (1 2) on three points: both real
+    block lists have two entries, so the values (1, 1) are admissible on
+    either, but they name different components (total ranks 3 and 2)."""
+
+    P = parse_permutation("(1 2)", 3)
+    FOREIGN = make_rank_vector(eigen_multiplicities(cycle_decomposition(parse_permutation("(1 2 3)", 3))),
+                               "real", (1, 1))
+
+    def data(self):
+        rng = np.random.default_rng(23)
+        return rng.standard_normal((3, 12)), rng.standard_normal((3, 12))
+
+    def test_unequal_to_the_same_values_of_the_right_spectrum(self):
+        own = make_rank_vector(eigen_multiplicities(cycle_decomposition(self.P)), "real", (1, 1))
+        assert own.values == self.FOREIGN.values and own != self.FOREIGN
+        assert (own.total_rank, self.FOREIGN.total_rank) == (2, 3)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_fit_equivariant_rejects(self, r):
+        with pytest.raises(ComponentError, match="not a real component"):
+            fit_equivariant(*self.data(), self.P, r, component=self.FOREIGN)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_solve_fit_rejects(self, r):
+        solve = solve_equivariant(*self.data(), self.P)
+        with pytest.raises(ComponentError, match="not a real component"):
+            solve.fit(r, component=self.FOREIGN)
+
+    def test_parameterize_component_rejects(self):
+        with pytest.raises(ComponentError, match="not a real component"):
+            parameterize_component(self.FOREIGN, self.P)
+
+
 class TestFitEquivariant:
     def test_consistent_recovery(self):
         rng = np.random.default_rng(16)
@@ -470,7 +507,7 @@ class TestFitEquivariant:
 class TestFitEquivariantEdges:
     def test_identity_permutation_reduces_to_rank_bounded(self):
         rng = np.random.default_rng(30)
-        ident = Permutation.identity(5)
+        ident = identity(5)
         x = rng.standard_normal((5, 12))
         y = rng.standard_normal((5, 12))
         fit = fit_equivariant(x, y, ident, 2)
@@ -487,7 +524,7 @@ class TestFitEquivariantEdges:
         assert fit.loss == pytest.approx(float(np.linalg.norm(y) ** 2))
 
     def test_trivial_ground_set(self):
-        ident = Permutation.identity(1)
+        ident = identity(1)
         x = np.array([[1.0, 2.0, -1.0]])
         y = np.array([[2.0, 4.0, -2.0]])
         fit = fit_equivariant(x, y, ident, 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from permlin.equivariant import count_components, enumerate_components
-from permlin.errors import SizeCapError
+from permlin.errors import ComponentError, SizeCapError
 from permlin.optimize import fit_equivariant
 from permlin.oracles import (
     MAX_COUNT_CENSUS,
@@ -12,8 +12,10 @@ from permlin.oracles import (
     recursive_component_count,
     score_components,
 )
-from permlin.perms import Permutation, parse_permutation
+from permlin.perms import parse_permutation
 from permlin.spectral import BlockSpectrum
+
+from helpers import identity
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 
@@ -23,7 +25,7 @@ class TestNullspaceCommutant:
         assert nullspace_commutant_dim([ROT9]) == 21
 
     def test_identity_16(self):
-        assert nullspace_commutant_dim([Permutation.identity(4)]) == 16
+        assert nullspace_commutant_dim([identity(4)]) == 16
 
     def test_single_cycle_n(self):
         p = parse_permutation("(1 2 3 4 5 6)", 6)
@@ -31,7 +33,7 @@ class TestNullspaceCommutant:
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
-            nullspace_commutant_dim([Permutation.identity(17)])
+            nullspace_commutant_dim([identity(17)])
 
 
 class TestRecursiveCount:
@@ -42,6 +44,11 @@ class TestRecursiveCount:
     def test_zero_rank(self):
         spec = BlockSpectrum.from_cycle_lengths([4, 4, 1])
         assert recursive_component_count(spec, 0, "real") == 1
+
+    def test_unknown_field(self):
+        spec = BlockSpectrum.from_cycle_lengths([4, 4, 1])
+        with pytest.raises(ComponentError, match="unknown field"):
+            recursive_component_count(spec, 3, "quaternion")
 
     def test_size_cap(self):
         spec = BlockSpectrum.from_cycle_lengths([31])

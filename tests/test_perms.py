@@ -16,6 +16,8 @@ from permlin.perms import (
     replication_matrix,
 )
 
+from helpers import identity
+
 
 def refines(fine, coarse):
     """True iff every block of `fine` lies inside one block of `coarse`."""
@@ -52,6 +54,12 @@ class TestParse:
         with pytest.raises(PermParseError):
             parse_permutation("1,2", 3)
 
+    @pytest.mark.parametrize("n, image", [(2, (2.0, 1.0)), (True, (1,)), (2, (2, True)), (2.0, (2, 1))],
+                             ids=["float-image", "bool-size", "bool-image", "float-size"])
+    def test_non_integer_rejected(self, n, image):
+        with pytest.raises(PermParseError, match="must be integers"):
+            Permutation(n, image)
+
 
 class TestCycles:
     def test_rotation_cycle_lengths(self):
@@ -61,7 +69,7 @@ class TestCycles:
         assert cd.k == 3
 
     def test_identity_trivial_cycles(self):
-        cd = cycle_decomposition(Permutation.identity(3))
+        cd = cycle_decomposition(identity(3))
         assert cd.lengths == (1, 1, 1)
 
     def test_cycles_start_at_smallest(self):
@@ -81,7 +89,7 @@ class TestPartition:
         assert induced_partition(cycle_decomposition(a)) == induced_partition(cycle_decomposition(b))
 
     def test_identity_singletons(self):
-        part = induced_partition(cycle_decomposition(Permutation.identity(2)))
+        part = induced_partition(cycle_decomposition(identity(2)))
         assert part.blocks == ((1,), (2,))
 
     def test_power_coprime_invariance(self):
@@ -107,7 +115,7 @@ class TestPermutationMatrix:
         assert np.array_equal(P, expected)
 
     def test_identity(self):
-        assert np.array_equal(permutation_matrix(Permutation.identity(4)), np.eye(4, dtype=np.int64))
+        assert np.array_equal(permutation_matrix(identity(4)), np.eye(4, dtype=np.int64))
 
     def test_orthogonality_and_inverse(self):
         rng = np.random.default_rng(0)
@@ -123,7 +131,7 @@ class TestPermutationMatrix:
         rng = np.random.default_rng(1)
         p = Permutation(6, tuple(rng.permutation(6) + 1))
         x = rng.standard_normal(6)
-        assert np.allclose(permutation_matrix(p) @ x, p.apply(x))
+        assert np.allclose(permutation_matrix(p) @ x, x[np.asarray(p.image) - 1])
 
 
 class TestCoarsening:

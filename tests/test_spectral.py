@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permlin.equivariant import classify_component, parameterize_component
+from permlin.errors import ComponentError
 from permlin.linalg import realize
 from permlin.optimize import fit_equivariant
 from permlin.oracles import dense_base_change, expected_block_form, nullspace_commutant_dim
@@ -14,6 +16,8 @@ from permlin.spectral import (
     euler_phi,
     real_base_change,
 )
+
+from helpers import identity
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 
@@ -36,7 +40,7 @@ class TestMultiplicities:
         assert len(pairs) == 13 and len(reals) == 2
 
     def test_identity(self):
-        spec = eigen_multiplicities(cycle_decomposition(Permutation.identity(5)))
+        spec = eigen_multiplicities(cycle_decomposition(identity(5)))
         assert spec.multiplicities == {1: 5}
         assert spec.real_blocks[0].kind == "real_plus" and len(spec.real_blocks) == 1
 
@@ -53,6 +57,19 @@ class TestMultiplicities:
                     n_pairs = sum(1 for b in spec.real_blocks if b.kind == "complex_pair" and b.l == l)
                     assert n_pairs == euler_phi(l) // 2
 
+    def test_rank_multiplier_per_kind(self):
+        spec = BlockSpectrum.from_cycle_lengths([1, 2, 3, 4])
+        assert [(b.kind, b.rank_multiplier, b.rows) for b in spec.real_blocks] == [
+            ("real_plus", 1, 4), ("real_minus", 1, 2), ("complex_pair", 2, 2), ("complex_pair", 2, 2)]
+        assert {(b.kind, b.rank_multiplier) for b in spec.complex_blocks} == {("complex", 1)}
+        assert spec.blocks("real") is spec.real_blocks and spec.blocks("complex") is spec.complex_blocks
+
+    def test_unknown_field_rejected(self):
+        spec = BlockSpectrum.from_cycle_lengths([4])
+        for read in (spec.blocks, spec.offsets):
+            with pytest.raises(ComponentError, match="unknown field"):
+                read("quaternion")
+
     def test_d_recount(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -68,7 +85,7 @@ class TestCommutantDimension:
         assert commutant_dimension(cycle_decomposition(ROT9)) == 21
 
     def test_identity_n_squared(self):
-        assert commutant_dimension(cycle_decomposition(Permutation.identity(5))) == 25
+        assert commutant_dimension(cycle_decomposition(identity(5))) == 25
 
     def test_single_cycle_equals_n(self):
         for n in (2, 3, 6, 8):
@@ -115,7 +132,7 @@ class TestComplexBaseChange:
         assert np.linalg.norm(D - np.diag(np.diag(D))) <= 1e-10
 
     def test_identity(self):
-        bc = complex_base_change(Permutation.identity(3))
+        bc = complex_base_change(identity(3))
         assert np.allclose(dense_base_change(bc)[0], np.eye(3))
 
     def test_rotation_eigenvalue_multiset(self):
@@ -154,7 +171,7 @@ class TestRealBaseChange:
         assert np.linalg.norm(B - expected_block_form(bc)) <= 1e-9
 
     def test_identity(self):
-        bc = real_base_change(Permutation.identity(4))
+        bc = real_base_change(identity(4))
         assert np.allclose(dense_base_change(bc)[0], np.eye(4))
 
     def test_single_4cycle_factor_matches_display(self):
@@ -235,7 +252,7 @@ def perm_of_lengths(lengths, seed):
 @given(cycle_type_perms(), st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1))
 @example(perm_of_lengths([1, 3, 1, 2, 3, 4, 6], 0), "real", 0)
 @example(perm_of_lengths([1, 3, 1, 2, 3, 4, 6], 0), "complex", 0)
-@example(Permutation.identity(1), "real", 0)
+@example(identity(1), "real", 0)
 def test_factored_base_change_matches_dense(p, field, seed):
     """to_basis, from_basis and conjugate agree with products by the dense
     matrix and inverse, on fixed points and mixed cycle lengths."""
@@ -258,6 +275,13 @@ def test_factored_base_change_matches_dense(p, field, seed):
     close(bc.to_basis(v), T_inv @ v, v)
     close(bc.from_basis(v), T @ v, v)
     close(bc.conjugate(m), T_inv @ m @ T, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycle_type_perms(), st.sampled_from(["real", "complex"]))
+def test_offsets_are_the_block_slice_starts(p, field):
+    bc = (real_base_change if field == "real" else complex_base_change)(p)
+    assert bc.spectrum.offsets(field) == [sl.start for sl in bc.block_slices]
 
 
 def test_hot_paths_stay_matrix_free():

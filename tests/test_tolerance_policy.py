@@ -147,3 +147,29 @@ def test_fast_paths_and_oracles_stay_apart():
             if path.name == "oracles.py" and name is not None and name.startswith("_"):
                 stray.append(f"oracles.py:{line} imports {module}.{name}")
     assert not stray, stray
+
+
+def _unread_parameters(tree: ast.Module):
+    """(line, function, parameter) for each parameter its function's body
+    never reads, nested functions and lambdas included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for param in params:
+                if param not in read:
+                    yield node.lineno, getattr(node, "name", "<lambda>"), param
+
+
+def test_every_parameter_is_read():
+    """A parameter no body reads is an input the result cannot depend on,
+    such as a spectrum passed beside a rank vector that carries its blocks."""
+    probe = ast.parse("def dimension(spec, rvec):\n    return sum(rvec.values)\n")
+    assert list(_unread_parameters(probe)) == [(1, "dimension", "spec")]
+    stray = [f"{path.name}:{line} {name}({param})"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name, param in _unread_parameters(ast.parse(path.read_text()))]
+    assert not stray, stray

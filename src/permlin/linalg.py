@@ -22,7 +22,11 @@ the input by any c > 0 leaves every verdict unchanged.
                           numerical rank (`rank_threshold`, singular values
                           relative to sigma_1 times the larger dimension)
     TIE_TOL        1e-9   ties: a truncation flags a boundary tie when
-                          sigma_r - sigma_{r+1} <= TIE_TOL sigma_1, and the
+                          sigma_r - sigma_{r+1} <= TIE_TOL sigma_1, checked
+                          on the squares with a floor at the solver's error:
+                          sigma_r^2 - sigma_{r+1}^2 <= max(TIE_TOL sigma_1
+                          (sigma_r + sigma_{r+1}), k eps sigma_1^2) for k
+                          singular values; and the
                           component search treats fit losses within
                           `tie_slack(Y)` = TIE_TOL ||Y||_F^2 as tied
     STRUCTURE_TOL  1e-8   membership in a linear subspace: equivariance,

@@ -7,8 +7,16 @@ Gram G = X X^H (+ ridge * Id) and cross term C = Y X^H,
 
 and right-multiplication by G^{1/2} maps the rank <= r matrices onto
 themselves, so the best rank <= r M is the truncated SVD of C G^{-1/2} times
-G^{-1/2}.  `weighted_eckart_young` does this for real and complex data: one
-eigendecomposition of G, one relative rank floor, one SVD.
+G^{-1/2}.  `weighted_eckart_young` does this for real and complex data in
+reduced-rank-regression form (Izenman 1975), with two symmetric
+eigendecompositions and no SVD: G = V diag(lambda) V^H, one relative rank
+floor on lambda, then A = C V diag(lambda^{-1/2}) and A^H A = W diag(sigma^2)
+W^H, whose eigenvalues are the squared singular values of C G^{-1/2}.  The
+rank-r minimizer is (A W_r)(V diag(lambda^{-1/2}) W_r)^H.  Each sigma^2
+carries an absolute error of about eps sigma_1^2 (Golub & Van Loan, 8.6), so
+singular values below about sqrt(eps k) sigma_1 are accurate only in absolute
+terms; the tie rule is therefore checked on sigma^2, with a floor at that
+error.
 
 For equivariant fits the real base change Q makes M = Q blockdiag(B_b) Q^T,
 so with Xt = Q^T X and Yt = Q^T Y the loss is the sum over blocks b of
@@ -54,7 +62,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ComponentError, RankDeficientError, SizeMismatchError
-from .linalg import DEFAULT_TOL, TIE_TOL, eigh, require_finite, svd, tie_slack
+from .linalg import DEFAULT_TOL, TIE_TOL, eigh, require_finite, tie_slack
 from .equivariant import RankVector, make_rank_vector, parameterize_component
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
@@ -73,9 +81,17 @@ __all__ = [
 
 
 def _boundary_tie(s: np.ndarray, r: int) -> bool:
-    """sigma_r - sigma_{r+1} <= TIE_TOL * sigma_1: relative to the largest
-    singular value, so the flag does not change with the scale of the data."""
-    return bool(0 < r < len(s) and s[r - 1] - s[r] <= TIE_TOL * s[0])
+    """sigma_r - sigma_{r+1} <= TIE_TOL * sigma_1, stated on the squares the
+    solver computes, sigma_r^2 - sigma_{r+1}^2 <= TIE_TOL sigma_1 (sigma_r +
+    sigma_{r+1}), with a floor of len(s) eps sigma_1^2: below it the squares
+    carry only their absolute error of about eps sigma_1^2 and cannot tell two
+    values apart.  Relative to sigma_1, so the flag does not change with the
+    scale of the data."""
+    if not 0 < r < len(s):
+        return False
+    sq = s**2
+    floor = len(s) * np.finfo(float).eps * sq[0]
+    return bool(sq[r - 1] - sq[r] <= max(TIE_TOL * s[0] * (s[r - 1] + s[r]), floor))
 
 
 @dataclass(frozen=True)
@@ -118,26 +134,28 @@ class FitResult:
 class WeightedEckartYoung:
     """min ||M X - Y||_F^2 over rank <= r matrices M, solved for every r at once.
 
-    With C G^{-1/2} = left @ diag(svals) @ V^H, the minimizer of rank r is
-    left[:, :r] diag(svals[:r]) right[:r] where right = V^H G^{-1/2}.
+    With A = C V diag(lambda^{-1/2}) the whitened cross term and
+    A^H A = W diag(svals**2) W^H, the minimizer of rank r is
+    decoder[:, :r] @ encoder[:r], where decoder = A W (= U diag(svals) for
+    the left singular vectors U of A) and encoder = (V diag(lambda^{-1/2}) W)^H.
     tails[t] is the sum of svals[t:]**2, the loss above `constant` at rank t.
     """
 
-    left: np.ndarray
+    decoder: np.ndarray
+    encoder: np.ndarray
     svals: np.ndarray
-    right: np.ndarray
     tails: tuple[float, ...]
     constant: float
 
     def factors(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """(decoder, encoder) of the rank-r minimizer decoder @ encoder, as
         copies that do not keep the full solve alive."""
-        return self.left[:, :r] * self.svals[:r], self.right[:r].copy()
+        return self.decoder[:, :r].copy(), self.encoder[:r].copy()
 
     def residual(self, r: int, x: np.ndarray, y: np.ndarray) -> float:
         """||M x - y||_F^2 for the rank-r minimizer M, applying its factors
         right to left so that M itself is never formed."""
-        fitted = self.left[:, :r] @ (self.svals[:r, None] * (self.right[:r] @ x))
+        fitted = self.decoder[:, :r] @ (self.encoder[:r] @ x)
         return float(np.linalg.norm(fitted - y) ** 2)
 
     def block_fit(self, key: tuple[str, int, int], r: int) -> BlockFit:
@@ -177,16 +195,21 @@ def _check_rank_floor(vals: np.ndarray, top: float) -> None:
 
 
 def _solve_eigh(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> WeightedEckartYoung:
-    """Weighted Eckart-Young from the Gram eigendecomposition (vals, vecs)."""
-    iroot = 1.0 / np.sqrt(vals)
-    # C V diag(iroot) is C G^{-1/2} without its unitary right factor V^H:
-    # same singular values and left vectors, one matrix product fewer.
-    left, s, wh = svd(((y @ x.conj().T) @ vecs) * iroot)
-    right = (wh * iroot) @ vecs.conj().T
-    sq = s**2
-    tails = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
+    """Weighted Eckart-Young from the Gram eigendecomposition (vals, vecs):
+    the eigendecomposition of A^H A for the whitened cross term A, no SVD."""
+    whiten = vecs * (1.0 / np.sqrt(vals))
+    # C V diag(lambda^{-1/2}) is C G^{-1/2} without its unitary right factor
+    # V^H: the same singular values, and A W its left vectors times them
+    a = (y @ x.conj().T) @ whiten
+    sq, w = eigh(a.conj().T @ a)
+    k = min(a.shape)
+    w = w[:, ::-1][:, :k]
+    s = np.sqrt(np.maximum(sq[::-1][:k], 0.0))
+    # the tails from s**2, the squares `oracles.block_tails` rebuilds them from
+    tails = np.append(np.cumsum((s**2)[::-1])[::-1], 0.0)
     constant = float(np.vdot(y, y).real - tails[0])
-    return WeightedEckartYoung(left, s, right, tuple(float(v) for v in tails), constant)
+    return WeightedEckartYoung(a @ w, (whiten @ w).conj().T, s, tuple(float(v) for v in tails),
+                               constant)
 
 
 def weighted_eckart_young(
@@ -314,7 +337,13 @@ class EquivariantSolve:
         per-block tail tables, ties (losses within `slack`) going to the
         lexicographically smallest rank vector; with heuristic="energy" of
         the greedily chosen component, with `search_gap` its loss minus the
-        exact optimum.  ComponentError when no component has total rank r."""
+        exact optimum.  ComponentError when no component has total rank r,
+        on a heuristic other than "energy", and when both a component and a
+        heuristic are given."""
+        if heuristic not in (None, "energy"):
+            raise ComponentError(f"unknown heuristic {heuristic!r}")
+        if component is not None and heuristic is not None:
+            raise ComponentError("name a component or a heuristic, not both")
         spec = self.base_change.spectrum
         blocks = spec.real_blocks
         tails = [s.tails for s in self.solves]
@@ -325,12 +354,10 @@ class EquivariantSolve:
             values, source = component.values, "named"
         elif heuristic is None:
             values, source = _best_component(blocks, tails, r, self.slack)[0], "search"
-        elif heuristic == "energy":
+        else:
             optimum = _best_component(blocks, tails, r, 0.0)[1]
             values, source = _energy_component(blocks, self.solves, r), "heuristic"
             search_gap = max(0.0, sum(tail[t] for tail, t in zip(tails, values)) - optimum)
-        else:
-            raise ComponentError(f"unknown heuristic {heuristic!r}")
         rvec = component if component is not None else make_rank_vector(spec, "real", values)
         if rvec.total_rank != r:  # a named component; the search and the heuristic meet r
             raise ComponentError(f"component has total rank {rvec.total_rank}, expected {r}")

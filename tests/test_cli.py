@@ -228,6 +228,21 @@ class TestProjectFitFactorize:
         assert rc == 0 and payload["component_source"] == "heuristic"
         validate("fit", payload)
 
+    def test_fit_component_with_heuristic_rejected(self, tmp_path, capsys):
+        xf = tmp_path / "x.csv"
+        write_matrix_csv(xf, np.random.default_rng(5).standard_normal((9, 20)))
+        base = ["fit", "--mode", "equivariant", "--perm", "(1 4 3 2)(5 8 7 6)",
+                "--n", "9", "--rank", "3", "--x", str(xf), "--y", str(xf),
+                "--component", "1,0,1", "--heuristic"]
+        rc, _ = run_cli(base + ["energy"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ComponentError" and "not both" in err["message"]
+        validate("error", err)
+        with pytest.raises(SystemExit) as exc:  # an unknown heuristic is a usage error
+            main(base + ["bogus"])
+        assert exc.value.code == 2
+
     def test_fit_invariant(self, tmp_path):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 15))

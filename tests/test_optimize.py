@@ -109,11 +109,26 @@ class TestEckartYoung:
     def test_boundary_tie_flag(self):
         assert truncation(np.diag([2.0, 1.0, 1.0]), 2)[1].boundary_tie
         assert not truncation(np.diag([2.0, 1.0, 0.5]), 2)[1].boundary_tie
+        # a wide gap between small singular values is no tie: the floor of
+        # the rule sits at the solver's error, len(s) eps sigma_1^2
+        assert not truncation(np.diag([1.0, 1e-5, 0.0]), 2)[1].boundary_tie
 
     def test_boundary_tie_flag_ignores_scale(self):
         u = np.random.default_rng(7).standard_normal((6, 6))
         flags = {truncation(c * u, 3)[1].boundary_tie for c in (1e-10, 1.0, 1e6)}
         assert flags == {False}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_boundary_tie_of_an_exact_low_rank_target(self, seed):
+        # the noise-level sigma^2 of an exact rank-2 fit carry an absolute
+        # error of about eps sigma_1^2: their squares differ by less than
+        # the rule's floor, while the sigma themselves, near sqrt(eps)
+        # sigma_1, often differ by more than TIE_TOL sigma_1
+        rng = np.random.default_rng(seed)
+        n = 256
+        m0 = rng.standard_normal((n, 2)) @ rng.standard_normal((2, n))
+        x = rng.standard_normal((n, 300))
+        assert fit_rank_bounded(x, m0 @ x, 4).per_block[0].boundary_tie
 
     def test_all_critical_count_and_distinct_losses(self):
         rng = np.random.default_rng(2)
@@ -430,6 +445,17 @@ class TestFitEquivariant:
         assert energy.search_gap > 0.1
         assert abs(energy.search_gap - (energy.loss - exact.loss)) <= 1e-9 * (1 + energy.loss)
 
+    def test_heuristic_is_checked_and_excludes_a_component(self):
+        x = np.random.default_rng(23).standard_normal((9, 30))
+        solve = solve_equivariant(x, x, ROT9)
+        rvec = make_rank_vector(eigen_multiplicities(cycle_decomposition(ROT9)), "real", (1, 0, 1))
+        with pytest.raises(ComponentError, match="not both"):
+            solve.fit(3, rvec, "energy")
+        for component in (None, rvec):
+            with pytest.raises(ComponentError, match="unknown heuristic 'bogus'"):
+                solve.fit(3, component, "bogus")
+        assert solve.fit(3, rvec).component_source == "named"
+
     def test_energy_heuristic_runs_and_is_flagged(self):
         rng = np.random.default_rng(21)
         x = rng.standard_normal((9, 30))
@@ -682,6 +708,45 @@ def test_exact_fit_loss_is_at_rounding_level():
     assert 0.0 <= fit_rank_bounded(x, y, rvec.total_rank).loss <= 1e-20 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_squared_singular_values_match_an_svd(m, n, complex_data, seed):
+    """The fit's sigma^2, eigenvalues of A^H A, are the squared singular
+    values of C G^{-1/2} up to an absolute error of a few eps sigma_1^2 per
+    dimension; the reference takes the SVD of C G^{-1/2} itself."""
+    rng = np.random.default_rng(seed)
+
+    def draw(rows):
+        a = rng.standard_normal((rows, n + 4))
+        return a + 1j * rng.standard_normal(a.shape) if complex_data else a
+
+    x, y = draw(n), draw(m)
+    lam, v = np.linalg.eigh(x @ x.conj().T)
+    ref = np.linalg.svd((y @ x.conj().T) @ (v * lam**-0.5) @ v.conj().T, compute_uv=False) ** 2
+    sq = weighted_eckart_young(x, y).svals ** 2
+    assert len(sq) == min(m, n)
+    assert np.abs(sq - ref).max() <= 10 * np.finfo(float).eps * ref[0] * max(m, n)
+
+
+def test_no_fit_path_takes_an_svd(monkeypatch):
+    """The dense, invariant and equivariant fits (real and complex-pair
+    blocks) solve with eigendecompositions only."""
+    from permlin.invariant import fit_invariant, invariant_space
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a fit called np.linalg.svd")
+
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((9, 30)), rng.standard_normal((9, 30))
+    space = invariant_space([ROT9], 9, 9, 2)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    fits = [fit_rank_bounded(x, y, 3), fit_rank_bounded(x, y, 3, ridge=1.0),
+            fit_invariant(x, y, space), fit_equivariant(x, y, ROT9, 3),
+            fit_equivariant(x, y, ROT9, 3, heuristic="energy")]
+    for fit in fits:
+        assert fit.minimizer.shape == (9, 9) and np.isfinite(fit.loss)
+
+
 def test_minimizer_is_built_on_first_read():
     """Fitting the 32x32 shift (n=1024) allocates less than one n x n float64
     array; the dense minimizer is built when first read, then cached."""
@@ -865,9 +930,27 @@ class TestBadInput:
         with pytest.raises(ConvergenceError):
             fit_rank_bounded(x, x, 3)
         monkeypatch.undo()
-        monkeypatch.setattr(np.linalg, "svd", fail)
+        eigh_of, calls = np.linalg.eigh, []
+
+        def fail_at(k):
+            def eigh(h):
+                calls.append(h.shape)
+                return fail() if len(calls) == k else eigh_of(h)
+            return eigh
+
+        # the second eigh of a dense fit is its A^H A solve, after the Gram's
+        monkeypatch.setattr(np.linalg, "eigh", fail_at(2))
+        with pytest.raises(ConvergenceError):
+            fit_rank_bounded(x, x, 3)
+        assert calls == [(9, 9), (9, 9)]
+        # an equivariant fit decomposes every block Gram first, so the call
+        # after them is the A^H A solve of the first block
+        nblocks = len(real_base_change(ROT9).spectrum.real_blocks)
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "eigh", fail_at(nblocks + 1))
         with pytest.raises(ConvergenceError):
             fit_equivariant(x, x, ROT9, 3)
+        assert len(calls) == nblocks + 1
 
 
 def blockwise_als_best(x, y, p, r, rng):

@@ -15,6 +15,7 @@ if os.environ.get("PERMLIN_THREADS"):
         os.environ.setdefault(_var, os.environ["PERMLIN_THREADS"])
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -29,14 +30,16 @@ JSON_KW = dict(indent=2, sort_keys=True)
 
 
 def _emit(obj, out_path=None):
+    buf = io.StringIO()  # json.dumps would hold every chunk in one list first
     try:
-        text = json.dumps(obj, allow_nan=False, **JSON_KW) + "\n"
+        json.dump(obj, buf, allow_nan=False, **JSON_KW)
     except ValueError as exc:  # NaN or infinity: not valid JSON
         raise NonFiniteError(f"output is not finite: {exc}") from None
+    buf.write("\n")
     if out_path:
-        Path(out_path).write_text(text)
+        Path(out_path).write_text(buf.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(buf.getvalue())
 
 
 def _add_perm_args(sp, allow_many=False):

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvarianceError, SizeMismatchError
-from .linalg import STRUCTURE_TOL, numeric_rank, require_finite, svd
+from .linalg import STRUCTURE_TOL, numeric_rank, require_data, require_finite, svd
 from .equivariant import determinantal_degree
-from .optimize import FitResult, _checked_data, weighted_eckart_young
+from .optimize import FitResult, weighted_eckart_young
 from .perms import (
     Partition,
     Permutation,
@@ -122,19 +122,16 @@ def fit_invariant(
 
     Without a ridge, the Gram of the compressed data E X must clear the rank
     floor (RankDeficientError); X itself may be rank deficient."""
-    x, y = _checked_data(x, y)
+    x, y = require_data(x, y)
     if x.shape[0] != space.n or y.shape[0] != space.m:
         raise SizeMismatchError(
             f"data shapes {x.shape}, {y.shape} do not match the {space.m} x {space.n} space"
         )
     E = replication_matrix(space.partition).astype(float)
-    ex = E @ x
-    fit = weighted_eckart_young(ex, y, ridge)  # M X = psi(M) (E X) exactly
-    r = space.effective_rank
-    blk = fit.block_fit(("invariant", 1, 1), r)
-    decoder, compact_encoder = fit.factors(r)
+    fit = weighted_eckart_young(E @ x, y, ridge)  # M X = psi(M) (E X) exactly
+    decoder, compact_encoder, loss, blk = fit.read(space.effective_rank, ("invariant", 1, 1))
     # the weight-shared encoder B' E: one column per partition block, repeated
-    return FitResult(decoder, compact_encoder[:, space.partition.labels], fit.residual(r, ex, y),
+    return FitResult(decoder, compact_encoder[:, space.partition.labels], loss,
                      "invariant", (blk,), ridge, fit.constant)
 
 

@@ -10,7 +10,7 @@ LAPACK directly, to stay independent.  The three decide failures in one
 place: an input with a NaN or infinite entry raises NonFiniteError before
 LAPACK runs, and a LAPACK failure (numpy's LinAlgError) becomes
 ConvergenceError.  `require_finite` is the same finiteness check for the
-structure checks here and in the other modules.
+structure checks here and in the other modules, `require_data` for every fit.
 
 This module holds the tolerance table of the whole library.  Every tolerance
 is relative, by one rule: a check compares its deviation with the tolerance
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, NonFiniteError
+from .errors import ConvergenceError, NonFiniteError, SizeMismatchError
 
 DEFAULT_TOL = 1e-10
 TIE_TOL = 1e-9
@@ -52,6 +52,7 @@ STRUCTURE_TOL = 1e-8
 
 __all__ = [
     "require_finite",
+    "require_data",
     "svd",
     "svdvals",
     "eigh",
@@ -78,6 +79,15 @@ def require_finite(a, what: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{what} has NaN or infinite entries")
     return a
+
+
+def require_data(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Real data matrices X and Y of a fit, with equal sample counts and finite entries."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or y.shape[1] != x.shape[1]:
+        raise SizeMismatchError(f"X {x.shape} and Y {y.shape} need the same number of samples")
+    return require_finite(x, "data"), require_finite(y, "data")
 
 
 def _lapack(kernel, what: str, a, **kwargs):

@@ -39,17 +39,20 @@ rebuilds the tails from the singular values in `FitResult.per_block`.
 
 The tails only rank components.  The loss a fit reports is the residual
 ||B_b Xt_b - Yt_b||^2 of each block, summed, with B_b applied through its
-rank-r factors (`WeightedEckartYoung.residual`), so no n x n matrix is formed
+rank-r factors (`WeightedEckartYoung.read`), so no n x n matrix is formed
 for it.  `constant + sum of tails` is the same number in exact arithmetic,
 but it subtracts two nearly equal sums: on an exact fit it leaves rounding
 error of order eps ||Y||^2 and either sign, where the residual is of order
 eps^2 ||Y||^2.
 
-The block solves depend on neither the rank nor the component, so
-`solve_equivariant` runs them once and `EquivariantSolve.fit` reads any rank
-and component.  Every fit holds its minimizer as rank-r factors M = decoder
-@ encoder (equivariant: the block factors placed by `parameterize_component`);
-the dense M is formed only when `FitResult.minimizer` is first read.
+Every fit is a solve, then a read: a `WeightedEckartYoung` holds its data and
+solve, and `read(r, key)` gives the rank-r factors, their residual and the
+`BlockFit`.  The block solves depend on neither the rank nor the component,
+so `solve_equivariant` runs them once and `EquivariantSolve.fit` reads each
+block at its rank of any component.  Every fit holds its minimizer as rank-r
+factors M = decoder @ encoder (equivariant: the block factors placed by
+`parameterize_component`); the dense M is formed only when
+`FitResult.minimizer` is first read.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ComponentError, RankDeficientError, SizeMismatchError
-from .linalg import DEFAULT_TOL, TIE_TOL, eigh, require_finite, tie_slack
+from .linalg import DEFAULT_TOL, TIE_TOL, eigh, require_data, require_finite, tie_slack
 from .equivariant import RankVector, make_rank_vector, parameterize_component
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
@@ -108,11 +111,12 @@ class BlockFit:
 
 @dataclass(frozen=True)
 class FitResult:
-    """The outcome of a fit: the minimizer M = decoder @ encoder as a linear
-    autoencoder, with decoder m x r and encoder r x n, r the rank of the fit.
-    `loss` is ||M X - Y||_F^2, computed from the factors.  `minimizer` is M
-    as a dense array, formed on first read and cached, so a fit whose
-    minimizer is never read never allocates it."""
+    """The outcome of a fit, from the `WeightedEckartYoung.read` of each of
+    its solves: the minimizer M = decoder @ encoder as a linear autoencoder,
+    with decoder m x r and encoder r x n, r the rank of the fit.  `loss` is
+    ||M X - Y||_F^2, the sum of the reads' residuals.  `minimizer` is M as a
+    dense array, formed on first read and cached, so a fit whose minimizer is
+    never read never allocates it."""
 
     decoder: np.ndarray = field(repr=False, compare=False)
     encoder: np.ndarray = field(repr=False, compare=False)
@@ -132,44 +136,34 @@ class FitResult:
 
 @dataclass(frozen=True)
 class WeightedEckartYoung:
-    """min ||M X - Y||_F^2 over rank <= r matrices M, solved for every r at once.
+    """min ||M X - Y||_F^2 over rank <= r matrices M, solved for every r at once
+    and read at any r by `read`.  It holds its data X and Y, the whitened
+    cross term A = C V diag(lambda^{-1/2}), whiten = V diag(lambda^{-1/2}) and
+    the eigenvectors W of A^H A, for the eigenvalues svals**2 first, descending.
+    tails[t] is the sum of svals[t:]**2, the loss above `constant` at rank t."""
 
-    With A = C V diag(lambda^{-1/2}) the whitened cross term and
-    A^H A = W diag(svals**2) W^H, the minimizer of rank r is
-    decoder[:, :r] @ encoder[:r], where decoder = A W (= U diag(svals) for
-    the left singular vectors U of A) and encoder = (V diag(lambda^{-1/2}) W)^H.
-    tails[t] is the sum of svals[t:]**2, the loss above `constant` at rank t.
-    """
-
-    decoder: np.ndarray
-    encoder: np.ndarray
+    x: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
+    whiten: np.ndarray = field(repr=False)
     svals: np.ndarray
     tails: tuple[float, ...]
     constant: float
 
-    def factors(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """(decoder, encoder) of the rank-r minimizer decoder @ encoder, as
-        copies that do not keep the full solve alive."""
-        return self.decoder[:, :r].copy(), self.encoder[:r].copy()
-
-    def residual(self, r: int, x: np.ndarray, y: np.ndarray) -> float:
-        """||M x - y||_F^2 for the rank-r minimizer M, applying its factors
-        right to left so that M itself is never formed."""
-        fitted = self.decoder[:, :r] @ (self.encoder[:r] @ x)
-        return float(np.linalg.norm(fitted - y) ** 2)
-
-    def block_fit(self, key: tuple[str, int, int], r: int) -> BlockFit:
+    def read(self, r: int, key: tuple[str, int, int]) -> tuple[np.ndarray, np.ndarray, float, BlockFit]:
+        """The rank-r minimizer's decoder = A W_r (= U_r diag(svals[:r])) and
+        encoder = (whiten W_r)^H, of r columns each; its loss ||decoder (encoder
+        X) - Y||_F^2, applied right to left so that M is never formed; and its
+        `BlockFit`, labelled `key`.  SizeMismatchError unless 0 <= r <= len(svals)."""
         s = self.svals
-        return BlockFit(key, r, tuple(s[:r]), tuple(s[r:]), _boundary_tie(s, r), self.tails[r])
-
-
-def _checked_data(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Real data matrices with equal sample counts and finite entries."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or y.shape[1] != x.shape[1]:
-        raise SizeMismatchError(f"X {x.shape} and Y {y.shape} need the same number of samples")
-    return require_finite(x, "data"), require_finite(y, "data")
+        if not 0 <= r <= len(s):
+            raise SizeMismatchError(f"rank {r} outside 0..{len(s)}")
+        w_r = self.w[:, :r]
+        decoder, encoder = self.a @ w_r, (self.whiten @ w_r).conj().T
+        loss = float(np.linalg.norm(decoder @ (encoder @ self.x) - self.y) ** 2)
+        return decoder, encoder, loss, BlockFit(key, r, tuple(s[:r]), tuple(s[r:]),
+                                                _boundary_tie(s, r), self.tails[r])
 
 
 def _gram_eigh(x: np.ndarray, ridge: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -202,14 +196,11 @@ def _solve_eigh(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray
     # V^H: the same singular values, and A W its left vectors times them
     a = (y @ x.conj().T) @ whiten
     sq, w = eigh(a.conj().T @ a)
-    k = min(a.shape)
-    w = w[:, ::-1][:, :k]
-    s = np.sqrt(np.maximum(sq[::-1][:k], 0.0))
+    s = np.sqrt(np.maximum(sq[::-1][:min(a.shape)], 0.0))
     # the tails from s**2, the squares `oracles.block_tails` rebuilds them from
     tails = np.append(np.cumsum((s**2)[::-1])[::-1], 0.0)
     constant = float(np.vdot(y, y).real - tails[0])
-    return WeightedEckartYoung(a @ w, (whiten @ w).conj().T, s, tuple(float(v) for v in tails),
-                               constant)
+    return WeightedEckartYoung(x, y, a, w[:, ::-1], whiten, s, tuple(float(v) for v in tails), constant)
 
 
 def weighted_eckart_young(
@@ -236,12 +227,9 @@ def fit_rank_bounded(
     A bound at or above min(m, n) is vacuous and gives plain least squares."""
     if r < 0:
         raise SizeMismatchError(f"rank bound {r} is negative")
-    x, y = _checked_data(x, y)
-    fit = weighted_eckart_young(x, y, ridge)
-    r = min(r, len(fit.svals))
-    blk = fit.block_fit(("dense", 0, 0), r)
-    return FitResult(*fit.factors(r), fit.residual(r, x, y), "unconstrained", (blk,),
-                     ridge, fit.constant)
+    fit = weighted_eckart_young(*require_data(x, y), ridge)
+    decoder, encoder, loss, blk = fit.read(min(r, len(fit.svals)), ("dense", 0, 0))
+    return FitResult(decoder, encoder, loss, "unconstrained", (blk,), ridge, fit.constant)
 
 
 def _block_rows(a: np.ndarray, blk, sl: slice) -> np.ndarray:
@@ -314,16 +302,23 @@ def _best_component(blocks, tails, r: int, slack: float) -> tuple[tuple[int, ...
     return tuple(values), optimum
 
 
+def _check_choice(component: Optional[RankVector], heuristic: Optional[str]) -> None:
+    """ComponentError on an unknown heuristic, or on a component named with a heuristic."""
+    if heuristic not in (None, "energy"):
+        raise ComponentError(f"unknown heuristic {heuristic!r}")
+    if component is not None and heuristic is not None:
+        raise ComponentError("name a component or a heuristic, not both")
+
+
 @dataclass(frozen=True)
 class EquivariantSolve:
     """The equivariant fit of Y on X, solved for every rank and component:
-    per block of the base change, its rows of Q^T X and Q^T Y (complex on a
-    complex-pair block) and their `WeightedEckartYoung`.  `slack` is
+    per block of the base change, the `WeightedEckartYoung` of its rows of
+    Q^T X and Q^T Y (complex on a complex-pair block).  `slack` is
     `tie_slack(Y)`, the tie slack of the component search."""
 
     permutation: Permutation
     base_change: BaseChange
-    rows: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     solves: tuple[WeightedEckartYoung, ...] = field(repr=False)
     ridge: Optional[float]
     constant: float
@@ -340,10 +335,7 @@ class EquivariantSolve:
         exact optimum.  ComponentError when no component has total rank r,
         on a heuristic other than "energy", and when both a component and a
         heuristic are given."""
-        if heuristic not in (None, "energy"):
-            raise ComponentError(f"unknown heuristic {heuristic!r}")
-        if component is not None and heuristic is not None:
-            raise ComponentError("name a component or a heuristic, not both")
+        _check_choice(component, heuristic)
         spec = self.base_change.spectrum
         blocks = spec.real_blocks
         tails = [s.tails for s in self.solves]
@@ -363,13 +355,11 @@ class EquivariantSolve:
             raise ComponentError(f"component has total rank {rvec.total_rank}, expected {r}")
 
         # Q is orthogonal, so ||M X - Y||^2 is the sum of the block residuals
-        per_block, loss, factors = [], 0.0, []
-        for blk, solve, (xb, yb), t in zip(blocks, self.solves, self.rows, values):
-            per_block.append(solve.block_fit((blk.kind, blk.l, blk.m), t))
-            loss += solve.residual(t, xb, yb)
-            factors.append(solve.factors(t))
-        par = parameterize_component(rvec, self.permutation, factors, base_change=self.base_change)
-        return FitResult(par.decoder, par.encoder, loss, rvec, tuple(per_block), self.ridge,
+        decoders, encoders, losses, per_block = zip(*(
+            solve.read(t, (blk.kind, blk.l, blk.m)) for blk, solve, t in zip(blocks, self.solves, values)))
+        par = parameterize_component(rvec, self.permutation, list(zip(decoders, encoders)),
+                                     base_change=self.base_change)
+        return FitResult(par.decoder, par.encoder, sum(losses), rvec, per_block, self.ridge,
                          self.constant, source, search_gap)
 
 
@@ -383,25 +373,22 @@ def solve_equivariant(
     """Change the basis of X and Y once and solve every block once.
     RankDeficientError when the Gram of any block fails the rank floor, whose
     scale is the largest block Gram eigenvalue."""
-    x, y = _checked_data(x, y)
+    x, y = require_data(x, y)
     bc = base_change if base_change is not None else real_base_change(p)
     n = bc.spectrum.n
     if x.shape[0] != n or y.shape[0] != n:
         raise SizeMismatchError(f"equivariant fit needs n x d data with n={n}")
     xt, yt = bc.to_basis(x), bc.to_basis(y)
-    pieces = list(zip(bc.spectrum.real_blocks, bc.block_slices))
-    rows = tuple((_block_rows(xt, blk, sl), _block_rows(yt, blk, sl)) for blk, sl in pieces)
+    blocks = bc.spectrum.real_blocks
+    rows = [(_block_rows(xt, blk, sl), _block_rows(yt, blk, sl)) for blk, sl in zip(blocks, bc.block_slices)]
     # every block Gram first: the rank floor's scale is their largest eigenvalue.
     # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block.
-    eighs = [_gram_eigh(xb, ridge and ridge * blk.rank_multiplier)
-             for (blk, _), (xb, _) in zip(pieces, rows)]
+    eighs = [_gram_eigh(xb, ridge and ridge * blk.rank_multiplier) for blk, (xb, _) in zip(blocks, rows)]
     top = max(vals[-1] for vals, _ in eighs)
-    solves = []
-    for (xb, yb), (vals, vecs) in zip(rows, eighs):
+    for vals, _ in eighs:
         _check_rank_floor(vals, top)
-        solves.append(_solve_eigh(xb, yb, vals, vecs))
-    return EquivariantSolve(p, bc, rows, tuple(solves), ridge,
-                            sum(s.constant for s in solves), tie_slack(y))
+    solves = tuple(_solve_eigh(xb, yb, vals, vecs) for (xb, yb), (vals, vecs) in zip(rows, eighs))
+    return EquivariantSolve(p, bc, solves, ridge, sum(s.constant for s in solves), tie_slack(y))
 
 
 def fit_equivariant(
@@ -416,7 +403,9 @@ def fit_equivariant(
 ) -> FitResult:
     """Minimize ||M X - Y||_F^2 over rank <= r equivariant matrices: one
     `solve_equivariant` and one `EquivariantSolve.fit`, whose documentation
-    gives the choice of component and the errors."""
+    gives the choice of component and the errors.  A bad choice of component
+    and heuristic is rejected before the solve."""
+    _check_choice(component, heuristic)
     return solve_equivariant(x, y, p, ridge, base_change).fit(r, component, heuristic)
 
 

@@ -576,6 +576,10 @@ class TestNonFiniteAndFailures:
         write_matrix_csv(f, np.eye(9))
         self.expect_error(capsys, ["project", *self.ROT, "--mode", "equivariant",
                                    "--matrix", str(f)], "NonFiniteError")
+        out = tmp_path / "out.json"  # nothing is written to a named file either
+        self.expect_error(capsys, ["project", *self.ROT, "--mode", "equivariant",
+                                   "--matrix", str(f), "--out", str(out)], "NonFiniteError")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

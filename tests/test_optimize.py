@@ -65,7 +65,8 @@ def listed(fit, p, r, limit=None):
 def sel_to_target(x, y, ridge=None):
     """(U, W) with argmin ||M X - Y||_F^2 = argmin ||M - U||_W^2: U is the
     full-rank solution of `weighted_eckart_young`, W = X X^T (+ ridge * Id)."""
-    decoder, encoder = weighted_eckart_young(x, y, ridge).factors(len(x))
+    fit = weighted_eckart_young(x, y, ridge)
+    decoder, encoder, _, _ = fit.read(min(len(x), len(y)), ("dense", 0, 0))
     return decoder @ encoder, x @ x.T + (ridge or 0.0) * np.eye(len(x))
 
 
@@ -76,16 +77,16 @@ def fit_realization_block(u_block, x_block, r):
     x_block = np.asarray(x_block, dtype=float)
     xc = x_block[0::2] + 1j * x_block[1::2]
     y_block = u_block @ x_block
-    decoder, encoder = weighted_eckart_young(xc, y_block[0::2] + 1j * y_block[1::2]).factors(r)
+    fit = weighted_eckart_young(xc, y_block[0::2] + 1j * y_block[1::2])
+    decoder, encoder, _, _ = fit.read(r, ("complex_pair", 0, 0))
     return realize(decoder @ encoder)
 
 
 def truncation(u, r):
     """The closest rank <= r matrix to u with its `BlockFit`: weighted
     Eckart-Young with X = I is plain Eckart-Young."""
-    fit = weighted_eckart_young(np.eye(u.shape[1]), u)
-    decoder, encoder = fit.factors(r)
-    return decoder @ encoder, fit.block_fit(("dense", 0, 0), r)
+    decoder, encoder, _, blk = weighted_eckart_young(np.eye(u.shape[1]), u).read(r, ("dense", 0, 0))
+    return decoder @ encoder, blk
 
 
 class TestEckartYoung:
@@ -456,6 +457,30 @@ class TestFitEquivariant:
                 solve.fit(3, component, "bogus")
         assert solve.fit(3, rvec).component_source == "named"
 
+    def test_bad_choice_is_rejected_before_the_solve(self, monkeypatch):
+        """An unknown heuristic, or a component named with a heuristic, is
+        rejected before any base change: to_basis is never called."""
+        from permlin.spectral import BaseChange
+
+        calls = []
+        to_basis = BaseChange.to_basis
+
+        def counted(self, x):
+            calls.append(x.shape)
+            return to_basis(self, x)
+
+        monkeypatch.setattr(BaseChange, "to_basis", counted)
+        x = np.random.default_rng(23).standard_normal((9, 30))
+        rvec = make_rank_vector(eigen_multiplicities(cycle_decomposition(ROT9)), "real", (1, 0, 1))
+        for component, heuristic, match in ((None, "bogus", "unknown heuristic"),
+                                            (rvec, "bogus", "unknown heuristic"),
+                                            (rvec, "energy", "not both")):
+            with pytest.raises(ComponentError, match=match):
+                fit_equivariant(x, x, ROT9, 3, component, heuristic)
+        assert calls == []
+        fit_equivariant(x, x, ROT9, 3, rvec)
+        assert calls == [x.shape, x.shape]
+
     def test_energy_heuristic_runs_and_is_flagged(self):
         rng = np.random.default_rng(21)
         x = rng.standard_normal((9, 30))
@@ -726,6 +751,42 @@ def test_squared_singular_values_match_an_svd(m, n, complex_data, seed):
     sq = weighted_eckart_young(x, y).svals ** 2
     assert len(sq) == min(m, n)
     assert np.abs(sq - ref).max() <= 10 * np.finfo(float).eps * ref[0] * max(m, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 8), st.booleans(),
+       st.sampled_from([None, 1e-3, 1.0]), st.integers(0, 2**32 - 1))
+def test_read_forms_the_leading_factors_and_their_loss(m, n, r, complex_data, ridge, seed):
+    """read(r) gives the leading r columns of the decoder and rows of the
+    encoder of read(k) from the same solve, and as its loss the residual of
+    those factors; fit_rank_bounded returns factors of rank r."""
+    rng = np.random.default_rng(seed)
+
+    def draw(rows):
+        a = rng.standard_normal((rows, n + 4))
+        return a + 1j * rng.standard_normal(a.shape) if complex_data else a
+
+    x, y = draw(n), draw(m)
+    r = min(r, m, n)
+    solve = weighted_eckart_young(x, y, ridge)
+    full_decoder, full_encoder, _, _ = solve.read(min(m, n), ("dense", 0, 0))
+    decoder, encoder, loss, blk = solve.read(r, ("dense", 0, 0))
+    for part, full in ((decoder, full_decoder[:, :r]), (encoder, full_encoder[:r])):
+        assert part.shape == full.shape
+        assert np.linalg.norm(part - full) <= 1e-12 * np.linalg.norm(full)
+    residual = float(np.linalg.norm(decoder @ encoder @ x - y) ** 2)
+    assert abs(loss - residual) <= 1e-12 * float(np.linalg.norm(y) ** 2)
+    assert blk.rank == r and blk.loss == solve.tails[r]
+    if not complex_data:
+        fit = fit_rank_bounded(x, y, r, ridge)
+        assert fit.decoder.shape == (m, r) and fit.encoder.shape == (r, n)
+
+
+def test_read_rejects_a_rank_above_the_solve():
+    fit = weighted_eckart_young(np.eye(3), np.ones((2, 3)))
+    for r in (-1, 3):
+        with pytest.raises(SizeMismatchError, match=f"rank {r} outside 0..2"):
+            fit.read(r, ("dense", 0, 0))
 
 
 def test_no_fit_path_takes_an_svd(monkeypatch):

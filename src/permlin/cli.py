@@ -102,10 +102,10 @@ def _component_arg(text, spec):
 
 
 def _block_layout_json(spec):
-    real = [{"kind": b.kind, "l": b.l, "m": b.m, "size": b.size, "rows": b.rows, "offset": off}
-            for b, off in zip(spec.real_blocks, spec.offsets("real"))]
-    cplx = [{"l": b.l, "m": b.m, "size": b.size, "offset": off}
-            for b, off in zip(spec.complex_blocks, spec.offsets("complex"))]
+    real = [{"kind": b.kind, "l": b.l, "m": b.m, "size": b.size, "rows": b.rows, "offset": sl.start}
+            for b, sl in zip(spec.real_blocks, spec.slices("real"))]
+    cplx = [{"l": b.l, "m": b.m, "size": b.size, "offset": sl.start}
+            for b, sl in zip(spec.complex_blocks, spec.slices("complex"))]
     return {"complex_blocks": cplx, "real_blocks": real}
 
 

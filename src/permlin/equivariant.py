@@ -17,7 +17,8 @@ A `RankVector` carries the blocks of the spectrum it was made on, so its
 total rank, dimension, degree and parameter count are each one sum over its
 (block, rank) pairs, read from the block's size d_l and `rank_multiplier`,
 with no spectrum passed beside it.  A rank vector of another spectrum is
-rejected wherever a permutation's component is read.
+rejected wherever a permutation's component is read, and so is a base change
+of another permutation, even of the same spectrum.
 """
 
 from __future__ import annotations
@@ -274,6 +275,13 @@ def is_equivariant(m: np.ndarray, p: Permutation, tol: float = STRUCTURE_TOL) ->
 # classification and parameterization
 
 
+def _real_base_change(p: Permutation, bc: Optional[BaseChange]) -> BaseChange:
+    """`bc`, or the real base change of p when None; SizeMismatchError for any other."""
+    if bc is not None and (bc.field != "real" or bc.permutation != p):
+        raise SizeMismatchError("base change is not the real base change of this permutation")
+    return bc if bc is not None else real_base_change(p)
+
+
 def classify_component(
     m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None
 ) -> RankVector:
@@ -289,7 +297,7 @@ def classify_component(
     lies outside every real component.
     """
     m = np.asarray(m, dtype=float)
-    bc = base_change if base_change is not None else real_base_change(p)
+    bc = _real_base_change(p, base_change)
     B = bc.conjugate(m)
     svals, pattern = [], 0.0
     for blk, sl in zip(bc.spectrum.real_blocks, bc.block_slices):
@@ -374,12 +382,16 @@ def parameterize_component(
 
     Per block, the factors are free d x r_b / r_b x d matrices (complex for
     pair blocks, then realized), placed block-diagonally in the Q basis and
-    conjugated back.  Missing factors are sampled unit-normal from `rng`.
+    conjugated back.  `factors` gives one pair per block, else `rng` draws
+    them unit-normal: SizeMismatchError for a wrong count or shape,
+    NonFiniteError for NaN or inf, StructuralError for complex on a +-1 block.
     """
-    bc = base_change if base_change is not None else real_base_change(p)
+    bc = _real_base_change(p, base_change)
     spec = bc.spectrum
     if rvec.blocks != spec.real_blocks:
         raise ComponentError(f"{rvec} is not a real component of this permutation")
+    if factors is not None and len(factors) != len(rvec.blocks):
+        raise SizeMismatchError(f"expected {len(rvec.blocks)} factor pairs, one per block, got {len(factors)}")
     if rng is None and factors is None:  # numpy.random costs 5 MB of RSS to load
         rng = np.random.default_rng(0)
     D = np.zeros((spec.n, rvec.total_rank))
@@ -431,12 +443,13 @@ def _tied(r0: int, c0: int, rows: int, cols: int, pair: bool) -> list[tuple]:
 def _block_factors(factors, idx: int, blk: Block, rb: int, rng):
     d = blk.size
     if factors is not None:
-        A, B = factors[idx]
-        A, B = np.asarray(A), np.asarray(B)
+        A, B = (require_finite(f, f"block ({blk.l},{blk.m}) factor") for f in factors[idx])
         if A.shape != (d, rb) or B.shape != (rb, d):
             raise SizeMismatchError(
                 f"block ({blk.l},{blk.m}) factors must be {d}x{rb} and {rb}x{d}, got {A.shape}, {B.shape}"
             )
+        if blk.kind != "complex_pair" and (np.iscomplexobj(A) or np.iscomplexobj(B)):
+            raise StructuralError(f"block ({blk.l},{blk.m}) is real; its factors cannot be complex")
         return A, B
     if blk.kind == "complex_pair":
         A = rng.standard_normal((d, rb)) + 1j * rng.standard_normal((d, rb))

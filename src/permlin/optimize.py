@@ -176,18 +176,6 @@ def _gram_eigh(x: np.ndarray, ridge: Optional[float] = None) -> tuple[np.ndarray
     return eigh(g)
 
 
-def _check_rank_floor(vals: np.ndarray, top: float) -> None:
-    """The one rank check of every fit: RankDeficientError unless the smallest
-    Gram eigenvalue exceeds DEFAULT_TOL * top, where `top` is the largest Gram
-    eigenvalue of the whole fit (of all blocks of an equivariant fit).  So the
-    floor scales with the data, and a block of rounding noise still fails."""
-    if not vals[0] > DEFAULT_TOL * top:
-        raise RankDeficientError(
-            f"data Gram nearly singular (eigenvalues {vals[0]:.3e} to {vals[-1]:.3e}, "
-            f"largest of the fit {top:.3e}); supply more generic data or a ridge"
-        )
-
-
 def _solve_eigh(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> WeightedEckartYoung:
     """Weighted Eckart-Young from the Gram eigendecomposition (vals, vecs):
     the eigendecomposition of A^H A for the whitened cross term A, no SVD."""
@@ -203,6 +191,20 @@ def _solve_eigh(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray
     return WeightedEckartYoung(x, y, a, w[:, ::-1], whiten, s, tuple(float(v) for v in tails), constant)
 
 
+def _solve_blocks(blocks) -> tuple[WeightedEckartYoung, ...]:
+    """Weighted Eckart-Young of each (X, Y, ridge) block, one block for a
+    dense or invariant fit, every Gram first.  Then the one rank check of
+    every fit: RankDeficientError unless each Gram's smallest eigenvalue
+    exceeds DEFAULT_TOL times the largest Gram eigenvalue over all blocks, so
+    the floor scales with the data and a block of rounding noise still fails."""
+    eighs = [_gram_eigh(x, ridge) for x, _, ridge in blocks]
+    low, top = min(vals[0] for vals, _ in eighs), max(vals[-1] for vals, _ in eighs)
+    if not low > DEFAULT_TOL * top:
+        raise RankDeficientError(f"data Gram nearly singular (smallest eigenvalue {low:.3e}, largest of "
+                                 f"the fit {top:.3e}); supply more generic data or a ridge")
+    return tuple(_solve_eigh(x, y, vals, vecs) for (x, y, _), (vals, vecs) in zip(blocks, eighs))
+
+
 def weighted_eckart_young(
     x: np.ndarray, y: np.ndarray, ridge: Optional[float] = None
 ) -> WeightedEckartYoung:
@@ -213,10 +215,7 @@ def weighted_eckart_young(
     scale; NonFiniteError (checked before the Gram is formed) and
     ConvergenceError come from the `linalg` layer.
     """
-    x, y = require_finite(x, "data"), require_finite(y, "data")
-    vals, vecs = _gram_eigh(x, ridge)
-    _check_rank_floor(vals, vals[-1])
-    return _solve_eigh(x, y, vals, vecs)
+    return _solve_blocks([(require_finite(x, "data"), require_finite(y, "data"), ridge)])[0]
 
 
 def fit_rank_bounded(
@@ -232,12 +231,13 @@ def fit_rank_bounded(
     return FitResult(decoder, encoder, loss, "unconstrained", (blk,), ridge, fit.constant)
 
 
-def _block_rows(a: np.ndarray, blk, sl: slice) -> np.ndarray:
-    """A copy of the rows of one block of Q^T a, so that Q^T a itself can be
-    freed; on a complex-pair block the row pairs (2i, 2i+1) as the complex
-    rows a_2i + i a_2i+1."""
-    b = a[sl]
-    return b[0::2] + 1j * b[1::2] if blk.kind == "complex_pair" else b.copy()
+def _block_rows(bc: BaseChange, a: np.ndarray) -> list[np.ndarray]:
+    """A copy of the rows of each block of Q^T a, so that Q^T a itself is
+    freed on return; on a complex-pair block the row pairs (2i, 2i+1) as the
+    complex rows a_2i + i a_2i+1."""
+    t = bc.to_basis(a)
+    return [t[sl][0::2] + 1j * t[sl][1::2] if blk.kind == "complex_pair" else t[sl].copy()
+            for blk, sl in zip(bc.spectrum.real_blocks, bc.block_slices)]
 
 
 def _energy_component(blocks, fits, r: int) -> tuple[int, ...]:
@@ -313,11 +313,10 @@ def _check_choice(component: Optional[RankVector], heuristic: Optional[str]) -> 
 @dataclass(frozen=True)
 class EquivariantSolve:
     """The equivariant fit of Y on X, solved for every rank and component:
-    per block of the base change, the `WeightedEckartYoung` of its rows of
+    per block of sigma's base change, the `WeightedEckartYoung` of its rows of
     Q^T X and Q^T Y (complex on a complex-pair block).  `slack` is
     `tie_slack(Y)`, the tie slack of the component search."""
 
-    permutation: Permutation
     base_change: BaseChange
     solves: tuple[WeightedEckartYoung, ...] = field(repr=False)
     ridge: Optional[float]
@@ -357,38 +356,26 @@ class EquivariantSolve:
         # Q is orthogonal, so ||M X - Y||^2 is the sum of the block residuals
         decoders, encoders, losses, per_block = zip(*(
             solve.read(t, (blk.kind, blk.l, blk.m)) for blk, solve, t in zip(blocks, self.solves, values)))
-        par = parameterize_component(rvec, self.permutation, list(zip(decoders, encoders)),
+        par = parameterize_component(rvec, self.base_change.permutation, list(zip(decoders, encoders)),
                                      base_change=self.base_change)
         return FitResult(par.decoder, par.encoder, sum(losses), rvec, per_block, self.ridge,
                          self.constant, source, search_gap)
 
 
 def solve_equivariant(
-    x: np.ndarray,
-    y: np.ndarray,
-    p: Permutation,
-    ridge: Optional[float] = None,
-    base_change: Optional[BaseChange] = None,
+    x: np.ndarray, y: np.ndarray, p: Permutation, ridge: Optional[float] = None
 ) -> EquivariantSolve:
-    """Change the basis of X and Y once and solve every block once.
+    """Change the basis of X, then of Y, and solve every block once.
     RankDeficientError when the Gram of any block fails the rank floor, whose
     scale is the largest block Gram eigenvalue."""
     x, y = require_data(x, y)
-    bc = base_change if base_change is not None else real_base_change(p)
-    n = bc.spectrum.n
-    if x.shape[0] != n or y.shape[0] != n:
-        raise SizeMismatchError(f"equivariant fit needs n x d data with n={n}")
-    xt, yt = bc.to_basis(x), bc.to_basis(y)
-    blocks = bc.spectrum.real_blocks
-    rows = [(_block_rows(xt, blk, sl), _block_rows(yt, blk, sl)) for blk, sl in zip(blocks, bc.block_slices)]
-    # every block Gram first: the rank floor's scale is their largest eigenvalue.
-    # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block.
-    eighs = [_gram_eigh(xb, ridge and ridge * blk.rank_multiplier) for blk, (xb, _) in zip(blocks, rows)]
-    top = max(vals[-1] for vals, _ in eighs)
-    for vals, _ in eighs:
-        _check_rank_floor(vals, top)
-    solves = tuple(_solve_eigh(xb, yb, vals, vecs) for (xb, yb), (vals, vecs) in zip(rows, eighs))
-    return EquivariantSolve(p, bc, solves, ridge, sum(s.constant for s in solves), tie_slack(y))
+    if x.shape[0] != p.n or y.shape[0] != p.n:
+        raise SizeMismatchError(f"equivariant fit needs n x d data with n={p.n}")
+    bc = real_base_change(p)
+    # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block
+    solves = _solve_blocks([(xb, yb, ridge and ridge * blk.rank_multiplier) for blk, xb, yb in
+                            zip(bc.spectrum.real_blocks, _block_rows(bc, x), _block_rows(bc, y))])
+    return EquivariantSolve(bc, solves, ridge, sum(s.constant for s in solves), tie_slack(y))
 
 
 def fit_equivariant(
@@ -399,14 +386,13 @@ def fit_equivariant(
     component: Optional[RankVector] = None,
     heuristic: Optional[str] = None,
     ridge: Optional[float] = None,
-    base_change: Optional[BaseChange] = None,
 ) -> FitResult:
     """Minimize ||M X - Y||_F^2 over rank <= r equivariant matrices: one
     `solve_equivariant` and one `EquivariantSolve.fit`, whose documentation
     gives the choice of component and the errors.  A bad choice of component
     and heuristic is rejected before the solve."""
     _check_choice(component, heuristic)
-    return solve_equivariant(x, y, p, ridge, base_change).fit(r, component, heuristic)
+    return solve_equivariant(x, y, p, ridge).fit(r, component, heuristic)
 
 
 def ed_degrees(kind: str, dims: Sequence[int]) -> int:

@@ -12,7 +12,7 @@ complex_pair block per conjugate pair.  `Block.rank_multiplier` is the one
 rule for how much total rank a unit of block rank costs: 2 on a complex pair,
 whose realization doubles every rank, and 1 otherwise.
 `BlockSpectrum.blocks(field)` is the one place a field's block list is
-chosen, and `offsets(field)` gives each block's first coordinate.
+chosen, and `slices(field)` the one block layout, each block's coordinates.
 
 Two base changes are provided:
 
@@ -37,13 +37,14 @@ Two base changes are provided:
 
   with pairs labeled by the representative m satisfying 1/2 < m/l < 1.
 
-Both are held in factored form, never as n x n arrays: the cycle-sort order,
-one l x l factor per distinct cycle length (the Vandermonde for the complex
-base change, the orthogonal `_real_cycle_basis(l)` for the real one), and the
-grouping.  Applying one to an n x k matrix is a gather of rows, one batched
-l x l product per distinct length and a scatter: O(n l k) work in place of
-O(n^2 k).  The dense T and T^{-1} exist only as a reference, built from
-these factors by `oracles.dense_base_change`.
+Both record the permutation sigma they were built for, so sigma alone names
+the basis, and are held in factored form, never as n x n arrays: the
+cycle-sort order, one l x l factor per distinct cycle length (the Vandermonde
+for the complex base change, the orthogonal `_real_cycle_basis(l)` for the
+real one), and the grouping.  Applying one to an n x k matrix is a gather of
+rows, one batched l x l product per distinct length and a scatter: O(n l k)
+work in place of O(n^2 k).  The dense T and T^{-1} exist only as a reference,
+built from these factors by `oracles.dense_base_change`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,7 +102,6 @@ class Block:
 @dataclass(frozen=True)
 class BlockSpectrum:
     n: int
-    k: int
     cycle_lengths: tuple[int, ...]
     multiplicities: dict[int, int]
     complex_blocks: tuple[Block, ...]
@@ -118,7 +119,7 @@ class BlockSpectrum:
             real.append(Block("real_minus", 2, 1, d[2]))
         real += [Block("complex_pair", l, m, d[l])
                  for l in ls if l >= 3 for m in range(l // 2 + 1, l) if math.gcd(m, l) == 1]
-        return BlockSpectrum(n, len(lengths), lengths, d, tuple(cplx), tuple(real))
+        return BlockSpectrum(n, lengths, d, tuple(cplx), tuple(real))
 
     def blocks(self, field: str) -> tuple[Block, ...]:
         """The canonical block list of field "complex" or "real"."""
@@ -128,13 +129,10 @@ class BlockSpectrum:
             return self.real_blocks
         raise ComponentError(f"unknown field {field!r}")
 
-    def offsets(self, field: str) -> list[int]:
-        """The first coordinate of each block of the field's layout."""
-        offs, pos = [], 0
-        for b in self.blocks(field):
-            offs.append(pos)
-            pos += b.rows
-        return offs
+    def slices(self, field: str) -> tuple[slice, ...]:
+        """Each block's coordinate range, `rows` wide, in canonical order."""
+        stops = list(accumulate((b.rows for b in self.blocks(field)), initial=0))
+        return tuple(map(slice, stops, stops[1:]))
 
 
 def eigen_multiplicities(c: CycleDecomposition) -> BlockSpectrum:
@@ -149,7 +147,7 @@ def commutant_dimension(c: CycleDecomposition) -> int:
 
 @dataclass(frozen=True)
 class BaseChange:
-    """An invertible base change T = T1 T2 T3, held as its three factors.
+    """An invertible base change T = T1 T2 T3 of `permutation`, in three factors.
 
     * `order`: the cycle sort T1, as 0-based labels in cycle-sorted order
       (cycles by smallest label, each followed along sigma^{-1});
@@ -160,16 +158,20 @@ class BaseChange:
     `to_basis`, `from_basis` and `conjugate` apply T and T^{-1}
     by indexing and one batched l x l product per distinct length, without
     forming T or T^{-1}.  For field "real" T is orthogonal and T^{-1} is its
-    transpose.  `block_slices` maps each block of the layout (in canonical
-    order) to its coordinate range.
+    transpose.  `block_slices` is the spectrum's layout of the field: each
+    block's coordinate range, in canonical order.
     """
 
     field: str
+    permutation: Permutation
     spectrum: BlockSpectrum
-    block_slices: tuple[slice, ...]
     order: tuple[int, ...]
     factors: dict[int, tuple[np.ndarray, np.ndarray]]
     grouping: tuple[int, ...]
+
+    @property
+    def block_slices(self) -> tuple[slice, ...]:
+        return self.spectrum.slices(self.field)
 
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
@@ -255,10 +257,10 @@ def _reduced_label(num: int, den: int) -> tuple[int, int]:
     return (den // g, num // g)
 
 
-def _group(lengths, keys: dict[int, list], blocks) -> tuple[tuple[int, ...], tuple[slice, ...]]:
-    """The grouping T3 and the block slices.  keys[l][j] names the block of
-    position j inside every length-l cycle; for each (key, size) of `blocks`
-    in canonical order, the cycle-sorted positions named key are collected."""
+def _group(lengths, keys: dict[int, list], blocks) -> tuple[int, ...]:
+    """The grouping T3.  keys[l][j] names the block of position j inside every
+    length-l cycle; for each (key, size) of `blocks` in canonical order, the
+    cycle-sorted positions named key fill the block's range of `slices`."""
     positions: dict = {}
     offset = 0
     for l in lengths:
@@ -266,14 +268,12 @@ def _group(lengths, keys: dict[int, list], blocks) -> tuple[tuple[int, ...], tup
             positions.setdefault(key, []).append(offset + j)
         offset += l
     grouping: list[int] = []
-    slices = []
     for key, size in blocks:
         cols = positions.get(key, [])
         if len(cols) != size:
             raise SizeMismatchError(f"block {key} collected {len(cols)} columns, expected {size}")
-        slices.append(slice(len(grouping), len(grouping) + size))
         grouping.extend(cols)
-    return tuple(grouping), tuple(slices)
+    return tuple(grouping)
 
 
 def complex_base_change(p: Permutation) -> BaseChange:
@@ -291,8 +291,8 @@ def complex_base_change(p: Permutation) -> BaseChange:
         factors[l] = (vander, np.conj(vander) / l)
         # position j inside a length-l cycle carries the eigenvalue zeta_l^{-j}
         keys[l] = [_reduced_label(l - j, l) for j in range(l)]
-    grouping, slices = _group(cd.lengths, keys, [((b.l, b.m), b.size) for b in spec.complex_blocks])
-    return BaseChange("complex", spec, slices, tuple(_cycle_sort_order(cd)), factors, grouping)
+    grouping = _group(cd.lengths, keys, [((b.l, b.m), b.size) for b in spec.complex_blocks])
+    return BaseChange("complex", p, spec, tuple(_cycle_sort_order(cd)), factors, grouping)
 
 
 def _real_cycle_basis(l: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
@@ -334,5 +334,5 @@ def real_base_change(p: Permutation) -> BaseChange:
         # labeled by the reduced (l', m') of (l - j)/l, with 1/2 < m'/l' < 1
         keys[l] = [real_keys[kind] if kind in real_keys else ("complex_pair", *_reduced_label(l - j, l))
                    for kind, j in tags]
-    grouping, slices = _group(cd.lengths, keys, [((b.kind, b.l, b.m), b.rows) for b in spec.real_blocks])
-    return BaseChange("real", spec, slices, tuple(_cycle_sort_order(cd)), factors, grouping)
+    grouping = _group(cd.lengths, keys, [((b.kind, b.l, b.m), b.rows) for b in spec.real_blocks])
+    return BaseChange("real", p, spec, tuple(_cycle_sort_order(cd)), factors, grouping)

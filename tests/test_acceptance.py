@@ -29,20 +29,17 @@ from permlin.oracles import (
     unrealize,
 )
 from permlin.perms import (
-    Permutation,
     cycle_decomposition,
     parse_permutation,
     permutation_matrix,
 )
 from permlin.spectral import BlockSpectrum, commutant_dimension, eigen_multiplicities, real_base_change
 
+from helpers import als_loss, random_perm
+
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 CHI9 = parse_permutation("(1 2)(3 4)(6 8)", 9)
 SHIFT9 = parse_permutation("(1 5 2)(3 4 7)(6 8 9)", 9)
-
-
-def random_perm(rng, n):
-    return Permutation(n, tuple(rng.permutation(n) + 1))
 
 
 def test_criterion_1_commutant_dimensions():
@@ -175,36 +172,6 @@ def test_criterion_6_fit_consistency_100_instances():
           f"components classified back) in {elapsed:.1f}s")
 
 
-def _real_als(x, y, r, rng, restarts=20, sweeps=50):
-    if r == 0:
-        return float(np.linalg.norm(y) ** 2)
-    xp = np.linalg.pinv(x)
-    best = np.inf
-    for _ in range(restarts):
-        A = rng.standard_normal((y.shape[0], r))
-        for _ in range(sweeps):
-            B = np.linalg.pinv(A) @ y @ xp
-            bx = B @ x
-            A = y @ np.linalg.pinv(bx)
-        best = min(best, float(np.linalg.norm(A @ bx - y) ** 2))
-    return best
-
-
-def _complex_als(x, y, r, rng, restarts=20, sweeps=50):
-    if r == 0:
-        return float(np.linalg.norm(y) ** 2)
-    xp = np.linalg.pinv(x)
-    best = np.inf
-    for _ in range(restarts):
-        A = rng.standard_normal((y.shape[0], r)) + 1j * rng.standard_normal((y.shape[0], r))
-        for _ in range(sweeps):
-            B = np.linalg.pinv(A) @ y @ xp
-            bx = B @ x
-            A = y @ np.linalg.pinv(bx)
-        best = min(best, float(np.linalg.norm(A @ bx - y) ** 2))
-    return best
-
-
 def test_criterion_7_oracle_equivalence_50_instances():
     rng = np.random.default_rng(2)
     count = 0
@@ -229,7 +196,7 @@ def test_criterion_7_oracle_equivalence_50_instances():
         y = rng.standard_normal((m, n + 6))
         fit = fit_invariant(x, y, space)
         xt = replication_matrix(space.partition).astype(float) @ x
-        oracle = _real_als(xt, y, space.effective_rank, rng, restarts=30)
+        oracle = als_loss(xt, y, space.effective_rank, rng, restarts=30, sweeps=50)
         assert fit.loss <= oracle + 1e-6
         count += 1
     # 10 exhaustive equivariant fits (n <= 6) vs blockwise restarted ALS
@@ -254,10 +221,10 @@ def test_criterion_7_oracle_equivalence_50_instances():
                                            desc.rank_vector.entries):
                 xb, yb = xt[sl], yt[sl]
                 if blk.kind == "complex_pair":
-                    total += _complex_als(xb[0::2] + 1j * xb[1::2],
-                                          yb[0::2] + 1j * yb[1::2], rb, rng)
+                    total += als_loss(xb[0::2] + 1j * xb[1::2], yb[0::2] + 1j * yb[1::2],
+                                      rb, rng, restarts=20, sweeps=50)
                 else:
-                    total += _real_als(xb, yb, rb, rng)
+                    total += als_loss(xb, yb, rb, rng, restarts=20, sweeps=50)
             best = min(best, total)
         assert fit.loss <= best + 1e-6
         assert abs(fit.loss - best) <= 1e-5 * (1 + best)
@@ -361,13 +328,12 @@ def test_criterion_9_demo_shift_loss_ordering():
     spec = bc.spectrum
 
     dense = fit_rank_bounded(X, X, rank)
-    energy = fit_equivariant(X, X, sigma, rank, heuristic="energy", base_change=bc)
+    energy = fit_equivariant(X, X, sigma, rank, heuristic="energy")
 
     c = rank // (sum(1 for b in spec.real_blocks if b.rank_multiplier == 1)
                  + 2 * sum(1 for b in spec.real_blocks if b.rank_multiplier == 2))
     equal_rvec = make_rank_vector(spec, "real", [min(c, b.size) for b in spec.real_blocks])
-    equal = fit_equivariant(X, X, sigma, equal_rvec.total_rank, component=equal_rvec,
-                            base_change=bc)
+    equal = fit_equivariant(X, X, sigma, equal_rvec.total_rank, component=equal_rvec)
 
     angles = [0.0 if b.kind == "real_plus" else
               (np.pi if b.kind == "real_minus" else 2 * np.pi * (b.l - b.m) / b.l)
@@ -377,8 +343,7 @@ def test_criterion_9_demo_shift_loss_ordering():
     for i in order[len(order) // 2:]:
         high_vals[i] = spec.real_blocks[i].size
     high_rvec = make_rank_vector(spec, "real", high_vals)
-    high = fit_equivariant(X, X, sigma, high_rvec.total_rank, component=high_rvec,
-                           base_change=bc)
+    high = fit_equivariant(X, X, sigma, high_rvec.total_rank, component=high_rvec)
 
     assert dense.loss <= energy.loss + 1e-9
     assert energy.loss <= equal.loss + 1e-9

@@ -22,6 +22,7 @@ from permlin.equivariant import (
 from permlin.errors import (
     ComponentError,
     EquivarianceError,
+    NonFiniteError,
     SearchLimitError,
     SizeMismatchError,
     StructuralError,
@@ -35,18 +36,20 @@ from permlin.oracles import (
     recursive_component_count,
 )
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
-from permlin.spectral import BlockSpectrum, commutant_dimension, eigen_multiplicities, real_base_change
+from permlin.spectral import (
+    BlockSpectrum,
+    commutant_dimension,
+    complex_base_change,
+    eigen_multiplicities,
+    real_base_change,
+)
 
-from helpers import circulant
+from helpers import circulant, random_perm
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 CHI9 = parse_permutation("(1 2)(3 4)(6 8)", 9)
 SHIFT9 = parse_permutation("(1 5 2)(3 4 7)(6 8 9)", 9)
 SPEC9 = eigen_multiplicities(cycle_decomposition(ROT9))
-
-
-def random_perm(rng, n):
-    return Permutation(n, tuple(rng.permutation(n) + 1))
 
 
 def commutant_basis(gens):
@@ -414,6 +417,23 @@ class TestClassify:
         got = classify_component(M, ROT9)
         assert got.total_rank == 2 < 3
 
+    def test_base_change_of_another_permutation_rejected(self):
+        # (1 2)(3 4 5) and (1 2 3)(4 5) share their spectrum, so their block
+        # layouts agree, but the Q basis of one puts the other's blocks in place
+        p = parse_permutation("(1 2)(3 4 5)", 5)
+        q = parse_permutation("(1 2 3)(4 5)", 5)
+        foreign = real_base_change(q)
+        assert foreign.spectrum.real_blocks == real_base_change(p).spectrum.real_blocks
+        rvec = make_rank_vector(eigen_multiplicities(cycle_decomposition(p)), "real", (1, 1, 1))
+        par = parameterize_component(rvec, p, rng=np.random.default_rng(13))
+        m = par.decoder @ par.encoder
+        for bc in (foreign, complex_base_change(p)):
+            with pytest.raises(SizeMismatchError, match="not the real base change"):
+                classify_component(m, p, base_change=bc)
+            with pytest.raises(SizeMismatchError, match="not the real base change"):
+                parameterize_component(rvec, p, rng=np.random.default_rng(13), base_change=bc)
+        assert classify_component(m, p, base_change=real_base_change(p)) == rvec
+
 
 class TestParameterize:
     def test_fig3_sparsity_pattern(self):
@@ -462,6 +482,34 @@ class TestParameterize:
         ]
         par = parameterize_component(rvec, ROT9, factors=factors)
         assert classify_component(par.decoder @ par.encoder, ROT9).values == rvec.values
+
+    def test_given_factors_need_one_pair_per_block(self):
+        rng = np.random.default_rng(14)
+        rvec = make_rank_vector(SPEC9, "real", (1, 0, 1))
+        short = [(rng.standard_normal((3, 1)), rng.standard_normal((1, 3)))]
+        with pytest.raises(SizeMismatchError, match="factor pairs, one per block"):
+            parameterize_component(rvec, ROT9, factors=short)
+
+    @pytest.mark.parametrize("block, side, value", [(0, 0, np.nan), (2, 1, np.inf)])
+    def test_given_factors_must_be_finite(self, block, side, value):
+        rng = np.random.default_rng(15)
+        rvec = make_rank_vector(SPEC9, "real", (1, 0, 1))
+        factors = [[rng.standard_normal((3, 1)), rng.standard_normal((1, 3))],
+                   [np.zeros((2, 0)), np.zeros((0, 2))],
+                   [rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)),
+                    rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))]]
+        factors[block][side].flat[0] = value
+        with pytest.raises(NonFiniteError):
+            parameterize_component(rvec, ROT9, factors=factors)
+
+    def test_given_factors_of_a_real_block_must_be_real(self):
+        rng = np.random.default_rng(16)
+        rvec = make_rank_vector(SPEC9, "real", (1, 0, 0))
+        factors = [(rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)), rng.standard_normal((1, 3))),
+                   (np.zeros((2, 0)), np.zeros((0, 2))),
+                   (np.zeros((2, 0)), np.zeros((0, 2)))]
+        with pytest.raises(StructuralError, match="cannot be complex"):
+            parameterize_component(rvec, ROT9, factors=factors)
 
     def test_complex_only_vector_rejected(self):
         with pytest.raises(ComponentError):

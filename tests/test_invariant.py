@@ -24,7 +24,7 @@ from permlin.perms import (
     replication_matrix,
 )
 
-from helpers import identity
+from helpers import als_loss, identity
 
 SIGMA5 = parse_permutation("(1 3 4)(2 5)", 5)
 
@@ -136,22 +136,6 @@ class TestSingular:
         assert not is_singular_point(space, np.zeros((4, 5)))
 
 
-def als_oracle(x, y, r, restarts=100, seed=0, sweeps=60):
-    """Alternating least squares on the pattern-expanded factorization."""
-    rng = np.random.default_rng(seed)
-    xp = np.linalg.pinv(x)
-    best = np.inf
-    m = y.shape[0]
-    for _ in range(restarts):
-        A = rng.standard_normal((m, r))
-        for _ in range(sweeps):
-            B = np.linalg.pinv(A) @ y @ xp
-            bx = B @ x
-            A = y @ np.linalg.pinv(bx)
-        best = min(best, float(np.linalg.norm(A @ bx - y) ** 2))
-    return best
-
-
 class TestFitInvariant:
     def test_consistent_recovery(self):
         rng = np.random.default_rng(3)
@@ -195,7 +179,7 @@ class TestFitInvariant:
         fit = fit_invariant(X, Y, space)
         # oracle on the compressed data: M X = psi(M) (E X)
         xt = replication_matrix(part).astype(float) @ X
-        oracle = als_oracle(xt, Y, 2, restarts=80, seed=1)
+        oracle = als_loss(xt, Y, 2, np.random.default_rng(1), restarts=80, sweeps=60)
         assert fit.loss <= oracle + 1e-6
         assert abs(fit.loss - oracle) <= 1e-5
 
@@ -209,7 +193,7 @@ class TestFitInvariant:
         # X itself may be rank deficient
         fit = fit_invariant(X, Y, space)
         xt = replication_matrix(space.partition).astype(float) @ X
-        oracle = als_oracle(xt, Y, 2, restarts=80, seed=1)
+        oracle = als_loss(xt, Y, 2, np.random.default_rng(1), restarts=80, sweeps=60)
         assert fit.loss <= oracle + 1e-6
         assert abs(fit.loss - oracle) <= 1e-5
         fit = fit_invariant(X, Y, space, ridge=1e-6)

@@ -50,7 +50,7 @@ from permlin.optimize import (
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation
 from permlin.spectral import eigen_multiplicities, real_base_change
 
-from helpers import identity
+from helpers import als_loss, identity
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 
@@ -1027,44 +1027,9 @@ def blockwise_als_best(x, y, p, r, rng):
                                        desc.rank_vector.entries):
             xb, yb = xt[sl], yt[sl]
             if blk.kind == "complex_pair":
-                xc = xb[0::2] + 1j * xb[1::2]
-                yc = yb[0::2] + 1j * yb[1::2]
-                total += complex_als(xc, yc, rb, rng)
-            else:
-                total += real_als(xb, yb, rb, rng)
+                xb, yb = xb[0::2] + 1j * xb[1::2], yb[0::2] + 1j * yb[1::2]
+            total += als_loss(xb, yb, rb, rng, restarts=25, sweeps=60)
         best = min(best, total)
-    return best
-
-
-def real_als(x, y, r, rng, restarts=25, sweeps=60):
-    if r == 0:
-        return float(np.linalg.norm(y) ** 2)
-    xp = np.linalg.pinv(x)
-    best = np.inf
-    for _ in range(restarts):
-        A = rng.standard_normal((y.shape[0], r))
-        for _ in range(sweeps):
-            B = np.linalg.pinv(A) @ y @ xp
-            bx = B @ x
-            A = y @ np.linalg.pinv(bx)
-        best = min(best, float(np.linalg.norm(A @ bx - y) ** 2))
-    return best
-
-
-def complex_als(x, y, r, rng, restarts=25, sweeps=60):
-    """min ||A B x - y||^2 over complex rank-r factorizations; the squared
-    norm of the complex residual equals the real block residual."""
-    if r == 0:
-        return float(np.linalg.norm(y) ** 2)
-    xp = np.linalg.pinv(x)
-    best = np.inf
-    for _ in range(restarts):
-        A = rng.standard_normal((y.shape[0], r)) + 1j * rng.standard_normal((y.shape[0], r))
-        for _ in range(sweeps):
-            B = np.linalg.pinv(A) @ y @ xp
-            bx = B @ x
-            A = y @ np.linalg.pinv(bx)
-        best = min(best, float(np.linalg.norm(A @ bx - y) ** 2))
     return best
 
 

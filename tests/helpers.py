@@ -1,6 +1,7 @@
 """Builders the tests share that the library itself has no use for: the
 identity and random permutations, circulant matrices, matrix files written in
-the formats `permlin.matio` reads, and the restarted-ALS loss oracle."""
+the formats `permlin.matio` reads, the restarted-ALS loss oracle, and the
+data files of the golden fits."""
 
 import json
 from pathlib import Path
@@ -58,3 +59,28 @@ def als_loss(x, y, r: int, rng, restarts: int, sweeps: int) -> float:
             A = y @ np.linalg.pinv(bx)
         best = min(best, float(np.linalg.norm(A @ bx - y) ** 2))
     return best
+
+
+FIT_HEIGHT, FIT_WIDTH, FIT_SAMPLES, FIT_NOISE = 8, 12, 384, 0.05
+
+
+def write_fit_inputs(seed: int, workdir: Path) -> None:
+    """X.csv and Y.csv in workdir: noisy bar images on the 8 x 12 grid and
+    their clean versions, one column per sample (a denoising fit).  Copied
+    from `perfbench/workloads.write_fit_inputs`, not imported, so that a
+    change of the benchmark cannot move the golden outputs built on it."""
+    rng = np.random.default_rng(seed)
+    clean = np.zeros((FIT_SAMPLES, FIT_HEIGHT, FIT_WIDTH))
+    for img in clean:
+        for _ in range(rng.integers(1, 4)):
+            if rng.random() < 0.5:
+                img[rng.integers(FIT_HEIGHT), :] += rng.uniform(0.5, 1.5, FIT_WIDTH)
+            else:
+                img[:, rng.integers(FIT_WIDTH)] += rng.uniform(0.5, 1.5, FIT_HEIGHT)
+        img[:] = np.roll(img, rng.integers(FIT_WIDTH), axis=1)
+    noisy = clean + FIT_NOISE * rng.standard_normal(clean.shape)
+    n = FIT_HEIGHT * FIT_WIDTH
+    for name, data in (("X.csv", noisy), ("Y.csv", clean)):
+        rows = data.reshape(FIT_SAMPLES, n).T
+        text = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
+        (Path(workdir) / name).write_text(text + "\n")

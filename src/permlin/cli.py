@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, equivariant, invariant, linalg, matio, optimize, oracles, spectral
-from .errors import ComponentError, CyclicOnlyError, MatrixFormatError, NonFiniteError, PermlinError
+from .errors import ComponentError, CyclicOnlyError, NonFiniteError, PermlinError
 from .perms import consecutive_cycles, cycle_decomposition, parse_permutation, permutation_matrix
 
 JSON_KW = dict(indent=2, sort_keys=True)
@@ -63,14 +63,6 @@ def _cycle_lengths_from_type(text):
             raise PermlinError(f"cycle-type counts and lengths must be positive: {part.strip()!r}")
         lengths.extend([length] * count)
     return lengths
-
-
-def _read_real(path):
-    """The matrix in a file; MatrixFormatError when it has complex entries."""
-    m = matio.read_matrix(path)
-    if np.iscomplexobj(m):
-        raise MatrixFormatError(f"matrix in {path} has complex entries; this command needs a real matrix")
-    return m
 
 
 def _resolve_gens(args, allow_many=False):
@@ -165,7 +157,7 @@ def cmd_components(args):
 
 def cmd_project(args):
     gens = _resolve_gens(args, allow_many=True)
-    m = _read_real(args.matrix)
+    m = matio.read_matrix(args.matrix)
     if args.mode == "invariant":
         space = invariant.invariant_space(gens, m.shape[0], gens[0].n, min(m.shape))
         proj = invariant.invariant_project(m, space.partition)
@@ -204,8 +196,8 @@ def _fit_result_json(fit, extras=None):
 
 def cmd_fit(args):
     gens = _resolve_gens(args, allow_many=(args.mode == "invariant"))
-    x = _read_real(args.x)
-    y = _read_real(args.y)
+    x = matio.read_matrix(args.x)
+    y = matio.read_matrix(args.y)
     if args.mode == "invariant":
         space = invariant.invariant_space(gens, y.shape[0], x.shape[0], args.rank)
         fit = invariant.fit_invariant(x, y, space, ridge=args.ridge)
@@ -237,7 +229,7 @@ def _weight_report_json(report):
 def cmd_factorize(args):
     gens = _resolve_gens(args, allow_many=(args.mode == "invariant"))
     if args.mode == "invariant":
-        m = _read_real(args.matrix)
+        m = matio.read_matrix(args.matrix)
         space = invariant.invariant_space(
             gens, m.shape[0], gens[0].n, args.rank if args.rank is not None else min(m.shape))
         dec, enc = invariant.invariant_autoencoder(space, m)
@@ -257,7 +249,7 @@ def cmd_factorize(args):
         spec = _spectrum_of(gens[0])
         rvec = _component_arg(args.component, spec)
         if args.matrix:
-            m = _read_real(args.matrix)
+            m = matio.read_matrix(args.matrix)
             got = equivariant.classify_component(m, gens[0])
             if got.values != rvec.values:
                 raise PermlinError(f"matrix lies in component {list(got.values)}, not {list(rvec.values)}")

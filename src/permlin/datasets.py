@@ -26,15 +26,14 @@ def demo_shift_dataset(
     samples: int = 2000,
     seed: int = 0,
     noise: float = 0.05,
-    max_bars: int = 3,
 ) -> np.ndarray:
-    """n x d data matrix of randomly shifted bar images, n = height * width."""
+    """n x d data matrix of randomly shifted images of 1-3 bars, n = height * width."""
     rng = np.random.default_rng(seed)
     n = height * width
     X = np.empty((n, samples))
     for s in range(samples):
         img = np.zeros((height, width))
-        for _ in range(rng.integers(1, max_bars + 1)):
+        for _ in range(rng.integers(1, 4)):
             if rng.random() < 0.5:
                 img[rng.integers(height), :] += rng.uniform(0.5, 1.5)
             else:

@@ -38,7 +38,7 @@ from .errors import (
     SizeMismatchError,
     StructuralError,
 )
-from .linalg import STRUCTURE_TOL, rank_threshold, realize, require_finite, svdvals
+from .linalg import STRUCTURE_TOL, rank_threshold, realize, require_finite, require_real, svdvals
 from .perms import Permutation, cycle_decomposition, induced_partition, join_labels
 from .spectral import BaseChange, Block, BlockSpectrum, real_base_change
 
@@ -246,10 +246,7 @@ def pair_orbit_labels(gens: Sequence[Permutation]) -> tuple[np.ndarray, int]:
 
 def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarray:
     """Frobenius-orthogonal projection onto the commutant: average over orbits."""
-    m = require_finite(np.asarray(m, dtype=float))
-    # checked before the n x n orbit labels are built
-    if gens and m.shape != (gens[0].n, gens[0].n):
-        raise SizeMismatchError(f"matrix shape {m.shape} does not match n={gens[0].n}")
+    m = require_real(m, "matrix", (gens[0].n,) * 2 if gens else None)  # before the n x n labels
     labels, count = pair_orbit_labels(gens)
     sums = np.bincount(labels.ravel(), weights=m.ravel(), minlength=count)
     sizes = np.bincount(labels.ravel(), minlength=count)
@@ -257,12 +254,12 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
 
 
 def is_equivariant(m: np.ndarray, p: Permutation, tol: float = STRUCTURE_TOL) -> bool:
-    """||P_sigma M P_sigma^T - M||_F <= tol * ||M||_F, which is
-    ||P_sigma M - M P_sigma||_F since P_sigma is orthogonal.  NonFiniteError
-    on a NaN or infinite entry."""
-    m = require_finite(np.asarray(m, dtype=float))
-    if m.shape != (p.n, p.n):
-        raise SizeMismatchError(f"expected a {p.n} x {p.n} matrix, got {m.shape}")
+    """||P_sigma M P_sigma^T - M||_F = ||P_sigma M - M P_sigma||_F <= tol * ||M||_F,
+    M read by `require_real`.  This bounds the commutator, `classify_component` the
+    distance to the commutant, up to 1/(2 sin(pi/L)) times larger for sigma
+    of order L: on a 100-cycle, M at distance 5e-8 ||M|| has a commutator of
+    3.1e-9 ||M||, so this returns True where `classify_component` raises."""
+    m = require_real(m, "matrix", (p.n, p.n))
     img = np.asarray(p.image) - 1
     # row i of P_sigma is the unit vector e_{sigma(i)}, so P_sigma M P_sigma^T
     # is M gathered at (sigma(i), sigma(j)): one n x n copy
@@ -296,7 +293,7 @@ def classify_component(
     StructuralError: a realization has even rank, so it certifies the matrix
     lies outside every real component.
     """
-    m = np.asarray(m, dtype=float)
+    m = require_real(m, "matrix", (p.n, p.n))  # before the conjugation allocates n x n
     bc = _real_base_change(p, base_change)
     B = bc.conjugate(m)
     svals, pattern = [], 0.0

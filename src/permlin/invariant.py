@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvarianceError, SizeMismatchError
-from .linalg import STRUCTURE_TOL, numeric_rank, require_data, require_finite, svd
+from .linalg import STRUCTURE_TOL, numeric_rank, require_data, require_real, svd
 from .equivariant import determinantal_degree
 from .optimize import FitResult, weighted_eckart_young
 from .perms import (
@@ -74,9 +74,7 @@ def invariant_space(gens: Sequence[Permutation], m: int, n: int, r: int) -> Inva
 def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     """Keep one column per block (the smallest label), after checking the
     columns within each block agree entrywise within STRUCTURE_TOL * ||M||_F."""
-    m_mat = require_finite(np.asarray(m_mat, dtype=float))
-    if m_mat.shape[1] != part.n:
-        raise SizeMismatchError(f"matrix has {m_mat.shape[1]} columns, partition needs {part.n}")
+    m_mat = require_real(m_mat, "matrix", (None, part.n))
     bound = STRUCTURE_TOL * np.linalg.norm(m_mat)
     compact = m_mat[:, [b[0] - 1 for b in part.blocks]]
     dev = np.abs(m_mat - compact[:, part.labels]).max(axis=0, initial=0.0)
@@ -87,10 +85,7 @@ def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
 
 
 def psi_expand(compact: np.ndarray, part: Partition) -> np.ndarray:
-    compact = np.asarray(compact, dtype=float)
-    if compact.shape[1] != part.k:
-        raise SizeMismatchError(f"compact matrix has {compact.shape[1]} columns, expected k={part.k}")
-    return compact @ replication_matrix(part)
+    return require_real(compact, "compact matrix", (None, part.k)) @ replication_matrix(part)
 
 
 def invariant_dimension(space: InvariantSpace) -> int:
@@ -161,9 +156,7 @@ def invariant_autoencoder(space: InvariantSpace, m_mat: np.ndarray) -> tuple[np.
 def invariant_project(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     """Frobenius-orthogonal projection onto the invariant linear space:
     average the columns within each block."""
-    m_mat = require_finite(np.asarray(m_mat, dtype=float))
-    if m_mat.ndim != 2 or m_mat.shape[1] != part.n:
-        raise SizeMismatchError(f"matrix of shape {m_mat.shape} needs {part.n} columns")
+    m_mat = require_real(m_mat, "matrix", (None, part.n))
     sizes = np.bincount(part.labels)
     members, starts = np.argsort(part.labels, kind="stable"), np.cumsum(sizes) - sizes
     means = np.empty((m_mat.shape[0], part.k))

@@ -9,8 +9,9 @@ Every SVD and symmetric eigendecomposition of the library goes through
 LAPACK directly, to stay independent.  The three decide failures in one
 place: an input with a NaN or infinite entry raises NonFiniteError before
 LAPACK runs, and a LAPACK failure (numpy's LinAlgError) becomes
-ConvergenceError.  `require_finite` is the same finiteness check for the
-structure checks here and in the other modules, `require_data` for every fit.
+ConvergenceError.  `require_finite` is that finiteness check, of any dtype;
+`require_real` reads every real matrix a caller hands the library, and
+rejects complex entries rather than cast them to their real part.
 
 This module holds the tolerance table of the whole library.  Every tolerance
 is relative, by one rule: a check compares its deviation with the tolerance
@@ -34,7 +35,10 @@ the input by any c > 0 leaves every verdict unchanged.
                           change (off-block entries and pair blocks off
                           the realization pattern), and column
                           equality of invariant maps, each relative to
-                          ||M||_F
+                          ||M||_F; `is_equivariant` bounds the commutator,
+                          `classify_component` the distance to the commutant,
+                          and near the boundary the two disagree (see
+                          `is_equivariant`)
 
 The brute-force checks in `oracles` keep their own named tolerances so that
 they stay independent of this module.
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, NonFiniteError, SizeMismatchError
+from .errors import ConvergenceError, MatrixFormatError, NonFiniteError, SizeMismatchError
 
 DEFAULT_TOL = 1e-10
 TIE_TOL = 1e-9
@@ -52,6 +56,7 @@ STRUCTURE_TOL = 1e-8
 
 __all__ = [
     "require_finite",
+    "require_real",
     "require_data",
     "svd",
     "svdvals",
@@ -81,13 +86,27 @@ def require_finite(a, what: str = "matrix") -> np.ndarray:
     return a
 
 
+def require_real(a, what: str, shape: tuple | None = None) -> np.ndarray:
+    """`a` as a float64 matrix, the same object when it is one already.  In this
+    order: MatrixFormatError unless its entries are real numbers, SizeMismatchError
+    unless 2-D and of `shape` (None: any size), NonFiniteError for NaN or inf."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # numpy's error for ragged nested sequences
+        raise MatrixFormatError(f"{what} is a ragged nest of sequences, not a matrix") from None
+    if a.dtype.kind not in "biuf":
+        raise MatrixFormatError(f"{what} has {a.dtype} entries; a real matrix is needed")
+    if a.ndim != 2 or shape and any(want not in (None, got) for want, got in zip(shape, a.shape)):
+        raise SizeMismatchError(f"{what} has shape {a.shape}; expected a matrix of shape {shape or '(m, n)'}")
+    return require_finite(a.astype(float, copy=False), what)
+
+
 def require_data(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Real data matrices X and Y of a fit, with equal sample counts and finite entries."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or y.shape[1] != x.shape[1]:
+    """Real data matrices X and Y of a fit (`require_real`), with equal sample counts."""
+    x, y = require_real(x, "X"), require_real(y, "Y")
+    if y.shape[1] != x.shape[1]:
         raise SizeMismatchError(f"X {x.shape} and Y {y.shape} need the same number of samples")
-    return require_finite(x, "data"), require_finite(y, "data")
+    return x, y
 
 
 def _lapack(kernel, what: str, a, **kwargs):

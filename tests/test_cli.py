@@ -519,6 +519,17 @@ class TestNonFiniteAndFailures:
             self.expect_error(capsys, ["project", *self.ROT, "--mode", mode, "--matrix", str(x)],
                               "MatrixFormatError")
 
+    def test_complex_matrix_message_names_the_argument(self, tmp_path, capsys):
+        # the library rejects the complex matrix, so the message names its
+        # argument; read_matrix names the file only when the file is bad
+        x, y = self.write_data(tmp_path, bad="1+2i")
+        err = self.expect_error(capsys, ["fit", *self.ROT, "--mode", "equivariant", "--rank", "2",
+                                         "--x", str(y), "--y", str(x)], "MatrixFormatError")
+        assert err["message"].startswith("Y has complex128 entries")
+        err = self.expect_error(capsys, ["factorize", *self.ROT, "--mode", "equivariant",
+                                         "--component", "1,0,1", "--matrix", str(x)], "MatrixFormatError")
+        assert err["message"].startswith("matrix has complex128 entries")
+
     @pytest.mark.parametrize("command", ["count", "components", "fit", "verify", "demo-shift"])
     def test_rank_above_capacity(self, tmp_path, capsys, command):
         # the total rank never exceeds n, so no table of size r is built

@@ -4,22 +4,33 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from permlin.equivariant import classify_component, equivariant_project, is_equivariant
-from permlin.errors import ConvergenceError, IndefiniteError, NonFiniteError, StructuralError
+from permlin.errors import (
+    ConvergenceError,
+    IndefiniteError,
+    MatrixFormatError,
+    NonFiniteError,
+    SizeMismatchError,
+    StructuralError,
+)
 from permlin.invariant import (
+    fit_invariant,
     invariant_autoencoder,
     invariant_project,
     invariant_space,
     is_singular_point,
     psi_compress,
+    psi_expand,
 )
 from permlin.linalg import (
     eigh,
     numeric_rank,
     realize,
+    require_data,
+    require_real,
     svd,
     svdvals,
 )
-from permlin.optimize import weighted_eckart_young
+from permlin.optimize import fit_equivariant, fit_rank_bounded, solve_equivariant, weighted_eckart_young
 from permlin.oracles import unrealize, weighted_inner
 from permlin.perms import Permutation, parse_permutation
 
@@ -151,6 +162,84 @@ class TestStructureChecksRejectNonFinite:
         part = invariant_space([parse_permutation("(1 2)", 3)], 3, 3, 1).partition
         with pytest.raises(NonFiniteError):
             invariant_project(np.full((3, 3), np.nan), part)
+
+    def test_psi_expand(self):
+        part = invariant_space([parse_permutation("(1 2)", 3)], 3, 3, 1).partition
+        with pytest.raises(NonFiniteError):
+            psi_expand(np.full((3, part.k), np.nan), part)
+
+
+class TestRequireReal:
+    """The one reader of a real matrix a caller passes in."""
+
+    def test_float64_comes_back_uncopied(self):
+        m = np.arange(6.0).reshape(2, 3)
+        assert require_real(m, "M") is m
+        got = require_real(np.arange(6).reshape(2, 3), "M", (2, None))
+        assert got.dtype == np.float64 and np.array_equal(got, m)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([np.nan, 1j]), MatrixFormatError),  # complex before 1-D and NaN
+        (np.array([["1.0", "2.0"]]), MatrixFormatError),  # text, even of numbers
+        (np.array([[1.0, None]], dtype=object), MatrixFormatError),
+        ([[1.0, 2.0, 3.0], [4.0]], MatrixFormatError),  # ragged rows
+        (np.array([np.nan, 1.0]), SizeMismatchError),  # 1-D before NaN
+        (np.full((2, 2, 2), np.nan), SizeMismatchError),
+        (np.full((2, 2), np.nan), SizeMismatchError),  # shape before NaN
+        (np.array([[1.0, 2.0, np.inf]]), NonFiniteError),
+    ])
+    def test_rejects_in_order(self, bad, error):
+        with pytest.raises(error, match="^M "):
+            require_real(bad, "M", (None, 3))
+
+    def test_data_names_its_argument(self):
+        with pytest.raises(MatrixFormatError, match="^Y has complex128 entries"):
+            require_data(np.eye(2), np.eye(2) * 1j)
+        with pytest.raises(SizeMismatchError, match="same number of samples"):
+            require_data(np.eye(2), np.ones((2, 3)))
+
+
+def _real_entry_points():
+    """Each public entry point that reads a real matrix from its caller, as
+    (call of that one matrix, a matrix the call accepts)."""
+    p = parse_permutation("(1 2 3)", 3)
+    space = invariant_space([parse_permutation("(1 2)", 3)], 3, 3, 1)
+    y, tied = np.arange(9.0).reshape(3, 3), np.ones((3, 3))  # tied: columns 1 and 2 agree
+    return {
+        "fit_rank_bounded": (lambda m: fit_rank_bounded(m, y, 1), np.eye(3)),
+        "solve_equivariant": (lambda m: solve_equivariant(m, y, p), np.eye(3)),
+        "fit_equivariant": (lambda m: fit_equivariant(m, y, p, 1), np.eye(3)),
+        "fit_invariant": (lambda m: fit_invariant(m, y, space), np.eye(3)),
+        "equivariant_project": (lambda m: equivariant_project(m, [p]), np.eye(3)),
+        "is_equivariant": (lambda m: is_equivariant(m, p), np.eye(3)),
+        "classify_component": (lambda m: classify_component(m, p), np.eye(3)),
+        "psi_compress": (lambda m: psi_compress(m, space.partition), tied),
+        "is_singular_point": (lambda m: is_singular_point(space, m), tied),
+        "invariant_autoencoder": (lambda m: invariant_autoencoder(space, m), tied),
+        "psi_expand": (lambda m: psi_expand(m, space.partition), np.ones((3, space.partition.k))),
+        "invariant_project": (lambda m: invariant_project(m, space.partition), np.eye(3)),
+    }
+
+
+CORRUPT = {
+    "complex": (lambda m: m + 1j * np.ones_like(m), MatrixFormatError),
+    "text": (lambda m: np.full(m.shape, "x"), MatrixFormatError),
+    "row": (lambda m: m[0], SizeMismatchError),
+}
+
+
+class TestRealMatrixGate:
+    """Every entry point reads its matrix through `require_real`: a complex
+    matrix is never cast to its real part, and no numpy error escapes."""
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT))
+    @pytest.mark.parametrize("site", sorted(_real_entry_points()))
+    def test_rejects(self, site, case):
+        call, good = _real_entry_points()[site]
+        corrupt, error = CORRUPT[case]
+        call(good)
+        with pytest.raises(error):
+            call(corrupt(good))
 
 
 class TestNumericRank:

@@ -7,7 +7,8 @@ LAPACK directly to stay independent), and only `linalg` turns numpy's
 LinAlgError into a package error.  numpy is the only runtime dependency, so
 that layer wraps one LAPACK binding.  The fast paths and their brute-force
 checks stay apart: only the CLI front end imports `oracles`, and no module
-imports a private helper of another."""
+imports a private helper of another.  Every real matrix from a caller is read
+by `linalg.require_real`, the one float cast outside the tables."""
 
 import ast
 import importlib
@@ -173,4 +174,29 @@ def test_every_parameter_is_read():
     stray = [f"{path.name}:{line} {name}({param})"
              for path in sorted(SRC.glob("*.py"))
              for line, name, param in _unread_parameters(ast.parse(path.read_text()))]
+    assert not stray, stray
+
+
+def _float_coercions(tree: ast.Module):
+    """(line, call) per np.asarray/np.array call that asks for dtype float."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _dotted(node.func) in {"np.asarray", "np.array",
+                                                                 "numpy.asarray", "numpy.array"}:
+            dtypes = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
+            if any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes):
+                yield node.lineno, _dotted(node.func)
+
+
+def test_real_matrices_are_read_only_by_the_gate():
+    """`linalg.require_real` is the one reader of a real matrix from a caller:
+    no other module casts to float, which would keep only the real part of a
+    complex matrix, and the CLI leaves the complex check to the library."""
+    probe = ast.parse("a = np.asarray(m, dtype=float)\nb = np.array(m, float)\nc = np.asarray(m)\n")
+    assert [line for line, _ in _float_coercions(probe)] == [1, 2]
+    stray = [f"{path.name}:{line} {call}"
+             for path in sorted(SRC.glob("*.py")) if path.name not in TABLES
+             for line, call in _float_coercions(ast.parse(path.read_text()))]
+    cli = ast.parse((SRC / "cli.py").read_text())
+    stray += [f"cli.py:{node.lineno} iscomplexobj" for node in ast.walk(cli)
+              if isinstance(node, ast.Attribute) and node.attr == "iscomplexobj"]
     assert not stray, stray

@@ -134,9 +134,6 @@ def cmd_count(args):
 def cmd_components(args):
     spec = _spectrum_of(_resolve_gens(args)[0])
     count = equivariant.count_components(spec, args.rank, args.field)
-    if args.count_only:
-        print(count)
-        return 0
     descs = []
     for d in equivariant.enumerate_components(spec, args.rank, args.field, limit=args.limit):
         entry = {
@@ -415,7 +412,6 @@ def build_parser():
     _add_perm_args(sp)
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--field", choices=["real", "complex"], default="real")
-    sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--limit", type=int, default=10**6)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_components)

@@ -253,19 +253,20 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
     return (sums / sizes)[labels]
 
 
-def is_equivariant(m: np.ndarray, p: Permutation, tol: float = STRUCTURE_TOL) -> bool:
-    """||P_sigma M P_sigma^T - M||_F = ||P_sigma M - M P_sigma||_F <= tol * ||M||_F,
-    M read by `require_real`.  This bounds the commutator, `classify_component` the
-    distance to the commutant, up to 1/(2 sin(pi/L)) times larger for sigma
-    of order L: on a 100-cycle, M at distance 5e-8 ||M|| has a commutator of
-    3.1e-9 ||M||, so this returns True where `classify_component` raises."""
+def is_equivariant(m: np.ndarray, p: Permutation) -> bool:
+    """||P_sigma M P_sigma^T - M||_F = ||P_sigma M - M P_sigma||_F <= STRUCTURE_TOL
+    * ||M||_F, M read by `require_real`.  This bounds the commutator,
+    `classify_component` the distance to the commutant, up to 1/(2 sin(pi/L))
+    times larger for sigma of order L: on a 100-cycle, M at distance 5e-8 ||M||
+    has a commutator of 3.1e-9 ||M||, so this returns True where
+    `classify_component` raises."""
     m = require_real(m, "matrix", (p.n, p.n))
     img = np.asarray(p.image) - 1
     # row i of P_sigma is the unit vector e_{sigma(i)}, so P_sigma M P_sigma^T
     # is M gathered at (sigma(i), sigma(j)): one n x n copy
     dev = m[np.ix_(img, img)]
     dev -= m
-    return np.linalg.norm(dev) <= tol * np.linalg.norm(m)
+    return np.linalg.norm(dev) <= STRUCTURE_TOL * np.linalg.norm(m)
 
 
 # ---------------------------------------------------------------------------

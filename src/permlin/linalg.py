@@ -16,7 +16,8 @@ rejects complex entries rather than cast them to their real part.
 This module holds the tolerance table of the whole library.  Every tolerance
 is relative, by one rule: a check compares its deviation with the tolerance
 times a norm of the matrix under test (no "1 +", no floor at 1), so scaling
-the input by any c > 0 leaves every verdict unchanged.
+the input by any c > 0 leaves every verdict unchanged.  No function takes
+a tolerance argument.
 
     DEFAULT_TOL    1e-10  rank decisions: the rank floor of every fit (Gram
                           eigenvalues relative to the largest) and the

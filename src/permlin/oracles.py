@@ -27,8 +27,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .equivariant import count_components
-from .errors import (ComponentError, IndefiniteError, SearchLimitError, SizeCapError,
-                     SizeMismatchError, StructuralError)
+from .errors import (ComponentError, IndefiniteError, MatrixFormatError, SearchLimitError,
+                     SizeCapError, SizeMismatchError, StructuralError)
 from .linalg import realize, require_finite, tie_slack
 from .perms import Permutation, cycle_decomposition, permutation_matrix
 from .spectral import BaseChange, Block, BlockSpectrum, real_base_change
@@ -74,6 +74,15 @@ CIRCULANT_TOL = 1e-8
 UNREALIZE_TOL = 1e-10
 # largest entry of W - W^T `weighted_inner` accepts, relative to max |w_ij|
 WEIGHT_SYMMETRY_TOL = 1e-10
+
+
+def _real(a) -> np.ndarray:
+    """a as a float array; MatrixFormatError for complex entries, which the
+    cast would drop.  The oracles read their input here, not through
+    `linalg.require_real`, to stay independent of the library."""
+    if np.iscomplexobj(a):
+        raise MatrixFormatError("oracle input has complex entries; a real matrix is needed")
+    return np.asarray(a, dtype=float)
 
 
 def nullspace_commutant_dim(gens: Sequence[Permutation]) -> int:
@@ -141,9 +150,10 @@ def als_low_rank(
     ||A B x - y||_F^2).  An upper-bound certificate only.
     """
     if u is not None:
-        x_, y_ = np.eye(np.asarray(u).shape[1]), np.asarray(u, dtype=float)
+        y_ = _real(u)
+        x_ = np.eye(y_.shape[1])
     elif x is not None and y is not None:
-        x_, y_ = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        x_, y_ = _real(x), _real(y)
     else:
         raise SizeMismatchError("pass either u or both x and y")
     m, n = y_.shape[0], x_.shape[0]
@@ -245,8 +255,7 @@ def projection_fit_equivariant(
     (minimizer, loss of the minimizer, candidates as (rank vector, predicted
     loss)).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _real(x), _real(y)
     if p.n > MAX_ALS_DIM:
         raise SizeCapError(f"projection oracle capped at n <= {MAX_ALS_DIM}, got {p.n}")
     bc = real_base_change(p)
@@ -298,7 +307,7 @@ def critical_points(u: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
     one subset-truncation of the SVD per r-subset of the singular values:
     binom(min(m, n), r) of them, all real, the ED degree of the determinantal
     variety (Draisma et al. 2016).  At most MAX_CRITICAL (SizeCapError)."""
-    u = np.asarray(u, dtype=float)
+    u = _real(u)
     q = min(u.shape)
     if not 0 <= r <= q:
         raise SizeMismatchError(f"rank {r} outside 0..{q}")
@@ -315,7 +324,7 @@ def check_circulant_blocks(m: np.ndarray, p: Permutation) -> bool:
     listed along sigma, every cycle-by-cycle block of M must be circulant
     (invariant under a simultaneous cyclic shift of rows and columns), up to
     CIRCULANT_TOL * ||M||_F in every entry."""
-    m = np.asarray(m, dtype=float)
+    m = _real(m)
     if m.shape != (p.n, p.n):
         raise SizeMismatchError(f"expected a {p.n} x {p.n} matrix, got {m.shape}")
     cycles = [[a - 1 for a in cyc] for cyc in cycle_decomposition(p).cycles]
@@ -370,7 +379,7 @@ def unrealize(m: np.ndarray) -> np.ndarray:
     """Inverse of `linalg.realize`, reading odd rows/columns; StructuralError
     when an entry deviates from the pattern by more than UNREALIZE_TOL *
     max |m_ij|."""
-    m = require_finite(np.asarray(m, dtype=float))
+    m = require_finite(_real(m))
     if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
         raise StructuralError(f"realization pattern needs even dimensions, got {m.shape}")
     a, b = m[0::2, 0::2], m[1::2, 0::2]
@@ -388,7 +397,7 @@ def unrealize(m: np.ndarray) -> np.ndarray:
 def weighted_inner(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     """<a, b>_w = trace(a w b^T) for symmetric PSD w; IndefiniteError when w
     is asymmetric by more than WEIGHT_SYMMETRY_TOL * max |w_ij|."""
-    a, b, w = (require_finite(np.asarray(v, float), "weighted_inner input") for v in (a, b, w))
+    a, b, w = (require_finite(_real(v), "weighted_inner input") for v in (a, b, w))
     asym = np.abs(w - w.T).max(initial=0.0)
     if asym > WEIGHT_SYMMETRY_TOL * np.abs(w).max(initial=0.0):
         raise IndefiniteError(f"weight matrix is asymmetric (max deviation {asym:.3e})")

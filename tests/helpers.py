@@ -1,7 +1,8 @@
 """Builders the tests share that the library itself has no use for: the
-identity and random permutations, circulant matrices, matrix files written in
-the formats `permlin.matio` reads, the restarted-ALS loss oracle, and the
-data files of the golden fits."""
+identity and random permutations, circulant matrices, the relative commutator
+of a matrix with a permutation matrix, matrix files written in the formats
+`permlin.matio` reads, the restarted-ALS loss oracle, and the data files of
+the golden fits."""
 
 import json
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from permlin.matio import matrix_to_json_obj
-from permlin.perms import Permutation
+from permlin.perms import Permutation, permutation_matrix
 
 
 def identity(n: int) -> Permutation:
@@ -26,11 +27,17 @@ def circulant(v) -> np.ndarray:
     return np.stack([np.roll(v, i) for i in range(v.shape[0])])
 
 
+def commutator_ratio(m: np.ndarray, p: Permutation) -> float:
+    """||P M - M P||_F / ||M||_F for P the permutation matrix of p."""
+    pm = permutation_matrix(p)
+    return float(np.linalg.norm(pm @ m - m @ pm) / np.linalg.norm(m))
+
+
 def write_matrix_csv(path, m: np.ndarray) -> None:
     """One row per line, entries as `matrix_to_json_obj` formats them:
-    shortest round-trip floats, complex entries as "a+bi"."""
+    shortest round-trip floats."""
     obj = matrix_to_json_obj(m)
-    data = [v if isinstance(v, str) else repr(v) for v in obj["data"]]
+    data = [repr(v) for v in obj["data"]]
     cols = obj["cols"]
     Path(path).write_text("".join(",".join(data[i:i + cols]) + "\n" for i in range(0, len(data), cols)))
 

@@ -44,7 +44,7 @@ from permlin.spectral import (
     real_base_change,
 )
 
-from helpers import circulant, random_perm
+from helpers import circulant, commutator_ratio, random_perm
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 CHI9 = parse_permutation("(1 2)(3 4)(6 8)", 9)
@@ -553,13 +553,13 @@ def test_equivariant_project_properties():
     rng = np.random.default_rng(13)
     M = rng.standard_normal((9, 9))
     proj = equivariant_project(M, [ROT9])
-    assert is_equivariant(proj, ROT9, tol=1e-12)
+    assert commutator_ratio(proj, ROT9) <= 1e-12
     assert np.allclose(equivariant_project(proj, [ROT9]), proj)
     assert abs(np.sum((M - proj) * proj)) <= 1e-9
     # multi-generator projection lands in the smaller commutant
     proj3 = equivariant_project(M, [ROT9, CHI9, SHIFT9])
     for g in (ROT9, CHI9, SHIFT9):
-        assert is_equivariant(proj3, g, tol=1e-12)
+        assert commutator_ratio(proj3, g) <= 1e-12
 
 
 def test_equivariant_project_checks_the_shape_first():

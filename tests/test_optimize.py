@@ -50,7 +50,7 @@ from permlin.optimize import (
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation
 from permlin.spectral import eigen_multiplicities, real_base_change
 
-from helpers import als_loss, identity
+from helpers import als_loss, commutator_ratio, identity
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 
@@ -520,12 +520,10 @@ class TestFitEquivariant:
 
     def test_equivariance_and_rank_of_minimizer(self):
         rng = np.random.default_rng(23)
-        from permlin.equivariant import is_equivariant
-
         x = rng.standard_normal((9, 30))
         y = rng.standard_normal((9, 30))
         fit = fit_equivariant(x, y, ROT9, 3)
-        assert is_equivariant(fit.minimizer, ROT9, tol=1e-9)
+        assert commutator_ratio(fit.minimizer, ROT9) <= 1e-9
         assert numeric_rank(fit.minimizer) <= 3
 
     def test_local_optimality_multiplicative_perturbations(self):
@@ -601,7 +599,7 @@ class TestFitEquivariantEdges:
         assert np.isfinite(fit.loss)
         from permlin.equivariant import is_equivariant
 
-        assert is_equivariant(fit.minimizer, ROT9, tol=1e-8)
+        assert is_equivariant(fit.minimizer, ROT9)
 
     @pytest.mark.parametrize("noise", [0.0, 1e-15])
     def test_data_constant_along_cycles_needs_ridge(self, noise):
@@ -619,7 +617,7 @@ class TestFitEquivariantEdges:
             fit_equivariant(x, y, ROT9, 3)
         fit = fit_equivariant(x, y, ROT9, 3, ridge=1e-3)
         assert np.linalg.norm(fit.minimizer) < 10.0
-        assert is_equivariant(fit.minimizer, ROT9, tol=1e-8)
+        assert is_equivariant(fit.minimizer, ROT9)
         assert abs(fit.loss - np.linalg.norm(fit.minimizer @ x - y) ** 2) <= 1e-9 * fit.loss
 
 

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 from permlin.equivariant import count_components, enumerate_components
-from permlin.errors import ComponentError, SizeCapError
+from permlin.errors import ComponentError, MatrixFormatError, SizeCapError
 from permlin.optimize import fit_equivariant
 from permlin.oracles import (
     MAX_COUNT_CENSUS,
     als_low_rank,
     block_tails,
+    check_circulant_blocks,
+    critical_points,
     nullspace_commutant_dim,
+    projection_fit_equivariant,
     recursive_component_count,
     score_components,
+    unrealize,
+    weighted_inner,
 )
 from permlin.perms import parse_permutation
 from permlin.spectral import BlockSpectrum
@@ -18,6 +23,7 @@ from permlin.spectral import BlockSpectrum
 from helpers import identity
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
+CYCLE4 = parse_permutation("(1 2 3 4)", 4)
 
 
 class TestNullspaceCommutant:
@@ -132,3 +138,22 @@ class TestAls:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             als_low_rank(1, x=np.zeros((13, 5)), y=np.zeros((13, 5)))
+
+
+# each oracle takes a complex 4 x 4 matrix as its first matrix argument
+COMPLEX_INPUT = {
+    "check_circulant_blocks": lambda z: check_circulant_blocks(z, CYCLE4),
+    "critical_points": lambda z: critical_points(z, 1),
+    "als_low_rank": lambda z: als_low_rank(1, u=z),
+    "projection_fit_equivariant": lambda z: projection_fit_equivariant(z, np.eye(4), CYCLE4, 1),
+    "unrealize": unrealize,
+    "weighted_inner": lambda z: weighted_inner(z, np.eye(4), np.eye(4)),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(COMPLEX_INPUT))
+def test_oracles_reject_complex_input(oracle):
+    """A complex matrix is rejected, not cast to its real part."""
+    z = np.eye(4) + 1j * np.arange(16.0).reshape(4, 4)
+    with pytest.raises(MatrixFormatError, match="complex"):
+        COMPLEX_INPUT[oracle](z)

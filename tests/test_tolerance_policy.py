@@ -1,8 +1,7 @@
 """The tolerance and failure policies, pinned: every tolerance of the
 library is a named constant in the `linalg` table (or, for the brute-force
-checks, in `oracles`), and no public function takes a tolerance argument
-except `is_equivariant`, whose callers may ask for a tighter bound.  Every
-decomposition goes through the guarded layer in `linalg` (the oracles call
+checks, in `oracles`), and no public function takes a tolerance argument.
+Every decomposition goes through the guarded layer in `linalg` (the oracles call
 LAPACK directly to stay independent), and only `linalg` turns numpy's
 LinAlgError into a package error.  numpy is the only runtime dependency, so
 that layer wraps one LAPACK binding.  The fast paths and their brute-force
@@ -59,11 +58,11 @@ def _public_callables():
                         yield f"{info.name}.{name}.{mname}", meth
 
 
-def test_only_is_equivariant_takes_a_tolerance():
+def test_no_public_function_takes_a_tolerance():
     knobs = {(qualname, param)
              for qualname, fn in _public_callables()
              for param in inspect.signature(fn).parameters if "tol" in param}
-    assert knobs == {("equivariant.is_equivariant", "tol")}
+    assert not knobs, knobs
 
 
 DECOMPOSITION = re.compile(r"^(svd\w*|eig\w*|solve|lstsq|pinv|inv|qr|cholesky|matrix_rank)$")

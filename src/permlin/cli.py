@@ -191,10 +191,18 @@ def _fit_result_json(fit, extras=None):
     return obj
 
 
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a missing file is left to `matio.read_matrix` to report
+        return False
+
+
 def cmd_fit(args):
     gens = _resolve_gens(args, allow_many=(args.mode == "invariant"))
     x = matio.read_matrix(args.x)
-    y = matio.read_matrix(args.y)
+    # one file as both is read once, so that the fit sees Y is X: the autoencoder route
+    y = x if _same_file(args.x, args.y) else matio.read_matrix(args.y)
     if args.mode == "invariant":
         space = invariant.invariant_space(gens, y.shape[0], x.shape[0], args.rank)
         fit = invariant.fit_invariant(x, y, space, ridge=args.ridge)
@@ -330,8 +338,11 @@ def cmd_demo_shift(args):
     spec = _spectrum_of(sigma)
     r = args.rank
 
-    # the dense fit first: the solve holds its block rows until the last read,
-    # and holding them through the dense fit would raise the peak memory
+    # X is both data and target, so each fit takes the autoencoder route: one
+    # eigh per Gram, and the solve forms the block rows of Q^T X once, as X
+    # and as Y.  The dense fit goes first: the solve holds those rows until
+    # its last read, and holding them through the dense fit would raise the
+    # peak memory
     dense = optimize.fit_rank_bounded(X, X, r)
     solve = optimize.solve_equivariant(X, X, sigma)
     best = solve.fit(r, heuristic="energy")

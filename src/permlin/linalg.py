@@ -103,8 +103,11 @@ def require_real(a, what: str, shape: tuple | None = None) -> np.ndarray:
 
 
 def require_data(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Real data matrices X and Y of a fit (`require_real`), with equal sample counts."""
-    x, y = require_real(x, "X"), require_real(y, "Y")
+    """Real data matrices X and Y of a fit (`require_real`), with equal sample
+    counts.  When Y is X the gate runs once and both are the same array."""
+    same = y is x
+    x = require_real(x, "X")
+    y = x if same else require_real(y, "Y")
     if y.shape[1] != x.shape[1]:
         raise SizeMismatchError(f"X {x.shape} and Y {y.shape} need the same number of samples")
     return x, y

@@ -18,6 +18,21 @@ singular values below about sqrt(eps k) sigma_1 are accurate only in absolute
 terms; the tie rule is therefore checked on sigma^2, with a floor at that
 error.
 
+When Y is X the fit is a linear autoencoder, and the second
+eigendecomposition is redundant.  C = X X^H = G - ridge Id = V diag(lambda -
+ridge) V^H, so A = V diag((lambda - ridge) lambda^{-1/2}) and A^H A =
+diag((lambda - ridge)^2 / lambda) is already diagonal: W is the identity and
+sigma = (lambda - ridge) lambda^{-1/2}, which grows with lambda, so V's
+columns in descending order of lambda are the right singular vectors.  The
+rank-r minimizer V_r diag((lambda - ridge) / lambda) V_r^H is, without a
+ridge, the projection onto the r leading principal directions of X: PCA
+(Baldi & Hornik 1989).  `_solve_eigh` takes this route when Y is X by
+identity (`y is x`), never by comparing values, and clamps lambda - ridge at
+0 so that rounding cannot break sigma's order.  `require_data` returns one
+array for X given as both, and `solve_equivariant(X, X, ...)` forms the
+block rows once and hands each block the same rows as X and as Y, so every
+block, complex-pair blocks included, takes the route.
+
 For equivariant fits the real base change Q makes M = Q blockdiag(B_b) Q^T,
 so with Xt = Q^T X and Yt = Q^T Y the loss is the sum over blocks b of
 ||B_b Xt_b - Yt_b||^2: independent regressions.  A real_plus or real_minus
@@ -140,12 +155,14 @@ class WeightedEckartYoung:
     and read at any r by `read`.  It holds its data X and Y, the whitened
     cross term A = C V diag(lambda^{-1/2}), whiten = V diag(lambda^{-1/2}) and
     the eigenvectors W of A^H A, for the eigenvalues svals**2 first, descending.
-    tails[t] is the sum of svals[t:]**2, the loss above `constant` at rank t."""
+    W is None on the autoencoder route (Y is X), where A and whiten are held
+    with their columns already in that order.  tails[t] is the sum of
+    svals[t:]**2, the loss above `constant` at rank t."""
 
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     a: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
+    w: Optional[np.ndarray] = field(repr=False)
     whiten: np.ndarray = field(repr=False)
     svals: np.ndarray
     tails: tuple[float, ...]
@@ -159,8 +176,11 @@ class WeightedEckartYoung:
         s = self.svals
         if not 0 <= r <= len(s):
             raise SizeMismatchError(f"rank {r} outside 0..{len(s)}")
-        w_r = self.w[:, :r]
-        decoder, encoder = self.a @ w_r, (self.whiten @ w_r).conj().T
+        if self.w is None:  # copies, so that the factors do not hold every column
+            decoder, encoder = self.a[:, :r].copy(), self.whiten[:, :r].conj().T.copy()
+        else:
+            w_r = self.w[:, :r]
+            decoder, encoder = self.a @ w_r, (self.whiten @ w_r).conj().T
         loss = float(np.linalg.norm(decoder @ (encoder @ self.x) - self.y) ** 2)
         return decoder, encoder, loss, BlockFit(key, r, tuple(s[:r]), tuple(s[r:]),
                                                 _boundary_tie(s, r), self.tails[r])
@@ -176,19 +196,28 @@ def _gram_eigh(x: np.ndarray, ridge: Optional[float] = None) -> tuple[np.ndarray
     return eigh(g)
 
 
-def _solve_eigh(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> WeightedEckartYoung:
+def _solve_eigh(x: np.ndarray, y: np.ndarray, ridge: Optional[float], vals: np.ndarray,
+                vecs: np.ndarray) -> WeightedEckartYoung:
     """Weighted Eckart-Young from the Gram eigendecomposition (vals, vecs):
-    the eigendecomposition of A^H A for the whitened cross term A, no SVD."""
+    the eigendecomposition of A^H A for the whitened cross term A, no SVD.
+    When Y is X (by identity) that eigendecomposition is (vals, vecs) itself."""
     whiten = vecs * (1.0 / np.sqrt(vals))
-    # C V diag(lambda^{-1/2}) is C G^{-1/2} without its unitary right factor
-    # V^H: the same singular values, and A W its left vectors times them
-    a = (y @ x.conj().T) @ whiten
-    sq, w = eigh(a.conj().T @ a)
-    s = np.sqrt(np.maximum(sq[::-1][:min(a.shape)], 0.0))
+    if y is x:
+        # A^H A is diagonal (module docstring): sigma grows with lambda, so
+        # its descending order is V's columns reversed
+        s = (np.maximum(vals - (ridge or 0.0), 0.0) / np.sqrt(vals))[::-1]
+        whiten, w = whiten[:, ::-1], None
+        a = vecs[:, ::-1] * s
+    else:
+        # C V diag(lambda^{-1/2}) is C G^{-1/2} without its unitary right factor
+        # V^H: the same singular values, and A W its left vectors times them
+        a = (y @ x.conj().T) @ whiten
+        sq, w = eigh(a.conj().T @ a)
+        s, w = np.sqrt(np.maximum(sq[::-1][:min(a.shape)], 0.0)), w[:, ::-1]
     # the tails from s**2, the squares `oracles.block_tails` rebuilds them from
     tails = np.append(np.cumsum((s**2)[::-1])[::-1], 0.0)
     constant = float(np.vdot(y, y).real - tails[0])
-    return WeightedEckartYoung(x, y, a, w[:, ::-1], whiten, s, tuple(float(v) for v in tails), constant)
+    return WeightedEckartYoung(x, y, a, w, whiten, s, tuple(float(v) for v in tails), constant)
 
 
 def _solve_blocks(blocks) -> tuple[WeightedEckartYoung, ...]:
@@ -202,7 +231,7 @@ def _solve_blocks(blocks) -> tuple[WeightedEckartYoung, ...]:
     if not low > DEFAULT_TOL * top:
         raise RankDeficientError(f"data Gram nearly singular (smallest eigenvalue {low:.3e}, largest of "
                                  f"the fit {top:.3e}); supply more generic data or a ridge")
-    return tuple(_solve_eigh(x, y, vals, vecs) for (x, y, _), (vals, vecs) in zip(blocks, eighs))
+    return tuple(_solve_eigh(x, y, ridge, vals, vecs) for (x, y, ridge), (vals, vecs) in zip(blocks, eighs))
 
 
 def weighted_eckart_young(
@@ -215,7 +244,9 @@ def weighted_eckart_young(
     scale; NonFiniteError (checked before the Gram is formed) and
     ConvergenceError come from the `linalg` layer.
     """
-    return _solve_blocks([(require_finite(x, "data"), require_finite(y, "data"), ridge)])[0]
+    same = y is x
+    x = require_finite(x, "data")
+    return _solve_blocks([(x, x if same else require_finite(y, "data"), ridge)])[0]
 
 
 def fit_rank_bounded(
@@ -226,7 +257,7 @@ def fit_rank_bounded(
     A bound at or above min(m, n) is vacuous and gives plain least squares."""
     if r < 0:
         raise SizeMismatchError(f"rank bound {r} is negative")
-    fit = weighted_eckart_young(*require_data(x, y), ridge)
+    fit = _solve_blocks([(*require_data(x, y), ridge)])[0]
     decoder, encoder, loss, blk = fit.read(min(r, len(fit.svals)), ("dense", 0, 0))
     return FitResult(decoder, encoder, loss, "unconstrained", (blk,), ridge, fit.constant)
 
@@ -365,16 +396,20 @@ class EquivariantSolve:
 def solve_equivariant(
     x: np.ndarray, y: np.ndarray, p: Permutation, ridge: Optional[float] = None
 ) -> EquivariantSolve:
-    """Change the basis of X, then of Y, and solve every block once.
-    RankDeficientError when the Gram of any block fails the rank floor, whose
-    scale is the largest block Gram eigenvalue."""
+    """Change the basis of X, then of Y, and solve every block once.  When Y
+    is X its block rows are formed once and each block solve holds them as
+    both, so every block takes the autoencoder route.  RankDeficientError
+    when the Gram of any block fails the rank floor, whose scale is the
+    largest block Gram eigenvalue."""
     x, y = require_data(x, y)
     if x.shape[0] != p.n or y.shape[0] != p.n:
         raise SizeMismatchError(f"equivariant fit needs n x d data with n={p.n}")
     bc = real_base_change(p)
+    x_rows = _block_rows(bc, x)
+    y_rows = x_rows if y is x else _block_rows(bc, y)
     # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block
     solves = _solve_blocks([(xb, yb, ridge and ridge * blk.rank_multiplier) for blk, xb, yb in
-                            zip(bc.spectrum.real_blocks, _block_rows(bc, x), _block_rows(bc, y))])
+                            zip(bc.spectrum.real_blocks, x_rows, y_rows)])
     return EquivariantSolve(bc, solves, ridge, sum(s.constant for s in solves), tie_slack(y))
 
 

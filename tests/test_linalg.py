@@ -198,6 +198,20 @@ class TestRequireReal:
         with pytest.raises(SizeMismatchError, match="same number of samples"):
             require_data(np.eye(2), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("data", [[[1.0, 2.0], [3.0, 5.0]], np.array([[1, 2], [3, 5]]), np.eye(2)])
+    def test_data_given_as_both_is_one_array(self, data, monkeypatch):
+        """X given as both X and Y (a list, integers or float64) is gated once
+        and comes back as one array, so a fit can tell that Y is X."""
+        import permlin.linalg
+
+        gated, require_finite = [], permlin.linalg.require_finite
+        monkeypatch.setattr(permlin.linalg, "require_finite", lambda a, what: gated.append(what) or
+                            require_finite(a, what))
+        x, y = require_data(data, data)
+        assert y is x and x.dtype == float and gated == ["X"]
+        x, y = require_data(data, np.array(data, copy=True))
+        assert y is not x and gated == ["X", "X", "Y"]
+
 
 def _real_entry_points():
     """Each public entry point that reads a real matrix from its caller, as

@@ -479,7 +479,7 @@ class TestFitEquivariant:
                 fit_equivariant(x, x, ROT9, 3, component, heuristic)
         assert calls == []
         fit_equivariant(x, x, ROT9, 3, rvec)
-        assert calls == [x.shape, x.shape]
+        assert calls == [x.shape]  # Y is X: one base change serves both
 
     def test_energy_heuristic_runs_and_is_flagged(self):
         rng = np.random.default_rng(21)
@@ -752,6 +752,62 @@ def test_squared_singular_values_match_an_svd(m, n, complex_data, seed):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.sampled_from([None, 1e-3, 1.0]), st.integers(0, 2**32 - 1),
+       equivariant_instances())
+def test_autoencoder_route_matches_the_two_eigh_route(n, complex_data, ridge, seed, instance):
+    """A fit of X on itself (Y is X) reads sigma and its factors off the
+    Gram's eigendecomposition; the same fit on a copy of X solves A^H A.
+    Their sigma^2 agree within the bound of
+    `test_squared_singular_values_match_an_svd`, their losses at every rank
+    within `tie_slack`, and an equivariant search (real data, complex-pair
+    blocks included) picks the same component."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n + 4))
+    if complex_data:
+        x = x + 1j * rng.standard_normal(x.shape)
+    fast, ref = weighted_eckart_young(x, x, ridge), weighted_eckart_young(x, x.copy(), ridge)
+    assert fast.w is None and ref.w is not None
+    sq, ref_sq = fast.svals**2, ref.svals**2
+    assert len(sq) == n
+    assert np.abs(sq - ref_sq).max() <= 10 * np.finfo(float).eps * ref_sq[0] * n
+    for r in range(n + 1):
+        assert abs(fast.read(r, ("dense", 0, 0))[2] - ref.read(r, ("dense", 0, 0))[2]) <= tie_slack(x)
+
+    p, x, _, r, _ = instance
+    fast, ref = solve_equivariant(x, x, p, ridge).fit(r), solve_equivariant(x, x.copy(), p, ridge).fit(r)
+    assert fast.component.values == ref.component.values
+    assert abs(fast.loss - ref.loss) <= tie_slack(x)
+
+
+def test_autoencoder_fit_takes_one_eigh_per_block(monkeypatch):
+    """A fit of X on itself decomposes its Grams and nothing more: one
+    np.linalg.eigh for a dense fit, one per block of sigma for an equivariant
+    solve, whose block solves each hold one row array as X and as Y.  A copy
+    of X as Y takes two per block."""
+    sigma = horizontal_shift_permutation(3, 4)  # +1, -1 and complex-pair blocks
+    x = np.random.default_rng(47).standard_normal((sigma.n, 30))
+    eigh_of, calls = np.linalg.eigh, []
+
+    def counted(h):
+        calls.append(h.shape)
+        return eigh_of(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for data in (x, x.tolist()):
+        calls.clear()
+        fit_rank_bounded(data, data, 5)
+        assert calls == [(sigma.n, sigma.n)]
+    calls.clear()
+    solve = solve_equivariant(x, x, sigma)
+    nblocks = len(solve.base_change.spectrum.real_blocks)
+    assert len(calls) == len(solve.solves) == nblocks == 3
+    assert all(s.y is s.x for s in solve.solves)
+    calls.clear()
+    assert not any(s.y is s.x for s in solve_equivariant(x, x.copy(), sigma).solves)
+    assert len(calls) == 2 * nblocks
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 8), st.booleans(),
        st.sampled_from([None, 1e-3, 1.0]), st.integers(0, 2**32 - 1))
 def test_read_forms_the_leading_factors_and_their_loss(m, n, r, complex_data, ridge, seed):
@@ -997,10 +1053,11 @@ class TestBadInput:
                 return fail() if len(calls) == k else eigh_of(h)
             return eigh
 
-        # the second eigh of a dense fit is its A^H A solve, after the Gram's
+        # the second eigh of a dense fit is its A^H A solve, after the Gram's;
+        # a copy of X as Y, since a fit of X on itself has no A^H A solve
         monkeypatch.setattr(np.linalg, "eigh", fail_at(2))
         with pytest.raises(ConvergenceError):
-            fit_rank_bounded(x, x, 3)
+            fit_rank_bounded(x, x.copy(), 3)
         assert calls == [(9, 9), (9, 9)]
         # an equivariant fit decomposes every block Gram first, so the call
         # after them is the A^H A solve of the first block
@@ -1008,7 +1065,7 @@ class TestBadInput:
         calls.clear()
         monkeypatch.setattr(np.linalg, "eigh", fail_at(nblocks + 1))
         with pytest.raises(ConvergenceError):
-            fit_equivariant(x, x, ROT9, 3)
+            fit_equivariant(x, x.copy(), ROT9, 3)
         assert len(calls) == nblocks + 1
 
 

@@ -191,18 +191,10 @@ def _fit_result_json(fit, extras=None):
     return obj
 
 
-def _same_file(a, b) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # a missing file is left to `matio.read_matrix` to report
-        return False
-
-
 def cmd_fit(args):
     gens = _resolve_gens(args, allow_many=(args.mode == "invariant"))
     x = matio.read_matrix(args.x)
-    # one file as both is read once, so that the fit sees Y is X: the autoencoder route
-    y = x if _same_file(args.x, args.y) else matio.read_matrix(args.y)
+    y = matio.read_matrix(args.y)
     if args.mode == "invariant":
         space = invariant.invariant_space(gens, y.shape[0], x.shape[0], args.rank)
         fit = invariant.fit_invariant(x, y, space, ridge=args.ridge)

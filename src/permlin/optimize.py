@@ -244,9 +244,7 @@ def weighted_eckart_young(
     scale; NonFiniteError (checked before the Gram is formed) and
     ConvergenceError come from the `linalg` layer.
     """
-    same = y is x
-    x = require_finite(x, "data")
-    return _solve_blocks([(x, x if same else require_finite(y, "data"), ridge)])[0]
+    return _solve_blocks([(require_finite(x, "data"), require_finite(y, "data"), ridge)])[0]
 
 
 def fit_rank_bounded(

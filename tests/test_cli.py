@@ -16,8 +16,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from permlin import matio
 from permlin.cli import main
-from permlin.linalg import tie_slack
-from permlin.perms import Permutation, cycle_decomposition, parse_permutation
+from permlin.perms import Permutation, cycle_decomposition
 from permlin.spectral import eigen_multiplicities
 
 from helpers import commutator_ratio, write_matrix_csv, write_matrix_json
@@ -177,34 +176,6 @@ class TestProjectFitFactorize:
         assert payload["component_source"] == "search"
         assert len(payload["candidates"]) == 5
         validate("fit", payload)
-
-    def test_fit_reads_a_file_given_as_x_and_y_once(self, tmp_path, monkeypatch):
-        """One file as --x and --y is read once, so the fit takes the
-        autoencoder route: one eigh per block, where the same file under a
-        second name takes two.  The two fits agree."""
-        x = np.random.default_rng(6).standard_normal((9, 20))
-        xf, copy = tmp_path / "x.csv", tmp_path / "copy.csv"
-        write_matrix_csv(xf, x)
-        copy.write_bytes(xf.read_bytes())
-        eigh_of, calls = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh_of(h))
-        rot = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
-        nblocks = len(eigen_multiplicities(cycle_decomposition(rot)).real_blocks)
-        payloads = []
-        for yf, eighs in ((xf, nblocks), (copy, 2 * nblocks)):
-            calls.clear()
-            out = tmp_path / "fit.json"
-            rc, payload = run_cli(["fit", "--mode", "equivariant", "--perm", "(1 4 3 2)(5 8 7 6)",
-                                   "--n", "9", "--rank", "3", "--x", str(xf), "--y", str(yf),
-                                   "--out", str(out)], out)
-            assert rc == 0 and len(calls) == eighs
-            validate("fit", payload)
-            payloads.append(payload)
-        same, copied = payloads
-        assert same["component"] == copied["component"]
-        assert abs(same["loss"] - copied["loss"]) <= tie_slack(x)
-        m, m_copied = (matio.matrix_from_json_obj(p["minimizer"]) for p in payloads)
-        assert np.linalg.norm(m - m_copied) <= 1e-12 * np.linalg.norm(m_copied)
 
     @pytest.mark.parametrize("rank", ["-1", "10"])
     def test_fit_rank_outside_census(self, tmp_path, capsys, rank):

@@ -226,6 +226,8 @@ def _weight_report_json(report):
 def cmd_factorize(args):
     gens = _resolve_gens(args, allow_many=(args.mode == "invariant"))
     if args.mode == "invariant":
+        if args.matrix is None:
+            raise PermlinError("factorize --mode invariant needs --matrix")
         m = matio.read_matrix(args.matrix)
         space = invariant.invariant_space(
             gens, m.shape[0], gens[0].n, args.rank if args.rank is not None else min(m.shape))
@@ -345,12 +347,9 @@ def cmd_demo_shift(args):
     equal = solve.fit(equal_rvec.total_rank, component=equal_rvec)
 
     # high-pass: zero rank on the low-frequency half of the blocks (by angle),
-    # full rank on the rest
-    angles = []
-    for b in blocks:
-        ang = 0.0 if b.kind == "real_plus" else (
-            np.pi if b.kind == "real_minus" else 2 * np.pi * (b.l - b.m) / b.l)
-        angles.append(ang)
+    # full rank on the rest; the angle is 0 on the +1 block (l = m = 1) and
+    # pi on the -1 block (l = 2, m = 1)
+    angles = [2 * np.pi * (b.l - b.m) / b.l for b in blocks]
     order = np.argsort(angles)
     cut = len(order) // 2
     high_vals = [0] * len(blocks)

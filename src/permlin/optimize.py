@@ -11,27 +11,33 @@ G^{-1/2}.  `weighted_eckart_young` does this for real and complex data in
 reduced-rank-regression form (Izenman 1975), with two symmetric
 eigendecompositions and no SVD: G = V diag(lambda) V^H, one relative rank
 floor on lambda, then A = C V diag(lambda^{-1/2}) and A^H A = W diag(sigma^2)
-W^H, whose eigenvalues are the squared singular values of C G^{-1/2}.  The
-rank-r minimizer is (A W_r)(V diag(lambda^{-1/2}) W_r)^H.  Each sigma^2
-carries an absolute error of about eps sigma_1^2 (Golub & Van Loan, 8.6), so
-singular values below about sqrt(eps k) sigma_1 are accurate only in absolute
-terms; the tie rule is therefore checked on sigma^2, with a floor at that
-error.
+W^H, whose eigenvalues are the squared singular values of C G^{-1/2}.  A
+solve holds one basis, V diag(lambda^{-1/2}) W, and the rank-r minimizer is
+decoder @ encoder with encoder = (V diag(lambda^{-1/2}) W_r)^H and
+
+    decoder = Y (encoder X)^H,
+
+since A W_r = C V diag(lambda^{-1/2}) W_r = Y X^H encoder^H, with C = Y X^H
+free of the ridge: once the encoder is fixed, the decoder is read off the
+data, on every route.  Each sigma^2 carries an absolute error of about eps
+sigma_1^2 (Golub & Van Loan, 8.6), so singular values below about
+sqrt(eps k) sigma_1 are accurate only in absolute terms; the tie rule is
+therefore checked on sigma^2, with a floor at that error.
 
 When Y is X the fit is a linear autoencoder, and the second
 eigendecomposition is redundant.  C = X X^H = G - ridge Id = V diag(lambda -
-ridge) V^H, so A = V diag((lambda - ridge) lambda^{-1/2}) and A^H A =
-diag((lambda - ridge)^2 / lambda) is already diagonal: W is the identity and
-sigma = (lambda - ridge) lambda^{-1/2}, which grows with lambda, so V's
-columns in descending order of lambda are the right singular vectors.  The
-rank-r minimizer V_r diag((lambda - ridge) / lambda) V_r^H is, without a
-ridge, the projection onto the r leading principal directions of X: PCA
-(Baldi & Hornik 1989).  `_solve_eigh` takes this route when Y is X by
-identity (`y is x`), never by comparing values, and clamps lambda - ridge at
-0 so that rounding cannot break sigma's order.  `require_data` returns one
-array for X given as both, and `solve_equivariant(X, X, ...)` forms the
-block rows once and hands each block the same rows as X and as Y, so every
-block, complex-pair blocks included, takes the route.
+ridge) V^H, so A^H A = diag((lambda - ridge)^2 / lambda) is already
+diagonal, with sigma = (lambda - ridge) lambda^{-1/2}, which grows with
+lambda: the basis is V diag(lambda^{-1/2}) with its columns in descending
+order of lambda.  The rank-r minimizer V_r diag((lambda - ridge) / lambda)
+V_r^H is, without a ridge, the projection onto the r leading principal
+directions of X: PCA (Baldi & Hornik 1989).  `_solve_eigh` takes this route
+when Y is X by identity (`y is x`), never by comparing values, and clamps
+lambda - ridge at 0 so that rounding cannot break sigma's order.
+`require_data` returns one array for X given as both, and
+`solve_equivariant(X, X, ...)` forms the block rows once and hands each
+block the same rows as X and as Y, so every block, complex-pair blocks
+included, takes the route.
 
 For equivariant fits the real base change Q makes M = Q blockdiag(B_b) Q^T,
 so with Xt = Q^T X and Yt = Q^T Y the loss is the sum over blocks b of
@@ -152,36 +158,31 @@ class FitResult:
 @dataclass(frozen=True)
 class WeightedEckartYoung:
     """min ||M X - Y||_F^2 over rank <= r matrices M, solved for every r at once
-    and read at any r by `read`.  It holds its data X and Y, the whitened
-    cross term A = C V diag(lambda^{-1/2}), whiten = V diag(lambda^{-1/2}) and
-    the eigenvectors W of A^H A, for the eigenvalues svals**2 first, descending.
-    W is None on the autoencoder route (Y is X), where A and whiten are held
-    with their columns already in that order.  tails[t] is the sum of
-    svals[t:]**2, the loss above `constant` at rank t."""
+    and read at any r by `read`.  It holds its data X and Y and one basis,
+    V diag(lambda^{-1/2}) W, for the Gram's eigendecomposition (lambda, V)
+    and the eigenvectors W of A^H A for the eigenvalues svals**2, descending:
+    its leading r columns are the rank-r encoder, conjugate-transposed.
+    tails[t] is the sum of svals[t:]**2, the loss above `constant` at rank t."""
 
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
-    a: np.ndarray = field(repr=False)
-    w: Optional[np.ndarray] = field(repr=False)
-    whiten: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
     svals: np.ndarray
     tails: tuple[float, ...]
     constant: float
 
     def read(self, r: int, key: tuple[str, int, int]) -> tuple[np.ndarray, np.ndarray, float, BlockFit]:
-        """The rank-r minimizer's decoder = A W_r (= U_r diag(svals[:r])) and
-        encoder = (whiten W_r)^H, of r columns each; its loss ||decoder (encoder
-        X) - Y||_F^2, applied right to left so that M is never formed; and its
+        """The rank-r minimizer's encoder = basis[:, :r]^H and decoder =
+        Y (encoder X)^H, of r columns each; its loss ||decoder (encoder X) -
+        Y||_F^2, applied right to left so that M is never formed; and its
         `BlockFit`, labelled `key`.  SizeMismatchError unless 0 <= r <= len(svals)."""
         s = self.svals
         if not 0 <= r <= len(s):
             raise SizeMismatchError(f"rank {r} outside 0..{len(s)}")
-        if self.w is None:  # copies, so that the factors do not hold every column
-            decoder, encoder = self.a[:, :r].copy(), self.whiten[:, :r].conj().T.copy()
-        else:
-            w_r = self.w[:, :r]
-            decoder, encoder = self.a @ w_r, (self.whiten @ w_r).conj().T
-        loss = float(np.linalg.norm(decoder @ (encoder @ self.x) - self.y) ** 2)
+        encoder = self.basis[:, :r].conj().T.copy()  # a copy, so that a fit does not hold the basis
+        code = encoder @ self.x
+        decoder = self.y @ code.conj().T
+        loss = float(np.linalg.norm(decoder @ code - self.y) ** 2)
         return decoder, encoder, loss, BlockFit(key, r, tuple(s[:r]), tuple(s[r:]),
                                                 _boundary_tie(s, r), self.tails[r])
 
@@ -201,31 +202,35 @@ def _solve_eigh(x: np.ndarray, y: np.ndarray, ridge: Optional[float], vals: np.n
     """Weighted Eckart-Young from the Gram eigendecomposition (vals, vecs):
     the eigendecomposition of A^H A for the whitened cross term A, no SVD.
     When Y is X (by identity) that eigendecomposition is (vals, vecs) itself."""
-    whiten = vecs * (1.0 / np.sqrt(vals))
+    whiten = vecs  # scaled in place: V is not needed unscaled
+    whiten *= 1.0 / np.sqrt(vals)
     if y is x:
         # A^H A is diagonal (module docstring): sigma grows with lambda, so
         # its descending order is V's columns reversed
         s = (np.maximum(vals - (ridge or 0.0), 0.0) / np.sqrt(vals))[::-1]
-        whiten, w = whiten[:, ::-1], None
-        a = vecs[:, ::-1] * s
+        basis = whiten[:, ::-1]
     else:
         # C V diag(lambda^{-1/2}) is C G^{-1/2} without its unitary right factor
-        # V^H: the same singular values, and A W its left vectors times them
+        # V^H: the same singular values
         a = (y @ x.conj().T) @ whiten
         sq, w = eigh(a.conj().T @ a)
-        s, w = np.sqrt(np.maximum(sq[::-1][:min(a.shape)], 0.0)), w[:, ::-1]
+        q = min(a.shape)
+        s, basis = np.sqrt(np.maximum(sq[::-1][:q], 0.0)), whiten @ w[:, ::-1][:, :q]
     # the tails from s**2, the squares `oracles.block_tails` rebuilds them from
     tails = np.append(np.cumsum((s**2)[::-1])[::-1], 0.0)
     constant = float(np.vdot(y, y).real - tails[0])
-    return WeightedEckartYoung(x, y, a, w, whiten, s, tuple(float(v) for v in tails), constant)
+    return WeightedEckartYoung(x, y, basis, s, tuple(float(v) for v in tails), constant)
 
 
 def _solve_blocks(blocks) -> tuple[WeightedEckartYoung, ...]:
     """Weighted Eckart-Young of each (X, Y, ridge) block, one block for a
     dense or invariant fit, every Gram first.  Then the one rank check of
-    every fit: RankDeficientError unless each Gram's smallest eigenvalue
-    exceeds DEFAULT_TOL times the largest Gram eigenvalue over all blocks, so
-    the floor scales with the data and a block of rounding noise still fails."""
+    every fit: SizeMismatchError for a block whose X has no rows, and
+    RankDeficientError unless each Gram's smallest eigenvalue exceeds
+    DEFAULT_TOL times the largest Gram eigenvalue over all blocks, so the
+    floor scales with the data and a block of rounding noise still fails."""
+    if any(len(x) == 0 for x, _, _ in blocks):
+        raise SizeMismatchError("data X has no rows")
     eighs = [_gram_eigh(x, ridge) for x, _, ridge in blocks]
     low, top = min(vals[0] for vals, _ in eighs), max(vals[-1] for vals, _ in eighs)
     if not low > DEFAULT_TOL * top:

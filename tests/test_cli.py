@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -509,6 +509,22 @@ class TestNonFiniteAndFailures:
                                          "--matrix", str(f)], "MatrixFormatError")
         assert str(f) in err["message"]
 
+    def test_zero_size_matrix_file_is_rejected(self, tmp_path):
+        # an output may have no rows or columns (a rank-0 component), but no
+        # command accepts an empty matrix as input
+        from permlin.errors import MatrixFormatError
+
+        for text in ('{"rows": 0, "cols": 1, "data": []}', '{"rows": 1, "cols": 0, "data": []}'):
+            f = tmp_path / "m.json"
+            f.write_text(text)
+            with pytest.raises(MatrixFormatError, match="positive"):
+                matio.read_matrix(f)
+
+    def test_factorize_invariant_needs_a_matrix(self, capsys):
+        err = self.expect_error(capsys, ["factorize", *self.ROT, "--mode", "invariant", "--rank", "2"],
+                                "PermlinError")
+        assert "--matrix" in err["message"]
+
     def test_complex_matrix_is_rejected(self, tmp_path, capsys):
         x, y = self.write_data(tmp_path, bad="1+2i")
         for mode in ("equivariant", "invariant"):
@@ -690,8 +706,14 @@ def cli_argv(run, workdir):
             "--samples", str(samples), *rank, "--seed", "3"]
 
 
+ZERO_COMPONENT = {"command": "factorize", "mode": "equivariant", "component": "0", "n": 1, "gens": [[1]],
+                  "field": "real", "input": "good", "rank": 0, "rows": 1, "seed": 0, "image": (0, 1, 0)}
+
+
 @settings(max_examples=80, deadline=None)
 @given(cli_invocations())
+@example(ZERO_COMPONENT)
+@example({**ZERO_COMPONENT, "component": "0,0", "n": 3, "gens": [[2, 3, 1]]})
 def test_every_subcommand_exits_cleanly_on_any_input(run):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)

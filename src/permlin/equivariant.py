@@ -254,13 +254,15 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
 
 
 def is_equivariant(m: np.ndarray, p: Permutation) -> bool:
-    """||P_sigma M P_sigma^T - M||_F = ||P_sigma M - M P_sigma||_F <= STRUCTURE_TOL
-    * ||M||_F, M read by `require_real`.  This bounds the commutator,
-    `classify_component` the distance to the commutant, up to 1/(2 sin(pi/L))
-    times larger for sigma of order L: on a 100-cycle, M at distance 5e-8 ||M||
-    has a commutator of 3.1e-9 ||M||, so this returns True where
-    `classify_component` raises."""
-    m = require_real(m, "matrix", (p.n, p.n))
+    """The membership test of the library: M, read by `require_real`, is
+    equivariant under sigma iff ||P_sigma M P_sigma^T - M||_F
+    = ||P_sigma M - M P_sigma||_F <= STRUCTURE_TOL * ||M||_F.
+    `classify_component` applies the same test."""
+    return _commutes(require_real(m, "matrix", (p.n, p.n)), p)
+
+
+def _commutes(m: np.ndarray, p: Permutation) -> bool:
+    """The commutator bound of `is_equivariant` on a matrix already read."""
     img = np.asarray(p.image) - 1
     # row i of P_sigma is the unit vector e_{sigma(i)}, so P_sigma M P_sigma^T
     # is M gathered at (sigma(i), sigma(j)): one n x n copy
@@ -285,37 +287,26 @@ def classify_component(
 ) -> RankVector:
     """Read per-block ranks of an equivariant matrix in the Q basis.
 
-    M is equivariant iff Q^T M Q is block diagonal with every complex-pair
-    block on the realization pattern.  EquivarianceError when the mass off
-    that structure exceeds STRUCTURE_TOL * ||M||_F: first the off-block mass
-    alone, then with each pair block's distance to the pattern added.
-    Each block rank is divided by its rank multiplier, so complex-pair ranks
-    are halved.  An odd rank there, read between the two checks, raises
-    StructuralError: a realization has even rank, so it certifies the matrix
-    lies outside every real component.
+    In this order: the errors of `require_real`; EquivarianceError exactly
+    when `is_equivariant` is False, before the base change allocates
+    anything n x n; SizeMismatchError for a base change of another
+    permutation; StructuralError for an odd complex-pair rank.
+
+    Each rank is read from a diagonal block of Q^T M Q and divided by its
+    block's rank multiplier, so complex-pair ranks are halved.  A
+    realization has even rank, so an odd rank there certifies that the
+    matrix lies outside every real component.
     """
-    m = require_real(m, "matrix", (p.n, p.n))  # before the conjugation allocates n x n
+    m = require_real(m, "matrix", (p.n, p.n))
+    if not _commutes(m, p):
+        raise EquivarianceError("P M P^T differs from M beyond STRUCTURE_TOL; input is not equivariant")
     bc = _real_base_change(p, base_change)
     B = bc.conjugate(m)
-    svals, pattern = [], 0.0
-    for blk, sl in zip(bc.spectrum.real_blocks, bc.block_slices):
-        b = B[sl, sl]
-        svals.append(svdvals(b))
-        if blk.kind == "complex_pair":
-            # ||b - realize(Z)||_F^2 for the nearest pattern Z = (a + d)/2 + i (c - e)/2,
-            # with a, e, c, d the (even, even), (even, odd), (odd, even) and
-            # (odd, odd) entries of b
-            pattern += 0.5 * (np.linalg.norm(b[0::2, 0::2] - b[1::2, 1::2]) ** 2
-                              + np.linalg.norm(b[1::2, 0::2] + b[0::2, 1::2]) ** 2)
-        B[sl, sl] = 0.0
-    dev = float(np.linalg.norm(B))
-    bound = STRUCTURE_TOL * np.linalg.norm(m)
-    if dev > bound:
-        raise EquivarianceError(f"off-block mass {dev:.3e} after base change; input is not equivariant")
+    svals = [svdvals(B[sl, sl]) for sl in bc.block_slices]
     # rank decisions share the numerical-rank threshold of the whole matrix,
     # so that numerically-zero blocks read as rank 0.  Q is orthogonal, so
-    # ||M||_2 is the largest block singular value up to the off-block mass
-    # checked above.
+    # ||M||_2 is the largest block singular value up to the off-block mass,
+    # which the commutator bound keeps small.
     threshold = rank_threshold(max(s[0] for s in svals), m.shape)
     values = []
     for blk, s in zip(bc.spectrum.real_blocks, svals):
@@ -325,12 +316,6 @@ def classify_component(
                 f"block ({blk.l},{blk.m}) has odd rank {rank}; not in any real component"
             )
         values.append(rank // blk.rank_multiplier)
-    mass = math.sqrt(dev**2 + pattern)
-    if mass > bound:
-        raise EquivarianceError(
-            f"off-structure mass {mass:.3e} after base change (pair blocks off the realization "
-            "pattern); input is not equivariant"
-        )
     return make_rank_vector(bc.spectrum, "real", values)
 
 

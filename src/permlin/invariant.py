@@ -100,7 +100,7 @@ def invariant_degree(space: InvariantSpace) -> int:
 
 def is_singular_point(space: InvariantSpace, m_mat: np.ndarray) -> bool:
     """Singular iff the compressed rank drops below the effective rank bound."""
-    compact = psi_compress(m_mat, space.partition)
+    compact = psi_compress(require_real(m_mat, "matrix", (space.m, space.n)), space.partition)
     if space.effective_rank >= min(space.m, space.k):
         return False
     return numeric_rank(compact) < space.effective_rank
@@ -138,7 +138,7 @@ def invariant_autoencoder(space: InvariantSpace, m_mat: np.ndarray) -> tuple[np.
     compressed matrix is split through its SVD.  Rank above the bound is
     rejected.
     """
-    compact = psi_compress(m_mat, space.partition)
+    compact = psi_compress(require_real(m_mat, "matrix", (space.m, space.n)), space.partition)
     r = space.effective_rank
     if numeric_rank(compact) > r:
         raise InvarianceError(f"matrix rank exceeds the bound {r}")

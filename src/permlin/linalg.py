@@ -31,15 +31,11 @@ a tolerance argument.
                           singular values; and the
                           component search treats fit losses within
                           `tie_slack(Y)` = TIE_TOL ||Y||_F^2 as tied
-    STRUCTURE_TOL  1e-8   membership in a linear subspace: equivariance,
-                          mass off the block structure after the base
-                          change (off-block entries and pair blocks off
-                          the realization pattern), and column
-                          equality of invariant maps, each relative to
-                          ||M||_F; `is_equivariant` bounds the commutator,
-                          `classify_component` the distance to the commutant,
-                          and near the boundary the two disagree (see
-                          `is_equivariant`)
+    STRUCTURE_TOL  1e-8   membership in a linear subspace, relative to
+                          ||M||_F: equivariance, one commutator bound
+                          ||P M P^T - M||_F that `is_equivariant` and
+                          `classify_component` share, and column equality
+                          of invariant maps (`psi_compress`)
 
 The brute-force checks in `oracles` keep their own named tolerances so that
 they stay independent of this module.

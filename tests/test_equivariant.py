@@ -387,15 +387,54 @@ class TestClassify:
             classify_component(rng.standard_normal((9, 9)), ROT9)
 
     def test_odd_pair_rank_rejected(self):
-        # block-diagonal in the Q basis (so the off-block gate passes) but the
-        # pair block has rank 1, which no real component contains
+        # block-diagonal in the Q basis, but the pair block's single entry
+        # 1.0 is off the realization pattern: P M != M P, so the membership
+        # test rejects it before any rank is read
         bc = real_base_change(ROT9)
         B = np.zeros((9, 9))
         B[5, 5] = 1.0
         q = dense_base_change(bc)[0]
         M = q @ B @ q.T
-        with pytest.raises(StructuralError, match="odd rank"):
+        with pytest.raises(EquivarianceError):
             classify_component(M, ROT9)
+
+    def test_odd_pair_rank_within_the_bound_rejected(self):
+        # I on the +-1 blocks and one 2e-9 entry in the pair block: the
+        # commutator is under the bound, but the pair block reads rank 1,
+        # which no real component contains
+        bc = real_base_change(ROT9)
+        B = np.zeros((9, 9))
+        B[:5, :5] = np.eye(5)
+        B[5, 5] = 2e-9
+        q = dense_base_change(bc)[0]
+        M = q @ B @ q.T
+        assert is_equivariant(M, ROT9)
+        with pytest.raises(StructuralError, match="odd rank 1"):
+            classify_component(M, ROT9)
+
+    def test_long_cycle_within_the_commutator_bound_is_classified(self):
+        # on a 100-cycle, u 1^T with u_i = cos(2 pi i / 100) is orthogonal to
+        # the commutant and has commutator 2 sin(pi/100) ||u 1^T||: at distance
+        # 5e-8 ||M|| the commutator is 3.1e-9 ||M||, inside the bound
+        n = 100
+        p = Permutation(n, tuple(range(2, n + 1)) + (1,))
+        e = np.outer(np.cos(2 * np.pi * np.arange(n) / n), np.ones(n))
+        m = np.eye(n) + 5e-8 * np.linalg.norm(np.eye(n)) / np.linalg.norm(e) * e
+        P = permutation_matrix(p).astype(float)
+        assert np.linalg.norm(P @ m @ P.T - m) <= 3.2e-9 * np.linalg.norm(m)
+        assert is_equivariant(m, p)
+        assert classify_component(m, p).total_rank == n
+
+    def test_two_cycle_past_the_commutator_bound_rejected(self):
+        # on (1 2), u v^T with u = (1, 1)/sqrt 2, v = (1, -1)/sqrt 2 anticommutes
+        # with the swap: at distance 0.8e-8 ||M|| the commutator is 1.6e-8 ||M||
+        p = parse_permutation("(1 2)", 2)
+        c = np.array([[2.0, 1.0], [1.0, 2.0]])
+        u, v = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
+        m = c + 0.8e-8 * np.linalg.norm(c) * np.outer(u, v)
+        assert not is_equivariant(m, p)
+        with pytest.raises(EquivarianceError):
+            classify_component(m, p)
 
     def test_off_pattern_pair_block_rejected(self):
         # block-diagonal in the Q basis with an even pair-block rank, but the
@@ -404,7 +443,7 @@ class TestClassify:
         q, q_inv = dense_base_change(real_base_change(p))
         M = q @ np.diag([1.0, 1.0, 2.0]) @ q_inv
         assert not is_equivariant(M, p)
-        with pytest.raises(EquivarianceError, match="realization pattern"):
+        with pytest.raises(EquivarianceError, match="not equivariant"):
             classify_component(M, p)
 
     def test_singularity_law(self):
@@ -579,6 +618,26 @@ def test_equivariant_project_checks_the_shape_first():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_classify_rejects_before_the_base_change():
+    """A non-equivariant matrix is rejected by the commutator gather alone,
+    before the conjugation allocates its n x n copies: against the 32x32
+    shift (n=1024) the peak stays below 2.5 n^2 float64 beyond M."""
+    import tracemalloc
+
+    from permlin.datasets import horizontal_shift_permutation
+
+    sigma = horizontal_shift_permutation(32, 32)
+    m = np.random.default_rng(15).standard_normal((sigma.n, sigma.n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EquivarianceError):
+            classify_component(m, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * m.nbytes
 
 
 def test_pair_orbit_labels_dimension_large():

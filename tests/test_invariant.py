@@ -135,6 +135,16 @@ class TestSingular:
         space = invariant_space([SIGMA5], 4, 5, 2)  # r = min(m, k)
         assert not is_singular_point(space, np.zeros((4, 5)))
 
+    def test_row_count_of_the_space_checked(self):
+        # psi_compress sees only the columns; the space also fixes m = 4 rows
+        space = invariant_space([SIGMA5], 4, 5, 1)
+        rank1 = psi_expand(np.outer([1.0, 2.0, 3.0], [1.0, -1.0]), space.partition)
+        for m in (np.zeros((3, 5)), rank1):
+            with pytest.raises(SizeMismatchError, match=r"\(4, 5\)"):
+                invariant_autoencoder(space, m)
+            with pytest.raises(SizeMismatchError, match=r"\(4, 5\)"):
+                is_singular_point(space, m)
+
 
 class TestFitInvariant:
     def test_consistent_recovery(self):

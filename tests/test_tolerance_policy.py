@@ -7,7 +7,8 @@ LinAlgError into a package error.  numpy is the only runtime dependency, so
 that layer wraps one LAPACK binding.  The fast paths and their brute-force
 checks stay apart: only the CLI front end imports `oracles`, and no module
 imports a private helper of another.  Every real matrix from a caller is read
-by `linalg.require_real`, the one float cast outside the tables."""
+by `linalg.require_real`, the one float cast outside the tables.  One
+commutator bound decides equivariance."""
 
 import ast
 import importlib
@@ -199,3 +200,24 @@ def test_real_matrices_are_read_only_by_the_gate():
     stray += [f"cli.py:{node.lineno} iscomplexobj" for node in ast.walk(cli)
               if isinstance(node, ast.Attribute) and node.attr == "iscomplexobj"]
     assert not stray, stray
+
+
+MEMBERSHIP = "_commutes"
+
+
+def test_one_equivariance_rule():
+    """In `equivariant`, only the membership function reads STRUCTURE_TOL,
+    and both `is_equivariant` and `classify_component` call it, so no second
+    rule (an off-block or pattern mass after the base change) decides
+    equivariance."""
+    tree = ast.parse((SRC / "equivariant.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(node) -> int:
+        return sum(isinstance(n, ast.Name) and n.id == "STRUCTURE_TOL" for n in ast.walk(node))
+
+    assert MEMBERSHIP in functions
+    assert reads(tree) == reads(functions[MEMBERSHIP]) > 0
+    for caller in ("is_equivariant", "classify_component"):
+        calls = {_dotted(n.func) for n in ast.walk(functions[caller]) if isinstance(n, ast.Call)}
+        assert MEMBERSHIP in calls, caller

@@ -316,6 +316,20 @@ def cmd_verify(args):
         checks.append({"check": "component_search_vs_enumeration",
                        "fast": ",".join(map(str, fast)), "oracle": ",".join(map(str, slow)),
                        "ok": fast == slow})
+        # the orbit-sum routes of one generator against label averaging and
+        # the conjugation, on a matrix that is not equivariant
+        m = rng.standard_normal((n, n))
+        tol = oracles.AGREEMENT_TOL * float(np.linalg.norm(m))
+        proj = equivariant.equivariant_project(m, gens)
+        dev = float(np.linalg.norm(proj - equivariant.orbit_average(m, gens)))
+        checks.append({"check": "equivariant_projection_vs_labels", "fast": dev, "oracle": 0.0,
+                       "ok": bool(dev <= tol)})
+        bc = spectral.real_base_change(gens[0])
+        conj = bc.conjugate(m)
+        dev = float(np.sqrt(sum(np.linalg.norm(b - conj[sl, sl]) ** 2 for b, sl in
+                                zip(equivariant.diagonal_blocks(m, gens[0], bc), bc.block_slices))))
+        checks.append({"check": "classify_blocks_vs_conjugate", "fast": dev, "oracle": 0.0,
+                       "ok": bool(dev <= tol)})
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.out)
     return 0 if ok else 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -39,8 +39,8 @@ from .errors import (
     StructuralError,
 )
 from .linalg import STRUCTURE_TOL, rank_threshold, realize, require_finite, require_real, svdvals
-from .perms import Permutation, cycle_decomposition, induced_partition, join_labels
-from .spectral import BaseChange, Block, BlockSpectrum, real_base_change
+from .perms import CycleDecomposition, Permutation, cycle_decomposition, induced_partition, join_labels
+from .spectral import BaseChange, Block, BlockSpectrum, cycle_runs, real_base_change
 
 __all__ = [
     "RankVector",
@@ -48,6 +48,7 @@ __all__ = [
     "WeightSharingReport",
     "Parameterization",
     "pair_orbit_labels",
+    "orbit_average",
     "equivariant_project",
     "is_equivariant",
     "count_components",
@@ -57,6 +58,7 @@ __all__ = [
     "component_degree_complex",
     "determinantal_degree",
     "classify_component",
+    "diagonal_blocks",
     "parameterize_component",
     "free_parameter_count",
 ]
@@ -240,17 +242,164 @@ def pair_orbit_labels(gens: Sequence[Permutation]) -> tuple[np.ndarray, int]:
 
     Several generators join their labels by `perms.join_labels`, numbering
     the orbits by their least label under the generator with the fewest.
+    The labels are the projection route of several generators
+    (`orbit_average`).  One generator's projection and block ranks read
+    orbit sums instead, sum of gcd entries in place of n^2 labels
+    (`_orbit_sums`), and check against these labels.
     """
     return join_labels([_cycle_pair_labels(g) for g in gens])
 
 
-def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarray:
-    """Frobenius-orthogonal projection onto the commutant: average over orbits."""
+def orbit_average(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarray:
+    """The projection onto the commutant of all of `gens` by averaging M over
+    the n x n labels of `pair_orbit_labels`: the route of several generators,
+    and the reference for the orbit sums of one."""
     m = require_real(m, "matrix", (gens[0].n,) * 2 if gens else None)  # before the n x n labels
     labels, count = pair_orbit_labels(gens)
     sums = np.bincount(labels.ravel(), weights=m.ravel(), minlength=count)
     sizes = np.bincount(labels.ravel(), minlength=count)
     return (sums / sizes)[labels]
+
+
+def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarray:
+    """Frobenius-orthogonal projection onto the commutant: average over orbits.
+
+    Several generators take `orbit_average`, over the n x n labels of
+    `pair_orbit_labels`.  One generator takes no labels: its pair orbits are
+    the wrapped diagonals of each cycle pair (C, C'), so the projection is
+    the orbit-sum table S of M (`_orbit_sums`, sum of gcd(|C|, |C'|) entries
+    over cycle pairs, the commutant dimension) divided by the orbit sizes
+    lcm(|C|, |C'|) and written back along the same diagonals.
+    """
+    if len(gens) != 1:
+        return orbit_average(m, gens)
+    m = require_real(m, "matrix", (gens[0].n,) * 2)
+    out = np.empty(m.shape)
+    for l, _, lc, _, s, _, diagonals in _orbit_sums(m, cycle_decomposition(gens[0]), anti=False):
+        s /= l * lc // s.shape[-1]
+        for _, index in diagonals():
+            out[index] = s[:, None, :, None, :]
+    return out
+
+
+# entries of M that one step of `_orbit_sums` gathers, and the most that each
+# table of one batch of cycles holds, unless a single row is wider
+_BATCH = 1 << 16
+
+
+def _diagonals(rows: np.ndarray, cols: np.ndarray, g: int, k: int):
+    """(alpha, index) per step over the cycles `rows` against `cols`, a run
+    pair of `spectral.cycle_runs` whose lengths have gcd g: m[index] is M at
+    rows[:, a] for up to k positions a = alpha (mod g), by wrapped diagonal,
+    shaped (c, a, c', t, delta), with [c, a, c', t, delta] at column
+    cols[c', t g + (a + delta) mod g]."""
+    cols = cols.reshape(1, 1, cols.shape[0], -1, g)
+    twice = np.concatenate((cols, cols), axis=-1)  # twice[..., alpha:alpha + g] is cols rolled
+    for alpha in range(g):
+        for a0 in range(alpha, rows.shape[1], k * g):
+            yield alpha, (rows[:, a0:a0 + k * g:g, None, None, None], twice[..., alpha:alpha + g])
+
+
+def _add_rolled(dst: np.ndarray, src: np.ndarray, k: int) -> None:
+    """dst[..., x] += src[..., (x + k) mod g] along the last axis, of length g."""
+    g = dst.shape[-1]
+    k %= g
+    dst[..., :g - k] += src[..., k:]
+    dst[..., g - k:] += src[..., :k]
+
+
+def _orbit_sums(m: np.ndarray, cd: CycleDecomposition, anti: bool = True):
+    """The orbit-sum tables of M for the permutation of `cd`, one run pair of
+    cycle lengths, and one batch of its row cycles, at a time.
+
+    Yields (l, i, l', j, S, A, diagonals) per batch and ordered pair of runs
+    of `cycle_runs(cd)`, the order of a base change's gather: i holds the
+    indices among all cycles of the batch's cycles, of length l, and j those
+    of all cycles of length l'.  With rows[c, a] the label at position a of
+    cycle c, cols[c', b] likewise, and g = gcd(l, l'):
+
+        S[c, c', delta] = sum of M[rows[c, a], cols[c', b]] over b - a = delta (mod g)
+        A[c, c', s]     = the same sum over a + b = s (mod g)
+
+    sigma maps position a + 1 of a cycle onto position a, so the wrapped
+    diagonals delta are the pair orbits of the cycle pair (the gcd rule of
+    `pair_orbit_labels`), and the tables of all batches hold the sum of
+    gcd(l_c, l_c') over cycle pairs, the commutant dimension, not n^2.
+    `diagonals()` repeats the batch's steps (`_diagonals`): each gathers
+    the rows of the positions of one residue alpha mod g by wrapped
+    diagonal, adds them to S as they are and to A at a shift of 2 alpha,
+    and holds at most _BATCH entries of M.  For g <= 2, a + b = b - a
+    (mod g), and A is S; without `anti` A is S as well, unread.
+    """
+    lengths = np.asarray(cd.lengths)
+    runs = [(l, labels, np.flatnonzero(lengths == l)) for l, labels in cycle_runs(cd)]
+    for l, rows, i in runs:
+        for lc, cols, j in runs:
+            g = math.gcd(l, lc)
+            width = max(1, _BATCH // cols.size)  # rows of M per step
+            k = min(l // g, width)
+            batch = max(1, width // k)
+            for c0 in range(0, len(i), batch):
+                cyc = slice(c0, c0 + batch)
+                diagonals = partial(_diagonals, rows[cyc], cols, g, k)
+                s = np.zeros((len(i[cyc]), len(j), g))
+                a = np.zeros_like(s) if anti and g > 2 else s
+                for alpha, index in diagonals():
+                    step = m[index].sum(axis=(1, 3))
+                    s += step
+                    if a is not s:  # a + b = 2 a + delta
+                        _add_rolled(a, step, -2 * alpha)
+                yield l, i[cyc], lc, j, s, a, diagonals
+
+
+def diagonal_blocks(m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None) -> list[np.ndarray]:
+    """The diagonal blocks of Q^T M Q for any real n x n M, one per real
+    block of p in canonical order, read from the orbit sums of M: equal to
+    `bc.conjugate(m)[sl, sl]` over `bc.block_slices`, up to rounding,
+    without conjugating.  `classify_component` reads its ranks from these."""
+    m = require_real(m, "matrix", (p.n, p.n))
+    return _orbit_blocks(m, _real_base_change(p, base_change))
+
+
+def _orbit_blocks(m: np.ndarray, bc: BaseChange) -> list[np.ndarray]:
+    """`diagonal_blocks` of a matrix already read, by a real DFT of the
+    orbit-sum tables along delta and s.
+
+    A block of frequency f = (l - m) / l meets a cycle pair (C, C') at
+    positions a, b through cos 2 pi f a (and sin) scaled by sqrt(2 / |C|),
+    and f gcd(|C|, |C'|) = k is an integer, so with
+
+        cos x cos y = [cos(y - x) + cos(x + y)] / 2,
+        cos x sin y = [sin(y - x) + sin(x + y)] / 2,
+        sin x cos y = [sin(x + y) - sin(y - x)] / 2,
+        sin x sin y = [cos(y - x) - cos(x + y)] / 2
+
+    the pair's 2 x 2 entry is [[Re plus, -Im plus], [Im minus, Re minus]]
+    / sqrt(|C||C'|), with plus = S^(k) + A^(k), minus = S^(k) - A^(k), and
+    ^ numpy's rfft along the last axis.  The +1 (k = 0) and -1 (k = g / 2) blocks have one
+    coordinate per cycle, scaled by 1 / sqrt(|C|), and read Re S^(k) alone.
+    """
+    blocks = bc.spectrum.real_blocks
+    lengths = np.asarray(bc.spectrum.cycle_lengths)
+    members = [np.flatnonzero(lengths % b.l == 0) for b in blocks]
+    out = [np.zeros((b.size, b.rank_multiplier) * 2) for b in blocks]
+    for l, i, lc, j, s, a, _ in _orbit_sums(m, cycle_decomposition(bc.permutation)):
+        g = s.shape[-1]
+        scale = 1.0 / math.sqrt(l * lc)
+        fs = np.fft.rfft(s) * scale
+        fa = fs if a is s else np.fft.rfft(a) * scale
+        for blk, member, b4 in zip(blocks, members, out):
+            if g % blk.l:  # the block meets the cycles whose length blk.l divides
+                continue
+            k = g * (blk.l - blk.m) // blk.l
+            ri, cj = np.searchsorted(member, i)[:, None], np.searchsorted(member, j)
+            if blk.kind == "complex_pair":
+                plus, minus = fs[..., k] + fa[..., k], fs[..., k] - fa[..., k]
+                b4[ri, 0, cj, 0], b4[ri, 0, cj, 1] = plus.real, -plus.imag
+                b4[ri, 1, cj, 0], b4[ri, 1, cj, 1] = minus.imag, minus.real
+            else:
+                b4[ri, 0, cj, 0] = fs[..., k].real
+    return [b4.reshape(b.rows, b.rows) for b, b4 in zip(blocks, out)]
 
 
 def is_equivariant(m: np.ndarray, p: Permutation) -> bool:
@@ -296,13 +445,22 @@ def classify_component(
     block's rank multiplier, so complex-pair ranks are halved.  A
     realization has even rank, so an odd rank there certifies that the
     matrix lies outside every real component.
+
+    The blocks are not conjugated (`BaseChange.conjugate` is their
+    reference): they are read from the orbit sums of M, the tables S of
+    wrapped-diagonal and A of anti-diagonal sums of each cycle pair, sum of
+    gcd(|C|, |C'|) entries each, by a real DFT along the diagonal at each
+    block's frequency (`diagonal_blocks`).  A +-1 block reads S alone; a
+    pair block's real 2 x 2 entries follow from
+    cos x cos y = [cos(y - x) + cos(x + y)] / 2 and its sine companions.
+    Past the commutator's one gather it holds the blocks and one batch of
+    the tables, and builds no n x n labels.
     """
     m = require_real(m, "matrix", (p.n, p.n))
     if not _commutes(m, p):
         raise EquivarianceError("P M P^T differs from M beyond STRUCTURE_TOL; input is not equivariant")
     bc = _real_base_change(p, base_change)
-    B = bc.conjugate(m)
-    svals = [svdvals(B[sl, sl]) for sl in bc.block_slices]
+    svals = [svdvals(b) for b in _orbit_blocks(m, bc)]
     # rank decisions share the numerical-rank threshold of the whole matrix,
     # so that numerically-zero blocks read as rank 0.  Q is orthogonal, so
     # ||M||_2 is the largest block singular value up to the off-block mass,

@@ -55,7 +55,8 @@ MAX_COUNT_BLOCKS = 8
 MAX_COUNT_CENSUS = 100_000
 MAX_ALS_DIM = 12
 # size up to which `permlin verify` checks the component search by
-# enumeration; at n <= 16 a real census has at most 90 components
+# enumeration, and one generator's orbit sums by label averaging and the
+# conjugation; at n <= 16 a real census has at most 90 components
 MAX_SCORED_N = 16
 # relative agreement required between a closed-form fit and its oracle
 AGREEMENT_TOL = 1e-9

@@ -66,6 +66,7 @@ __all__ = [
     "euler_phi",
     "eigen_multiplicities",
     "commutant_dimension",
+    "cycle_runs",
     "complex_base_change",
     "real_base_change",
 ]
@@ -157,9 +158,10 @@ class BaseChange:
 
     `to_basis`, `from_basis` and `conjugate` apply T and T^{-1}
     by indexing and one batched l x l product per distinct length, without
-    forming T or T^{-1}.  For field "real" T is orthogonal and T^{-1} is its
-    transpose.  `block_slices` is the spectrum's layout of the field: each
-    block's coordinate range, in canonical order.
+    forming T or T^{-1}; they gather in the order of `cycle_runs`.  For field
+    "real" T is orthogonal and T^{-1} is its transpose.  `block_slices` is
+    the spectrum's layout of the field: each block's coordinate range, in
+    canonical order.
     """
 
     field: str
@@ -182,15 +184,13 @@ class BaseChange:
         (start, stop, l, F_l, F_l^{-1}) over run positions.
         """
         n = self.spectrum.n
-        lengths = np.asarray(self.spectrum.cycle_lengths)
-        starts = np.cumsum(lengths) - lengths
         coord_of = np.empty(n, dtype=np.intp)
         coord_of[np.asarray(self.grouping, dtype=np.intp)] = np.arange(n)
         pos, runs, stop = [], [], 0
-        for l, (f, f_inv) in sorted(self.factors.items()):
-            pos.append((starts[lengths == l][:, None] + np.arange(l)).ravel())
-            runs.append((stop, stop + len(pos[-1]), l, f, f_inv))
-            stop += len(pos[-1])
+        for l, run in _run_positions(self.spectrum.cycle_lengths):
+            pos.append(run.ravel())
+            runs.append((stop, stop + run.size, l, *self.factors[l]))
+            stop += run.size
         pos = np.concatenate(pos)
         labels = np.asarray(self.order, dtype=np.intp)[pos]
         coords = coord_of[pos]
@@ -246,6 +246,24 @@ def _cycle_sort_order(cd: CycleDecomposition) -> list[int]:
     circulant with ones on the subdiagonal and in the top-right corner.
     """
     return [a - 1 for cyc in cd.cycles for a in (cyc[0], *reversed(cyc[1:]))]
+
+
+def _run_positions(lengths) -> list[tuple[int, np.ndarray]]:
+    """(l, positions) per distinct cycle length l, ascending: positions[c, a]
+    is the cycle-sorted position of position a of the c-th cycle of length l."""
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    return [(l, starts[lengths == l][:, None] + np.arange(l)) for l in sorted(set(lengths.tolist()))]
+
+
+def cycle_runs(cd: CycleDecomposition) -> list[tuple[int, np.ndarray]]:
+    """(l, labels) per run of the cycles of length l, lengths ascending, in
+    the order a base change gathers in: labels[c, a] is the 0-based label at
+    position a of the run's c-th cycle, cycles by smallest label, each
+    followed along sigma^{-1}, so sigma maps position a + 1 onto position a
+    (mod l)."""
+    order = np.asarray(_cycle_sort_order(cd), dtype=np.intp)
+    return [(l, order[pos]) for l, pos in _run_positions(cd.lengths)]
 
 
 def _reduced_label(num: int, den: int) -> tuple[int, int]:

@@ -338,6 +338,25 @@ class TestVerifyDemo:
             assert check["ok"] is True and check["oracle"] == 0.0
             assert 0.0 <= check["fast"] <= 1e-9 * n
 
+    def test_verify_checks_the_orbit_sums(self, tmp_path):
+        """One generator's projection and classification blocks, read from
+        orbit sums, against label averaging and the conjugation, up to the
+        scored-search size cap."""
+        out = tmp_path / "v.json"
+        names = ("equivariant_projection_vs_labels", "classify_blocks_vs_conjugate")
+        for args in (["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9"], ["--cycle-type", "2x3,1x4,1x1"],
+                     ["--cycle-type", "2x8"], ["--cycle-type", "16x1"]):
+            rc, payload = run_cli(["verify", *args, "--rank", "3", "--out", str(out)], out)
+            assert rc == 0
+            validate("verify", payload)
+            checks = {c["check"]: c for c in payload["checks"]}
+            for name in names:
+                assert checks[name]["ok"] is True and checks[name]["oracle"] == 0.0
+                assert 0.0 <= checks[name]["fast"] <= 1e-12
+        rc, payload = run_cli(["verify", "--cycle-type", "1x40", "--rank", "3", "--out", str(out)], out)
+        assert rc == 0
+        assert not set(names) & {c["check"] for c in payload["checks"]}
+
     def test_verify_checks_component_search_against_enumeration(self, tmp_path):
         out = tmp_path / "v.json"
         for args in (["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9", "--rank", "3"],

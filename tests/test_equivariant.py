@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permlin.equivariant import (
     classify_component,
@@ -11,11 +11,13 @@ from permlin.equivariant import (
     count_components,
     describe_component,
     determinantal_degree,
+    diagonal_blocks,
     enumerate_components,
     equivariant_project,
     free_parameter_count,
     is_equivariant,
     make_rank_vector,
+    orbit_average,
     pair_orbit_labels,
     parameterize_component,
 )
@@ -28,7 +30,7 @@ from permlin.errors import (
     StructuralError,
 )
 from permlin.invariant import invariant_space
-from permlin.linalg import numeric_rank, realize
+from permlin.linalg import STRUCTURE_TOL, numeric_rank, realize
 from permlin.oracles import (
     check_circulant_blocks,
     dense_base_change,
@@ -602,22 +604,24 @@ def test_equivariant_project_properties():
 
 
 def test_equivariant_project_checks_the_shape_first():
-    """A wrong-shaped matrix is rejected before the n x n orbit labels are
-    built; against the 48x48 shift (n=2304) they take tens of megabytes."""
+    """A wrong-shaped matrix is rejected before anything n x n is built: the
+    orbit labels of several generators, or the output of one; against the
+    48x48 shift (n=2304) either takes tens of megabytes."""
     import tracemalloc
 
     from permlin.datasets import horizontal_shift_permutation
 
     sigma = horizontal_shift_permutation(48, 48)
     m = np.ones((5, 5))
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeMismatchError):
-            equivariant_project(m, [sigma])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for gens in ([sigma], [sigma, sigma]):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeMismatchError):
+                equivariant_project(m, gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_classify_rejects_before_the_base_change():
@@ -665,18 +669,68 @@ def test_is_equivariant_matches_dense_permutation_products():
             assert is_equivariant(near, p) == dense
 
 
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def mixed_cycles(draw):
+    """A permutation of n <= 30 labels whose cycle lengths mix fixed points,
+    coprime lengths and lengths sharing a factor, with each cycle on labels
+    drawn in random order, so that cycles are not contiguous."""
+    lengths = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 5, 6, 8, 9, 12]), min_size=1, max_size=6)
+                   .filter(lambda ls: sum(ls) <= 30))
+    labels = draw(st.permutations(range(1, sum(lengths) + 1)))
+    image = [0] * len(labels)
+    start = 0
+    for l in lengths:
+        cyc = labels[start:start + l]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            image[a - 1] = b
+        start += l
+    return Permutation(len(labels), tuple(image))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_cycles(), st.floats(-3, 3), st.integers(0, 2**32 - 1))
+def test_orbit_sums_match_their_references(p, log_scale, seed):
+    """For one generator, the orbit-sum routes agree with their references on
+    any real matrix, equivariant or not: the projection with averaging over
+    the labels of `pair_orbit_labels`, and every diagonal block with the
+    conjugation by the base change.  Both sides sum the same n^2 entries of
+    M, each weighted by at most sqrt(2) on the block side, in another order,
+    so each entry may differ by the summation error of n^2 terms:
+    |fast - reference| <= 4 n^2 eps max|m_ij|."""
+    n = p.n
+    m = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal((n, n))
+    bound = 4 * n * n * EPS * np.abs(m).max()
+    assert np.abs(equivariant_project(m, [p]) - orbit_average(m, [p])).max() <= bound
+    bc = real_base_change(p)
+    conj = bc.conjugate(m)
+    blocks = diagonal_blocks(m, p, bc)
+    assert [b.shape for b in blocks] == [(sl.stop - sl.start,) * 2 for sl in bc.block_slices]
+    for b, sl in zip(blocks, bc.block_slices):
+        assert np.abs(b - conj[sl, sl]).max() <= bound
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10).flatmap(lambda n: st.permutations(range(1, n + 1))),
-       st.sampled_from(["none", "dense", "block"]), st.sampled_from([1e-4, 1e-2, 0.5]),
-       st.integers(0, 2**32 - 1))
-def test_classify_rejects_exactly_the_non_equivariant(image, kind, eps, seed):
+       st.sampled_from(["none", "dense", "block"]), st.floats(-12, -1), st.integers(0, 2**32 - 1))
+@example((2, 3, 1, 4, 6, 5), "dense", -8 + 1e-5, 0)
+@example((2, 3, 1, 4, 6, 5), "dense", -8 - 1e-5, 0)
+def test_classify_rejects_exactly_the_non_equivariant(image, kind, log_rel, seed):
     """classify_component raises EquivarianceError exactly when
-    is_equivariant is False, away from the tolerance boundary.  The input is
-    an equivariant matrix plus a perturbation of relative size eps <= 1/2
-    (so that the sum is never zero): none, a
-    dense one, or one that is block diagonal in the Q basis and so leaves
-    the off-block mass at zero and moves the pair blocks off the
-    realization pattern."""
+    is_equivariant is False, and both sit on the side of STRUCTURE_TOL that
+    the relative commutator of the input says.
+
+    The input is M = E + t D: E equivariant (exactly constant on the pair
+    orbits), and D a perturbation orthogonal to the commutant, from a dense
+    draw or from one block diagonal in the Q basis, which moves the pair
+    blocks off the realization pattern.  t is solved so that
+    ||P M P^T - M||_F / ||M||_F is 10^log_rel, drawn log-uniformly across
+    STRUCTURE_TOL; with "none", or when D vanishes (every block +-1), M is E
+    and the ratio 0.  Rounding M and the two norms moves the ratio by at
+    most 16 n eps, checked against dense P; only draws within that bound of
+    STRUCTURE_TOL leave the side unasserted."""
     p = Permutation(len(image), tuple(image))
     n = p.n
     rng = np.random.default_rng(seed)
@@ -686,19 +740,24 @@ def test_classify_rejects_exactly_the_non_equivariant(image, kind, eps, seed):
         e = rng.standard_normal((n, n))
     else:
         e = np.zeros((n, n))
-        if kind == "block":
-            for sl in bc.block_slices:
-                e[sl, sl] = rng.standard_normal((sl.stop - sl.start, sl.stop - sl.start))
-            q, q_inv = dense_base_change(bc)
-            e = q @ e @ q_inv
-    if kind != "none":
-        m = m + eps * np.linalg.norm(m) / np.linalg.norm(e) * e
+        for sl in bc.block_slices:
+            e[sl, sl] = rng.standard_normal((sl.stop - sl.start, sl.stop - sl.start))
+        q, q_inv = dense_base_change(bc)
+        e = q @ e @ q_inv
+    e -= equivariant_project(e, [p])
     P = permutation_matrix(p).astype(float)
-    rel = np.linalg.norm(P @ m - m @ P) / np.linalg.norm(m)
-    assume(rel < 1e-12 or rel > 1e-6)
+    c, d = np.linalg.norm(P @ e @ P.T - e), np.linalg.norm(e)
+    target = 0.0
+    if kind != "none" and d > 1e-12 * np.linalg.norm(m):
+        target = 10.0 ** log_rel
+        m = m + target * np.linalg.norm(m) / np.sqrt(c * c - (target * d) ** 2) * e
+    bound = 16 * n * EPS
+    assert abs(np.linalg.norm(P @ m @ P.T - m) / np.linalg.norm(m) - target) <= bound
     try:
         classify_component(m, p, base_change=bc)
         rejected = False
     except EquivarianceError:
         rejected = True
     assert rejected == (not is_equivariant(m, p))
+    if abs(target - STRUCTURE_TOL) > bound:
+        assert rejected == (target > STRUCTURE_TOL)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permlin.equivariant import classify_component, parameterize_component
+from permlin.equivariant import classify_component, equivariant_project, make_rank_vector, parameterize_component
 from permlin.errors import ComponentError
 from permlin.linalg import realize
 from permlin.optimize import solve_equivariant
@@ -12,6 +12,7 @@ from permlin.spectral import (
     BlockSpectrum,
     commutant_dimension,
     complex_base_change,
+    cycle_runs,
     eigen_multiplicities,
     euler_phi,
     real_base_change,
@@ -289,6 +290,57 @@ def test_hot_paths_stay_matrix_free():
     assert not [k for k, v in vars(bc).items() if getattr(v, "shape", None) == (p.n, p.n)]
 
 
+def test_one_generator_reads_orbit_sums_not_labels():
+    """With one generator, projecting and classifying build no n x n labels
+    and no conjugation: under tracemalloc each peaks at most 1.25 n^2
+    float64 beyond M, on the 32 x 32 shift and on n = 1024 labels in 40
+    fixed points and cycles of lengths 7, 9, 12, 24 and 30 on shuffled
+    labels.  The output of the projection alone is n^2, and classifying
+    gathers one n^2 copy for the commutator."""
+    import tracemalloc
+
+    from permlin import equivariant, spectral
+    from permlin.datasets import horizontal_shift_permutation
+    from permlin.perms import consecutive_cycles
+
+    rng = np.random.default_rng(21)
+    # relabel i -> pi(i), so that no cycle is on contiguous labels
+    mixed = consecutive_cycles([1] * 40 + [7, 9, 12] * 30 + [30] * 4 + [24])
+    pi = rng.permutation(mixed.n)
+    image = np.empty(mixed.n, dtype=int)
+    image[pi] = pi[np.asarray(mixed.image) - 1] + 1
+    mixed = Permutation(mixed.n, tuple(image.tolist()))
+    cases = []
+    for p in (horizontal_shift_permutation(32, 32), mixed):
+        bc = real_base_change(p)
+        rvec = make_rank_vector(bc.spectrum, "real", [min(2, b.size) for b in bc.spectrum.real_blocks])
+        par = parameterize_component(rvec, p, rng=rng, base_change=bc)
+        m = rng.standard_normal((p.n, p.n))
+        cases.append((p, par.decoder @ par.encoder, rvec, m, equivariant.orbit_average(m, [p])))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("one generator took the n x n labels or the conjugation")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivariant, "pair_orbit_labels", refuse)
+        mp.setattr(equivariant, "_cycle_pair_labels", refuse)
+        mp.setattr(spectral.BaseChange, "conjugate", refuse)
+        for p, planted, rvec, m, reference in cases:
+            for call, want in ((lambda: equivariant_project(m, [p]), reference),
+                               (lambda: classify_component(planted, p), rvec)):
+                tracemalloc.start()
+                try:
+                    got = call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 1.25 * m.nbytes
+                if isinstance(want, np.ndarray):
+                    assert np.abs(got - want).max() <= 4 * p.n ** 2 * np.finfo(float).eps * np.abs(m).max()
+                else:
+                    assert got == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_cycle_sort_order_follows_sigma_inverse(image):
@@ -305,3 +357,11 @@ def test_cycle_sort_order_follows_sigma_inverse(image):
         assert all(p(b) == a for a, b in zip(run, run[1:]))
         start += len(cyc)
     assert start == p.n
+    # cycle_runs regroups the same cycles by length: sigma maps position
+    # a + 1 of each onto position a, cyclically
+    runs = cycle_runs(cycle_decomposition(p))
+    assert [l for l, _ in runs] == sorted(set(cycle_decomposition(p).lengths))
+    assert sorted(np.concatenate([labels.ravel() for _, labels in runs]).tolist()) == list(range(p.n))
+    for l, labels in runs:
+        assert all(p(int(labels[c, (a + 1) % l]) + 1) == labels[c, a] + 1
+                   for c in range(labels.shape[0]) for a in range(l))

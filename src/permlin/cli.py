@@ -324,6 +324,12 @@ def cmd_verify(args):
         dev = float(np.linalg.norm(proj - equivariant.orbit_average(m, gens)))
         checks.append({"check": "equivariant_projection_vs_labels", "fast": dev, "oracle": 0.0,
                        "ok": bool(dev <= tol)})
+        # the cycle-order commutator of is_equivariant against the dense P M P^T
+        pm = permutation_matrix(gens[0]).astype(float)
+        fast = [equivariant.is_equivariant(a, gens[0]) for a in (proj, m)]
+        slow = [bool(np.linalg.norm(pm @ a @ pm.T - a) <= linalg.STRUCTURE_TOL * np.linalg.norm(a)) for a in (proj, m)]
+        checks.append({"check": "commutator_vs_dense", "fast": ",".join(map(str, fast)),
+                       "oracle": ",".join(map(str, slow)), "ok": fast == slow})
         bc = spectral.real_base_change(gens[0])
         conj = bc.conjugate(m)
         dev = float(np.sqrt(sum(np.linalg.norm(b - conj[sl, sl]) ** 2 for b, sl in

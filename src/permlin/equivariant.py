@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .linalg import STRUCTURE_TOL, rank_threshold, realize, require_finite, require_real, svdvals
 from .perms import CycleDecomposition, Permutation, cycle_decomposition, induced_partition, join_labels
-from .spectral import BaseChange, Block, BlockSpectrum, cycle_runs, real_base_change
+from .spectral import BaseChange, Block, BlockSpectrum, cycle_runs, eigen_multiplicities, real_base_change
 
 __all__ = [
     "RankVector",
@@ -266,90 +266,136 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
 
     Several generators take `orbit_average`, over the n x n labels of
     `pair_orbit_labels`.  One generator takes no labels: its pair orbits are
-    the wrapped diagonals of each cycle pair (C, C'), so the projection is
-    the orbit-sum table S of M (`_orbit_sums`, sum of gcd(|C|, |C'|) entries
-    over cycle pairs, the commutant dimension) divided by the orbit sizes
-    lcm(|C|, |C'|) and written back along the same diagonals.
-    """
+    the wrapped diagonals of each cycle pair (C, C'), so each batch of the
+    cycle-order pass (`_cycle_order`) is overwritten through the skew view
+    by its orbit sums S (`_diagonal_sums`) over the orbit sizes
+    lcm(|C|, |C'|), and written back by a column take and a row scatter."""
     if len(gens) != 1:
         return orbit_average(m, gens)
     m = require_real(m, "matrix", (gens[0].n,) * 2)
+    runs = cycle_runs(cycle_decomposition(gens[0]))
+    back = np.argsort(np.concatenate([labels.T.ravel() for _, labels in runs]))  # the pass's columns
     out = np.empty(m.shape)
-    for l, _, lc, _, s, _, diagonals in _orbit_sums(m, cycle_decomposition(gens[0]), anti=False):
-        s /= l * lc // s.shape[-1]
-        for _, index in diagonals():
-            out[index] = s[:, None, :, None, :]
+    for r, cyc, x, views, work in _cycle_order(m, runs):
+        for v in views:
+            s = _diagonal_sums(v, work, anti=False)[0]
+            (c, l, lc, cc), g = v.shape, s.shape[1]
+            s /= l * lc // g
+            doubled = np.broadcast_to(np.concatenate((s, s), axis=1)[:, None], (c, g, 2 * g, cc))
+            # v[c, a, b, c'] = s[c, (b - a) mod g, c']
+            v.reshape(c, l // g, g, lc // g, g, cc)[...] = _skew(doubled, -1)[:, None, :, None]
+        ids, x = runs[r][1][cyc].ravel(), x.reshape(-1, m.shape[1])
+        for i in range(0, len(x), work.size // m.shape[1]):
+            part = x[i:i + work.size // m.shape[1]]
+            out[ids[i:i + len(part)]] = np.take(part, back, axis=1, out=work[:part.size].reshape(part.shape),
+                                                mode="clip")
     return out
 
 
-# entries of M that one step of `_orbit_sums` gathers, and the most that each
-# table of one batch of cycles holds, unless a single row is wider
-_BATCH = 1 << 16
+# entries of M in one batch of the cycle-order pass, unless one cycle's rows hold more
+_BATCH = 1 << 15
 
 
-def _diagonals(rows: np.ndarray, cols: np.ndarray, g: int, k: int):
-    """(alpha, index) per step over the cycles `rows` against `cols`, a run
-    pair of `spectral.cycle_runs` whose lengths have gcd g: m[index] is M at
-    rows[:, a] for up to k positions a = alpha (mod g), by wrapped diagonal,
-    shaped (c, a, c', t, delta), with [c, a, c', t, delta] at column
-    cols[c', t g + (a + delta) mod g]."""
-    cols = cols.reshape(1, 1, cols.shape[0], -1, g)
-    twice = np.concatenate((cols, cols), axis=-1)  # twice[..., alpha:alpha + g] is cols rolled
-    for alpha in range(g):
-        for a0 in range(alpha, rows.shape[1], k * g):
-            yield alpha, (rows[:, a0:a0 + k * g:g, None, None, None], twice[..., alpha:alpha + g])
+def _cycle_order(m: np.ndarray, runs: list) -> Iterator[tuple]:
+    """M a batch of whole row cycles at a time, in the order of `runs`
+    (`spectral.cycle_runs`): (r, cyc, x, views, work), x[c, a] the row at
+    position a of cycle c of run r's cycles cyc, and views[r'][c, a, b, c']
+    x at position b of cycle c' of run r'.  sigma maps position a + 1 onto
+    a, so here it is a roll by one along a and along b.  Each batch reuses x
+    and `work`, a flat scratch of two batches, at most 8 _BATCH entries or
+    two rows, which every step on x fills by chunks."""
+    order = np.concatenate([labels.T.ravel() for _, labels in runs])
+    n = order.size
+    starts = np.cumsum([0] + [labels.size for _, labels in runs])
+    batches = [min(len(rows), max(1, _BATCH // (l * n))) for l, rows in runs]  # cycles
+    x = np.empty((max(b * l for b, (l, _) in zip(batches, runs)), n))
+    work = np.empty(2 * min(x.size, max(4 * _BATCH, n)))
+    for r, ((l, rows), batch) in enumerate(zip(runs, batches)):
+        for c0 in range(0, len(rows), batch):
+            cyc = slice(c0, c0 + batch)
+            ids = rows[cyc].ravel()
+            for i in range(0, ids.size, work.size // n):
+                part = ids[i:i + work.size // n]
+                # mode="clip" checks no index (these never clip) and fills `out` unbuffered
+                part = np.take(m, part, axis=0, out=work[:part.size * n].reshape(-1, n), mode="clip")
+                np.take(part, order, axis=1, out=x[i:i + len(part)], mode="clip")
+            got = x[:ids.size].reshape(-1, l, n)
+            yield r, cyc, got, [got[..., a:b].reshape(-1, l, *labels.T.shape)
+                                for (_, labels), a, b in zip(runs, starts, starts[1:])], work
 
 
-def _add_rolled(dst: np.ndarray, src: np.ndarray, k: int) -> None:
-    """dst[..., x] += src[..., (x + k) mod g] along the last axis, of length g."""
-    g = dst.shape[-1]
-    k %= g
-    dst[..., :g - k] += src[..., k:]
-    dst[..., g - k:] += src[..., :k]
+def _skew(d: np.ndarray, sign: int, a0: int = 0) -> np.ndarray:
+    """The strided view w[c, alpha, delta, c'] = d[c, alpha, (delta + sign (a0 + alpha)) mod g, c']
+    of a table d doubled along axis 2, of length 2 g, for sign +-1 and a0 + alpha < g."""
+    g = d.shape[2] // 2
+    s0, s1, s2, s3 = d.strides
+    return np.lib.stride_tricks.as_strided(d[:, :, a0 if sign > 0 else g - a0:], (*d.shape[:2], g, d.shape[3]),
+                                           (s0, s1 + sign * s2, s2, s3), writeable=False)
 
 
-def _orbit_sums(m: np.ndarray, cd: CycleDecomposition, anti: bool = True):
-    """The orbit-sum tables of M for the permutation of `cd`, one run pair of
-    cycle lengths, and one batch of its row cycles, at a time.
+def _diagonal_sums(v: np.ndarray, work: np.ndarray, anti: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(S, A) of a view v of `_cycle_order`, cycles of lengths l and l' with
+    g = gcd(l, l'), by folding a and b mod g, then skew sums over chunks of
+    alpha = a mod g doubled along b, in `work` (`_skew`):
 
-    Yields (l, i, l', j, S, A, diagonals) per batch and ordered pair of runs
-    of `cycle_runs(cd)`, the order of a base change's gather: i holds the
-    indices among all cycles of the batch's cycles, of length l, and j those
-    of all cycles of length l'.  With rows[c, a] the label at position a of
-    cycle c, cols[c', b] likewise, and g = gcd(l, l'):
+        S[c, delta, c'] = sum of v[c, a, b, c'] over b - a = delta (mod g)
+        A[c, s, c']     = the same sum over a + b = s (mod g)
 
-        S[c, c', delta] = sum of M[rows[c, a], cols[c', b]] over b - a = delta (mod g)
-        A[c, c', s]     = the same sum over a + b = s (mod g)
+    For g <= 2, a + b = b - a (mod g), and A is S; without `anti` as well."""
+    c, l, lc, cc = v.shape
+    g = math.gcd(l, lc)
+    f = v.reshape(c, l // g, g, lc // g, g, cc)
+    f = f.sum(axis=(1, 3)) if f.shape[1] * f.shape[3] > 1 else f[:, 0, :, 0]  # no fold, no copy
+    s, a = np.zeros((2, c, g, cc))
+    h = max(1, work.size // (2 * c * g * cc))  # alphas per chunk
+    for a0 in range(0, g, h):
+        d = work[:2 * f[:, a0:a0 + h].size].reshape(c, -1, 2 * g, cc)
+        d[:, :, :g] = d[:, :, g:] = f[:, a0:a0 + h]
+        s += _skew(d, 1, a0).sum(axis=1)
+        if anti and g > 2:
+            a += _skew(d, -1, a0).sum(axis=1)
+    return s, a if anti and g > 2 else s
 
-    sigma maps position a + 1 of a cycle onto position a, so the wrapped
-    diagonals delta are the pair orbits of the cycle pair (the gcd rule of
-    `pair_orbit_labels`), and the tables of all batches hold the sum of
-    gcd(l_c, l_c') over cycle pairs, the commutant dimension, not n^2.
-    `diagonals()` repeats the batch's steps (`_diagonals`): each gathers
-    the rows of the positions of one residue alpha mod g by wrapped
-    diagonal, adds them to S as they are and to A at a shift of 2 alpha,
-    and holds at most _BATCH entries of M.  For g <= 2, a + b = b - a
-    (mod g), and A is S; without `anti` A is S as well, unread.
-    """
-    lengths = np.asarray(cd.lengths)
-    runs = [(l, labels, np.flatnonzero(lengths == l)) for l, labels in cycle_runs(cd)]
-    for l, rows, i in runs:
-        for lc, cols, j in runs:
-            g = math.gcd(l, lc)
-            width = max(1, _BATCH // cols.size)  # rows of M per step
-            k = min(l // g, width)
-            batch = max(1, width // k)
-            for c0 in range(0, len(i), batch):
-                cyc = slice(c0, c0 + batch)
-                diagonals = partial(_diagonals, rows[cyc], cols, g, k)
-                s = np.zeros((len(i[cyc]), len(j), g))
-                a = np.zeros_like(s) if anti and g > 2 else s
-                for alpha, index in diagonals():
-                    step = m[index].sum(axis=(1, 3))
-                    s += step
-                    if a is not s:  # a + b = 2 a + delta
-                        _add_rolled(a, step, -2 * alpha)
-                yield l, i[cyc], lc, j, s, a, diagonals
+
+def _commutator(v: np.ndarray, work: np.ndarray) -> float:
+    """||P M P^T - M||_F^2 over a view v of `_cycle_order`: sigma steps each
+    position back by one, so each entry is v[c, a + 1, b + 1, c'] - v[c, a, b, c'],
+    indices wrapped, by chunks of a: v at a + 1, in `work`, less v at a rolled along b."""
+    c, l, lc, cc = v.shape
+    h, total = max(1, work.size // v[:, 0].size), 0.0
+    for a0 in range(0, l, h):
+        a = slice(a0, min(a0 + h, l))
+        y = work[:c * (a.stop - a0) * lc * cc].reshape(c, -1, lc, cc)
+        np.take(v, np.arange(a0 + 1, a.stop + 1) % l, axis=1, out=y, mode="clip")
+        y[:, :, 1:] -= v[:, a, :-1]
+        y[:, :, 0] -= v[:, a, -1]
+        total += float(np.vdot(y, y))
+    return total
+
+
+def _orbit_sums(m: np.ndarray, cd: CycleDecomposition, sums: bool) -> tuple[float, float, list]:
+    """One cycle-order pass over M (`_cycle_order`): ||P M P^T - M||_F^2,
+    ||M||_F^2 and, with `sums`, the tables (l, i, l', j, S, A) of each
+    ordered pair of runs of `cycle_runs(cd)`, i and j the indices among all
+    cycles of the runs' cycles, S and A their `_diagonal_sums`.  These sum
+    M over the pair orbits (the gcd rule of `pair_orbit_labels`): the sum of
+    gcd(l_c, l_c') over cycle pairs, the commutant dimension, not n^2."""
+    runs = cycle_runs(cd)
+    index = [np.flatnonzero(np.asarray(cd.lengths) == l) for l, _ in runs]
+    tables = []
+    for (l, _), i in (zip(runs, index) if sums else ()):
+        for (lc, _), j in zip(runs, index):
+            s = np.empty((len(i), math.gcd(l, lc), len(j)))
+            tables.append((l, i, lc, j, s, s if s.shape[1] <= 2 else np.empty_like(s)))
+    dev = norm = 0.0
+    for r, cyc, x, views, work in _cycle_order(m, runs):
+        norm += float(np.vdot(x, x))
+        for rc, v in enumerate(views):
+            dev += _commutator(v, work)
+            if sums:
+                s, a = tables[r * len(runs) + rc][4:]
+                s[cyc], a[cyc] = _diagonal_sums(v, work)
+    return dev, norm, tables
 
 
 def diagonal_blocks(m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None) -> list[np.ndarray]:
@@ -358,12 +404,14 @@ def diagonal_blocks(m: np.ndarray, p: Permutation, base_change: Optional[BaseCha
     `bc.conjugate(m)[sl, sl]` over `bc.block_slices`, up to rounding,
     without conjugating.  `classify_component` reads its ranks from these."""
     m = require_real(m, "matrix", (p.n, p.n))
-    return _orbit_blocks(m, _real_base_change(p, base_change))
+    cd = cycle_decomposition(p)
+    spec = eigen_multiplicities(cd) if base_change is None else _real_base_change(p, base_change).spectrum
+    return _orbit_blocks(_orbit_sums(m, cd, sums=True)[2], spec)
 
 
-def _orbit_blocks(m: np.ndarray, bc: BaseChange) -> list[np.ndarray]:
-    """`diagonal_blocks` of a matrix already read, by a real DFT of the
-    orbit-sum tables along delta and s.
+def _orbit_blocks(tables: list, spec: BlockSpectrum) -> list[np.ndarray]:
+    """`diagonal_blocks` from the tables of `_orbit_sums`, by one real DFT
+    along delta and s per run pair.
 
     A block of frequency f = (l - m) / l meets a cycle pair (C, C') at
     positions a, b through cos 2 pi f a (and sin) scaled by sqrt(2 / |C|),
@@ -376,48 +424,45 @@ def _orbit_blocks(m: np.ndarray, bc: BaseChange) -> list[np.ndarray]:
 
     the pair's 2 x 2 entry is [[Re plus, -Im plus], [Im minus, Re minus]]
     / sqrt(|C||C'|), with plus = S^(k) + A^(k), minus = S^(k) - A^(k), and
-    ^ numpy's rfft along the last axis.  The +1 (k = 0) and -1 (k = g / 2) blocks have one
+    ^ numpy's rfft along delta.  The +1 (k = 0) and -1 (k = g / 2) blocks have one
     coordinate per cycle, scaled by 1 / sqrt(|C|), and read Re S^(k) alone.
     """
-    blocks = bc.spectrum.real_blocks
-    lengths = np.asarray(bc.spectrum.cycle_lengths)
+    blocks = spec.real_blocks
+    lengths = np.asarray(spec.cycle_lengths)
     members = [np.flatnonzero(lengths % b.l == 0) for b in blocks]
     out = [np.zeros((b.size, b.rank_multiplier) * 2) for b in blocks]
-    for l, i, lc, j, s, a, _ in _orbit_sums(m, cycle_decomposition(bc.permutation)):
-        g = s.shape[-1]
-        scale = 1.0 / math.sqrt(l * lc)
-        fs = np.fft.rfft(s) * scale
-        fa = fs if a is s else np.fft.rfft(a) * scale
+    for l, i, lc, j, s, a in tables:
+        g, scale = s.shape[1], 1.0 / math.sqrt(l * lc)
+        fs = np.fft.rfft(s, axis=1) * scale
+        fa = fs if a is s else np.fft.rfft(a, axis=1) * scale
         for blk, member, b4 in zip(blocks, members, out):
             if g % blk.l:  # the block meets the cycles whose length blk.l divides
                 continue
             k = g * (blk.l - blk.m) // blk.l
-            ri, cj = np.searchsorted(member, i)[:, None], np.searchsorted(member, j)
             if blk.kind == "complex_pair":
-                plus, minus = fs[..., k] + fa[..., k], fs[..., k] - fa[..., k]
-                b4[ri, 0, cj, 0], b4[ri, 0, cj, 1] = plus.real, -plus.imag
-                b4[ri, 1, cj, 0], b4[ri, 1, cj, 1] = minus.imag, minus.real
+                plus, minus = fs[:, k] + fa[:, k], fs[:, k] - fa[:, k]
+                entry = np.stack((plus.real, -plus.imag, minus.imag, minus.real), axis=-1)
             else:
-                b4[ri, 0, cj, 0] = fs[..., k].real
+                entry = fs[:, k].real
+            # b4[c, x, c', y]; indices apart put (c, c') first
+            b4[np.searchsorted(member, i)[:, None], :, np.searchsorted(member, j)] = \
+                entry.reshape(len(i), len(j), *b4.shape[1::2])
     return [b4.reshape(b.rows, b.rows) for b, b4 in zip(blocks, out)]
 
 
 def is_equivariant(m: np.ndarray, p: Permutation) -> bool:
     """The membership test of the library: M, read by `require_real`, is
-    equivariant under sigma iff ||P_sigma M P_sigma^T - M||_F
-    = ||P_sigma M - M P_sigma||_F <= STRUCTURE_TOL * ||M||_F.
-    `classify_component` applies the same test."""
-    return _commutes(require_real(m, "matrix", (p.n, p.n)), p)
+    equivariant under sigma iff ||P_sigma M P_sigma^T - M||_F = ||P_sigma M - M P_sigma||_F
+    <= STRUCTURE_TOL * ||M||_F, both norms read in one cycle-order pass over M
+    (`_orbit_sums`).  `classify_component` applies the same test."""
+    return _commutes(require_real(m, "matrix", (p.n, p.n)), cycle_decomposition(p))[0]
 
 
-def _commutes(m: np.ndarray, p: Permutation) -> bool:
-    """The commutator bound of `is_equivariant` on a matrix already read."""
-    img = np.asarray(p.image) - 1
-    # row i of P_sigma is the unit vector e_{sigma(i)}, so P_sigma M P_sigma^T
-    # is M gathered at (sigma(i), sigma(j)): one n x n copy
-    dev = m[np.ix_(img, img)]
-    dev -= m
-    return np.linalg.norm(dev) <= STRUCTURE_TOL * np.linalg.norm(m)
+def _commutes(m: np.ndarray, cd: CycleDecomposition, sums: bool = False) -> tuple[bool, list]:
+    """The commutator bound of `is_equivariant` on a matrix already read,
+    and the orbit-sum tables of the same pass when `sums` (`_orbit_sums`)."""
+    dev, norm, tables = _orbit_sums(m, cd, sums)
+    return math.sqrt(dev) <= STRUCTURE_TOL * math.sqrt(norm), tables
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +476,13 @@ def _real_base_change(p: Permutation, bc: Optional[BaseChange]) -> BaseChange:
     return bc if bc is not None else real_base_change(p)
 
 
-def classify_component(
-    m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None
-) -> RankVector:
+def classify_component(m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None) -> RankVector:
     """Read per-block ranks of an equivariant matrix in the Q basis.
 
     In this order: the errors of `require_real`; EquivarianceError exactly
-    when `is_equivariant` is False, before the base change allocates
-    anything n x n; SizeMismatchError for a base change of another
-    permutation; StructuralError for an odd complex-pair rank.
+    when `is_equivariant` is False; SizeMismatchError for a base change of
+    another permutation; StructuralError for an odd complex-pair rank.
+    Without `base_change` only the spectrum is built, never a base change.
 
     Each rank is read from a diagonal block of Q^T M Q and divided by its
     block's rank multiplier, so complex-pair ranks are halved.  A
@@ -447,34 +490,31 @@ def classify_component(
     matrix lies outside every real component.
 
     The blocks are not conjugated (`BaseChange.conjugate` is their
-    reference): they are read from the orbit sums of M, the tables S of
-    wrapped-diagonal and A of anti-diagonal sums of each cycle pair, sum of
-    gcd(|C|, |C'|) entries each, by a real DFT along the diagonal at each
-    block's frequency (`diagonal_blocks`).  A +-1 block reads S alone; a
-    pair block's real 2 x 2 entries follow from
-    cos x cos y = [cos(y - x) + cos(x + y)] / 2 and its sine companions.
-    Past the commutator's one gather it holds the blocks and one batch of
-    the tables, and builds no n x n labels.
+    reference): they are read by a real DFT from the orbit sums of M, the
+    wrapped-diagonal and anti-diagonal sums of each cycle pair
+    (`diagonal_blocks`).  The commutator and the sums come from one
+    cycle-order pass (`_orbit_sums`), which gathers M once, a batch of whole
+    row cycles at a time, and builds no n x n array.
     """
     m = require_real(m, "matrix", (p.n, p.n))
-    if not _commutes(m, p):
+    cd = cycle_decomposition(p)
+    commutes, tables = _commutes(m, cd, sums=True)
+    if not commutes:
         raise EquivarianceError("P M P^T differs from M beyond STRUCTURE_TOL; input is not equivariant")
-    bc = _real_base_change(p, base_change)
-    svals = [svdvals(b) for b in _orbit_blocks(m, bc)]
+    spec = eigen_multiplicities(cd) if base_change is None else _real_base_change(p, base_change).spectrum
+    svals = [svdvals(b) for b in _orbit_blocks(tables, spec)]
     # rank decisions share the numerical-rank threshold of the whole matrix,
     # so that numerically-zero blocks read as rank 0.  Q is orthogonal, so
     # ||M||_2 is the largest block singular value up to the off-block mass,
     # which the commutator bound keeps small.
     threshold = rank_threshold(max(s[0] for s in svals), m.shape)
     values = []
-    for blk, s in zip(bc.spectrum.real_blocks, svals):
+    for blk, s in zip(spec.real_blocks, svals):
         rank = int(np.sum(s > threshold))
         if rank % blk.rank_multiplier:
-            raise StructuralError(
-                f"block ({blk.l},{blk.m}) has odd rank {rank}; not in any real component"
-            )
+            raise StructuralError(f"block ({blk.l},{blk.m}) has odd rank {rank}; not in any real component")
         values.append(rank // blk.rank_multiplier)
-    return make_rank_vector(bc.spectrum, "real", values)
+    return make_rank_vector(spec, "real", values)
 
 
 @dataclass(frozen=True)

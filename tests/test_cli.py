@@ -357,6 +357,24 @@ class TestVerifyDemo:
         assert rc == 0
         assert not set(names) & {c["check"] for c in payload["checks"]}
 
+    def test_verify_checks_the_commutator_against_dense(self, tmp_path):
+        """`is_equivariant`, read in one cycle-order pass, against the dense
+        P M P^T on an equivariant projection and on a random matrix, up to
+        the scored-search size cap.  Under the identity every matrix is
+        equivariant."""
+        out = tmp_path / "v.json"
+        for args, verdicts in ((["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9"], "True,False"),
+                               (["--cycle-type", "2x3,1x4,1x1"], "True,False"),
+                               (["--cycle-type", "2x8"], "True,False"), (["--cycle-type", "16x1"], "True,True")):
+            rc, payload = run_cli(["verify", *args, "--rank", "3", "--out", str(out)], out)
+            assert rc == 0
+            validate("verify", payload)
+            check = {c["check"]: c for c in payload["checks"]}["commutator_vs_dense"]
+            assert check["ok"] is True and check["fast"] == check["oracle"] == verdicts
+        rc, payload = run_cli(["verify", "--cycle-type", "1x40", "--rank", "3", "--out", str(out)], out)
+        assert rc == 0
+        assert "commutator_vs_dense" not in {c["check"] for c in payload["checks"]}
+
     def test_verify_checks_component_search_against_enumeration(self, tmp_path):
         out = tmp_path / "v.json"
         for args in (["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9", "--rank", "3"],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from permlin import equivariant
 from permlin.equivariant import (
     classify_component,
     component_degree_complex,
@@ -475,6 +476,33 @@ class TestClassify:
                 parameterize_component(rvec, p, rng=np.random.default_rng(13), base_change=bc)
         assert classify_component(m, p, base_change=real_base_change(p)) == rvec
 
+    def test_no_base_change_is_built_without_one(self, monkeypatch):
+        """Without `base_change=`, classifying and reading the diagonal
+        blocks take the spectrum from the cycle lengths and never build the
+        l x l factors of a real base change."""
+        from permlin import spectral
+
+        p = parse_permutation("(1 2 3 4 5 6)(7 8 9 10)(11 12)", 13)
+        bc = real_base_change(p)
+        rvec = make_rank_vector(bc.spectrum, "real", [min(1, b.size) for b in bc.spectrum.real_blocks])
+        m = parameterize_component(rvec, p, rng=np.random.default_rng(22), base_change=bc)
+        m = m.decoder @ m.encoder
+        reference = diagonal_blocks(m, p, bc)
+        foreign = real_base_change(parse_permutation("(1 2 3 4 5 6)(7 8)(9 10 11 12)", 13))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a real base change was built")
+
+        monkeypatch.setattr(spectral, "real_base_change", refuse)
+        monkeypatch.setattr(equivariant, "real_base_change", refuse)
+        assert classify_component(m, p) == rvec
+        assert all(np.array_equal(b, ref) for b, ref in zip(diagonal_blocks(m, p), reference))
+        # a base change that is passed is still checked against p
+        with pytest.raises(SizeMismatchError, match="not the real base change"):
+            classify_component(m, p, base_change=foreign)
+        with pytest.raises(SizeMismatchError, match="not the real base change"):
+            diagonal_blocks(m, p, foreign)
+
 
 class TestParameterize:
     def test_fig3_sparsity_pattern(self):
@@ -625,9 +653,9 @@ def test_equivariant_project_checks_the_shape_first():
 
 
 def test_classify_rejects_before_the_base_change():
-    """A non-equivariant matrix is rejected by the commutator gather alone,
-    before the conjugation allocates its n x n copies: against the 32x32
-    shift (n=1024) the peak stays below 2.5 n^2 float64 beyond M."""
+    """A non-equivariant matrix is rejected by the cycle-order pass alone,
+    which allocates no n x n copy: against the 32x32 shift (n=1024) the
+    peak stays below 2.5 n^2 float64 beyond M."""
     import tracemalloc
 
     from permlin.datasets import horizontal_shift_permutation
@@ -700,6 +728,20 @@ def test_orbit_sums_match_their_references(p, log_scale, seed):
     M, each weighted by at most sqrt(2) on the block side, in another order,
     so each entry may differ by the summation error of n^2 terms:
     |fast - reference| <= 4 n^2 eps max|m_ij|."""
+    check_orbit_sums(p, log_scale, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_cycles(), st.floats(-3, 3), st.integers(0, 2**32 - 1))
+def test_orbit_sums_match_their_references_one_cycle_per_batch(p, log_scale, seed):
+    """The same agreement when every batch of the cycle-order pass holds a
+    single row cycle, so that every cycle meets a batch boundary."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivariant, "_BATCH", 1)
+        check_orbit_sums(p, log_scale, seed)
+
+
+def check_orbit_sums(p, log_scale, seed):
     n = p.n
     m = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal((n, n))
     bound = 4 * n * n * EPS * np.abs(m).max()
@@ -720,7 +762,26 @@ def test_orbit_sums_match_their_references(p, log_scale, seed):
 def test_classify_rejects_exactly_the_non_equivariant(image, kind, log_rel, seed):
     """classify_component raises EquivarianceError exactly when
     is_equivariant is False, and both sit on the side of STRUCTURE_TOL that
-    the relative commutator of the input says.
+    the relative commutator of the input says (`check_rejects_exactly`)."""
+    check_rejects_exactly(Permutation(len(image), tuple(image)), kind, log_rel, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_cycles(), st.sampled_from(["none", "dense", "block"]), st.floats(-12, -1),
+       st.integers(0, 2**32 - 1))
+def test_classify_rejects_exactly_on_mixed_cycles_across_batches(p, kind, log_rel, seed):
+    """The same verdicts on mixed cycle lengths, once with the default
+    batches of the cycle-order pass and once with a single row cycle in
+    every batch."""
+    check_rejects_exactly(p, kind, log_rel, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivariant, "_BATCH", 1)
+        check_rejects_exactly(p, kind, log_rel, seed)
+
+
+def check_rejects_exactly(p, kind, log_rel, seed):
+    """Both verdicts on the side of STRUCTURE_TOL that the relative
+    commutator of the input says.
 
     The input is M = E + t D: E equivariant (exactly constant on the pair
     orbits), and D a perturbation orthogonal to the commutant, from a dense
@@ -731,7 +792,6 @@ def test_classify_rejects_exactly_the_non_equivariant(image, kind, log_rel, seed
     and the ratio 0.  Rounding M and the two norms moves the ratio by at
     most 16 n eps, checked against dense P; only draws within that bound of
     STRUCTURE_TOL leave the side unasserted."""
-    p = Permutation(len(image), tuple(image))
     n = p.n
     rng = np.random.default_rng(seed)
     bc = real_base_change(p)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permlin.equivariant import classify_component, equivariant_project, make_rank_vector, parameterize_component
+from permlin.equivariant import (
+    classify_component,
+    equivariant_project,
+    is_equivariant,
+    make_rank_vector,
+    parameterize_component,
+)
 from permlin.errors import ComponentError
 from permlin.linalg import realize
 from permlin.optimize import solve_equivariant
@@ -291,12 +297,14 @@ def test_hot_paths_stay_matrix_free():
 
 
 def test_one_generator_reads_orbit_sums_not_labels():
-    """With one generator, projecting and classifying build no n x n labels
-    and no conjugation: under tracemalloc each peaks at most 1.25 n^2
-    float64 beyond M, on the 32 x 32 shift and on n = 1024 labels in 40
-    fixed points and cycles of lengths 7, 9, 12, 24 and 30 on shuffled
-    labels.  The output of the projection alone is n^2, and classifying
-    gathers one n^2 copy for the commutator."""
+    """With one generator, projecting, classifying and `is_equivariant`
+    build no n x n labels and no conjugation, on the 32 x 32 shift and on
+    n = 1024 labels in 40 fixed points and cycles of lengths 7, 9, 12, 24
+    and 30 on shuffled labels.  Under tracemalloc, beyond M, projecting
+    peaks at most 1.25 n^2 float64, its output alone being n^2; classifying
+    and `is_equivariant` peak at most 0.25 n^2, since their one cycle-order
+    pass over M holds a batch of whole row cycles, its scratch and the
+    orbit-sum tables, and no n^2 copy."""
     import tracemalloc
 
     from permlin import equivariant, spectral
@@ -326,15 +334,16 @@ def test_one_generator_reads_orbit_sums_not_labels():
         mp.setattr(equivariant, "_cycle_pair_labels", refuse)
         mp.setattr(spectral.BaseChange, "conjugate", refuse)
         for p, planted, rvec, m, reference in cases:
-            for call, want in ((lambda: equivariant_project(m, [p]), reference),
-                               (lambda: classify_component(planted, p), rvec)):
+            for call, want, bound in ((lambda: equivariant_project(m, [p]), reference, 1.25),
+                                      (lambda: classify_component(planted, p), rvec, 0.25),
+                                      (lambda: is_equivariant(planted, p), True, 0.25)):
                 tracemalloc.start()
                 try:
                     got = call()
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak <= 1.25 * m.nbytes
+                assert peak <= bound * m.nbytes
                 if isinstance(want, np.ndarray):
                     assert np.abs(got - want).max() <= 4 * p.n ** 2 * np.finfo(float).eps * np.abs(m).max()
                 else:

@@ -38,7 +38,7 @@ from .errors import (
     SizeMismatchError,
     StructuralError,
 )
-from .linalg import STRUCTURE_TOL, rank_threshold, realize, require_finite, require_real, svdvals
+from .linalg import STRUCTURE_TOL, rank_threshold, realize, require_finite, require_real, safe_exponent, svdvals
 from .perms import CycleDecomposition, Permutation, cycle_decomposition, induced_partition, join_labels
 from .spectral import BaseChange, Block, BlockSpectrum, cycle_runs, eigen_multiplicities, real_base_change
 
@@ -292,7 +292,9 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
     return out
 
 
-# entries of M in one batch of the cycle-order pass, unless one cycle's rows hold more
+# entries of M in one batch of the cycle-order pass, unless one cycle's rows
+# hold more; and of a factor in one chunk of `parameterize_component`, unless
+# one block's columns hold more
 _BATCH = 1 << 15
 
 
@@ -373,11 +375,12 @@ def _commutator(v: np.ndarray, work: np.ndarray) -> float:
     return total
 
 
-def _orbit_sums(m: np.ndarray, cd: CycleDecomposition, sums: bool) -> tuple[float, float, list]:
-    """One cycle-order pass over M (`_cycle_order`): ||P M P^T - M||_F^2,
-    ||M||_F^2 and, with `sums`, the tables (l, i, l', j, S, A) of each
-    ordered pair of runs of `cycle_runs(cd)`, i and j the indices among all
-    cycles of the runs' cycles, S and A their `_diagonal_sums`.  These sum
+def _orbit_sums(m: np.ndarray, cd: CycleDecomposition, sums: bool, k: int = 0) -> tuple[float, float, list]:
+    """One cycle-order pass over M (`_cycle_order`), each batch scaled by
+    2^k: of the scaled M, ||P M P^T - M||_F^2, ||M||_F^2 and, with `sums`,
+    the tables (l, i, l', j, S, A) of each ordered pair of runs of
+    `cycle_runs(cd)`, i and j the indices among all cycles of the runs'
+    cycles, S and A their `_diagonal_sums`.  These sum
     M over the pair orbits (the gcd rule of `pair_orbit_labels`): the sum of
     gcd(l_c, l_c') over cycle pairs, the commutant dimension, not n^2."""
     runs = cycle_runs(cd)
@@ -389,6 +392,8 @@ def _orbit_sums(m: np.ndarray, cd: CycleDecomposition, sums: bool) -> tuple[floa
             tables.append((l, i, lc, j, s, s if s.shape[1] <= 2 else np.empty_like(s)))
     dev = norm = 0.0
     for r, cyc, x, views, work in _cycle_order(m, runs):
+        if k:
+            np.ldexp(x, k, out=x)
         norm += float(np.vdot(x, x))
         for rc, v in enumerate(views):
             dev += _commutator(v, work)
@@ -460,8 +465,15 @@ def is_equivariant(m: np.ndarray, p: Permutation) -> bool:
 
 def _commutes(m: np.ndarray, cd: CycleDecomposition, sums: bool = False) -> tuple[bool, list]:
     """The commutator bound of `is_equivariant` on a matrix already read,
-    and the orbit-sum tables of the same pass when `sums` (`_orbit_sums`)."""
-    dev, norm, tables = _orbit_sums(m, cd, sums)
+    and the orbit-sum tables of the same pass when `sums` (`_orbit_sums`).
+    When ||M||_F^2 has under- or overflowed, the pass is redone on M scaled
+    by the power of two of `safe_exponent`, which changes neither the bound's
+    verdict nor any block rank read from the tables."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves ||M||_F^2 unsafe
+        dev, norm, tables = _orbit_sums(m, cd, sums)
+    k = safe_exponent(m, norm)
+    if k:
+        dev, norm, tables = _orbit_sums(m, cd, sums, k)
     return math.sqrt(dev) <= STRUCTURE_TOL * math.sqrt(norm), tables
 
 
@@ -537,19 +549,42 @@ class WeightSharingReport:
 @dataclass(frozen=True)
 class Parameterization:
     """decoder @ encoder is the equivariant matrix; the tilde factors are the
-    same maps written in the Q basis, where the block sparsity lives.  The
-    tied weights of the tilde factors, `pattern`, are listed on first read."""
+    same maps written in the Q basis, where the block sparsity lives.  It
+    holds the per-block factors, `block_factors`: (rows, A, B) per block of
+    positive rank, realized on a complex pair.  The tilde decoder D holds A
+    at those rows and at the block's columns, which follow the previous
+    block's, and the tilde encoder E holds B at the same columns, transposed.
+    D, E and their tied weights, `pattern`, are formed on first read."""
 
     decoder: np.ndarray
     encoder: np.ndarray
-    tilde_decoder: np.ndarray
-    tilde_encoder: np.ndarray
     rank_vector: RankVector
     base_change: BaseChange = field(repr=False)
+    block_factors: tuple[tuple[slice, np.ndarray, np.ndarray], ...] = field(repr=False)
+
+    @cached_property
+    def tilde_decoder(self) -> np.ndarray:
+        return _tilde(self.block_factors, self.base_change.spectrum.n, encoder=False)
+
+    @cached_property
+    def tilde_encoder(self) -> np.ndarray:
+        return _tilde(self.block_factors, self.base_change.spectrum.n, encoder=True).T
 
     @cached_property
     def pattern(self) -> WeightSharingReport:
         return _weight_sharing(self.rank_vector, self.base_change)
+
+
+def _tilde(blocks, n: int, encoder: bool) -> np.ndarray:
+    """The n x r tilde decoder, or with `encoder` the tilde encoder
+    transposed, of `Parameterization.block_factors`: each block's A, or
+    B^T, at its rows and the next columns, zero elsewhere."""
+    out = np.zeros((n, sum(a.shape[1] for _, a, _ in blocks)))
+    col = 0
+    for rows, a, b in blocks:
+        out[rows, col:col + a.shape[1]] = b.T if encoder else a
+        col += a.shape[1]
+    return out
 
 
 def parameterize_component(
@@ -566,6 +601,11 @@ def parameterize_component(
     conjugated back.  `factors` gives one pair per block, else `rng` draws
     them unit-normal: SizeMismatchError for a wrong count or shape,
     NonFiniteError for NaN or inf, StructuralError for complex on a +-1 block.
+
+    decoder = Q D and encoder = (Q E^T)^T are formed a chunk of columns of
+    D and E^T at a time, each chunk whole consecutive blocks of at most
+    _BATCH entries (or one block), written into the outputs: the whole D and
+    E, the tilde factors, are formed only when first read.
     """
     bc = _real_base_change(p, base_change)
     spec = bc.spectrum
@@ -575,20 +615,23 @@ def parameterize_component(
         raise SizeMismatchError(f"expected {len(rvec.blocks)} factor pairs, one per block, got {len(factors)}")
     if rng is None and factors is None:  # numpy.random costs 5 MB of RSS to load
         rng = np.random.default_rng(0)
-    D = np.zeros((spec.n, rvec.total_rank))
-    E = np.zeros((rvec.total_rank, spec.n))
-    col = 0
+    blocks = []
     for idx, (blk, sl, rb) in enumerate(zip(rvec.blocks, bc.block_slices, rvec.values)):
         if rb == 0:
             continue
         A, B = _block_factors(factors, idx, blk, rb, rng)
-        if blk.kind == "complex_pair":
-            A, B = realize(A), realize(B)
-        cols = slice(col, col + A.shape[1])
-        D[sl, cols] = A
-        E[cols, sl] = B
-        col = cols.stop
-    return Parameterization(bc.from_basis(D), bc.from_basis(E.T).T, D, E, rvec, bc)
+        blocks.append((sl, *((realize(A), realize(B)) if blk.kind == "complex_pair" else (A, B))))
+    decoder = np.empty((spec.n, rvec.total_rank))
+    encoder = np.empty((rvec.total_rank, spec.n))
+    stops = np.cumsum([0] + [a.shape[1] for _, a, _ in blocks])
+    i = 0
+    while i < len(blocks):  # blocks i..j-1: at most _BATCH entries, or one block
+        j = max(i + 1, int(np.searchsorted(stops, stops[i] + _BATCH // spec.n, "right")) - 1)
+        cols = slice(stops[i], stops[j])
+        decoder[:, cols] = bc.from_basis(_tilde(blocks[i:j], spec.n, encoder=False))
+        encoder[cols] = bc.from_basis(_tilde(blocks[i:j], spec.n, encoder=True)).T
+        i = j
+    return Parameterization(decoder, encoder, rvec, bc, tuple(blocks))
 
 
 def _weight_sharing(rvec: RankVector, bc: BaseChange) -> WeightSharingReport:

@@ -10,13 +10,14 @@ reduces to one unconstrained rank-bounded fit on the compressed problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvarianceError, SizeMismatchError
-from .linalg import STRUCTURE_TOL, numeric_rank, require_data, require_real, svd
+from .linalg import STRUCTURE_TOL, numeric_rank, require_data, require_real, safe_exponent, svd
 from .equivariant import determinantal_degree
 from .optimize import FitResult, weighted_eckart_young
 from .perms import (
@@ -75,7 +76,12 @@ def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     """Keep one column per block (the smallest label), after checking the
     columns within each block agree entrywise within STRUCTURE_TOL * ||M||_F."""
     m_mat = require_real(m_mat, "matrix", (None, part.n))
-    bound = STRUCTURE_TOL * np.linalg.norm(m_mat)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m_mat))
+    k = safe_exponent(m_mat, norm * norm)
+    if k:  # ||M||_F^2 under- or overflowed: the norm of 2^k M
+        norm = float(np.linalg.norm(np.ldexp(m_mat, k)))
+    bound = math.ldexp(STRUCTURE_TOL * norm, -k)
     compact = m_mat[:, [b[0] - 1 for b in part.blocks]]
     dev = np.abs(m_mat - compact[:, part.labels]).max(axis=0, initial=0.0)
     worst = int(np.argmax(dev))

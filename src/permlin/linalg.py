@@ -43,6 +43,8 @@ they stay independent of this module.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError, MatrixFormatError, NonFiniteError, SizeMismatchError
@@ -64,6 +66,7 @@ __all__ = [
     "DEFAULT_TOL",
     "TIE_TOL",
     "STRUCTURE_TOL",
+    "safe_exponent",
     "tie_slack",
 ]
 
@@ -76,8 +79,17 @@ def tie_slack(y: np.ndarray) -> float:
 
 
 def require_finite(a, what: str = "matrix") -> np.ndarray:
-    """`a` as an array; NonFiniteError when it has a NaN or infinite entry."""
+    """`a` as an array; NonFiniteError when it has a NaN or infinite entry.
+
+    A NaN or infinite entry makes the sum of a numeric array NaN or
+    infinite, so a finite sum answers in one reduction; only a sum that is
+    not finite (a bad entry, or finite entries whose sum overflows) is
+    checked entry by entry."""
     a = np.asarray(a)
+    if a.dtype.kind in "biufc":
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(a.sum()):
+                return a
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{what} has NaN or infinite entries")
     return a
@@ -107,6 +119,24 @@ def require_data(x, y) -> tuple[np.ndarray, np.ndarray]:
     if y.shape[1] != x.shape[1]:
         raise SizeMismatchError(f"X {x.shape} and Y {y.shape} need the same number of samples")
     return x, y
+
+
+# a sum of squares in this range has neither lost its small terms to
+# underflow nor overflowed: every square that matters at a relative
+# tolerance is a normal number
+_SAFE_SQUARES = (np.finfo(float).tiny ** 0.5, np.finfo(float).max ** 0.5)
+
+
+def safe_exponent(a: np.ndarray, squares: float) -> int:
+    """0 when `squares`, the sum of the squares of a's entries taken in one
+    pass, is a safe normal number (in `_SAFE_SQUARES`), or when a is zero;
+    otherwise the k for which 2^k max |a_ij| lies in [1/2, 1), so that the
+    pass can be redone on 2^k a (`np.ldexp`, exact on normal numbers), whose
+    squares neither underflow nor overflow.  Only that case sweeps a again."""
+    if _SAFE_SQUARES[0] <= squares <= _SAFE_SQUARES[1]:
+        return 0
+    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    return -math.frexp(top)[1] if top else 0
 
 
 def _lapack(kernel, what: str, a, **kwargs):

@@ -74,6 +74,14 @@ block at its rank of any component.  Every fit holds its minimizer as rank-r
 factors M = decoder @ encoder (equivariant: the block factors placed by
 `parameterize_component`); the dense M is formed only when
 `FitResult.minimizer` is first read.
+
+An equivariant fit never holds a whole n x d or n x r array in the Q basis.
+`_block_rows` changes the basis of X a chunk of columns at a time, straight
+into the per-block rows, so the solve holds the rows (X's size) and one
+chunk; `parameterize_component` forms decoder = Q D and encoder = (Q E^T)^T
+a chunk of whole blocks at a time, so a read holds its outputs, the
+per-block factors and one chunk, and the tilde factors D and E only on
+request.
 """
 
 from __future__ import annotations
@@ -265,13 +273,28 @@ def fit_rank_bounded(
     return FitResult(decoder, encoder, loss, "unconstrained", (blk,), ridge, fit.constant)
 
 
+# entries of the data per column chunk of `_block_rows`
+_BATCH = 1 << 16
+
+
 def _block_rows(bc: BaseChange, a: np.ndarray) -> list[np.ndarray]:
-    """A copy of the rows of each block of Q^T a, so that Q^T a itself is
-    freed on return; on a complex-pair block the row pairs (2i, 2i+1) as the
-    complex rows a_2i + i a_2i+1."""
-    t = bc.to_basis(a)
-    return [t[sl][0::2] + 1j * t[sl][1::2] if blk.kind == "complex_pair" else t[sl].copy()
-            for blk, sl in zip(bc.spectrum.real_blocks, bc.block_slices)]
+    """The rows of each block of Q^T a; on a complex-pair block the row pairs
+    (2i, 2i+1) as the complex rows a_2i + i a_2i+1.  The basis is changed a
+    chunk of columns at a time, straight into the per-block arrays, so Q^T a
+    is never whole."""
+    blocks = bc.spectrum.real_blocks
+    rows = [np.empty((blk.size, a.shape[1]), complex if blk.kind == "complex_pair" else float)
+            for blk in blocks]
+    step = max(1, _BATCH // len(a))
+    for c0 in range(0, a.shape[1], step):
+        cols = slice(c0, c0 + step)
+        t = bc.to_basis(a[:, cols])
+        for blk, sl, out in zip(blocks, bc.block_slices, rows):
+            if blk.kind == "complex_pair":
+                out[:, cols].real, out[:, cols].imag = t[sl][0::2], t[sl][1::2]
+            else:
+                out[:, cols] = t[sl]
+    return rows
 
 
 def _energy_component(blocks, fits, r: int) -> tuple[int, ...]:

@@ -71,6 +71,9 @@ MAX_CRITICAL = 100_000
 # largest entry off the circulant pattern, relative to ||M||_F, that
 # `check_circulant_blocks` still accepts
 CIRCULANT_TOL = 1e-8
+# Frobenius norms whose squares are safe normal numbers: outside, numpy's
+# norm has lost its small squares to underflow or overflowed
+SAFE_NORMS = (np.finfo(float).tiny ** 0.25, np.finfo(float).max ** 0.25)
 # largest deviation `unrealize` accepts from the pattern, relative to max |m_ij|
 UNREALIZE_TOL = 1e-10
 # largest entry of W - W^T `weighted_inner` accepts, relative to max |w_ij|
@@ -334,7 +337,12 @@ def check_circulant_blocks(m: np.ndarray, p: Permutation) -> bool:
         for cj in cycles:
             sub = m[np.ix_(ci, cj)]
             worst = max(worst, np.abs(sub - np.roll(sub, (1, 1), axis=(0, 1))).max(initial=0.0))
-    return worst <= CIRCULANT_TOL * np.linalg.norm(m)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if not SAFE_NORMS[0] <= norm <= SAFE_NORMS[1] and m.any():  # in units of max |m_ij|: safe squares
+        top = float(np.abs(m).max())
+        worst, norm = worst / top, float(np.linalg.norm(m / top))
+    return worst <= CIRCULANT_TOL * norm
 
 
 def dense_base_change(bc: BaseChange) -> tuple[np.ndarray, np.ndarray]:

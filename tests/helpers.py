@@ -1,11 +1,14 @@
 """Builders the tests share that the library itself has no use for: the
 identity and random permutations, circulant matrices, the relative commutator
 of a matrix with a permutation matrix, matrix files written in the formats
-`permlin.matio` reads, the restarted-ALS loss oracle, and the data files of
-the golden fits."""
+`permlin.matio` reads, the restarted-ALS loss oracle, the data files of the
+golden fits, and a tracemalloc measurement of a block of code."""
 
 import json
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -91,3 +94,18 @@ def write_fit_inputs(seed: int, workdir: Path) -> None:
         rows = data.reshape(FIT_SAMPLES, n).T
         text = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
         (Path(workdir) / name).write_text(text + "\n")
+
+
+@contextmanager
+def traced():
+    """Trace the allocations of the `with` block.  The yielded record gets,
+    when the block ends without an error, `peak`, the most bytes allocated
+    at once inside it, and `held`, the bytes still allocated at its end;
+    what was allocated before the block counts in neither."""
+    record = SimpleNamespace(peak=None, held=None)
+    tracemalloc.start()
+    try:
+        yield record
+        record.held, record.peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()

@@ -47,7 +47,7 @@ from permlin.spectral import (
     real_base_change,
 )
 
-from helpers import circulant, commutator_ratio, random_perm
+from helpers import circulant, commutator_ratio, random_perm, traced
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 CHI9 = parse_permutation("(1 2)(3 4)(6 8)", 9)
@@ -635,41 +635,52 @@ def test_equivariant_project_checks_the_shape_first():
     """A wrong-shaped matrix is rejected before anything n x n is built: the
     orbit labels of several generators, or the output of one; against the
     48x48 shift (n=2304) either takes tens of megabytes."""
-    import tracemalloc
-
     from permlin.datasets import horizontal_shift_permutation
 
     sigma = horizontal_shift_permutation(48, 48)
     m = np.ones((5, 5))
     for gens in ([sigma], [sigma, sigma]):
-        tracemalloc.start()
-        try:
-            with pytest.raises(SizeMismatchError):
-                equivariant_project(m, gens)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        with traced() as mem, pytest.raises(SizeMismatchError):
+            equivariant_project(m, gens)
+        assert mem.peak < 2**20
+
+
+def test_parameterization_places_block_factors_by_column_chunks():
+    """decoder = Q D and encoder = (Q E^T)^T are formed a chunk of whole
+    blocks at a time, and match `from_basis` of the whole tilde factors D
+    and E to rounding: at full rank (one block per chunk), at rank 2 per
+    block (several blocks per chunk) and at random ranks.  The tilde
+    factors are formed on first read, then cached."""
+    from permlin.datasets import horizontal_shift_permutation
+
+    sigma = horizontal_shift_permutation(32, 32)
+    bc = real_base_change(sigma)
+    blocks = bc.spectrum.real_blocks
+    rng = np.random.default_rng(24)
+    for values in ([b.size for b in blocks], [min(2, b.size) for b in blocks],
+                   [int(rng.integers(0, b.size + 1)) for b in blocks]):
+        rvec = make_rank_vector(bc.spectrum, "real", values)
+        par = parameterize_component(rvec, sigma, rng=rng, base_change=bc)
+        assert "tilde_decoder" not in vars(par) and "tilde_encoder" not in vars(par)
+        d, e = par.tilde_decoder, par.tilde_encoder
+        assert par.tilde_decoder is d and par.tilde_encoder is e
+        assert d.shape == e.T.shape == (sigma.n, rvec.total_rank)
+        for got, want, scale in ((par.decoder, bc.from_basis(d), np.abs(d).max()),
+                                 (par.encoder, bc.from_basis(e.T).T, np.abs(e).max())):
+            assert np.abs(got - want).max() <= sigma.n * np.finfo(float).eps * scale
 
 
 def test_classify_rejects_before_the_base_change():
     """A non-equivariant matrix is rejected by the cycle-order pass alone,
     which allocates no n x n copy: against the 32x32 shift (n=1024) the
     peak stays below 2.5 n^2 float64 beyond M."""
-    import tracemalloc
-
     from permlin.datasets import horizontal_shift_permutation
 
     sigma = horizontal_shift_permutation(32, 32)
     m = np.random.default_rng(15).standard_normal((sigma.n, sigma.n))
-    tracemalloc.start()
-    try:
-        with pytest.raises(EquivarianceError):
-            classify_component(m, sigma)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * m.nbytes
+    with traced() as mem, pytest.raises(EquivarianceError):
+        classify_component(m, sigma)
+    assert mem.peak < 2.5 * m.nbytes
 
 
 def test_pair_orbit_labels_dimension_large():

@@ -1,6 +1,16 @@
 """permlin: rank-bounded invariant and equivariant linear maps under
 permutation actions — component census, closed-form squared-error fits, and
-weight-shared encoder/decoder factorizations."""
+weight-shared encoder/decoder factorizations.
+
+PERMLIN_THREADS, when set, is the default of the OpenMP, OpenBLAS and MKL
+thread counts; it is read here, before the first import of numpy, since BLAS
+fixes its thread count when it loads."""
+
+import os as _os
+
+if _os.environ.get("PERMLIN_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["PERMLIN_THREADS"])
 
 from .perms import (
     Permutation,
@@ -54,6 +64,7 @@ from .equivariant import (
 from .optimize import (
     FitResult,
     fit_rank_bounded,
+    autoencoder_loss,
     solve_equivariant,
     fit_equivariant,
     ed_degrees,

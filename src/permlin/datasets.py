@@ -32,13 +32,21 @@ def demo_shift_dataset(
     n = height * width
     X = np.empty((n, samples))
     for s in range(samples):
-        img = np.zeros((height, width))
+        # the draws of a sample: its bars (row or column, index, height),
+        # then its shift, then its noise
+        bars = []
         for _ in range(rng.integers(1, 4)):
-            if rng.random() < 0.5:
-                img[rng.integers(height), :] += rng.uniform(0.5, 1.5)
+            row = rng.random() < 0.5
+            bars.append((row, rng.integers(height if row else width), rng.uniform(0.5, 1.5)))
+        shift = rng.integers(width)
+        # each bar is added where the cyclic shift takes it: a row bar stays,
+        # a column bar moves from column c to (c + shift) % width
+        img = np.zeros((height, width))
+        for row, i, value in bars:
+            if row:
+                img[i, :] += value
             else:
-                img[:, rng.integers(width)] += rng.uniform(0.5, 1.5)
-        img = np.roll(img, rng.integers(width), axis=1)
+                img[:, (i + shift) % width] += value
         img += noise * rng.standard_normal((height, width))
         X[:, s] = img.ravel()
     return X

@@ -72,6 +72,10 @@ def invariant_space(gens: Sequence[Permutation], m: int, n: int, r: int) -> Inva
     return InvariantSpace(m, n, r, part)
 
 
+# entries of M per column chunk of `psi_compress`
+_BATCH = 1 << 16
+
+
 def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     """Keep one column per block (the smallest label), after checking the
     columns within each block agree entrywise within STRUCTURE_TOL * ||M||_F."""
@@ -83,7 +87,14 @@ def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
         norm = float(np.linalg.norm(np.ldexp(m_mat, k)))
     bound = math.ldexp(STRUCTURE_TOL * norm, -k)
     compact = m_mat[:, [b[0] - 1 for b in part.blocks]]
-    dev = np.abs(m_mat - compact[:, part.labels]).max(axis=0, initial=0.0)
+    # the largest deviation of each column from its block's first column, a
+    # chunk of columns at a time, so that no n x n difference is formed
+    labels, dev = part.labels, np.empty(part.n)
+    step = max(1, _BATCH // max(1, len(m_mat)))
+    for c0 in range(0, part.n, step):
+        cols = slice(c0, c0 + step)
+        diff = m_mat[:, cols] - compact[:, labels[cols]]
+        dev[cols] = np.abs(diff, out=diff).max(axis=0, initial=0.0)
     worst = int(np.argmax(dev))
     if dev[worst] > bound:
         raise InvarianceError(f"columns of block {part.labels[worst]} differ by {dev[worst]:.3e} (> {bound:.3e})")

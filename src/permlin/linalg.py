@@ -5,13 +5,14 @@ All routines work on plain numpy arrays; real matrices are float64, complex
 ones complex128.
 
 Every SVD and symmetric eigendecomposition of the library goes through
-`svd` (thin), `svdvals` or `eigh` here; only the brute-force `oracles` call
-LAPACK directly, to stay independent.  The three decide failures in one
-place: an input with a NaN or infinite entry raises NonFiniteError before
-LAPACK runs, and a LAPACK failure (numpy's LinAlgError) becomes
-ConvergenceError.  `require_finite` is that finiteness check, of any dtype;
-`require_real` reads every real matrix a caller hands the library, and
-rejects complex entries rather than cast them to their real part.
+`svd` (thin), `svdvals`, `eigh` or `eigvalsh` here; only the brute-force
+`oracles` call LAPACK directly, to stay independent.  The four decide
+failures in one place: an input with a NaN or infinite entry raises
+NonFiniteError before LAPACK runs, and a LAPACK failure (numpy's
+LinAlgError) becomes ConvergenceError.  `require_finite` is that finiteness
+check, of any dtype; `require_real` reads every real matrix a caller hands
+the library, and rejects complex entries rather than cast them to their real
+part.
 
 This module holds the tolerance table of the whole library.  Every tolerance
 is relative, by one rule: a check compares its deviation with the tolerance
@@ -60,6 +61,7 @@ __all__ = [
     "svd",
     "svdvals",
     "eigh",
+    "eigvalsh",
     "numeric_rank",
     "rank_threshold",
     "realize",
@@ -162,6 +164,11 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a real symmetric or complex
     Hermitian matrix."""
     return _lapack(np.linalg.eigh, "eigendecomposition", h)
+
+
+def eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a real symmetric or complex Hermitian matrix."""
+    return _lapack(np.linalg.eigvalsh, "eigendecomposition", h)
 
 
 def rank_threshold(sigma_max: float, shape: tuple[int, ...]) -> float:

@@ -66,6 +66,14 @@ but it subtracts two nearly equal sums: on an exact fit it leaves rounding
 error of order eps ||Y||^2 and either sign, where the residual is of order
 eps^2 ||Y||^2.
 
+One loss is read from a tail sum: `autoencoder_loss(X, r)`, the best rank-r
+loss of X on itself, which `demo-shift` reports as its dense baseline
+without fitting it.  It is the sum of the n - r smallest eigenvalues of the
+Gram X X^T, from one eigenvalue decomposition without eigenvectors.  The sum
+is taken directly, smallest first, never as ||X||^2 minus the top-r sum, so
+it has no cancellation: its absolute error is about (n - r) eps lambda_1,
+the eigenvalues' own error, and at r >= n it is exactly 0.
+
 Every fit is a solve, then a read: a `WeightedEckartYoung` holds its data and
 solve, and `read(r, key)` gives the rank-r factors, their residual and the
 `BlockFit`.  The block solves depend on neither the rank nor the component,
@@ -94,7 +102,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ComponentError, RankDeficientError, SizeMismatchError
-from .linalg import DEFAULT_TOL, TIE_TOL, eigh, require_data, require_finite, tie_slack
+from .linalg import DEFAULT_TOL, TIE_TOL, eigh, eigvalsh, require_data, require_finite, tie_slack
 from .equivariant import RankVector, make_rank_vector, parameterize_component
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
@@ -106,6 +114,7 @@ __all__ = [
     "EquivariantSolve",
     "weighted_eckart_young",
     "fit_rank_bounded",
+    "autoencoder_loss",
     "solve_equivariant",
     "fit_equivariant",
     "ed_degrees",
@@ -237,14 +246,26 @@ def _solve_blocks(blocks) -> tuple[WeightedEckartYoung, ...]:
     RankDeficientError unless each Gram's smallest eigenvalue exceeds
     DEFAULT_TOL times the largest Gram eigenvalue over all blocks, so the
     floor scales with the data and a block of rounding noise still fails."""
-    if any(len(x) == 0 for x, _, _ in blocks):
-        raise SizeMismatchError("data X has no rows")
+    _require_rows(x for x, _, _ in blocks)
     eighs = [_gram_eigh(x, ridge) for x, _, ridge in blocks]
-    low, top = min(vals[0] for vals, _ in eighs), max(vals[-1] for vals, _ in eighs)
+    _rank_floor([vals for vals, _ in eighs])
+    return tuple(_solve_eigh(x, y, ridge, vals, vecs) for (x, y, ridge), (vals, vecs) in zip(blocks, eighs))
+
+
+def _require_rows(xs) -> None:
+    """SizeMismatchError when any of the data matrices xs has no rows."""
+    if any(len(x) == 0 for x in xs):
+        raise SizeMismatchError("data X has no rows")
+
+
+def _rank_floor(spectra) -> None:
+    """The rank floor of every fit: RankDeficientError unless the smallest
+    eigenvalue of each Gram (spectra: ascending eigenvalues, one array per
+    Gram) exceeds DEFAULT_TOL times the largest eigenvalue over all of them."""
+    low, top = min(vals[0] for vals in spectra), max(vals[-1] for vals in spectra)
     if not low > DEFAULT_TOL * top:
         raise RankDeficientError(f"data Gram nearly singular (smallest eigenvalue {low:.3e}, largest of "
                                  f"the fit {top:.3e}); supply more generic data or a ridge")
-    return tuple(_solve_eigh(x, y, ridge, vals, vecs) for (x, y, ridge), (vals, vecs) in zip(blocks, eighs))
 
 
 def weighted_eckart_young(
@@ -271,6 +292,22 @@ def fit_rank_bounded(
     fit = _solve_blocks([(*require_data(x, y), ridge)])[0]
     decoder, encoder, loss, blk = fit.read(min(r, len(fit.svals)), ("dense", 0, 0))
     return FitResult(decoder, encoder, loss, "unconstrained", (blk,), ridge, fit.constant)
+
+
+def autoencoder_loss(x: np.ndarray, r: int) -> float:
+    """The loss min ||M X - X||_F^2 over rank <= r matrices M, the sum of the
+    n - r smallest eigenvalues of the Gram X X^T (Eckart-Young; Baldi &
+    Hornik 1989), without the minimizer: one eigenvalue decomposition and no
+    eigenvectors.  The same number as `fit_rank_bounded(x, x, r).loss` to
+    rounding, 0.0 for r >= n, and the same rank floor and errors."""
+    if r < 0:
+        raise SizeMismatchError(f"rank bound {r} is negative")
+    x = require_data(x, x)[0]
+    _require_rows([x])
+    vals = eigvalsh(x @ x.T)
+    _rank_floor([vals])
+    # summed as they are, smallest first: no difference of large sums
+    return float(vals[:max(len(vals) - r, 0)].sum())
 
 
 # entries of the data per column chunk of `_block_rows`

@@ -421,6 +421,37 @@ class TestVerifyDemo:
                          "--rank", "8", "--out", str(out)], out)
         assert rc == 0 and calls == [(24, 60)]
 
+    def test_demo_shift_decomposes_no_dense_gram(self, tmp_path, monkeypatch):
+        """The dense baseline reads its loss off the eigenvalues of the n x n
+        Gram, one np.linalg.eigvalsh; every np.linalg.eigh is of a block
+        Gram of the equivariant solve, of at most `height` rows."""
+        decompositions = {"eigh": [], "eigvalsh": []}
+        for name, calls in decompositions.items():
+            def counted(h, _kernel=getattr(np.linalg, name), _calls=calls):
+                _calls.append(h.shape)
+                return _kernel(h)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        out = tmp_path / "d.json"
+        rc, _ = run_cli(["demo-shift", "--height", "6", "--width", "8", "--samples", "120",
+                         "--rank", "10", "--out", str(out)], out)
+        assert rc == 0
+        assert decompositions["eigvalsh"] == [(48, 48)]
+        assert len(decompositions["eigh"]) == 5  # the blocks of the 8-cycle: +1, -1, 3 pairs
+        assert all(shape[0] <= 6 for shape in decompositions["eigh"])
+
+    def test_verify_checks_the_autoencoder_loss_against_the_fit(self, tmp_path):
+        """The tail-sum loss against the fit's residual: at rank 3 of 9, and
+        at rank 1 of 1, where the tail is empty and the residual is rounding."""
+        out = tmp_path / "v.json"
+        for args, empty_tail in ((["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9", "--rank", "3"], False),
+                                 (["--cycle-type", "1x1", "--rank", "1"], True)):
+            rc, payload = run_cli(["verify", *args, "--out", str(out)], out)
+            assert rc == 0
+            validate("verify", payload)
+            check = {c["check"]: c for c in payload["checks"]}["autoencoder_loss_vs_fit"]
+            assert check["ok"] is True and (check["fast"] == 0.0) == empty_tail
+
     def test_cyclic_only_for_count(self, capsys):
         rc, _ = run_cli(["count", "--perm", "(1 2)", "--perm", "(2 3)", "--n", "3",
                          "--rank", "1", "--field", "real"])
@@ -468,6 +499,29 @@ class TestVerifyDemo:
                              env=env, capture_output=True, text=True)
         assert res.returncode == 0
         assert res.stdout.strip().isdigit()
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_permlin_threads_is_read_before_numpy_loads(self, preset):
+        """PERMLIN_THREADS is the default of the BLAS thread variables when
+        numpy is first imported, through `import permlin.cli`; a variable
+        already set keeps its value."""
+        script = ("import os, sys\n"
+                  "seen = []\n"
+                  "class Hook:\n"
+                  "    def find_spec(self, name, path=None, target=None):\n"
+                  "        if name == 'numpy' and not seen:\n"
+                  "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                  "sys.meta_path.insert(0, Hook())\n"
+                  "import permlin.cli\n"
+                  "print(seen)\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env.update(PYTHONPATH=os.pathsep.join(sys.path), PERMLIN_THREADS="1")
+        if preset:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert res.stdout.strip() == repr([preset or "1"])
 
 
 class TestNonFiniteAndFailures:

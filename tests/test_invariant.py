@@ -24,7 +24,7 @@ from permlin.perms import (
     replication_matrix,
 )
 
-from helpers import als_loss, identity
+from helpers import als_loss, identity, traced
 
 SIGMA5 = parse_permutation("(1 3 4)(2 5)", 5)
 
@@ -95,6 +95,25 @@ class TestPsi:
         M = psi_expand(compact, part)
         assert np.array_equal(psi_compress(M, part), compact)
         assert np.array_equal(psi_expand(psi_compress(M, part), part), M)
+
+    def test_compress_checks_columns_by_chunks(self):
+        """On an invariant 1024 x 1024 matrix (the 32 x 32 shift, 32 blocks)
+        the column check peaks below 0.5 n^2 floats beyond M: no whole
+        M - compact[:, labels] nor its absolute value.  A deviation in the
+        last column is still found, with the same message."""
+        from permlin.datasets import horizontal_shift_permutation
+        from permlin.perms import cycle_decomposition, induced_partition
+
+        part = induced_partition(cycle_decomposition(horizontal_shift_permutation(32, 32)))
+        n = part.n
+        M = np.random.default_rng(5).standard_normal((n, part.k))[:, part.labels]
+        with traced() as mem:
+            compact = psi_compress(M, part)
+        assert np.array_equal(compact, M[:, [b[0] - 1 for b in part.blocks]])
+        assert mem.peak < 0.5 * 8 * n * n
+        M[7, -1] += 1.0
+        with pytest.raises(InvarianceError, match=f"columns of block {part.labels[-1]} differ by 1.000e\\+00"):
+            psi_compress(M, part)
 
 
 class TestDimensionDegree:

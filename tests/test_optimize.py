@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permlin.datasets import demo_shift_dataset, horizontal_shift_permutation
 from permlin.equivariant import (
@@ -41,6 +41,7 @@ from permlin.oracles import (
     weighted_inner,
 )
 from permlin.optimize import (
+    autoencoder_loss,
     ed_degrees,
     fit_equivariant,
     fit_rank_bounded,
@@ -833,6 +834,51 @@ def test_read_forms_the_leading_factors_and_their_loss(m, n, r, complex_data, ri
     if not complex_data:
         fit = fit_rank_bounded(x, y, r, ridge)
         assert fit.decoder.shape == (m, r) and fit.encoder.shape == (r, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10), st.sampled_from([1e-100, 1.0, 1e100]), st.integers(0, 2**32 - 1))
+@example(n=5, r=0, scale=1.0, seed=0)
+@example(n=5, r=2, scale=1.0, seed=0)
+@example(n=5, r=5, scale=1.0, seed=0)
+@example(n=5, r=9, scale=1.0, seed=0)
+def test_autoencoder_loss_is_the_fit_loss(n, r, scale, seed):
+    """The sum of the n - r smallest Gram eigenvalues is the residual of the
+    rank-r fit of X on itself within tie_slack(X), at every scale: at r = 0
+    it is ||X||_F^2 and at r >= n exactly 0.0."""
+    x = scale * np.random.default_rng(seed).standard_normal((n, n + 4))
+    loss = autoencoder_loss(x, r)
+    assert abs(loss - fit_rank_bounded(x, x, r).loss) <= tie_slack(x)
+    if r == 0:
+        assert abs(loss - float(np.linalg.norm(x)) ** 2) <= tie_slack(x)
+    if r >= n:
+        assert loss == 0.0
+
+
+def test_autoencoder_loss_shares_the_fit_errors(monkeypatch):
+    """The rank floor, with the message of the fit; a negative rank, X with
+    no rows, and non-finite data; and a LAPACK failure of the eigenvalue
+    solver as ConvergenceError."""
+    rng = np.random.default_rng(49)
+    x = rng.standard_normal((2, 12))
+    deficient = np.vstack([x, x[0] + x[1]])
+    floor = r"data Gram nearly singular \(smallest eigenvalue .*, largest of the fit .*\); supply more generic data"
+    for loss in (autoencoder_loss, lambda a, r: fit_rank_bounded(a, a, r).loss):
+        with pytest.raises(RankDeficientError, match=floor):
+            loss(deficient, 1)
+        with pytest.raises(SizeMismatchError, match="rank bound -1 is negative"):
+            loss(x, -1)
+        with pytest.raises(SizeMismatchError, match="data X has no rows"):
+            loss(np.empty((0, 4)), 1)
+        with pytest.raises(NonFiniteError):
+            loss(np.where(np.eye(2, 12) > 0, np.nan, x), 1)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(ConvergenceError, match="forced failure"):
+        autoencoder_loss(x, 1)
 
 
 def test_read_rejects_a_rank_above_the_solve():

@@ -62,6 +62,7 @@ from .equivariant import (
     free_parameter_count,
 )
 from .optimize import (
+    Factors,
     FitResult,
     fit_rank_bounded,
     autoencoder_loss,

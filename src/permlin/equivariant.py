@@ -293,8 +293,8 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
 
 
 # entries of M in one batch of the cycle-order pass, unless one cycle's rows
-# hold more; and of a factor in one chunk of `parameterize_component`, unless
-# one block's columns hold more
+# hold more; and of a factor in one chunk of `Parameterization`'s placement,
+# unless one block's columns hold more
 _BATCH = 1 << 15
 
 
@@ -546,7 +546,7 @@ class WeightSharingReport:
     inactive_outputs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Parameterization:
     """decoder @ encoder is the equivariant matrix; the tilde factors are the
     same maps written in the Q basis, where the block sparsity lives.  It
@@ -554,13 +554,41 @@ class Parameterization:
     positive rank, realized on a complex pair.  The tilde decoder D holds A
     at those rows and at the block's columns, which follow the previous
     block's, and the tilde encoder E holds B at the same columns, transposed.
-    D, E and their tied weights, `pattern`, are formed on first read."""
 
-    decoder: np.ndarray
-    encoder: np.ndarray
+    Everything else is formed on first read and cached: decoder = Q D and
+    encoder = (Q E^T)^T together, on the first read of either, a chunk of
+    columns of D and E^T at a time, each chunk whole consecutive blocks of at
+    most _BATCH entries (or one block), written into the outputs, so the
+    placement peaks at its outputs plus one chunk; D, E and their tied
+    weights, `pattern`, each on its own.  It compares and hashes by identity:
+    its fields hold arrays."""
+
     rank_vector: RankVector
     base_change: BaseChange = field(repr=False)
     block_factors: tuple[tuple[slice, np.ndarray, np.ndarray], ...] = field(repr=False)
+
+    @property
+    def decoder(self) -> np.ndarray:
+        return self._placed[0]
+
+    @property
+    def encoder(self) -> np.ndarray:
+        return self._placed[1]
+
+    @cached_property
+    def _placed(self) -> tuple[np.ndarray, np.ndarray]:
+        bc, blocks = self.base_change, self.block_factors
+        n, r = bc.spectrum.n, self.rank_vector.total_rank
+        decoder, encoder = np.empty((n, r)), np.empty((r, n))
+        stops = np.cumsum([0] + [a.shape[1] for _, a, _ in blocks])
+        i = 0
+        while i < len(blocks):  # blocks i..j-1: at most _BATCH entries, or one block
+            j = max(i + 1, int(np.searchsorted(stops, stops[i] + _BATCH // n, "right")) - 1)
+            cols = slice(stops[i], stops[j])
+            decoder[:, cols] = bc.from_basis(_tilde(blocks[i:j], n, encoder=False))
+            encoder[cols] = bc.from_basis(_tilde(blocks[i:j], n, encoder=True)).T
+            i = j
+        return decoder, encoder
 
     @cached_property
     def tilde_decoder(self) -> np.ndarray:
@@ -594,18 +622,19 @@ def parameterize_component(
     rng: Optional[np.random.Generator] = None,
     base_change: Optional[BaseChange] = None,
 ) -> Parameterization:
-    """Build decoder (n x r) and encoder (r x n) hitting the component rvec.
+    """The decoder (n x r) and encoder (r x n) hitting the component rvec.
 
     Per block, the factors are free d x r_b / r_b x d matrices (complex for
     pair blocks, then realized), placed block-diagonally in the Q basis and
     conjugated back.  `factors` gives one pair per block, else `rng` draws
     them unit-normal: SizeMismatchError for a wrong count or shape,
-    NonFiniteError for NaN or inf, StructuralError for complex on a +-1 block.
+    NonFiniteError for NaN or inf, StructuralError for complex on a +-1 block,
+    ComponentError for a component of another permutation, all raised here.
 
-    decoder = Q D and encoder = (Q E^T)^T are formed a chunk of columns of
-    D and E^T at a time, each chunk whole consecutive blocks of at most
-    _BATCH entries (or one block), written into the outputs: the whole D and
-    E, the tilde factors, are formed only when first read.
+    The call checks and realizes the per-block factors and places nothing:
+    the `Parameterization` forms decoder = Q D and encoder = (Q E^T)^T on
+    their first read, so a caller that needs only the blocks never holds an
+    n x r array.
     """
     bc = _real_base_change(p, base_change)
     spec = bc.spectrum
@@ -621,17 +650,7 @@ def parameterize_component(
             continue
         A, B = _block_factors(factors, idx, blk, rb, rng)
         blocks.append((sl, *((realize(A), realize(B)) if blk.kind == "complex_pair" else (A, B))))
-    decoder = np.empty((spec.n, rvec.total_rank))
-    encoder = np.empty((rvec.total_rank, spec.n))
-    stops = np.cumsum([0] + [a.shape[1] for _, a, _ in blocks])
-    i = 0
-    while i < len(blocks):  # blocks i..j-1: at most _BATCH entries, or one block
-        j = max(i + 1, int(np.searchsorted(stops, stops[i] + _BATCH // spec.n, "right")) - 1)
-        cols = slice(stops[i], stops[j])
-        decoder[:, cols] = bc.from_basis(_tilde(blocks[i:j], spec.n, encoder=False))
-        encoder[cols] = bc.from_basis(_tilde(blocks[i:j], spec.n, encoder=True)).T
-        i = j
-    return Parameterization(decoder, encoder, rvec, bc, tuple(blocks))
+    return Parameterization(rvec, bc, tuple(blocks))
 
 
 def _weight_sharing(rvec: RankVector, bc: BaseChange) -> WeightSharingReport:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvarianceError, SizeMismatchError
 from .linalg import STRUCTURE_TOL, numeric_rank, require_data, require_real, safe_exponent, svd
 from .equivariant import determinantal_degree
-from .optimize import FitResult, weighted_eckart_young
+from .optimize import Factors, FitResult, weighted_eckart_young
 from .perms import (
     Partition,
     Permutation,
@@ -143,7 +143,7 @@ def fit_invariant(
     fit = weighted_eckart_young(E @ x, y, ridge)  # M X = psi(M) (E X) exactly
     decoder, compact_encoder, loss, blk = fit.read(space.effective_rank, ("invariant", 1, 1))
     # the weight-shared encoder B' E: one column per partition block, repeated
-    return FitResult(decoder, compact_encoder[:, space.partition.labels], loss,
+    return FitResult(Factors(decoder, compact_encoder[:, space.partition.labels]), loss,
                      "invariant", (blk,), ridge, fit.constant)
 
 

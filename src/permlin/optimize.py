@@ -79,17 +79,20 @@ solve, and `read(r, key)` gives the rank-r factors, their residual and the
 `BlockFit`.  The block solves depend on neither the rank nor the component,
 so `solve_equivariant` runs them once and `EquivariantSolve.fit` reads each
 block at its rank of any component.  Every fit holds its minimizer as rank-r
-factors M = decoder @ encoder (equivariant: the block factors placed by
-`parameterize_component`); the dense M is formed only when
-`FitResult.minimizer` is first read.
+factors M = decoder @ encoder, in `FitResult.factors`: arrays for a dense or
+invariant fit, and for an equivariant fit the per-block factors, in a
+`Parameterization` that places decoder and encoder on their first read.  The
+dense M is formed only when `FitResult.minimizer` is first read.
 
 An equivariant fit never holds a whole n x d or n x r array in the Q basis.
 `_block_rows` changes the basis of X a chunk of columns at a time, straight
 into the per-block rows, so the solve holds the rows (X's size) and one
-chunk; `parameterize_component` forms decoder = Q D and encoder = (Q E^T)^T
-a chunk of whole blocks at a time, so a read holds its outputs, the
-per-block factors and one chunk, and the tilde factors D and E only on
-request.
+chunk.  A fit reads its loss, component and `BlockFit`s from the blocks
+alone and holds only the per-block factors, so a caller that never reads
+decoder or encoder (as `demo-shift`) never places them.  Their first read
+forms decoder = Q D and encoder = (Q E^T)^T together, a chunk of whole
+blocks at a time, and holds the outputs, the per-block factors and one
+chunk; the tilde factors D and E are formed only on request.
 """
 
 from __future__ import annotations
@@ -103,12 +106,13 @@ import numpy as np
 
 from .errors import ComponentError, RankDeficientError, SizeMismatchError
 from .linalg import DEFAULT_TOL, TIE_TOL, eigh, eigvalsh, require_data, require_finite, tie_slack
-from .equivariant import RankVector, make_rank_vector, parameterize_component
+from .equivariant import Parameterization, RankVector, make_rank_vector, parameterize_component
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
 
 __all__ = [
     "BlockFit",
+    "Factors",
     "FitResult",
     "WeightedEckartYoung",
     "EquivariantSolve",
@@ -147,17 +151,28 @@ class BlockFit:
     loss: float
 
 
+@dataclass(frozen=True, eq=False)
+class Factors:
+    """The rank-r factors of a dense or invariant fit, held as arrays:
+    decoder m x r and encoder r x n."""
+
+    decoder: np.ndarray
+    encoder: np.ndarray
+
+
 @dataclass(frozen=True)
 class FitResult:
     """The outcome of a fit, from the `WeightedEckartYoung.read` of each of
     its solves: the minimizer M = decoder @ encoder as a linear autoencoder,
     with decoder m x r and encoder r x n, r the rank of the fit.  `loss` is
-    ||M X - Y||_F^2, the sum of the reads' residuals.  `minimizer` is M as a
-    dense array, formed on first read and cached, so a fit whose minimizer is
-    never read never allocates it."""
+    ||M X - Y||_F^2, the sum of the reads' residuals.  `factors` holds the
+    decoder and encoder that `decoder` and `encoder` read: the arrays
+    (`Factors`) of a dense or invariant fit, or an equivariant fit's
+    `Parameterization`, which places them on first read.  `minimizer` is M
+    as a dense array, formed on first read and cached.  So a fit whose
+    factors are never read never allocates them, nor M."""
 
-    decoder: np.ndarray = field(repr=False, compare=False)
-    encoder: np.ndarray = field(repr=False, compare=False)
+    factors: Union[Factors, Parameterization] = field(repr=False, compare=False)
     loss: float
     component: Union[RankVector, str]
     per_block: tuple[BlockFit, ...]
@@ -166,6 +181,14 @@ class FitResult:
     component_source: Optional[str] = None
     # heuristic fits only: the heuristic component's loss minus the exact optimum
     search_gap: Optional[float] = None
+
+    @property
+    def decoder(self) -> np.ndarray:
+        return self.factors.decoder
+
+    @property
+    def encoder(self) -> np.ndarray:
+        return self.factors.encoder
 
     @cached_property
     def minimizer(self) -> np.ndarray:
@@ -291,7 +314,7 @@ def fit_rank_bounded(
         raise SizeMismatchError(f"rank bound {r} is negative")
     fit = _solve_blocks([(*require_data(x, y), ridge)])[0]
     decoder, encoder, loss, blk = fit.read(min(r, len(fit.svals)), ("dense", 0, 0))
-    return FitResult(decoder, encoder, loss, "unconstrained", (blk,), ridge, fit.constant)
+    return FitResult(Factors(decoder, encoder), loss, "unconstrained", (blk,), ridge, fit.constant)
 
 
 def autoencoder_loss(x: np.ndarray, r: int) -> float:
@@ -452,8 +475,7 @@ class EquivariantSolve:
             solve.read(t, (blk.kind, blk.l, blk.m)) for blk, solve, t in zip(blocks, self.solves, values)))
         par = parameterize_component(rvec, self.base_change.permutation, list(zip(decoders, encoders)),
                                      base_change=self.base_change)
-        return FitResult(par.decoder, par.encoder, sum(losses), rvec, per_block, self.ridge,
-                         self.constant, source, search_gap)
+        return FitResult(par, sum(losses), rvec, per_block, self.ridge, self.constant, source, search_gap)
 
 
 def solve_equivariant(

@@ -440,6 +440,25 @@ class TestVerifyDemo:
         assert len(decompositions["eigh"]) == 5  # the blocks of the 8-cycle: +1, -1, 3 pairs
         assert all(shape[0] <= 6 for shape in decompositions["eigh"])
 
+    def test_demo_shift_places_no_factors(self, tmp_path, monkeypatch):
+        """demo-shift reports losses, ranks and components, which its fits
+        read from their per-block factors: no fit places its decoder or
+        encoder, so no basis is changed back."""
+        from permlin import spectral
+
+        calls = []
+
+        def counted(self, a, _from_basis=spectral.BaseChange.from_basis):
+            calls.append(a.shape)
+            return _from_basis(self, a)
+
+        monkeypatch.setattr(spectral.BaseChange, "from_basis", counted)
+        out = tmp_path / "d.json"
+        rc, _ = run_cli(["demo-shift", "--height", "6", "--width", "8", "--samples", "120",
+                         "--rank", "10", "--out", str(out)], out)
+        assert rc == 0
+        assert calls == []
+
     def test_verify_checks_the_autoencoder_loss_against_the_fit(self, tmp_path):
         """The tail-sum loss against the fit's residual: at rank 3 of 9, and
         at rank 1 of 1, where the tail is empty and the residual is rounding."""

@@ -670,6 +670,77 @@ def test_parameterization_places_block_factors_by_column_chunks():
             assert np.abs(got - want).max() <= sigma.n * np.finfo(float).eps * scale
 
 
+def test_parameterization_places_on_first_read(monkeypatch):
+    """`parameterize_component` places nothing: no n x r array is among the
+    fields of what it returns.  The first read of the decoder, or of the
+    encoder, places both, and later reads return the same arrays without
+    another base change."""
+    from permlin import spectral
+
+    calls = []
+
+    def counted(self, a, _from_basis=spectral.BaseChange.from_basis):
+        calls.append(a.shape)
+        return _from_basis(self, a)
+
+    monkeypatch.setattr(spectral.BaseChange, "from_basis", counted)
+    rvec = make_rank_vector(SPEC9, "real", (2, 1, 1))
+    for first in ("decoder", "encoder"):
+        par = parameterize_component(rvec, ROT9, rng=np.random.default_rng(17))
+        assert not [k for k, v in vars(par).items() if getattr(v, "ndim", 0) == 2]
+        assert calls == []
+        getattr(par, first)
+        placed = len(calls)
+        assert placed > 0
+        decoder, encoder = par.decoder, par.encoder
+        assert len(calls) == placed
+        assert par.decoder is decoder and par.encoder is encoder
+        assert decoder.shape == encoder.T.shape == (9, rvec.total_rank)
+        calls.clear()
+
+
+def test_parameterization_compares_by_identity():
+    """A `Parameterization` holds arrays, on which field-wise equality would
+    be ambiguous, so it compares and hashes by identity."""
+    rvec = make_rank_vector(SPEC9, "real", (1, 0, 1))
+    par, twin = (parameterize_component(rvec, ROT9, rng=np.random.default_rng(18)) for _ in range(2))
+    assert par == par and par != twin
+    assert len({par, twin, par}) == 2
+
+
+@pytest.mark.parametrize("case", ["count", "shape", "nan", "complex", "foreign"])
+def test_parameterize_component_raises_at_the_call(case, monkeypatch):
+    """Every check of the factors and the component runs at the call, before
+    anything is placed: no error waits for the first read."""
+    from permlin import spectral
+
+    def fail(*args):
+        raise AssertionError("placed before the checks")
+
+    monkeypatch.setattr(spectral.BaseChange, "from_basis", fail)
+    rng = np.random.default_rng(19)
+    rvec = make_rank_vector(SPEC9, "real", (1, 0, 1))
+    factors = [[rng.standard_normal((3, 1)), rng.standard_normal((1, 3))],
+               [np.zeros((2, 0)), np.zeros((0, 2))],
+               [rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)),
+                rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))]]
+    error = {"count": SizeMismatchError, "shape": SizeMismatchError, "nan": NonFiniteError,
+             "complex": StructuralError, "foreign": ComponentError}[case]
+    if case == "count":
+        factors = factors[:2]
+    elif case == "shape":
+        factors[0][0] = rng.standard_normal((3, 2))
+    elif case == "nan":
+        factors[2][1].flat[0] = np.nan
+    elif case == "complex":
+        factors[0][1] = factors[0][1] + 0j
+    else:
+        rvec = make_rank_vector(eigen_multiplicities(cycle_decomposition(parse_permutation("(1 2 3)", 3))),
+                                "real", (1, 1))
+    with pytest.raises(error):
+        parameterize_component(rvec, ROT9, factors=factors)
+
+
 def test_classify_rejects_before_the_base_change():
     """A non-equivariant matrix is rejected by the cycle-order pass alone,
     which allocates no n x n copy: against the 32x32 shift (n=1024) the

@@ -29,7 +29,6 @@ from .spectral import (
     BaseChange,
     eigen_multiplicities,
     commutant_dimension,
-    complex_base_change,
     real_base_change,
 )
 from .invariant import (

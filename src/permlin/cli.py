@@ -87,6 +87,13 @@ def _component_arg(text, spec):
     return equivariant.make_rank_vector(spec, "real", values)
 
 
+def _equivariant_only(args, *names):
+    """PermlinError for an equivariant flag, which --mode invariant ignores."""
+    for name in names:
+        if getattr(args, name) not in (None, False):
+            raise PermlinError(f"--{name} applies to --mode equivariant only")
+
+
 def _block_layout_json(spec):
     real = [{"kind": b.kind, "l": b.l, "m": b.m, "size": b.size, "rows": b.rows, "offset": sl.start}
             for b, sl in zip(spec.real_blocks, spec.slices("real"))]
@@ -190,6 +197,7 @@ def cmd_fit(args):
     x = matio.read_matrix(args.x)
     y = matio.read_matrix(args.y)
     if args.mode == "invariant":
+        _equivariant_only(args, "component", "heuristic", "candidates")
         space = invariant.invariant_space(gens, y.shape[0], x.shape[0], args.rank)
         fit = invariant.fit_invariant(x, y, space, ridge=args.ridge)
         extras = {"compact_factor": matio.matrix_to_json_obj(
@@ -220,6 +228,7 @@ def _weight_report_json(report):
 def cmd_factorize(args):
     gens = _resolve_gens(args, allow_many=(args.mode == "invariant"))
     if args.mode == "invariant":
+        _equivariant_only(args, "component")
         if args.matrix is None:
             raise PermlinError("factorize --mode invariant needs --matrix")
         m = matio.read_matrix(args.matrix)
@@ -241,6 +250,8 @@ def cmd_factorize(args):
     else:
         spec = _spectrum_of(gens[0])
         rvec = _component_arg(args.component, spec)
+        if args.rank is not None and args.rank != rvec.total_rank:
+            raise PermlinError(f"--rank {args.rank} differs from the component's total rank {rvec.total_rank}")
         if args.matrix:
             m = matio.read_matrix(args.matrix)
             got = equivariant.classify_component(m, gens[0])
@@ -331,7 +342,7 @@ def cmd_verify(args):
         bc = spectral.real_base_change(gens[0])
         conj = bc.conjugate(m)
         dev = float(np.sqrt(sum(np.linalg.norm(b - conj[sl, sl]) ** 2 for b, sl in
-                                zip(equivariant.diagonal_blocks(m, gens[0], bc), bc.block_slices))))
+                                zip(equivariant.diagonal_blocks(m, gens[0]), bc.block_slices))))
         checks.append({"check": "classify_blocks_vs_conjugate", "fast": dev, "oracle": 0.0,
                        "ok": bool(dev <= tol)})
     ok = all(c["ok"] for c in checks)

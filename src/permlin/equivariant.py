@@ -46,6 +46,7 @@ __all__ = [
     "RankVector",
     "ComponentDescriptor",
     "WeightSharingReport",
+    "make_rank_vector",
     "Parameterization",
     "pair_orbit_labels",
     "orbit_average",
@@ -403,15 +404,14 @@ def _orbit_sums(m: np.ndarray, cd: CycleDecomposition, sums: bool, k: int = 0) -
     return dev, norm, tables
 
 
-def diagonal_blocks(m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None) -> list[np.ndarray]:
+def diagonal_blocks(m: np.ndarray, p: Permutation) -> list[np.ndarray]:
     """The diagonal blocks of Q^T M Q for any real n x n M, one per real
     block of p in canonical order, read from the orbit sums of M: equal to
     `bc.conjugate(m)[sl, sl]` over `bc.block_slices`, up to rounding,
     without conjugating.  `classify_component` reads its ranks from these."""
     m = require_real(m, "matrix", (p.n, p.n))
     cd = cycle_decomposition(p)
-    spec = eigen_multiplicities(cd) if base_change is None else _real_base_change(p, base_change).spectrum
-    return _orbit_blocks(_orbit_sums(m, cd, sums=True)[2], spec)
+    return _orbit_blocks(_orbit_sums(m, cd, sums=True)[2], eigen_multiplicities(cd))
 
 
 def _orbit_blocks(tables: list, spec: BlockSpectrum) -> list[np.ndarray]:
@@ -482,8 +482,9 @@ def _commutes(m: np.ndarray, cd: CycleDecomposition, sums: bool = False) -> tupl
 
 
 def _real_base_change(p: Permutation, bc: Optional[BaseChange]) -> BaseChange:
-    """`bc`, or the real base change of p when None; SizeMismatchError for any other."""
-    if bc is not None and (bc.field != "real" or bc.permutation != p):
+    """`bc`, or the base change of p when None; SizeMismatchError for a base
+    change of another permutation."""
+    if bc is not None and bc.permutation != p:
         raise SizeMismatchError("base change is not the real base change of this permutation")
     return bc if bc is not None else real_base_change(p)
 

@@ -195,14 +195,15 @@ class FitResult:
         return self.decoder @ self.encoder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedEckartYoung:
     """min ||M X - Y||_F^2 over rank <= r matrices M, solved for every r at once
     and read at any r by `read`.  It holds its data X and Y and one basis,
     V diag(lambda^{-1/2}) W, for the Gram's eigendecomposition (lambda, V)
     and the eigenvectors W of A^H A for the eigenvalues svals**2, descending:
     its leading r columns are the rank-r encoder, conjugate-transposed.
-    tails[t] is the sum of svals[t:]**2, the loss above `constant` at rank t."""
+    tails[t] is the sum of svals[t:]**2, the loss above `constant` at rank t.
+    It compares and hashes by identity: its fields hold arrays."""
 
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
@@ -427,12 +428,13 @@ def _check_choice(component: Optional[RankVector], heuristic: Optional[str]) -> 
         raise ComponentError("name a component or a heuristic, not both")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivariantSolve:
     """The equivariant fit of Y on X, solved for every rank and component:
     per block of sigma's base change, the `WeightedEckartYoung` of its rows of
     Q^T X and Q^T Y (complex on a complex-pair block).  `slack` is
-    `tie_slack(Y)`, the tie slack of the component search."""
+    `tie_slack(Y)`, the tie slack of the component search.  It compares and
+    hashes by identity, as its base change and solves do."""
 
     base_change: BaseChange
     solves: tuple[WeightedEckartYoung, ...] = field(repr=False)

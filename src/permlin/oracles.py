@@ -9,10 +9,10 @@ projection of the full least-squares solution onto the commutant (in the
 dense base change), the best component from enumerating and scoring every
 component, equivariance from the circulant pattern of cycle-by-cycle blocks,
 and the ED degree of a determinantal variety from listing every critical
-point.  The dense T and T^{-1} of a base change and its documented block form
-live here too, as the references its factored application is checked
-against, and so do `unrealize` and `weighted_inner`, which only the checks
-use.  Hard size caps keep the full suite fast.
+point.  The dense Q of the base change, its documented block form and the
+complex T whose eigenspaces Q's blocks span live here too, as references,
+and so do `unrealize` and `weighted_inner`, which only the checks use.
+Hard size caps keep the full suite fast.
 
 The library itself never calls this module; only the CLI (`fit --candidates`,
 `verify`) and the tests do.
@@ -45,6 +45,7 @@ __all__ = [
     "check_circulant_blocks",
     "dense_base_change",
     "expected_block_form",
+    "vandermonde_base_change",
     "unrealize",
     "weighted_inner",
 ]
@@ -346,32 +347,23 @@ def check_circulant_blocks(m: np.ndarray, p: Permutation) -> bool:
 
 
 def dense_base_change(bc: BaseChange) -> tuple[np.ndarray, np.ndarray]:
-    """T and T^{-1} of a base change as dense n x n arrays, from its factors:
+    """Q and Q^T of a base change as dense n x n arrays, from its factors:
     the block diagonal of the per-cycle factors in cycle-sorted order, rows
-    unsorted and columns grouped for T, the reverse for T^{-1}."""
+    unsorted and columns grouped."""
     n = bc.spectrum.n
-
-    def cycle_blocks(k: int) -> np.ndarray:  # F_l (k = 0) or F_l^{-1} (k = 1) per cycle
-        t = np.zeros((n, n), dtype=np.result_type(*(f[k].dtype for f in bc.factors.values())))
-        pos = 0
-        for l in bc.spectrum.cycle_lengths:
-            t[pos:pos + l, pos:pos + l] = bc.factors[l][k]
-            pos += l
-        return t
-
-    unsort, grouping = np.argsort(bc.order), list(bc.grouping)
-    return cycle_blocks(0)[unsort][:, grouping], cycle_blocks(1)[grouping][:, unsort]
+    t = np.zeros((n, n))
+    pos = 0
+    for l in bc.spectrum.cycle_lengths:
+        t[pos:pos + l, pos:pos + l] = bc.factors[l]
+        pos += l
+    q = t[np.argsort(bc.order)][:, list(bc.grouping)]
+    return q, q.T
 
 
 def expected_block_form(bc: BaseChange) -> np.ndarray:
-    """The documented conjugated form T^{-1} P_sigma T of the permutation a
-    base change was built for: diagonal roots of unity (complex), or
-    Id (+) -Id (+) realize(zeta_l^{l-m} Id) per pair block (real)."""
-    if bc.field == "complex":
-        diag = np.concatenate(
-            [np.full(b.size, np.exp(2j * np.pi * b.m / b.l)) for b in bc.spectrum.complex_blocks]
-        )
-        return np.diag(diag)
+    """The documented conjugated form Q^T P_sigma Q of the permutation a
+    base change was built for: Id (+) -Id (+) realize(zeta_l^{l-m} Id) per
+    pair block."""
     form = np.zeros((bc.spectrum.n, bc.spectrum.n))
     for b, sl in zip(bc.spectrum.real_blocks, bc.block_slices):
         if b.kind == "real_plus":
@@ -382,6 +374,24 @@ def expected_block_form(bc: BaseChange) -> np.ndarray:
             zeta = np.exp(2j * np.pi * (b.l - b.m) / b.l)
             form[sl, sl] = realize(zeta * np.eye(b.size, dtype=complex))
     return form
+
+
+def vandermonde_base_change(p: Permutation) -> tuple[np.ndarray, np.ndarray]:
+    """T and T^{-1}, dense and complex, with T^{-1} P_sigma T diagonal: each
+    complex block's eigenvalue e^{2 pi i m / l}, `size` times, in canonical
+    order.  Built from the cycles alone: block (l, m) has one column per cycle
+    (c_0, ..., c_{L-1}) along sigma with l | L, lambda^a at c_a, an
+    eigenvector of P_sigma (row j reads entry sigma(j)).  These per-cycle
+    Vandermonde columns (Davis 1979) are orthogonal, of squared norm L, so
+    T^{-1} = diag(1 / L) T^H."""
+    cycles = [np.asarray(c) - 1 for c in cycle_decomposition(p).cycles]
+    blocks = BlockSpectrum.from_cycle_lengths(map(len, cycles)).complex_blocks
+    columns = [(b, c) for b in blocks for c in cycles if len(c) % b.l == 0]
+    t = np.zeros((p.n, len(columns)), dtype=complex)
+    for k, (b, c) in enumerate(columns):
+        t[c, k] = np.exp(2j * np.pi * b.m / b.l * np.arange(len(c)))
+    norms = np.array([len(c) for _, c in columns], dtype=float)
+    return t, t.conj().T / norms[:, None]
 
 
 def unrealize(m: np.ndarray) -> np.ndarray:

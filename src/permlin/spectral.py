@@ -1,4 +1,4 @@
-"""Eigenvalue bookkeeping and base changes for permutation matrices.
+"""Eigenvalue bookkeeping and the orthogonal base change of a permutation matrix.
 
 For a permutation with cycle lengths l_1, ..., l_k, the eigenvalues of P are
 roots of unity; d_l counts the cycles whose length l divides, and equals the
@@ -14,37 +14,32 @@ whose realization doubles every rank, and 1 otherwise.
 `BlockSpectrum.blocks(field)` is the one place a field's block list is
 chosen, and `slices(field)` the one block layout, each block's coordinates.
 
-Two base changes are provided:
+The base change is the real, orthogonal Q of the commutant's block
+decomposition.  Per cycle, the orthonormal vectors
 
-* the complex one, T = T1 T2 T3: a cycle-sorting permutation T1 (after which P
-  is block diagonal with circulant blocks having ones on the subdiagonal and
-  in the top-right corner), a blockwise Vandermonde T2 that diagonalizes the
-  circulants, and an eigenvalue-grouping permutation T3.  The result groups
-  equal eigenvalues, one diagonal group of size d_l per pair (l, m).
+    w_0   = v_0 / sqrt(l),
+    w_j   = (v_j + v_{-j}) / sqrt(2 l),
+    w_{-j} = (v_j - v_{-j}) / (sqrt(2 l) i),
 
-* the real, orthogonal one Q: per cycle, the orthonormal vectors
+the cos/sin recombination of the root-of-unity eigenvectors v_j (the
+per-cycle Vandermonde), turn each circulant into diag(1, [-1,] R(zeta^1),
+R(zeta^2), ...) with 2x2 rotation-scaling blocks; a final grouping
+permutation collects +1 coordinates, then -1 coordinates, then the rotation
+pairs per eigenvalue pair.  Conjugating P by Q yields
 
-      w_0   = v_0 / sqrt(l),
-      w_j   = (v_j + v_{-j}) / sqrt(2 l),
-      w_{-j} = (v_j - v_{-j}) / (sqrt(2 l) i),
+    Id_{d_1}  (+)  -Id_{d_2}  (+)  realize(zeta_l^{l-m} Id_{d_l})  per pair,
 
-  built from the root-of-unity eigenvectors v_j, turn each circulant into
-  diag(1, [-1,] R(zeta^1), R(zeta^2), ...) with 2x2 rotation-scaling blocks;
-  a final grouping permutation collects +1 coordinates, then -1 coordinates,
-  then the rotation pairs per eigenvalue pair.  Conjugating P by Q yields
+with pairs labeled by the representative m satisfying 1/2 < m/l < 1.
 
-      Id_{d_1}  (+)  -Id_{d_2}  (+)  realize(zeta_l^{l-m} Id_{d_l})  per pair,
-
-  with pairs labeled by the representative m satisfying 1/2 < m/l < 1.
-
-Both record the permutation sigma they were built for, so sigma alone names
-the basis, and are held in factored form, never as n x n arrays: the
-cycle-sort order, one l x l factor per distinct cycle length (the Vandermonde
-for the complex base change, the orthogonal `_real_cycle_basis(l)` for the
-real one), and the grouping.  Applying one to an n x k matrix is a gather of
-rows, one batched l x l product per distinct length and a scatter: O(n l k)
-work in place of O(n^2 k).  The dense T and T^{-1} exist only as a reference,
-built from these factors by `oracles.dense_base_change`.
+Q records the permutation sigma it was built for, so sigma alone names the
+basis, and is held in factored form, never as an n x n array: the cycle-sort
+order, one orthogonal l x l factor `_real_cycle_basis(l)` per distinct cycle
+length, and the grouping.  Applying Q or Q^T to an n x k matrix is a gather
+of rows, one batched l x l product per distinct length and a scatter:
+O(n l k) work in place of O(n^2 k).  The dense Q exists only as a reference,
+built from these factors by `oracles.dense_base_change`; the complex
+diagonalizing T, of which Q is the real form, is the independent reference
+`oracles.vandermonde_base_change`.
 """
 
 from __future__ import annotations
@@ -67,7 +62,6 @@ __all__ = [
     "eigen_multiplicities",
     "commutant_dimension",
     "cycle_runs",
-    "complex_base_change",
     "real_base_change",
 ]
 
@@ -146,34 +140,32 @@ def commutant_dimension(c: CycleDecomposition) -> int:
     return sum(euler_phi(l) * d * d for l, d in spec.multiplicities.items())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaseChange:
-    """An invertible base change T = T1 T2 T3 of `permutation`, in three factors.
+    """The orthogonal base change Q = T1 T2 T3 of `permutation`, in three factors.
 
     * `order`: the cycle sort T1, as 0-based labels in cycle-sorted order
       (cycles by smallest label, each followed along sigma^{-1});
-    * `factors`: T2, one l x l pair (F_l, F_l^{-1}) per distinct cycle length
-      l, applied to every cycle of that length;
+    * `factors`: T2, one orthogonal l x l factor O_l per distinct cycle
+      length l, applied to every cycle of that length;
     * `grouping`: T3, the cycle-sorted position of each basis coordinate.
 
-    `to_basis`, `from_basis` and `conjugate` apply T and T^{-1}
-    by indexing and one batched l x l product per distinct length, without
-    forming T or T^{-1}; they gather in the order of `cycle_runs`.  For field
-    "real" T is orthogonal and T^{-1} is its transpose.  `block_slices` is
-    the spectrum's layout of the field: each block's coordinate range, in
-    canonical order.
+    `to_basis`, `from_basis` and `conjugate` apply Q and Q^T = Q^{-1} by
+    indexing and one batched l x l product per distinct length, without
+    forming Q; they gather in the order of `cycle_runs`.  `block_slices` is
+    the spectrum's real layout: each block's coordinate range, in canonical
+    order.  It compares and hashes by identity: `factors` holds arrays.
     """
 
-    field: str
     permutation: Permutation
     spectrum: BlockSpectrum
     order: tuple[int, ...]
-    factors: dict[int, tuple[np.ndarray, np.ndarray]]
+    factors: dict[int, np.ndarray]
     grouping: tuple[int, ...]
 
     @property
     def block_slices(self) -> tuple[slice, ...]:
-        return self.spectrum.slices(self.field)
+        return self.spectrum.slices("real")
 
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
@@ -181,7 +173,7 @@ class BaseChange:
 
         Run position k holds label labels[k] and basis coordinate coords[k];
         label_pos and coord_pos invert these maps.  Each run is
-        (start, stop, l, F_l, F_l^{-1}) over run positions.
+        (start, stop, l, O_l) over run positions.
         """
         n = self.spectrum.n
         coord_of = np.empty(n, dtype=np.intp)
@@ -189,7 +181,7 @@ class BaseChange:
         pos, runs, stop = [], [], 0
         for l, run in _run_positions(self.spectrum.cycle_lengths):
             pos.append(run.ravel())
-            runs.append((stop, stop + run.size, l, *self.factors[l]))
+            runs.append((stop, stop + run.size, l, self.factors[l]))
             stop += run.size
         pos = np.concatenate(pos)
         labels = np.asarray(self.order, dtype=np.intp)[pos]
@@ -197,9 +189,9 @@ class BaseChange:
         return labels, coords, np.argsort(labels), np.argsort(coords), runs
 
     def _change(self, a: np.ndarray, axis: int, into_basis: bool) -> np.ndarray:
-        """T^{-1} a or T a (axis 0), a T or a T^{-1} (axis 1): gather the
-        rows (columns) into runs of equal cycle length, one batched l x l
-        product per run on its (cycles, l, cols) view, scatter into place."""
+        """Q^T a or Q a (axis 0), a Q or a Q^T (axis 1): gather the rows
+        (columns) into runs of equal cycle length, one batched l x l product
+        per run on its (cycles, l, cols) view, scatter into place."""
         a = np.asarray(a)
         n = self.spectrum.n
         if a.ndim == 1 and axis == 0:
@@ -208,33 +200,33 @@ class BaseChange:
             raise SizeMismatchError(f"base change of size {n} cannot act on axis {axis} of shape {a.shape}")
         labels, coords, label_pos, coord_pos, runs = self._runs
         src, back = (labels, coord_pos) if into_basis else (coords, label_pos)
-        dtype = np.result_type(a.dtype, *(f.dtype for _, _, _, f, _ in runs))
+        dtype = np.result_type(a.dtype, float)
         g = np.take(a, src, axis=axis).astype(dtype, copy=False)
         h = np.empty_like(g)
-        for start, stop, l, f, f_inv in runs:
-            # T^{-1} a and a T^{-1} apply F^{-1}; T a and a T apply F
+        for start, stop, l, f in runs:
+            # Q^T a and a Q^T apply O^T; Q a and a Q apply O
             if axis == 0:
                 view = ((stop - start) // l, l, g.shape[1])
-                np.matmul(f_inv if into_basis else f, g[start:stop].reshape(view),
+                np.matmul(f.T if into_basis else f, g[start:stop].reshape(view),
                           out=h[start:stop].reshape(view))
             else:
                 view = (g.shape[0], (stop - start) // l, l)
-                np.matmul(g[:, start:stop].reshape(view), f if into_basis else f_inv,
+                np.matmul(g[:, start:stop].reshape(view), f if into_basis else f.T,
                           out=h[:, start:stop].reshape(view))
         # into g, which is free now; mode="clip" never acts on a permutation
         # and, unlike the default, writes to `out` without a buffer
         return np.take(h, back, axis=axis, out=g, mode="clip")
 
     def to_basis(self, x: np.ndarray) -> np.ndarray:
-        """T^{-1} x, the coordinates of x in the new basis."""
+        """Q^T x, the coordinates of x in the new basis."""
         return self._change(x, 0, True)
 
     def from_basis(self, z: np.ndarray) -> np.ndarray:
-        """T z."""
+        """Q z."""
         return self._change(z, 0, False)
 
     def conjugate(self, m: np.ndarray) -> np.ndarray:
-        """T^{-1} m T."""
+        """Q^T m Q."""
         return self._change(self._change(m, 0, True), 1, True)
 
 
@@ -294,25 +286,6 @@ def _group(lengths, keys: dict[int, list], blocks) -> tuple[int, ...]:
     return tuple(grouping)
 
 
-def complex_base_change(p: Permutation) -> BaseChange:
-    """T = T1 T2 T3 with T^{-1} P T diagonal, equal eigenvalues grouped.
-
-    T2 holds one Vandermonde V_l = (zeta_l^{jk}) per distinct cycle length,
-    with inverse conj(V_l) / l.
-    """
-    cd = cycle_decomposition(p)
-    spec = eigen_multiplicities(cd)
-    factors, keys = {}, {}
-    for l in set(cd.lengths):
-        zeta = np.exp(2j * np.pi / l)
-        vander = zeta ** (np.outer(np.arange(l), np.arange(l)))
-        factors[l] = (vander, np.conj(vander) / l)
-        # position j inside a length-l cycle carries the eigenvalue zeta_l^{-j}
-        keys[l] = [_reduced_label(l - j, l) for j in range(l)]
-    grouping = _group(cd.lengths, keys, [((b.l, b.m), b.size) for b in spec.complex_blocks])
-    return BaseChange("complex", p, spec, tuple(_cycle_sort_order(cd)), factors, grouping)
-
-
 def _real_cycle_basis(l: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
     """Orthogonal l x l factor for one cycle plus per-coordinate tags.
 
@@ -338,8 +311,7 @@ def _real_cycle_basis(l: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
 def real_base_change(p: Permutation) -> BaseChange:
     """Orthogonal Q with Q^T P Q = Id (+) -Id (+) realization blocks per pair.
 
-    T2 holds one `_real_cycle_basis(l)` factor O_l per distinct cycle length,
-    with inverse O_l^T.
+    T2 holds one `_real_cycle_basis(l)` factor O_l per distinct cycle length.
     """
     cd = cycle_decomposition(p)
     spec = eigen_multiplicities(cd)
@@ -347,10 +319,10 @@ def real_base_change(p: Permutation) -> BaseChange:
     factors, keys = {}, {}
     for l in set(cd.lengths):
         basis, tags = _real_cycle_basis(l)
-        factors[l] = (basis, basis.T)
+        factors[l] = basis
         # a pair j in a length-l cycle carries eigenvalues zeta_l^{+-j} and is
         # labeled by the reduced (l', m') of (l - j)/l, with 1/2 < m'/l' < 1
         keys[l] = [real_keys[kind] if kind in real_keys else ("complex_pair", *_reduced_label(l - j, l))
                    for kind, j in tags]
     grouping = _group(cd.lengths, keys, [((b.kind, b.l, b.m), b.rows) for b in spec.real_blocks])
-    return BaseChange("real", p, spec, tuple(_cycle_sort_order(cd)), factors, grouping)
+    return BaseChange(p, spec, tuple(_cycle_sort_order(cd)), factors, grouping)

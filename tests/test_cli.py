@@ -635,6 +635,28 @@ class TestNonFiniteAndFailures:
                                 "PermlinError")
         assert "--matrix" in err["message"]
 
+    @pytest.mark.parametrize("flag", [["--component", "garbage"], ["--heuristic", "energy"], ["--candidates"]],
+                             ids=["component", "heuristic", "candidates"])
+    def test_fit_invariant_rejects_equivariant_flags(self, tmp_path, capsys, flag):
+        # invariant mode would ignore them and exit 0
+        x, y = self.write_data(tmp_path)
+        err = self.expect_error(capsys, ["fit", *self.ROT, "--mode", "invariant", "--rank", "2",
+                                         "--x", str(x), "--y", str(y), *flag], "PermlinError")
+        assert err["message"] == f"{flag[0]} applies to --mode equivariant only"
+
+    def test_factorize_invariant_rejects_a_component(self, capsys):
+        err = self.expect_error(capsys, ["factorize", *self.ROT, "--mode", "invariant", "--rank", "2",
+                                         "--component", "1,0,1"], "PermlinError")
+        assert err["message"] == "--component applies to --mode equivariant only"
+
+    def test_factorize_equivariant_rank_must_match_the_component(self, capsys):
+        # component (1, 0, 1) of the rotation has total rank 1 + 2 = 3
+        args = ["factorize", *self.ROT, "--mode", "equivariant", "--component", "1,0,1"]
+        err = self.expect_error(capsys, [*args, "--rank", "2"], "PermlinError")
+        assert err["message"] == "--rank 2 differs from the component's total rank 3"
+        rc, _ = run_cli([*args, "--rank", "3"])
+        assert rc == 0 and json.loads(capsys.readouterr().out)["rank_vector"] == [1, 0, 1]
+
     def test_complex_matrix_is_rejected(self, tmp_path, capsys):
         x, y = self.write_data(tmp_path, bad="1+2i")
         for mode in ("equivariant", "invariant"):

@@ -42,7 +42,6 @@ from permlin.perms import Permutation, cycle_decomposition, parse_permutation, p
 from permlin.spectral import (
     BlockSpectrum,
     commutant_dimension,
-    complex_base_change,
     eigen_multiplicities,
     real_base_change,
 )
@@ -469,11 +468,10 @@ class TestClassify:
         rvec = make_rank_vector(eigen_multiplicities(cycle_decomposition(p)), "real", (1, 1, 1))
         par = parameterize_component(rvec, p, rng=np.random.default_rng(13))
         m = par.decoder @ par.encoder
-        for bc in (foreign, complex_base_change(p)):
-            with pytest.raises(SizeMismatchError, match="not the real base change"):
-                classify_component(m, p, base_change=bc)
-            with pytest.raises(SizeMismatchError, match="not the real base change"):
-                parameterize_component(rvec, p, rng=np.random.default_rng(13), base_change=bc)
+        with pytest.raises(SizeMismatchError, match="not the real base change"):
+            classify_component(m, p, base_change=foreign)
+        with pytest.raises(SizeMismatchError, match="not the real base change"):
+            parameterize_component(rvec, p, rng=np.random.default_rng(13), base_change=foreign)
         assert classify_component(m, p, base_change=real_base_change(p)) == rvec
 
     def test_no_base_change_is_built_without_one(self, monkeypatch):
@@ -487,7 +485,7 @@ class TestClassify:
         rvec = make_rank_vector(bc.spectrum, "real", [min(1, b.size) for b in bc.spectrum.real_blocks])
         m = parameterize_component(rvec, p, rng=np.random.default_rng(22), base_change=bc)
         m = m.decoder @ m.encoder
-        reference = diagonal_blocks(m, p, bc)
+        conj = bc.conjugate(m)
         foreign = real_base_change(parse_permutation("(1 2 3 4 5 6)(7 8)(9 10 11 12)", 13))
 
         def refuse(*args, **kwargs):
@@ -496,12 +494,12 @@ class TestClassify:
         monkeypatch.setattr(spectral, "real_base_change", refuse)
         monkeypatch.setattr(equivariant, "real_base_change", refuse)
         assert classify_component(m, p) == rvec
-        assert all(np.array_equal(b, ref) for b, ref in zip(diagonal_blocks(m, p), reference))
+        blocks = diagonal_blocks(m, p)
+        assert all(np.abs(b - conj[sl, sl]).max() <= 1e-12 * np.abs(m).max()
+                   for b, sl in zip(blocks, bc.block_slices))
         # a base change that is passed is still checked against p
         with pytest.raises(SizeMismatchError, match="not the real base change"):
             classify_component(m, p, base_change=foreign)
-        with pytest.raises(SizeMismatchError, match="not the real base change"):
-            diagonal_blocks(m, p, foreign)
 
 
 class TestParameterize:
@@ -830,7 +828,7 @@ def check_orbit_sums(p, log_scale, seed):
     assert np.abs(equivariant_project(m, [p]) - orbit_average(m, [p])).max() <= bound
     bc = real_base_change(p)
     conj = bc.conjugate(m)
-    blocks = diagonal_blocks(m, p, bc)
+    blocks = diagonal_blocks(m, p)
     assert [b.shape for b in blocks] == [(sl.stop - sl.start,) * 2 for sl in bc.block_slices]
     for b, sl in zip(blocks, bc.block_slices):
         assert np.abs(b - conj[sl, sl]).max() <= bound

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from permlin.errors import (
     SizeMismatchError,
     StructuralError,
 )
-from permlin.linalg import numeric_rank, realize, tie_slack
+from permlin.linalg import TIE_TOL, numeric_rank, realize, tie_slack
 from permlin.oracles import (
     AGREEMENT_TOL,
     als_low_rank,
@@ -54,6 +55,7 @@ from permlin.spectral import eigen_multiplicities, real_base_change
 from helpers import als_loss, commutator_ratio, identity, traced
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
+EPS = np.finfo(float).eps
 
 
 def listed(fit, p, r, limit=None):
@@ -131,6 +133,39 @@ class TestEckartYoung:
         m0 = rng.standard_normal((n, 2)) @ rng.standard_normal((2, n))
         x = rng.standard_normal((n, 300))
         assert fit_rank_bounded(x, m0 @ x, 4).per_block[0].boundary_tie
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 7), st.floats(-12, -6), st.floats(-100, 100),
+           st.integers(0, 2**32 - 1))
+    @example(6, 3, -9 + 1e-3, 0.0, 0)
+    @example(6, 3, -9 - 1e-3, 0.0, 0)
+    @example(2, 1, -9 - 1e-3, 100.0, 0)
+    def test_boundary_tie_sits_on_the_side_of_tie_tol(self, n, r, log_gap, log_scale, seed):
+        """The flag of a rank-r truncation is sigma_r - sigma_{r+1} <=
+        TIE_TOL sigma_1, with the gap drawn log-uniformly across TIE_TOL
+        sigma_1 and sigma_1 across 1e+-100.
+
+        u = U diag(s) V^T for Haar U, V, with s_1, ..., s_r in [s_1 / 2, s_1]
+        and s_{r+1} = s_r - gap, so that sigma_r + sigma_{r+1} > 0.99 s_1 and
+        the rule's floor, n eps s_1^2, lies far below TIE_TOL s_1 (sigma_r +
+        sigma_{r+1}).  The gap of the floats s_r - s_{r+1} is exact
+        (Sterbenz).  Forming u moves each singular value by at most n^2 eps
+        s_1, and each square by 2 n^2 eps s_1^2; forming A^T A and its eigh
+        move each square by another n^2 eps s_1^2 and n eps s_1^2.  So the
+        computed sigma_r^2 - sigma_{r+1}^2 is within 7 n^2 eps s_1^2 of the
+        exact one, and the flag can leave the side the formula gives only
+        when the gap is within 7 n^2 eps s_1^2 / (0.99 s_1) < 8 n^2 eps s_1
+        of TIE_TOL s_1: only those draws go unasserted."""
+        r = min(r, n - 1)
+        rng = np.random.default_rng(seed)
+        top = np.sort(np.append(rng.uniform(0.5, 1.0, r - 1), 1.0))[::-1]
+        low = np.sort(rng.uniform(0.0, top[-1] - 10.0 ** log_gap, n - r - 1))[::-1]
+        s = np.concatenate([top, [top[-1] - 10.0 ** log_gap], low]) * 10.0 ** log_scale
+        gap = s[r - 1] - s[r]
+        rotations = [np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2)]
+        flag = truncation((rotations[0] * s) @ rotations[1].T, r)[1].boundary_tie
+        if abs(gap - TIE_TOL * s[0]) > 8 * n * n * EPS * s[0]:
+            assert flag == (gap <= TIE_TOL * s[0])
 
     def test_all_critical_count_and_distinct_losses(self):
         rng = np.random.default_rng(2)
@@ -991,6 +1026,20 @@ def test_minimizer_is_built_on_first_read():
     m = fit.minimizer
     assert fit.minimizer is m
     assert_agree(m, fit.loss, *projection_fit_equivariant(x, y, small, 5)[:2], y)
+
+
+def test_solves_compare_and_hash_by_identity():
+    """A base change, a block solve and an equivariant solve hold arrays, on
+    which field-wise equality would be ambiguous, so each compares and
+    hashes by identity, as `Parameterization` does: not even a copy with the
+    same field values is equal."""
+    rng = np.random.default_rng(49)
+    solve = solve_equivariant(rng.standard_normal((9, 30)), rng.standard_normal((9, 30)), ROT9)
+    for a in (solve, solve.base_change, solve.solves[0]):
+        twin = dataclasses.replace(a)
+        assert a == a and a != twin
+        assert len({a, twin, a}) == 2
+    assert real_base_change(ROT9) != real_base_change(ROT9)
 
 
 def test_fits_pickle():

@@ -12,12 +12,16 @@ from permlin.equivariant import (
 from permlin.errors import ComponentError
 from permlin.linalg import realize
 from permlin.optimize import solve_equivariant
-from permlin.oracles import dense_base_change, expected_block_form, nullspace_commutant_dim
+from permlin.oracles import (
+    dense_base_change,
+    expected_block_form,
+    nullspace_commutant_dim,
+    vandermonde_base_change,
+)
 from permlin.perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
 from permlin.spectral import (
     BlockSpectrum,
     commutant_dimension,
-    complex_base_change,
     cycle_runs,
     eigen_multiplicities,
     euler_phi,
@@ -103,11 +107,21 @@ class TestCommutantDimension:
             assert commutant_dimension(cycle_decomposition(p)) == nullspace_commutant_dim([p])
 
 
+def complex_form(p):
+    """The diagonal the oracle T is documented to turn P_sigma into: each
+    complex block's eigenvalue e^{2 pi i m / l}, `size` times, in canonical order."""
+    spec = eigen_multiplicities(cycle_decomposition(p))
+    return np.diag(np.concatenate([np.full(b.size, np.exp(2j * np.pi * b.m / b.l)) for b in spec.complex_blocks]))
+
+
 class TestComplexBaseChange:
+    """The complex diagonalizing T of `oracles.vandermonde_base_change`, the
+    reference whose eigenspaces the real Q must span."""
+
     def test_worked_example_diagonal(self):
         p = parse_permutation("3,5,4,1,2", 5)
-        bc = complex_base_change(p)
-        D = bc.conjugate(permutation_matrix(p).astype(complex))
+        T, T_inv = vandermonde_base_change(p)
+        D = T_inv @ permutation_matrix(p) @ T
         off = D - np.diag(np.diag(D))
         assert np.linalg.norm(off) <= 1e-10
         # grouped canonical order: (1,1) twice, then -1, then zeta3, zeta3^2
@@ -135,12 +149,12 @@ class TestComplexBaseChange:
         assert np.linalg.norm(D - np.diag(np.diag(D))) <= 1e-10
 
     def test_identity(self):
-        bc = complex_base_change(identity(3))
-        assert np.allclose(dense_base_change(bc)[0], np.eye(3))
+        T, T_inv = vandermonde_base_change(identity(3))
+        assert np.array_equal(T, np.eye(3)) and np.array_equal(T_inv, np.eye(3))
 
     def test_rotation_eigenvalue_multiset(self):
-        bc = complex_base_change(ROT9)
-        D = bc.conjugate(permutation_matrix(ROT9).astype(complex))
+        T, T_inv = vandermonde_base_change(ROT9)
+        D = T_inv @ permutation_matrix(ROT9) @ T
         diag = np.diag(D)
         evals = np.linalg.eigvals(permutation_matrix(ROT9).astype(complex))
         # multiset equality against a direct numerical eigendecomposition
@@ -152,12 +166,11 @@ class TestComplexBaseChange:
         rng = np.random.default_rng(3)
         for _ in range(10):
             p = random_perm(rng, int(rng.integers(2, 12)))
-            bc = complex_base_change(p)
             n = p.n
-            T, T_inv = dense_base_change(bc)
+            T, T_inv = vandermonde_base_change(p)
             assert np.linalg.norm(T @ T_inv - np.eye(n)) <= 1e-10 * n
-            D = bc.conjugate(permutation_matrix(p).astype(complex))
-            assert np.linalg.norm(D - expected_block_form(bc)) <= 1e-9
+            D = T_inv @ permutation_matrix(p) @ T
+            assert np.linalg.norm(D - complex_form(p)) <= 1e-9
 
 
 class TestRealBaseChange:
@@ -252,21 +265,18 @@ def perm_of_lengths(lengths, seed):
 
 
 @settings(max_examples=80, deadline=None)
-@given(cycle_type_perms(), st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1))
-@example(perm_of_lengths([1, 3, 1, 2, 3, 4, 6], 0), "real", 0)
-@example(perm_of_lengths([1, 3, 1, 2, 3, 4, 6], 0), "complex", 0)
-@example(identity(1), "real", 0)
-def test_factored_base_change_matches_dense(p, field, seed):
+@given(cycle_type_perms(), st.integers(0, 2**32 - 1))
+@example(perm_of_lengths([1, 3, 1, 2, 3, 4, 6], 0), 0)
+@example(identity(1), 0)
+def test_factored_base_change_matches_dense(p, seed):
     """to_basis, from_basis and conjugate agree with products by the dense
-    matrix and inverse, on fixed points and mixed cycle lengths."""
-    bc = (real_base_change if field == "real" else complex_base_change)(p)
+    Q and Q^T, on fixed points and mixed cycle lengths."""
+    bc = real_base_change(p)
     rng = np.random.default_rng(seed)
     n = p.n
     x = rng.standard_normal((n, int(rng.integers(0, 5))))
     v = rng.standard_normal(n)
     m = rng.standard_normal((n, n))
-    if field == "complex":
-        m = m + 1j * rng.standard_normal((n, n))
     T, T_inv = dense_base_change(bc)
 
     def close(fast, dense, a):
@@ -278,6 +288,27 @@ def test_factored_base_change_matches_dense(p, field, seed):
     close(bc.to_basis(v), T_inv @ v, v)
     close(bc.from_basis(v), T @ v, v)
     close(bc.conjugate(m), T_inv @ m @ T, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycle_type_perms())
+@example(perm_of_lengths([1, 3, 1, 2, 3, 4, 6], 0))
+@example(identity(1))
+def test_real_blocks_span_the_complex_eigenspaces(p):
+    """Q is the real form of the oracle's complex T: the columns of Q at
+    each real block lie in the span of T's columns at that block's
+    eigenvalues, both conjugates on a pair block, and fill it."""
+    bc = real_base_change(p)
+    q = dense_base_change(bc)[0]
+    t = vandermonde_base_change(p)[0]
+    spec = bc.spectrum
+    cols = {(b.l, b.m): sl for b, sl in zip(spec.complex_blocks, spec.slices("complex"))}
+    for blk, sl in zip(spec.real_blocks, bc.block_slices):
+        keys = [(blk.l, blk.m)] + ([(blk.l, blk.l - blk.m)] if blk.kind == "complex_pair" else [])
+        span = np.hstack([t[:, cols[k]] for k in keys])
+        assert span.shape[1] == sl.stop - sl.start
+        coef = np.linalg.lstsq(span, q[:, sl], rcond=None)[0]
+        assert np.linalg.norm(span @ coef - q[:, sl]) <= 1e-12 * p.n
 
 
 def test_hot_paths_stay_matrix_free():

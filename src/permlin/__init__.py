@@ -57,6 +57,7 @@ from .equivariant import (
     component_degree_complex,
     classify_component,
     parameterize_component,
+    factor_component,
     make_rank_vector,
     free_parameter_count,
 )

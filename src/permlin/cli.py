@@ -91,7 +91,7 @@ def _equivariant_only(args, *names):
     """PermlinError for an equivariant flag, which --mode invariant ignores."""
     for name in names:
         if getattr(args, name) not in (None, False):
-            raise PermlinError(f"--{name} applies to --mode equivariant only")
+            raise PermlinError(f"--{name.replace('_', '-')} applies to --mode equivariant only")
 
 
 def _block_layout_json(spec):
@@ -197,20 +197,23 @@ def cmd_fit(args):
     x = matio.read_matrix(args.x)
     y = matio.read_matrix(args.y)
     if args.mode == "invariant":
-        _equivariant_only(args, "component", "heuristic", "candidates")
+        _equivariant_only(args, "component", "heuristic", "candidates", "search_limit")
         space = invariant.invariant_space(gens, y.shape[0], x.shape[0], args.rank)
         fit = invariant.fit_invariant(x, y, space, ridge=args.ridge)
         extras = {"compact_factor": matio.matrix_to_json_obj(
             invariant.psi_compress(fit.minimizer, space.partition))}
     else:
+        if args.search_limit is not None and not args.candidates:
+            raise PermlinError("--search-limit applies to --candidates only")
         spec = _spectrum_of(gens[0])
         component = _component_arg(args.component, spec) if args.component else None
         fit = optimize.fit_equivariant(x, y, gens[0], args.rank, component=component,
                                        heuristic=args.heuristic, ridge=args.ridge)
         extras = None
         if args.candidates:
+            limit = 10**6 if args.search_limit is None else args.search_limit
             listed = oracles.score_components(spec, args.rank, oracles.block_tails(fit.per_block),
-                                              fit.constant_loss, args.search_limit)
+                                              fit.constant_loss, limit)
             extras = {"candidates": [{"rank_vector": list(v), "loss": l} for v, l in listed]}
     _emit(_fit_result_json(fit, extras), args.out)
     return 0
@@ -228,7 +231,7 @@ def _weight_report_json(report):
 def cmd_factorize(args):
     gens = _resolve_gens(args, allow_many=(args.mode == "invariant"))
     if args.mode == "invariant":
-        _equivariant_only(args, "component")
+        _equivariant_only(args, "component", "seed")
         if args.matrix is None:
             raise PermlinError("factorize --mode invariant needs --matrix")
         m = matio.read_matrix(args.matrix)
@@ -249,16 +252,18 @@ def cmd_factorize(args):
         }
     else:
         spec = _spectrum_of(gens[0])
-        rvec = _component_arg(args.component, spec)
+        named = _component_arg(args.component, spec) if args.component is not None or not args.matrix else None
+        if args.matrix:
+            if args.seed is not None:
+                raise PermlinError("--seed draws factors of a named component; --matrix is factored as given")
+            par = equivariant.factor_component(matio.read_matrix(args.matrix), gens[0])
+            if named is not None and par.rank_vector != named:
+                raise PermlinError(f"matrix lies in component {list(par.rank_vector.values)}, not {list(named.values)}")
+        else:
+            par = equivariant.parameterize_component(named, gens[0], rng=np.random.default_rng(args.seed or 0))
+        rvec = par.rank_vector
         if args.rank is not None and args.rank != rvec.total_rank:
             raise PermlinError(f"--rank {args.rank} differs from the component's total rank {rvec.total_rank}")
-        if args.matrix:
-            m = matio.read_matrix(args.matrix)
-            got = equivariant.classify_component(m, gens[0])
-            if got.values != rvec.values:
-                raise PermlinError(f"matrix lies in component {list(got.values)}, not {list(rvec.values)}")
-        par = equivariant.parameterize_component(
-            rvec, gens[0], rng=np.random.default_rng(args.seed))
         payload = {
             "mode": "equivariant",
             "rank_vector": list(rvec.values),
@@ -345,6 +350,13 @@ def cmd_verify(args):
                                 zip(equivariant.diagonal_blocks(m, gens[0]), bc.block_slices))))
         checks.append({"check": "classify_blocks_vs_conjugate", "fast": dev, "oracle": 0.0,
                        "ok": bool(dev <= tol)})
+        # the factors of a planted member of the searched component reproduce it
+        planted = equivariant.parameterize_component(fit.component, gens[0], rng=rng)
+        m = planted.decoder @ planted.encoder
+        par = equivariant.factor_component(m, gens[0])
+        dev = float(np.linalg.norm(par.decoder @ par.encoder - m))
+        ok = par.rank_vector == fit.component and dev <= oracles.AGREEMENT_TOL * np.linalg.norm(m)
+        checks.append({"check": "factorize_reconstructs", "fast": dev, "oracle": 0.0, "ok": bool(ok)})
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.out)
     return 0 if ok else 1
@@ -462,8 +474,8 @@ def build_parser():
     sp.add_argument("--component", help='comma-separated block ranks in canonical order (equivariant)')
     sp.add_argument("--candidates", action="store_true",
                     help="also list every component with its loss (equivariant; enumerates the census)")
-    sp.add_argument("--search-limit", type=int, default=10**6,
-                    help="largest census --candidates may list")
+    sp.add_argument("--search-limit", type=int,
+                    help="largest census --candidates may list (default 10^6)")
     sp.add_argument("--heuristic", choices=["energy"])
     sp.add_argument("--ridge", type=float)
     sp.add_argument("--out")
@@ -474,8 +486,10 @@ def build_parser():
     sp.add_argument("--mode", choices=["invariant", "equivariant"], required=True)
     sp.add_argument("--matrix")
     sp.add_argument("--rank", type=int)
-    sp.add_argument("--component", help="comma-separated block ranks (equivariant)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--component", help="comma-separated block ranks (equivariant); with --matrix, "
+                                         "checked against the matrix's component")
+    sp.add_argument("--seed", type=int,
+                    help="seed of the factors drawn for --component without --matrix (default 0)")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_factorize)
 

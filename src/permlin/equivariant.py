@@ -38,7 +38,9 @@ from .errors import (
     SizeMismatchError,
     StructuralError,
 )
-from .linalg import STRUCTURE_TOL, rank_threshold, realize, require_finite, require_real, safe_exponent, svdvals
+from . import linalg
+from .linalg import (STRUCTURE_TOL, chunks, rank_threshold, realize, require_finite, require_real, safe_exponent, svd,
+                     svdvals)
 from .perms import CycleDecomposition, Permutation, cycle_decomposition, induced_partition, join_labels
 from .spectral import BaseChange, Block, BlockSpectrum, cycle_runs, eigen_multiplicities, real_base_change
 
@@ -61,6 +63,7 @@ __all__ = [
     "classify_component",
     "diagonal_blocks",
     "parameterize_component",
+    "factor_component",
     "free_parameter_count",
 ]
 
@@ -286,42 +289,33 @@ def equivariant_project(m: np.ndarray, gens: Sequence[Permutation]) -> np.ndarra
             # v[c, a, b, c'] = s[c, (b - a) mod g, c']
             v.reshape(c, l // g, g, lc // g, g, cc)[...] = _skew(doubled, -1)[:, None, :, None]
         ids, x = runs[r][1][cyc].ravel(), x.reshape(-1, m.shape[1])
-        for i in range(0, len(x), work.size // m.shape[1]):
-            part = x[i:i + work.size // m.shape[1]]
-            out[ids[i:i + len(part)]] = np.take(part, back, axis=1, out=work[:part.size].reshape(part.shape),
-                                                mode="clip")
+        for i in chunks(len(x), m.shape[1]):
+            part = x[i]
+            out[ids[i]] = np.take(part, back, axis=1, out=work[:part.size].reshape(part.shape), mode="clip")
     return out
 
 
-# entries of M in one batch of the cycle-order pass, unless one cycle's rows
-# hold more; and of a factor in one chunk of `Parameterization`'s placement,
-# unless one block's columns hold more
-_BATCH = 1 << 15
-
-
 def _cycle_order(m: np.ndarray, runs: list) -> Iterator[tuple]:
-    """M a batch of whole row cycles at a time, in the order of `runs`
-    (`spectral.cycle_runs`): (r, cyc, x, views, work), x[c, a] the row at
-    position a of cycle c of run r's cycles cyc, and views[r'][c, a, b, c']
-    x at position b of cycle c' of run r'.  sigma maps position a + 1 onto
-    a, so here it is a roll by one along a and along b.  Each batch reuses x
-    and `work`, a flat scratch of two batches, at most 8 _BATCH entries or
-    two rows, which every step on x fills by chunks."""
+    """M a batch of whole row cycles at a time (`linalg.chunks`), in the
+    order of `runs` (`spectral.cycle_runs`): (r, cyc, x, views, work),
+    x[c, a] the row at position a of cycle c of run r's cycles cyc, and
+    views[r'][c, a, b, c'] x at position b of cycle c' of run r'.  sigma
+    maps position a + 1 onto a, so here it is a roll by one along a and
+    along b.  Each batch reuses x and `work`, which every step on x fills by
+    chunks: no unit of a step exceeds 2 n, or 2 SCRATCH in a batch of
+    several cycles, so work holds 2 max(SCRATCH, n) entries."""
     order = np.concatenate([labels.T.ravel() for _, labels in runs])
     n = order.size
     starts = np.cumsum([0] + [labels.size for _, labels in runs])
-    batches = [min(len(rows), max(1, _BATCH // (l * n))) for l, rows in runs]  # cycles
-    x = np.empty((max(b * l for b, (l, _) in zip(batches, runs)), n))
-    work = np.empty(2 * min(x.size, max(4 * _BATCH, n)))
-    for r, ((l, rows), batch) in enumerate(zip(runs, batches)):
-        for c0 in range(0, len(rows), batch):
-            cyc = slice(c0, c0 + batch)
+    x = np.empty((max(next(chunks(len(rows), l * n)).stop * l for l, rows in runs), n))  # the largest batch
+    work = np.empty(2 * max(linalg.SCRATCH, n))
+    for r, (l, rows) in enumerate(runs):
+        for cyc in chunks(len(rows), l * n):
             ids = rows[cyc].ravel()
-            for i in range(0, ids.size, work.size // n):
-                part = ids[i:i + work.size // n]
+            for i in chunks(ids.size, n):
                 # mode="clip" checks no index (these never clip) and fills `out` unbuffered
-                part = np.take(m, part, axis=0, out=work[:part.size * n].reshape(-1, n), mode="clip")
-                np.take(part, order, axis=1, out=x[i:i + len(part)], mode="clip")
+                part = np.take(m, ids[i], axis=0, out=work[:(i.stop - i.start) * n].reshape(-1, n), mode="clip")
+                np.take(part, order, axis=1, out=x[i], mode="clip")
             got = x[:ids.size].reshape(-1, l, n)
             yield r, cyc, got, [got[..., a:b].reshape(-1, l, *labels.T.shape)
                                 for (_, labels), a, b in zip(runs, starts, starts[1:])], work
@@ -350,13 +344,12 @@ def _diagonal_sums(v: np.ndarray, work: np.ndarray, anti: bool = True) -> tuple[
     f = v.reshape(c, l // g, g, lc // g, g, cc)
     f = f.sum(axis=(1, 3)) if f.shape[1] * f.shape[3] > 1 else f[:, 0, :, 0]  # no fold, no copy
     s, a = np.zeros((2, c, g, cc))
-    h = max(1, work.size // (2 * c * g * cc))  # alphas per chunk
-    for a0 in range(0, g, h):
-        d = work[:2 * f[:, a0:a0 + h].size].reshape(c, -1, 2 * g, cc)
-        d[:, :, :g] = d[:, :, g:] = f[:, a0:a0 + h]
-        s += _skew(d, 1, a0).sum(axis=1)
+    for al in chunks(g, 2 * c * g * cc):  # alphas
+        d = work[:2 * f[:, al].size].reshape(c, -1, 2 * g, cc)
+        d[:, :, :g] = d[:, :, g:] = f[:, al]
+        s += _skew(d, 1, al.start).sum(axis=1)
         if anti and g > 2:
-            a += _skew(d, -1, a0).sum(axis=1)
+            a += _skew(d, -1, al.start).sum(axis=1)
     return s, a if anti and g > 2 else s
 
 
@@ -365,11 +358,10 @@ def _commutator(v: np.ndarray, work: np.ndarray) -> float:
     position back by one, so each entry is v[c, a + 1, b + 1, c'] - v[c, a, b, c'],
     indices wrapped, by chunks of a: v at a + 1, in `work`, less v at a rolled along b."""
     c, l, lc, cc = v.shape
-    h, total = max(1, work.size // v[:, 0].size), 0.0
-    for a0 in range(0, l, h):
-        a = slice(a0, min(a0 + h, l))
-        y = work[:c * (a.stop - a0) * lc * cc].reshape(c, -1, lc, cc)
-        np.take(v, np.arange(a0 + 1, a.stop + 1) % l, axis=1, out=y, mode="clip")
+    total = 0.0
+    for a in chunks(l, v[:, 0].size):
+        y = work[:c * (a.stop - a.start) * lc * cc].reshape(c, -1, lc, cc)
+        np.take(v, np.arange(a.start + 1, a.stop + 1) % l, axis=1, out=y, mode="clip")
         y[:, :, 1:] -= v[:, a, :-1]
         y[:, :, 0] -= v[:, a, -1]
         total += float(np.vdot(y, y))
@@ -463,18 +455,19 @@ def is_equivariant(m: np.ndarray, p: Permutation) -> bool:
     return _commutes(require_real(m, "matrix", (p.n, p.n)), cycle_decomposition(p))[0]
 
 
-def _commutes(m: np.ndarray, cd: CycleDecomposition, sums: bool = False) -> tuple[bool, list]:
+def _commutes(m: np.ndarray, cd: CycleDecomposition, sums: bool = False) -> tuple[bool, list, int]:
     """The commutator bound of `is_equivariant` on a matrix already read,
-    and the orbit-sum tables of the same pass when `sums` (`_orbit_sums`).
-    When ||M||_F^2 has under- or overflowed, the pass is redone on M scaled
-    by the power of two of `safe_exponent`, which changes neither the bound's
-    verdict nor any block rank read from the tables."""
+    the orbit-sum tables of the same pass when `sums` (`_orbit_sums`), and
+    the k of the tables, which sum 2^k M.  When ||M||_F^2 has under- or
+    overflowed, the pass is redone on M scaled by the power of two of
+    `safe_exponent`, which changes neither the bound's verdict nor any block
+    rank read from the tables; otherwise k is 0."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves ||M||_F^2 unsafe
         dev, norm, tables = _orbit_sums(m, cd, sums)
     k = safe_exponent(m, norm)
     if k:
         dev, norm, tables = _orbit_sums(m, cd, sums, k)
-    return math.sqrt(dev) <= STRUCTURE_TOL * math.sqrt(norm), tables
+    return math.sqrt(dev) <= STRUCTURE_TOL * math.sqrt(norm), tables, k
 
 
 # ---------------------------------------------------------------------------
@@ -511,23 +504,56 @@ def classify_component(m: np.ndarray, p: Permutation, base_change: Optional[Base
     """
     m = require_real(m, "matrix", (p.n, p.n))
     cd = cycle_decomposition(p)
-    commutes, tables = _commutes(m, cd, sums=True)
+    return _ranked_blocks(p, cd, base_change, *_commutes(m, cd, sums=True))[0]
+
+
+def _ranked_blocks(p: Permutation, cd: CycleDecomposition, bc: Optional[BaseChange], commutes: bool,
+                   tables: list, k: int) -> tuple[RankVector, list[np.ndarray], int]:
+    """The rank vector of `classify_component` from the result of one pass
+    of `_commutes` over 2^k M, with the diagonal blocks of 2^k M that it
+    was read from, and k."""
     if not commutes:
         raise EquivarianceError("P M P^T differs from M beyond STRUCTURE_TOL; input is not equivariant")
-    spec = eigen_multiplicities(cd) if base_change is None else _real_base_change(p, base_change).spectrum
-    svals = [svdvals(b) for b in _orbit_blocks(tables, spec)]
+    spec = eigen_multiplicities(cd) if bc is None else _real_base_change(p, bc).spectrum
+    blocks = _orbit_blocks(tables, spec)
+    svals = [svdvals(b) for b in blocks]
     # rank decisions share the numerical-rank threshold of the whole matrix,
     # so that numerically-zero blocks read as rank 0.  Q is orthogonal, so
     # ||M||_2 is the largest block singular value up to the off-block mass,
     # which the commutator bound keeps small.
-    threshold = rank_threshold(max(s[0] for s in svals), m.shape)
+    threshold = rank_threshold(max(s[0] for s in svals), (p.n, p.n))
     values = []
     for blk, s in zip(spec.real_blocks, svals):
         rank = int(np.sum(s > threshold))
         if rank % blk.rank_multiplier:
             raise StructuralError(f"block ({blk.l},{blk.m}) has odd rank {rank}; not in any real component")
         values.append(rank // blk.rank_multiplier)
-    return make_rank_vector(spec, "real", values)
+    return make_rank_vector(spec, "real", values), blocks, k
+
+
+def factor_component(m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None) -> Parameterization:
+    """The factors of an equivariant M itself: a `Parameterization` of the
+    component that `classify_component` reads, whose decoder @ encoder is M
+    up to rounding.  The errors of `classify_component`, in its order, from
+    the same one pass over M.
+
+    Each block of rank t takes its thin SVD U s V^H and splits sqrt(s)
+    between the factors at rank t: A = U_t sqrt(s_t), B = sqrt(s_t) V_t^H.
+    A complex pair's block is the realization of Z = B[0::2, 0::2] +
+    i B[1::2, 0::2], whose SVD is taken instead.  The blocks are read from
+    2^k M (`_commutes`), and scaled back by 2^-k first."""
+    m = require_real(m, "matrix", (p.n, p.n))
+    cd = cycle_decomposition(p)
+    rvec, blocks, k = _ranked_blocks(p, cd, base_change, *_commutes(m, cd, sums=True))
+    factors = []
+    for blk, b, t in zip(rvec.blocks, blocks, rvec.values):
+        b = np.ldexp(b, -k)
+        if blk.kind == "complex_pair":
+            b = b[0::2, 0::2] + 1j * b[1::2, 0::2]
+        u, s, vh = svd(b)
+        root = np.sqrt(s[:t])
+        factors.append((u[:, :t] * root, root[:, None] * vh[:t]))
+    return parameterize_component(rvec, p, factors=factors, base_change=base_change)
 
 
 @dataclass(frozen=True)
@@ -558,10 +584,10 @@ class Parameterization:
 
     Everything else is formed on first read and cached: decoder = Q D and
     encoder = (Q E^T)^T together, on the first read of either, a chunk of
-    columns of D and E^T at a time, each chunk whole consecutive blocks of at
-    most _BATCH entries (or one block), written into the outputs, so the
-    placement peaks at its outputs plus one chunk; D, E and their tied
-    weights, `pattern`, each on its own.  It compares and hashes by identity:
+    columns of D and E^T at a time (`linalg.chunks`), split inside a block
+    wherever a chunk ends, written into the outputs, so the placement peaks
+    at its outputs plus one chunk; D, E and their tied weights, `pattern`,
+    each on its own.  It compares and hashes by identity:
     its fields hold arrays."""
 
     rank_vector: RankVector
@@ -581,37 +607,36 @@ class Parameterization:
         bc, blocks = self.base_change, self.block_factors
         n, r = bc.spectrum.n, self.rank_vector.total_rank
         decoder, encoder = np.empty((n, r)), np.empty((r, n))
-        stops = np.cumsum([0] + [a.shape[1] for _, a, _ in blocks])
-        i = 0
-        while i < len(blocks):  # blocks i..j-1: at most _BATCH entries, or one block
-            j = max(i + 1, int(np.searchsorted(stops, stops[i] + _BATCH // n, "right")) - 1)
-            cols = slice(stops[i], stops[j])
-            decoder[:, cols] = bc.from_basis(_tilde(blocks[i:j], n, encoder=False))
-            encoder[cols] = bc.from_basis(_tilde(blocks[i:j], n, encoder=True)).T
-            i = j
+        for cols in chunks(r, n):
+            decoder[:, cols] = bc.from_basis(_tilde(blocks, n, cols, encoder=False))
+            encoder[cols] = bc.from_basis(_tilde(blocks, n, cols, encoder=True)).T
         return decoder, encoder
 
     @cached_property
     def tilde_decoder(self) -> np.ndarray:
-        return _tilde(self.block_factors, self.base_change.spectrum.n, encoder=False)
+        return _tilde(self.block_factors, self.base_change.spectrum.n, slice(0, self.rank_vector.total_rank),
+                      encoder=False)
 
     @cached_property
     def tilde_encoder(self) -> np.ndarray:
-        return _tilde(self.block_factors, self.base_change.spectrum.n, encoder=True).T
+        return _tilde(self.block_factors, self.base_change.spectrum.n, slice(0, self.rank_vector.total_rank),
+                      encoder=True).T
 
     @cached_property
     def pattern(self) -> WeightSharingReport:
         return _weight_sharing(self.rank_vector, self.base_change)
 
 
-def _tilde(blocks, n: int, encoder: bool) -> np.ndarray:
-    """The n x r tilde decoder, or with `encoder` the tilde encoder
-    transposed, of `Parameterization.block_factors`: each block's A, or
-    B^T, at its rows and the next columns, zero elsewhere."""
-    out = np.zeros((n, sum(a.shape[1] for _, a, _ in blocks)))
+def _tilde(blocks, n: int, cols: slice, encoder: bool) -> np.ndarray:
+    """Columns `cols` of the n x r tilde decoder, or with `encoder` of the
+    tilde encoder transposed, of `Parameterization.block_factors`: each
+    block's A, or B^T, at its rows and the next columns, zero elsewhere."""
+    out = np.zeros((n, cols.stop - cols.start))
     col = 0
     for rows, a, b in blocks:
-        out[rows, col:col + a.shape[1]] = b.T if encoder else a
+        lo, hi = max(col, cols.start), min(col + a.shape[1], cols.stop)
+        if lo < hi:
+            out[rows, lo - cols.start:hi - cols.start] = (b.T if encoder else a)[:, lo - col:hi - col]
         col += a.shape[1]
     return out
 

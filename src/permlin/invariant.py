@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvarianceError, SizeMismatchError
-from .linalg import STRUCTURE_TOL, numeric_rank, require_data, require_real, safe_exponent, svd
+from .linalg import STRUCTURE_TOL, chunks, numeric_rank, require_data, require_real, safe_exponent, svd
 from .equivariant import determinantal_degree
 from .optimize import Factors, FitResult, weighted_eckart_young
 from .perms import (
@@ -72,10 +72,6 @@ def invariant_space(gens: Sequence[Permutation], m: int, n: int, r: int) -> Inva
     return InvariantSpace(m, n, r, part)
 
 
-# entries of M per column chunk of `psi_compress`
-_BATCH = 1 << 16
-
-
 def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     """Keep one column per block (the smallest label), after checking the
     columns within each block agree entrywise within STRUCTURE_TOL * ||M||_F."""
@@ -90,9 +86,7 @@ def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     # the largest deviation of each column from its block's first column, a
     # chunk of columns at a time, so that no n x n difference is formed
     labels, dev = part.labels, np.empty(part.n)
-    step = max(1, _BATCH // max(1, len(m_mat)))
-    for c0 in range(0, part.n, step):
-        cols = slice(c0, c0 + step)
+    for cols in chunks(part.n, len(m_mat)):
         diff = m_mat[:, cols] - compact[:, labels[cols]]
         dev[cols] = np.abs(diff, out=diff).max(axis=0, initial=0.0)
     worst = int(np.argmax(dev))

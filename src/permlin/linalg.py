@@ -1,5 +1,6 @@
 """Dense linear-algebra primitives: the guarded decompositions, numerical
-rank and the complex-to-real realization embedding.
+rank, the complex-to-real realization embedding and the chunks of every
+bounded loop.
 
 All routines work on plain numpy arrays; real matrices are float64, complex
 ones complex128.
@@ -38,6 +39,13 @@ a tolerance argument.
                           `classify_component` share, and column equality
                           of invariant maps (`psi_compress`)
 
+One constant bounds memory, not a verdict:
+
+    SCRATCH        2^15   entries per step of every bounded loop (`chunks`);
+                          a larger unit is one step.  At 2^16, the pass of
+                          `is_equivariant` on n = 1024 peaks above 0.15 n^2
+                          float64 beyond M
+
 The brute-force checks in `oracles` keep their own named tolerances so that
 they stay independent of this module.
 """
@@ -45,6 +53,7 @@ they stay independent of this module.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -53,6 +62,7 @@ from .errors import ConvergenceError, MatrixFormatError, NonFiniteError, SizeMis
 DEFAULT_TOL = 1e-10
 TIE_TOL = 1e-9
 STRUCTURE_TOL = 1e-8
+SCRATCH = 1 << 15
 
 __all__ = [
     "require_finite",
@@ -68,9 +78,19 @@ __all__ = [
     "DEFAULT_TOL",
     "TIE_TOL",
     "STRUCTURE_TOL",
+    "SCRATCH",
+    "chunks",
     "safe_exponent",
     "tie_slack",
 ]
+
+
+def chunks(count: int, unit: int) -> Iterator[slice]:
+    """Slices covering range(count), each max(1, SCRATCH // unit) units of
+    `unit` entries long, so that one holds at most max(SCRATCH, unit)
+    entries.  SCRATCH is read on each call."""
+    step = max(1, SCRATCH // max(unit, 1))
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 
 def tie_slack(y: np.ndarray) -> float:

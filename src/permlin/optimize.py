@@ -85,14 +85,15 @@ invariant fit, and for an equivariant fit the per-block factors, in a
 dense M is formed only when `FitResult.minimizer` is first read.
 
 An equivariant fit never holds a whole n x d or n x r array in the Q basis.
-`_block_rows` changes the basis of X a chunk of columns at a time, straight
-into the per-block rows, so the solve holds the rows (X's size) and one
-chunk.  A fit reads its loss, component and `BlockFit`s from the blocks
-alone and holds only the per-block factors, so a caller that never reads
-decoder or encoder (as `demo-shift`) never places them.  Their first read
-forms decoder = Q D and encoder = (Q E^T)^T together, a chunk of whole
-blocks at a time, and holds the outputs, the per-block factors and one
-chunk; the tilde factors D and E are formed only on request.
+`_block_rows` changes the basis of X a chunk of columns at a time
+(`linalg.chunks`), straight into the per-block rows, so the solve holds the
+rows (X's size) and one chunk.  A fit reads its loss, component and
+`BlockFit`s from the blocks alone and holds only the per-block factors, so
+a caller that never reads decoder or encoder (as `demo-shift`) never places
+them.  Their first read forms decoder = Q D and encoder = (Q E^T)^T
+together, a chunk of columns at a time, split inside a block wherever a
+chunk ends, and holds the outputs, the per-block factors and one chunk; the
+tilde factors D and E are formed only on request.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ComponentError, RankDeficientError, SizeMismatchError
-from .linalg import DEFAULT_TOL, TIE_TOL, eigh, eigvalsh, require_data, require_finite, tie_slack
+from .linalg import DEFAULT_TOL, TIE_TOL, chunks, eigh, eigvalsh, require_data, require_finite, tie_slack
 from .equivariant import Parameterization, RankVector, make_rank_vector, parameterize_component
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
@@ -334,10 +335,6 @@ def autoencoder_loss(x: np.ndarray, r: int) -> float:
     return float(vals[:max(len(vals) - r, 0)].sum())
 
 
-# entries of the data per column chunk of `_block_rows`
-_BATCH = 1 << 16
-
-
 def _block_rows(bc: BaseChange, a: np.ndarray) -> list[np.ndarray]:
     """The rows of each block of Q^T a; on a complex-pair block the row pairs
     (2i, 2i+1) as the complex rows a_2i + i a_2i+1.  The basis is changed a
@@ -346,9 +343,7 @@ def _block_rows(bc: BaseChange, a: np.ndarray) -> list[np.ndarray]:
     blocks = bc.spectrum.real_blocks
     rows = [np.empty((blk.size, a.shape[1]), complex if blk.kind == "complex_pair" else float)
             for blk in blocks]
-    step = max(1, _BATCH // len(a))
-    for c0 in range(0, a.shape[1], step):
-        cols = slice(c0, c0 + step)
+    for cols in chunks(a.shape[1], len(a)):
         t = bc.to_basis(a[:, cols])
         for blk, sl, out in zip(blocks, bc.block_slices, rows):
             if blk.kind == "complex_pair":

@@ -357,6 +357,19 @@ class TestVerifyDemo:
         assert rc == 0
         assert not set(names) & {c["check"] for c in payload["checks"]}
 
+    def test_verify_checks_that_factorize_reconstructs(self, tmp_path):
+        """The last check factors a planted member of the searched component
+        and rebuilds it; its draw comes after every other check's data."""
+        out = tmp_path / "v.json"
+        for args in (["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9"], ["--cycle-type", "2x3,1x4,1x1"],
+                     ["--cycle-type", "1x9"]):
+            rc, payload = run_cli(["verify", *args, "--rank", "3", "--out", str(out)], out)
+            assert rc == 0
+            validate("verify", payload)
+            check = payload["checks"][-1]
+            assert check["check"] == "factorize_reconstructs" and check["ok"] is True
+            assert 0.0 <= check["fast"] <= 1e-12
+
     def test_verify_checks_the_commutator_against_dense(self, tmp_path):
         """`is_equivariant`, read in one cycle-order pass, against the dense
         P M P^T on an equivariant projection and on a random matrix, up to
@@ -496,6 +509,38 @@ class TestVerifyDemo:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert "component" in err["message"]
+
+    def test_factorize_matrix_factors_the_matrix(self, tmp_path, capsys):
+        """`factorize --matrix` emits factors of M itself: decoder @ encoder
+        is M within 16 n eps ||M||_F (the bound of the library property),
+        with or without --component, for a planted (1, 0, 1, 0, 0) member
+        under the 9-cycle."""
+        from permlin.equivariant import make_rank_vector, parameterize_component
+        from permlin.perms import parse_permutation
+
+        nine = parse_permutation("(1 2 3 4 5 6 7 8 9)", 9)
+        rvec = make_rank_vector(eigen_multiplicities(cycle_decomposition(nine)), "real", (1, 0, 1, 0, 0))
+        par = parameterize_component(rvec, nine, rng=np.random.default_rng(5))
+        m = par.decoder @ par.encoder
+        mfile = tmp_path / "m.csv"
+        write_matrix_csv(mfile, m)
+        args = ["factorize", "--mode", "equivariant", "--perm", "(1 2 3 4 5 6 7 8 9)", "--n", "9",
+                "--matrix", str(mfile)]
+        texts = []
+        for extra in ([], ["--component", "1,0,1,0,0"], ["--rank", "3"]):
+            out = tmp_path / "f.json"
+            rc, payload = run_cli(args + extra + ["--out", str(out)], out)
+            assert rc == 0
+            validate("factorize", payload)
+            texts.append(out.read_text())
+        assert texts[0] == texts[1] == texts[2]
+        assert payload["rank_vector"] == [1, 0, 1, 0, 0]
+        dec, enc = (np.array(payload[k]["data"]).reshape(payload[k]["rows"], payload[k]["cols"])
+                    for k in ("decoder", "encoder"))
+        assert np.linalg.norm(dec @ enc - m) <= 16 * 9 * np.finfo(float).eps * np.linalg.norm(m)
+        rc, _ = run_cli(args + ["--rank", "2"])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 1 and err["message"] == "--rank 2 differs from the component's total rank 3"
 
     def test_ragged_csv_rejected(self, tmp_path):
         from permlin.errors import SizeMismatchError
@@ -648,6 +693,26 @@ class TestNonFiniteAndFailures:
         err = self.expect_error(capsys, ["factorize", *self.ROT, "--mode", "invariant", "--rank", "2",
                                          "--component", "1,0,1"], "PermlinError")
         assert err["message"] == "--component applies to --mode equivariant only"
+
+    @pytest.mark.parametrize("mode", ["equivariant", "invariant"])
+    def test_fit_search_limit_needs_candidates(self, tmp_path, capsys, mode):
+        # without --candidates nothing is listed, so the limit would be ignored
+        x, y = self.write_data(tmp_path)
+        err = self.expect_error(capsys, ["fit", *self.ROT, "--mode", mode, "--rank", "2",
+                                         "--x", str(x), "--y", str(y), "--search-limit", "5"], "PermlinError")
+        assert err["message"] == {"equivariant": "--search-limit applies to --candidates only",
+                                  "invariant": "--search-limit applies to --mode equivariant only"}[mode]
+
+    @pytest.mark.parametrize("mode", ["equivariant", "invariant"])
+    def test_factorize_seed_needs_a_drawn_component(self, tmp_path, capsys, mode):
+        # a matrix is factored as given, so a seed would be ignored
+        mfile = tmp_path / "m.csv"
+        write_matrix_csv(mfile, np.ones((9, 9)))
+        err = self.expect_error(capsys, ["factorize", *self.ROT, "--mode", mode, "--matrix", str(mfile),
+                                         "--seed", "5"], "PermlinError")
+        assert err["message"] == {
+            "equivariant": "--seed draws factors of a named component; --matrix is factored as given",
+            "invariant": "--seed applies to --mode equivariant only"}[mode]
 
     def test_factorize_equivariant_rank_must_match_the_component(self, capsys):
         # component (1, 0, 1) of the rotation has total rank 1 + 2 = 3
@@ -829,8 +894,8 @@ def cli_argv(run, workdir):
         m = write_input(workdir / "m.csv", run["input"], (rows, n), rng)
         if mode == "invariant":
             return ["factorize", *perm, "--mode", mode, *rank, "--matrix", m]
-        return ["factorize", *perm, "--mode", mode, *component, "--seed", "1",
-                *(["--matrix", m] if run["input"] != "good" else [])]
+        return ["factorize", *perm, "--mode", mode, *component,
+                *(["--matrix", m] if run["input"] != "good" else ["--seed", "1"])]
     if command == "verify":
         return ["verify", *perm, *rank]
     height, width, samples = run["image"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permlin import equivariant
+from permlin import equivariant, linalg, optimize
 from permlin.equivariant import (
     classify_component,
     component_degree_complex,
@@ -15,6 +15,7 @@ from permlin.equivariant import (
     diagonal_blocks,
     enumerate_components,
     equivariant_project,
+    factor_component,
     free_parameter_count,
     is_equivariant,
     make_rank_vector,
@@ -25,12 +26,13 @@ from permlin.equivariant import (
 from permlin.errors import (
     ComponentError,
     EquivarianceError,
+    InvarianceError,
     NonFiniteError,
     SearchLimitError,
     SizeMismatchError,
     StructuralError,
 )
-from permlin.invariant import invariant_space
+from permlin.invariant import invariant_space, psi_compress, psi_expand
 from permlin.linalg import STRUCTURE_TOL, numeric_rank, realize
 from permlin.oracles import (
     check_circulant_blocks,
@@ -38,7 +40,14 @@ from permlin.oracles import (
     nullspace_commutant_dim,
     recursive_component_count,
 )
-from permlin.perms import Permutation, cycle_decomposition, parse_permutation, permutation_matrix
+from permlin.perms import (
+    Permutation,
+    consecutive_cycles,
+    cycle_decomposition,
+    induced_partition,
+    parse_permutation,
+    permutation_matrix,
+)
 from permlin.spectral import (
     BlockSpectrum,
     commutant_dimension,
@@ -644,11 +653,12 @@ def test_equivariant_project_checks_the_shape_first():
 
 
 def test_parameterization_places_block_factors_by_column_chunks():
-    """decoder = Q D and encoder = (Q E^T)^T are formed a chunk of whole
-    blocks at a time, and match `from_basis` of the whole tilde factors D
-    and E to rounding: at full rank (one block per chunk), at rank 2 per
-    block (several blocks per chunk) and at random ranks.  The tilde
-    factors are formed on first read, then cached."""
+    """decoder = Q D and encoder = (Q E^T)^T are formed a chunk of columns
+    at a time, split inside a block where a chunk ends, and match
+    `from_basis` of the whole tilde factors D and E to rounding: at full
+    rank (every pair block split), at rank 2 per block (several blocks per
+    chunk) and at random ranks.  The tilde factors are formed on first
+    read, then cached."""
     from permlin.datasets import horizontal_shift_permutation
 
     sigma = horizontal_shift_permutation(32, 32)
@@ -817,7 +827,7 @@ def test_orbit_sums_match_their_references_one_cycle_per_batch(p, log_scale, see
     """The same agreement when every batch of the cycle-order pass holds a
     single row cycle, so that every cycle meets a batch boundary."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(equivariant, "_BATCH", 1)
+        mp.setattr(linalg, "SCRATCH", 1)
         check_orbit_sums(p, log_scale, seed)
 
 
@@ -855,8 +865,68 @@ def test_classify_rejects_exactly_on_mixed_cycles_across_batches(p, kind, log_re
     every batch."""
     check_rejects_exactly(p, kind, log_rel, seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(equivariant, "_BATCH", 1)
+        mp.setattr(linalg, "SCRATCH", 1)
         check_rejects_exactly(p, kind, log_rel, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(mixed_cycles(), st.integers(1, 64).map(lambda n: consecutive_cycles([n]))),
+       st.integers(0, 2**32 - 1))
+@example(consecutive_cycles([1] * 6 + [4, 6]), 0)
+@example(consecutive_cycles([64]), 0)
+@example(consecutive_cycles([1] * 1024), 0)
+def test_every_chunked_path_agrees_at_the_smallest_budget(p, seed):
+    """Every loop bounded by `linalg.chunks` gives the same result with
+    SCRATCH = 1, one unit per step, as with the default budget: the solve's
+    basis change of the data (`_block_rows`), `psi_compress`, the placement
+    of a component's factors, and the cycle-order pass (the projection,
+    the diagonal blocks and the commutator).  The cases cover fixed points,
+    a single n-cycle and the identity at n = 1024, whose default batch of 32
+    fixed points folds to steps of 2 SCRATCH entries, more than a scratch of
+    max(SCRATCH, 2 n) holds.  Each side sums the same terms in another
+    order, so each entry may differ by the summation error of n^2 terms,
+    |small - default| <= 4 n^2 eps times the scale of the input (its largest
+    entry; ||M||_F for the two norms); `psi_compress` gathers and compares
+    entries, so its result or its error message must be the same."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "SCRATCH", 1)
+        small = chunked_paths(p, seed)
+    default = chunked_paths(p, seed)
+    assert len(small) == len(default)
+    for (a, scale), (b, _) in zip(small, default):
+        if scale is None:
+            assert type(a) is type(b) and (a == b if isinstance(a, str) else np.array_equal(a, b))
+        else:
+            assert np.shape(a) == np.shape(b)
+            assert np.abs(np.subtract(a, b)).max() <= 4 * p.n ** 2 * EPS * scale
+
+
+def chunked_paths(p, seed):
+    """(result, the scale of its input) of each chunked path on data drawn
+    from `seed`; `psi_compress` has no scale, and when it raises it gives
+    its message."""
+    rng = np.random.default_rng(seed)
+    n, cd = p.n, cycle_decomposition(p)
+    bc = real_base_change(p)
+    x = rng.standard_normal((n, 5))
+    out = [(rows, np.abs(x).max()) for rows in optimize._block_rows(bc, x)]
+    part = induced_partition(cd)
+    for m in (psi_expand(rng.standard_normal((3, part.k)), part), rng.standard_normal((3, n))):
+        try:
+            out.append((psi_compress(m, part), None))
+        except InvarianceError as exc:
+            out.append((str(exc), None))
+    rvec = make_rank_vector(bc.spectrum, "real", [min(2, b.size) for b in bc.spectrum.real_blocks])
+    par = parameterize_component(rvec, p, rng=rng, base_change=bc)
+    scale = max(np.abs(f).max() for _, a, b in par.block_factors for f in (a, b))
+    out += [(par.decoder, scale), (par.encoder, scale)]
+    m = rng.standard_normal((n, n))
+    scale = np.abs(m).max()
+    out.append((equivariant_project(m, [p]), scale))
+    out += [(b, scale) for b in diagonal_blocks(m, p)]
+    dev, norm, _ = equivariant._orbit_sums(m, cd, sums=False)
+    out += [(math.sqrt(dev), math.sqrt(norm)), (math.sqrt(norm), math.sqrt(norm))]
+    return out
 
 
 def check_rejects_exactly(p, kind, log_rel, seed):
@@ -901,3 +971,33 @@ def check_rejects_exactly(p, kind, log_rel, seed):
     assert rejected == (not is_equivariant(m, p))
     if abs(target - STRUCTURE_TOL) > bound:
         assert rejected == (target > STRUCTURE_TOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(mixed_cycles(), st.integers(1, 64).map(lambda n: consecutive_cycles([n]))),
+       st.floats(-100, 100), st.integers(0, 2**32 - 1))
+def test_factor_component_reconstructs_the_matrix(p, log_scale, seed):
+    """For M a scaled member of a random component, `factor_component`
+    returns a parameterization of M's component whose decoder @ encoder is
+    M within 16 n eps ||M||_F, at scales 1e-100 to 1e100 (16 is three
+    times the largest ratio seen in 1,700 draws on the same cycle types)."""
+    rng = np.random.default_rng(seed)
+    spec = eigen_multiplicities(cycle_decomposition(p))
+    rvec = make_rank_vector(spec, "real", [int(rng.integers(0, b.size + 1)) for b in spec.real_blocks])
+    par = parameterize_component(rvec, p, rng=rng)
+    m = 10.0 ** log_scale * (par.decoder @ par.encoder)
+    got = factor_component(m, p)
+    assert got.rank_vector == rvec
+    assert got.decoder.shape == got.encoder.T.shape == (p.n, rvec.total_rank)
+    assert np.linalg.norm(got.decoder @ got.encoder - m) <= 16 * p.n * EPS * np.linalg.norm(m)
+
+
+def test_factor_component_raises_as_classify_does():
+    """`factor_component` reads M as `classify_component` does, with its
+    errors: a non-equivariant M, a base change of another permutation."""
+    m = np.random.default_rng(26).standard_normal((9, 9))
+    with pytest.raises(EquivarianceError):
+        factor_component(m, ROT9)
+    with pytest.raises(SizeMismatchError):
+        factor_component(equivariant_project(m, [ROT9]), ROT9,
+                         base_change=real_base_change(parse_permutation("(1 2 3 4 5 6 7 8 9)", 9)))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from permlin.errors import InvarianceError, RankDeficientError, SizeMismatchError
 from permlin.invariant import (
@@ -15,7 +16,7 @@ from permlin.invariant import (
     psi_compress,
     psi_expand,
 )
-from permlin.linalg import numeric_rank
+from permlin.linalg import STRUCTURE_TOL, numeric_rank
 from permlin.perms import (
     Partition,
     Permutation,
@@ -114,6 +115,52 @@ class TestPsi:
         M[7, -1] += 1.0
         with pytest.raises(InvarianceError, match=f"columns of block {part.labels[-1]} differ by 1.000e\\+00"):
             psi_compress(M, part)
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 5), st.floats(-10, -6), st.floats(-200, 200),
+       st.integers(0, 2**32 - 1))
+@example(6, 3, math.log10(STRUCTURE_TOL) + 1e-6, 0.0, 0)
+@example(6, 3, math.log10(STRUCTURE_TOL) - 1e-6, 0.0, 0)
+@example(6, 3, -8.0, 200.0, 1)
+@example(6, 3, -8.0, -200.0, 1)
+def test_compress_verdict_sits_on_the_side_of_structure_tol(n, rows, log_rel, log_scale, seed):
+    """`psi_compress` rejects M exactly when a column leaves its block's
+    first column by more than STRUCTURE_TOL ||M||_F.  M is an invariant
+    matrix at scale 10^log_scale (1e-200 to 1e200, where ||M||_F^2 under- or
+    overflows) with one entry moved off its block's first column by
+    10^log_rel ||M||_F, drawn log-uniformly across STRUCTURE_TOL.  The
+    deviation the check reads is the same floating-point difference the
+    test takes, and the test reads ||M||_F from a correctly rounded sum
+    (`math.fsum`) of the squares of M scaled by a power of two, so only the
+    library's own norm is rounded: draws within 4 (rows n) eps of the bound,
+    relative, leave the side unasserted.  Every draw either returns the
+    first columns exactly or raises for the moved entry's block."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n - 1, n)  # n labels in n - 1 blocks: one has two
+    part = Partition.from_blocks(n, [np.flatnonzero(labels == b) + 1 for b in np.unique(labels)])
+    firsts = [b[0] - 1 for b in part.blocks]
+    m = psi_expand(10.0 ** log_scale * rng.standard_normal((rows, part.k)), part)
+    i, j = int(rng.integers(rows)), int(rng.choice([c for c in range(n) if c not in firsts]))
+    first = firsts[part.labels[j]]
+    e = math.frexp(np.abs(m).max())[1]
+    norm = math.ldexp(math.sqrt(math.fsum((np.ldexp(m, -e) ** 2).ravel())), e)
+    m[i, j] += (1 if rng.random() < 0.5 else -1) * 10.0 ** log_rel * norm
+    dev = abs(m[i, j] - m[i, first])
+    norm = math.ldexp(math.sqrt(math.fsum((np.ldexp(m, -e) ** 2).ravel())), e)
+    try:
+        compact = psi_compress(m, part)
+        rejected = False
+    except InvarianceError as exc:
+        assert str(exc).startswith(f"columns of block {part.labels[j]} differ by")
+        rejected = True
+    if not rejected:
+        assert np.array_equal(compact, m[:, firsts])
+    if abs(dev / (STRUCTURE_TOL * norm) - 1) > 4 * rows * n * EPS:
+        assert rejected == (dev > STRUCTURE_TOL * norm)
 
 
 class TestDimensionDegree:

@@ -963,9 +963,10 @@ def test_equivariant_solve_and_read_never_hold_q_basis_copies():
     of the blocks by angle as in `demo-shift` (total rank 544), reads and
     keeps only its per-block factors: it peaks below 0.25 X.nbytes and holds
     below 0.05 X.nbytes (0.69 and 0.55 when it placed its 8.5 MB decoder
-    and encoder).  Their first read places them by column chunks and peaks below
-    1.5 times their bytes (2.5 with the whole tilde factors and their base
-    changes)."""
+    and encoder).  Their first read places them by column chunks, split
+    inside a block where a chunk ends, and peaks below 1.25 times their
+    bytes (1.09 measured; 1.18 when a chunk held whole blocks, 2.5 with the
+    whole tilde factors and their base changes)."""
     sigma = horizontal_shift_permutation(32, 32)
     x = demo_shift_dataset(32, 32, 2000, seed=1)
     with traced() as mem:
@@ -982,7 +983,7 @@ def test_equivariant_solve_and_read_never_hold_q_basis_copies():
     assert fit.component == rvec
     with traced() as mem:
         decoder, encoder = fit.decoder, fit.encoder
-    assert mem.peak < 1.5 * (decoder.nbytes + encoder.nbytes)
+    assert mem.peak < 1.25 * (decoder.nbytes + encoder.nbytes)
 
 
 def test_library_fit_memory_at_64x64():
@@ -990,7 +991,10 @@ def test_library_fit_memory_at_64x64():
     31 MB: the solve of X on itself peaks below 1.25 X.nbytes, its block
     rows and one column chunk, and the exact rank-99 fit without a read of
     its factors below 0.1 X.nbytes: the data plus O(sum of d_b^2), no n x n
-    and no n x d copy."""
+    and no n x d copy.  The first read of its decoder places decoder and
+    encoder by column chunks, split inside its rank-36 block, and peaks
+    below 1.25 times their bytes (1.12 measured; 1.55 when a chunk held
+    whole blocks)."""
     sigma = horizontal_shift_permutation(64, 64)
     x = demo_shift_dataset(64, 64, 1000, seed=1)
     with traced() as mem:
@@ -1000,6 +1004,9 @@ def test_library_fit_memory_at_64x64():
         fit = solve.fit(99)
     assert mem.peak < 0.1 * x.nbytes
     assert fit.component.total_rank == 99
+    with traced() as mem:
+        decoder = fit.decoder
+    assert mem.peak < 1.25 * (decoder.nbytes + fit.encoder.nbytes)
 
 
 def test_minimizer_is_built_on_first_read():

@@ -252,15 +252,18 @@ def cmd_factorize(args):
         }
     else:
         spec = _spectrum_of(gens[0])
-        named = _component_arg(args.component, spec) if args.component is not None or not args.matrix else None
         if args.matrix:
             if args.seed is not None:
                 raise PermlinError("--seed draws factors of a named component; --matrix is factored as given")
             par = equivariant.factor_component(matio.read_matrix(args.matrix), gens[0])
-            if named is not None and par.rank_vector != named:
-                raise PermlinError(f"matrix lies in component {list(par.rank_vector.values)}, not {list(named.values)}")
+            if args.component is not None:
+                named = _component_arg(args.component, spec)
+                if par.rank_vector != named:
+                    raise PermlinError(
+                        f"matrix lies in component {list(par.rank_vector.values)}, not {list(named.values)}")
         else:
-            par = equivariant.parameterize_component(named, gens[0], rng=np.random.default_rng(args.seed or 0))
+            par = equivariant.parameterize_component(
+                _component_arg(args.component, spec), gens[0], rng=np.random.default_rng(args.seed or 0))
         rvec = par.rank_vector
         if args.rank is not None and args.rank != rvec.total_rank:
             raise PermlinError(f"--rank {args.rank} differs from the component's total rank {rvec.total_rank}")

@@ -504,14 +504,15 @@ def classify_component(m: np.ndarray, p: Permutation, base_change: Optional[Base
     """
     m = require_real(m, "matrix", (p.n, p.n))
     cd = cycle_decomposition(p)
-    return _ranked_blocks(p, cd, base_change, *_commutes(m, cd, sums=True))[0]
+    commutes, tables, _ = _commutes(m, cd, sums=True)
+    return _ranked_blocks(p, cd, base_change, commutes, tables)[0]
 
 
 def _ranked_blocks(p: Permutation, cd: CycleDecomposition, bc: Optional[BaseChange], commutes: bool,
-                   tables: list, k: int) -> tuple[RankVector, list[np.ndarray], int]:
-    """The rank vector of `classify_component` from the result of one pass
-    of `_commutes` over 2^k M, with the diagonal blocks of 2^k M that it
-    was read from, and k."""
+                   tables: list) -> tuple[RankVector, list[np.ndarray]]:
+    """The rank vector of `classify_component` from the verdict and the
+    orbit-sum tables of one pass of `_commutes`, with the diagonal blocks
+    that it was read from."""
     if not commutes:
         raise EquivarianceError("P M P^T differs from M beyond STRUCTURE_TOL; input is not equivariant")
     spec = eigen_multiplicities(cd) if bc is None else _real_base_change(p, bc).spectrum
@@ -528,10 +529,10 @@ def _ranked_blocks(p: Permutation, cd: CycleDecomposition, bc: Optional[BaseChan
         if rank % blk.rank_multiplier:
             raise StructuralError(f"block ({blk.l},{blk.m}) has odd rank {rank}; not in any real component")
         values.append(rank // blk.rank_multiplier)
-    return make_rank_vector(spec, "real", values), blocks, k
+    return make_rank_vector(spec, "real", values), blocks
 
 
-def factor_component(m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None) -> Parameterization:
+def factor_component(m: np.ndarray, p: Permutation) -> Parameterization:
     """The factors of an equivariant M itself: a `Parameterization` of the
     component that `classify_component` reads, whose decoder @ encoder is M
     up to rounding.  The errors of `classify_component`, in its order, from
@@ -544,7 +545,8 @@ def factor_component(m: np.ndarray, p: Permutation, base_change: Optional[BaseCh
     2^k M (`_commutes`), and scaled back by 2^-k first."""
     m = require_real(m, "matrix", (p.n, p.n))
     cd = cycle_decomposition(p)
-    rvec, blocks, k = _ranked_blocks(p, cd, base_change, *_commutes(m, cd, sums=True))
+    commutes, tables, k = _commutes(m, cd, sums=True)
+    rvec, blocks = _ranked_blocks(p, cd, None, commutes, tables)
     factors = []
     for blk, b, t in zip(rvec.blocks, blocks, rvec.values):
         b = np.ldexp(b, -k)
@@ -553,7 +555,7 @@ def factor_component(m: np.ndarray, p: Permutation, base_change: Optional[BaseCh
         u, s, vh = svd(b)
         root = np.sqrt(s[:t])
         factors.append((u[:, :t] * root, root[:, None] * vh[:t]))
-    return parameterize_component(rvec, p, factors=factors, base_change=base_change)
+    return parameterize_component(rvec, p, factors=factors)
 
 
 @dataclass(frozen=True)

@@ -994,10 +994,13 @@ def test_factor_component_reconstructs_the_matrix(p, log_scale, seed):
 
 def test_factor_component_raises_as_classify_does():
     """`factor_component` reads M as `classify_component` does, with its
-    errors: a non-equivariant M, a base change of another permutation."""
+    errors: a non-equivariant M, an odd complex-pair rank."""
     m = np.random.default_rng(26).standard_normal((9, 9))
     with pytest.raises(EquivarianceError):
         factor_component(m, ROT9)
-    with pytest.raises(SizeMismatchError):
-        factor_component(equivariant_project(m, [ROT9]), ROT9,
-                         base_change=real_base_change(parse_permutation("(1 2 3 4 5 6 7 8 9)", 9)))
+    b = np.zeros((9, 9))
+    b[:5, :5] = np.eye(5)
+    b[5, 5] = 2e-9
+    q = dense_base_change(real_base_change(ROT9))[0]
+    with pytest.raises(StructuralError, match="odd rank 1"):
+        factor_component(q @ b @ q.T, ROT9)

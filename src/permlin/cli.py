@@ -308,8 +308,9 @@ def cmd_verify(args):
             slow = oracles.als_low_rank(r, restarts=40, x=x, y=y, seed=args.seed)
             checks.append({"check": "rank_bounded_fit_vs_als", "fast": fast, "oracle": slow,
                            "ok": bool(fast <= slow + linalg.tie_slack(y))})
-        # the loss of X on itself from the Gram's eigenvalues against the fit's residual
-        fast, slow = optimize.autoencoder_loss(x, r), optimize.fit_rank_bounded(x, x, r).loss
+        # the loss of X on itself from the Gram's eigenvalues against the
+        # residual of the row route, a fit on a copy of X
+        fast, slow = optimize.autoencoder_loss(x @ x.T, r), optimize.fit_rank_bounded(x, x.copy(), r).loss
         checks.append({"check": "autoencoder_loss_vs_fit", "fast": fast, "oracle": slow,
                        "ok": bool(abs(fast - slow) <= linalg.tie_slack(x))})
         if len(gens) == 1:
@@ -360,6 +361,17 @@ def cmd_verify(args):
         dev = float(np.linalg.norm(par.decoder @ par.encoder - m))
         ok = par.rank_vector == fit.component and dev <= oracles.AGREEMENT_TOL * np.linalg.norm(m)
         checks.append({"check": "factorize_reconstructs", "fast": dev, "oracle": 0.0, "ok": bool(ok)})
+    if len(gens) == 1 and n <= oracles.MAX_ALS_DIM:
+        # the Gram route of X on itself against the projection oracle, on
+        # data drawn after every other check's, so that none of theirs moves
+        x = rng.standard_normal((n, n + 2))
+        fit = optimize.fit_equivariant(x, x, gens[0], r)
+        m, loss, _ = oracles.projection_fit_equivariant(x, x, gens[0], r)
+        tol = oracles.AGREEMENT_TOL
+        agree = (abs(fit.loss - loss) <= tol * float(np.linalg.norm(x)) ** 2
+                 and np.linalg.norm(fit.minimizer - m) <= tol * np.linalg.norm(m))
+        checks.append({"check": "equivariant_autoencoder_vs_projection_oracle", "fast": fit.loss,
+                       "oracle": loss, "ok": bool(agree)})
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.out)
     return 0 if ok else 1
@@ -376,12 +388,15 @@ def cmd_demo_shift(args):
     spec = _spectrum_of(sigma)
     r = args.rank
 
-    # X is both data and target.  The dense baseline reports only its loss,
-    # the tail sum of the Gram's eigenvalues: no eigenvectors, no factors.
-    # Each equivariant fit takes the autoencoder route: one eigh per block
-    # Gram, and the solve forms the block rows of Q^T X once, as X and as Y
-    dense_loss = optimize.autoencoder_loss(X, r)
+    # X is both data and target, so the solve takes the Gram route: one eigh
+    # per block Gram, summed over chunks of columns, and no block rows.  The
+    # dense baseline reports only its loss, the tail sum of the eigenvalues
+    # of G = X X^T: no eigenvectors, no factors.  X is released before that
+    # dense eigenvalue decomposition
     solve = optimize.solve_equivariant(X, X, sigma)
+    slack, size, gram = solve.slack, X.size, X @ X.T
+    del X
+    dense_loss = optimize.autoencoder_loss(gram, r)
     best = solve.fit(r, heuristic="energy")
 
     blocks = spec.real_blocks
@@ -401,15 +416,14 @@ def cmd_demo_shift(args):
     high_rvec = equivariant.make_rank_vector(spec, "real", high_vals)
     high = solve.fit(high_rvec.total_rank, component=high_rvec)
 
-    slack = linalg.tie_slack(X)
     payload = {
         "config": {"height": args.height, "width": args.width, "samples": args.samples,
                    "rank": r, "seed": rng_seed, "noise": args.noise},
         "losses_per_pixel": {
-            "dense": dense_loss / (X.size),
-            "equivariant_energy": best.loss / (X.size),
-            "equivariant_equal_rank": equal.loss / (X.size),
-            "equivariant_high_pass": high.loss / (X.size),
+            "dense": dense_loss / size,
+            "equivariant_energy": best.loss / size,
+            "equivariant_equal_rank": equal.loss / size,
+            "equivariant_high_pass": high.loss / size,
         },
         "total_ranks": {
             "dense": r,

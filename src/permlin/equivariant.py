@@ -430,8 +430,12 @@ def _orbit_blocks(tables: list, spec: BlockSpectrum) -> list[np.ndarray]:
     out = [np.zeros((b.size, b.rank_multiplier) * 2) for b in blocks]
     for l, i, lc, j, s, a in tables:
         g, scale = s.shape[1], 1.0 / math.sqrt(l * lc)
-        fs = np.fft.rfft(s, axis=1) * scale
-        fa = fs if a is s else np.fft.rfft(a, axis=1) * scale
+        if g == 1:  # one frequency, S itself: scaled in place, with no complex copy
+            s *= scale
+            fs = fa = s
+        else:
+            fs = np.fft.rfft(s, axis=1) * scale
+            fa = fs if a is s else np.fft.rfft(a, axis=1) * scale
         for blk, member, b4 in zip(blocks, members, out):
             if g % blk.l:  # the block meets the cycles whose length blk.l divides
                 continue

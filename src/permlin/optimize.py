@@ -18,26 +18,37 @@ decoder @ encoder with encoder = (V diag(lambda^{-1/2}) W_r)^H and
     decoder = Y (encoder X)^H,
 
 since A W_r = C V diag(lambda^{-1/2}) W_r = Y X^H encoder^H, with C = Y X^H
-free of the ridge: once the encoder is fixed, the decoder is read off the
-data, on every route.  Each sigma^2 carries an absolute error of about eps
+free of the ridge: once the encoder is fixed, the decoder is C encoder^H.
+Each sigma^2 carries an absolute error of about eps
 sigma_1^2 (Golub & Van Loan, 8.6), so singular values below about
 sqrt(eps k) sigma_1 are accurate only in absolute terms; the tie rule is
 therefore checked on sigma^2, with a floor at that error.
 
-When Y is X the fit is a linear autoencoder, and the second
-eigendecomposition is redundant.  C = X X^H = G - ridge Id = V diag(lambda -
-ridge) V^H, so A^H A = diag((lambda - ridge)^2 / lambda) is already
-diagonal, with sigma = (lambda - ridge) lambda^{-1/2}, which grows with
-lambda: the basis is V diag(lambda^{-1/2}) with its columns in descending
-order of lambda.  The rank-r minimizer V_r diag((lambda - ridge) / lambda)
-V_r^H is, without a ridge, the projection onto the r leading principal
-directions of X: PCA (Baldi & Hornik 1989).  `_solve_eigh` takes this route
-when Y is X by identity (`y is x`), never by comparing values, and clamps
-lambda - ridge at 0 so that rounding cannot break sigma's order.
-`require_data` returns one array for X given as both, and
-`solve_equivariant(X, X, ...)` forms the block rows once and hands each
-block the same rows as X and as Y, so every block, complex-pair blocks
-included, takes the route.
+When Y is X the fit is a linear autoencoder, and it needs the Gram alone:
+the Gram route.  With mu = lambda - ridge, C = X X^H = G - ridge Id = V
+diag(mu) V^H, so A^H A = diag(mu^2 / lambda) is already diagonal, with
+sigma = mu lambda^{-1/2}, which grows with lambda: the basis is V
+diag(lambda^{-1/2}) with its columns in descending order of lambda, and
+the second eigendecomposition is never taken.  The rank-r minimizer V_r
+diag(mu / lambda) V_r^H is, without a ridge, the projection onto the r
+leading principal directions of X: PCA (Baldi & Hornik 1989).  Its decoder
+C encoder^H is V_r diag(mu_r lambda_r^{-1/2}), and its loss ||(M - I) X||^2
+= tr((M - I) C (M - I)^H) is
+
+    sum_{i<r} (1 - mu_i / lambda_i)^2 mu_i + sum_{i>=r} mu_i,
+
+a sum of non-negative terms, taken smallest first, so nothing cancels:
+without a ridge the kept terms are exactly 0 and the loss is the tail sum
+of the Gram's eigenvalues.  So the route holds no data and forms no
+residual.  mu is clamped at 0, so that rounding cannot break sigma's
+order; it carries the absolute error of lambda, about eps (lambda_1 +
+ridge).  A fit takes the route when Y is X by identity (`y is x`), never by
+comparing values: `require_data` returns one array for X given as both.
+`solve_equivariant(X, X, ...)` sums each block Gram over chunks of columns
+and never forms the block rows, so every block, complex-pair blocks
+included, takes the route.  A fit of Y on X otherwise takes the row route,
+which holds X and Y and reads its decoder and residual off them; a fit on a
+copy of X is the reference for the Gram route.
 
 For equivariant fits the real base change Q makes M = Q blockdiag(B_b) Q^T,
 so with Xt = Q^T X and Yt = Q^T Y the loss is the sum over blocks b of
@@ -58,26 +69,30 @@ any census size.  Enumerate-and-score lives in `oracles` only, as the
 reference check and the candidate listing of `permlin fit --candidates`; it
 rebuilds the tails from the singular values in `FitResult.per_block`.
 
-The tails only rank components.  The loss a fit reports is the residual
-||B_b Xt_b - Yt_b||^2 of each block, summed, with B_b applied through its
-rank-r factors (`WeightedEckartYoung.read`), so no n x n matrix is formed
-for it.  `constant + sum of tails` is the same number in exact arithmetic,
-but it subtracts two nearly equal sums: on an exact fit it leaves rounding
-error of order eps ||Y||^2 and either sign, where the residual is of order
-eps^2 ||Y||^2.
+The tails only rank components.  The loss a fit reports is, per block,
+summed: on the row route the residual ||B_b Xt_b - Yt_b||^2, with B_b
+applied through its rank-r factors, so no n x n matrix is formed for it;
+on the Gram route the sum of non-negative eigenvalue terms above.
+`constant + sum of tails` is the same number in exact arithmetic, but it
+subtracts two nearly equal sums: on an exact fit it leaves rounding error
+of order eps ||Y||^2 and either sign, where the residual is of order eps^2
+||Y||^2.
 
-One loss is read from a tail sum: `autoencoder_loss(X, r)`, the best rank-r
-loss of X on itself, which `demo-shift` reports as its dense baseline
-without fitting it.  It is the sum of the n - r smallest eigenvalues of the
-Gram X X^T, from one eigenvalue decomposition without eigenvectors.  The sum
-is taken directly, smallest first, never as ||X||^2 minus the top-r sum, so
-it has no cancellation: its absolute error is about (n - r) eps lambda_1,
-the eigenvalues' own error, and at r >= n it is exactly 0.
+The dense baseline of `demo-shift` is read from the Gram alone:
+`autoencoder_loss(G, r)`, the best rank-r loss of X on itself for G = X X^T,
+without fitting it, so that `demo-shift` releases X before the
+eigenvalue decomposition.  It is the sum of the n - r smallest eigenvalues
+of G, from one eigenvalue decomposition without eigenvectors: the Gram
+route's loss without a ridge.  The sum is taken directly, smallest first,
+never as ||X||^2 minus the top-r sum, so it has no cancellation: its
+absolute error is about (n - r) eps lambda_1, the eigenvalues' own error,
+and at r >= n it is exactly 0.
 
-Every fit is a solve, then a read: a `WeightedEckartYoung` holds its data and
-solve, and `read(r, key)` gives the rank-r factors, their residual and the
-`BlockFit`.  The block solves depend on neither the rank nor the component,
-so `solve_equivariant` runs them once and `EquivariantSolve.fit` reads each
+Every fit is a solve, then a read: a `WeightedEckartYoung` holds its solve
+(and on the row route its data), and its one `read(r, key)` serves both
+routes: it gives the rank-r factors, their loss and the `BlockFit`.  The
+block solves depend on neither the rank nor the component, so
+`solve_equivariant` runs them once and `EquivariantSolve.fit` reads each
 block at its rank of any component.  Every fit holds its minimizer as rank-r
 factors M = decoder @ encoder, in `FitResult.factors`: arrays for a dense or
 invariant fit, and for an equivariant fit the per-block factors, in a
@@ -85,12 +100,15 @@ invariant fit, and for an equivariant fit the per-block factors, in a
 dense M is formed only when `FitResult.minimizer` is first read.
 
 An equivariant fit never holds a whole n x d or n x r array in the Q basis.
-`_block_rows` changes the basis of X a chunk of columns at a time
-(`linalg.chunks`), straight into the per-block rows, so the solve holds the
-rows (X's size) and one chunk.  A fit reads its loss, component and
-`BlockFit`s from the blocks alone and holds only the per-block factors, so
-a caller that never reads decoder or encoder (as `demo-shift`) never places
-them.  Their first read forms decoder = Q D and encoder = (Q E^T)^T
+`_basis_chunks` changes the basis of X a chunk of columns at a time
+(`linalg.chunks`).  On the row route `_block_rows` writes each chunk
+straight into the per-block rows, so the solve holds the rows (X's size,
+and Y's) and one chunk; on the Gram route `_block_grams` adds each chunk's
+t_b t_b^H into its block Gram, so the solve holds sum_b d_b^2 entries and
+one chunk beside X, and keeps no reference to X.  A fit reads its loss,
+component and `BlockFit`s from the blocks alone and holds only the
+per-block factors, so a caller that never reads decoder or encoder (as
+`demo-shift`) never places them.  Their first read forms decoder = Q D and encoder = (Q E^T)^T
 together, a chunk of columns at a time, split inside a block wherever a
 chunk ends, and holds the outputs, the per-block factors and one chunk; the
 tilde factors D and E are formed only on request.
@@ -106,7 +124,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ComponentError, RankDeficientError, SizeMismatchError
-from .linalg import DEFAULT_TOL, TIE_TOL, chunks, eigh, eigvalsh, require_data, require_finite, tie_slack
+from .linalg import DEFAULT_TOL, TIE_TOL, chunks, eigh, eigvalsh, require_data, require_finite, require_real, tie_slack
 from .equivariant import Parameterization, RankVector, make_rank_vector, parameterize_component
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
@@ -199,39 +217,62 @@ class FitResult:
 @dataclass(frozen=True, eq=False)
 class WeightedEckartYoung:
     """min ||M X - Y||_F^2 over rank <= r matrices M, solved for every r at once
-    and read at any r by `read`.  It holds its data X and Y and one basis,
-    V diag(lambda^{-1/2}) W, for the Gram's eigendecomposition (lambda, V)
-    and the eigenvectors W of A^H A for the eigenvalues svals**2, descending:
-    its leading r columns are the rank-r encoder, conjugate-transposed.
-    tails[t] is the sum of svals[t:]**2, the loss above `constant` at rank t.
-    It compares and hashes by identity: its fields hold arrays."""
+    and read at any r by `read`.  It holds one basis, V diag(lambda^{-1/2}) W,
+    for the Gram's eigendecomposition (lambda, V) and the eigenvectors W of
+    A^H A for the eigenvalues svals**2, descending: its leading r columns are
+    the rank-r encoder, conjugate-transposed.  tails[t] is the sum of
+    svals[t:]**2, the loss above `constant` at rank t.  A solve of Y on X
+    (the row route) holds its data `x` and `y`; a solve of X on itself (the
+    Gram route, W = I) holds no data, only `lam` and `mu` = lam - ridge, the
+    Gram's eigenvalues in the basis's column order.  It compares and hashes
+    by identity: its fields hold arrays."""
 
-    x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
     svals: np.ndarray
     tails: tuple[float, ...]
     constant: float
+    x: Optional[np.ndarray] = field(default=None, repr=False)
+    y: Optional[np.ndarray] = field(default=None, repr=False)
+    lam: Optional[np.ndarray] = field(default=None, repr=False)
+    mu: Optional[np.ndarray] = field(default=None, repr=False)
 
     def read(self, r: int, key: tuple[str, int, int]) -> tuple[np.ndarray, np.ndarray, float, BlockFit]:
         """The rank-r minimizer's encoder = basis[:, :r]^H and decoder =
         Y (encoder X)^H, of r columns each; its loss ||decoder (encoder X) -
-        Y||_F^2, applied right to left so that M is never formed; and its
-        `BlockFit`, labelled `key`.  SizeMismatchError unless 0 <= r <= len(svals)."""
+        Y||_F^2; and its `BlockFit`, labelled `key`.  On the row route the
+        loss is the residual, applied right to left so that M is never
+        formed.  On the Gram route the decoder is V_r diag(mu_r
+        lambda_r^{-1/2}) and the loss, from the Gram's eigenvalues alone,
+        is sum_{i<r} (1 - mu_i / lambda_i)^2 mu_i + sum_{i>=r} mu_i, summed
+        smallest first: every term is non-negative, so nothing cancels.
+        SizeMismatchError unless 0 <= r <= len(svals)."""
         s = self.svals
         if not 0 <= r <= len(s):
             raise SizeMismatchError(f"rank {r} outside 0..{len(s)}")
         encoder = self.basis[:, :r].conj().T.copy()  # a copy, so that a fit does not hold the basis
-        code = encoder @ self.x
-        decoder = self.y @ code.conj().T
-        loss = float(np.linalg.norm(decoder @ code - self.y) ** 2)
+        if self.x is None:
+            lam, mu = self.lam, self.mu
+            decoder = self.basis[:, :r] * mu[:r]
+            kept = ((lam[:r] - mu[:r]) / lam[:r]) ** 2 * mu[:r]
+            loss = float(np.sort(np.concatenate((kept, mu[r:]))).sum())
+        else:
+            code = encoder @ self.x
+            decoder = self.y @ code.conj().T
+            loss = float(np.linalg.norm(decoder @ code - self.y) ** 2)
         return decoder, encoder, loss, BlockFit(key, r, tuple(s[:r]), tuple(s[r:]),
                                                 _boundary_tie(s, r), self.tails[r])
 
 
-def _gram_eigh(x: np.ndarray, ridge: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the Gram X X^H (+ ridge * Id) of real or complex data."""
-    g = x @ x.conj().T
+def _gram(x: np.ndarray) -> np.ndarray:
+    """The Gram X X^H of real or complex data."""
+    return x @ x.conj().T
+
+
+def _ridged_eigh(g: np.ndarray, ridge: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the Gram g + ridge * Id, the ridge added in place.
+    SizeMismatchError for the Gram of data without rows."""
+    if len(g) == 0:
+        raise SizeMismatchError("data X has no rows")
     if ridge is not None:
         if ridge <= 0:
             raise RankDeficientError("ridge must be positive")
@@ -239,48 +280,70 @@ def _gram_eigh(x: np.ndarray, ridge: Optional[float] = None) -> tuple[np.ndarray
     return eigh(g)
 
 
-def _solve_eigh(x: np.ndarray, y: np.ndarray, ridge: Optional[float], vals: np.ndarray,
-                vecs: np.ndarray) -> WeightedEckartYoung:
-    """Weighted Eckart-Young from the Gram eigendecomposition (vals, vecs):
-    the eigendecomposition of A^H A for the whitened cross term A, no SVD.
-    When Y is X (by identity) that eigendecomposition is (vals, vecs) itself."""
+def _tails(s: np.ndarray) -> np.ndarray:
+    """tails[t] = sum of s[t:]**2, from the squares `oracles.block_tails`
+    rebuilds them from."""
+    return np.append(np.cumsum((s**2)[::-1])[::-1], 0.0)
+
+
+def _solve_rows(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> WeightedEckartYoung:
+    """The row route: weighted Eckart-Young of Y on X from the Gram
+    eigendecomposition (vals, vecs), by the eigendecomposition of A^H A for
+    the whitened cross term A, no SVD."""
     whiten = vecs  # scaled in place: V is not needed unscaled
     whiten *= 1.0 / np.sqrt(vals)
-    if y is x:
-        # A^H A is diagonal (module docstring): sigma grows with lambda, so
-        # its descending order is V's columns reversed
-        s = (np.maximum(vals - (ridge or 0.0), 0.0) / np.sqrt(vals))[::-1]
-        basis = whiten[:, ::-1]
-    else:
-        # C V diag(lambda^{-1/2}) is C G^{-1/2} without its unitary right factor
-        # V^H: the same singular values
-        a = (y @ x.conj().T) @ whiten
-        sq, w = eigh(a.conj().T @ a)
-        q = min(a.shape)
-        s, basis = np.sqrt(np.maximum(sq[::-1][:q], 0.0)), whiten @ w[:, ::-1][:, :q]
-    # the tails from s**2, the squares `oracles.block_tails` rebuilds them from
-    tails = np.append(np.cumsum((s**2)[::-1])[::-1], 0.0)
+    # C V diag(lambda^{-1/2}) is C G^{-1/2} without its unitary right factor
+    # V^H: the same singular values
+    a = (y @ x.conj().T) @ whiten
+    sq, w = eigh(a.conj().T @ a)
+    q = min(a.shape)
+    s, basis = np.sqrt(np.maximum(sq[::-1][:q], 0.0)), whiten @ w[:, ::-1][:, :q]
+    tails = _tails(s)
     constant = float(np.vdot(y, y).real - tails[0])
-    return WeightedEckartYoung(x, y, basis, s, tuple(float(v) for v in tails), constant)
+    return WeightedEckartYoung(basis, s, tuple(float(v) for v in tails), constant, x=x, y=y)
 
 
-def _solve_blocks(blocks) -> tuple[WeightedEckartYoung, ...]:
-    """Weighted Eckart-Young of each (X, Y, ridge) block, one block for a
-    dense or invariant fit, every Gram first.  Then the one rank check of
-    every fit: SizeMismatchError for a block whose X has no rows, and
-    RankDeficientError unless each Gram's smallest eigenvalue exceeds
-    DEFAULT_TOL times the largest Gram eigenvalue over all blocks, so the
-    floor scales with the data and a block of rounding noise still fails."""
-    _require_rows(x for x, _, _ in blocks)
-    eighs = [_gram_eigh(x, ridge) for x, _, ridge in blocks]
+def _solve_gram(vals: np.ndarray, vecs: np.ndarray, ridge: Optional[float]) -> WeightedEckartYoung:
+    """The Gram route: weighted Eckart-Young of X on itself from the
+    eigendecomposition (vals, vecs) of its Gram (+ ridge * Id) alone.  A^H A
+    = diag(mu^2 / lambda) is already diagonal (module docstring), and sigma
+    = mu lambda^{-1/2} grows with lambda, so the basis is V diag(lambda^{-1/2})
+    with its columns reversed.  mu = lambda - ridge is clamped at 0, so that
+    rounding cannot break sigma's order.  The constant, ||X||^2 minus the
+    sum of sigma^2, is the sum of mu_i (lambda_i - mu_i) / lambda_i: 0
+    without a ridge, and never a difference of large sums."""
+    lam = vals[::-1]
+    mu = np.maximum(lam - (ridge or 0.0), 0.0)
+    basis = vecs[:, ::-1]  # scaled in place: V is not needed unscaled
+    basis *= 1.0 / np.sqrt(lam)
+    s = mu / np.sqrt(lam)
+    tails = _tails(s)
+    constant = float(np.sort(mu * ((lam - mu) / lam)).sum())
+    return WeightedEckartYoung(basis, s, tuple(float(v) for v in tails), constant, lam=lam, mu=mu)
+
+
+def _solve_blocks(grams, ridges, rows=None) -> tuple[WeightedEckartYoung, ...]:
+    """Weighted Eckart-Young of each block from its Gram X_b X_b^H (`grams`,
+    an iterable taken one Gram at a time) plus its ridge, one block for a
+    dense or invariant fit, every Gram's eigendecomposition first.  Then the
+    one rank check of every fit: SizeMismatchError for a block whose X has
+    no rows, and RankDeficientError unless each Gram's smallest eigenvalue
+    exceeds DEFAULT_TOL times the largest Gram eigenvalue over all blocks,
+    so the floor scales with the data and a block of rounding noise still
+    fails.  Then each block's solve: on the row route from its (X_b, Y_b)
+    in `rows`, and with rows None on the Gram route of X on itself."""
+    eighs = [_ridged_eigh(g, ridge) for g, ridge in zip(grams, ridges)]
     _rank_floor([vals for vals, _ in eighs])
-    return tuple(_solve_eigh(x, y, ridge, vals, vecs) for (x, y, ridge), (vals, vecs) in zip(blocks, eighs))
+    if rows is None:
+        return tuple(_solve_gram(vals, vecs, ridge) for (vals, vecs), ridge in zip(eighs, ridges))
+    return tuple(_solve_rows(x, y, vals, vecs) for (x, y), (vals, vecs) in zip(rows, eighs))
 
 
-def _require_rows(xs) -> None:
-    """SizeMismatchError when any of the data matrices xs has no rows."""
-    if any(len(x) == 0 for x in xs):
-        raise SizeMismatchError("data X has no rows")
+def _solve_dense(x: np.ndarray, y: np.ndarray, ridge: Optional[float]) -> WeightedEckartYoung:
+    """The one-block solve of Y on X: the Gram route when Y is X, by
+    identity (`require_data` returns one array for X given as both), never
+    by comparing values."""
+    return _solve_blocks(map(_gram, [x]), [ridge], None if y is x else [(x, y)])[0]
 
 
 def _rank_floor(spectra) -> None:
@@ -297,13 +360,14 @@ def weighted_eckart_young(
     x: np.ndarray, y: np.ndarray, ridge: Optional[float] = None
 ) -> WeightedEckartYoung:
     """Solve min ||M X - Y||^2 (+ ridge ||M||^2) over rank <= r, for real or
-    complex X and Y, as Eckart-Young on C G^{-1/2}.
+    complex X and Y, as Eckart-Young on C G^{-1/2}: on the Gram route when Y
+    is X (the same array), otherwise on the row route.
 
     Raises RankDeficientError when the Gram G fails the rank floor on its own
     scale; NonFiniteError (checked before the Gram is formed) and
     ConvergenceError come from the `linalg` layer.
     """
-    return _solve_blocks([(require_finite(x, "data"), require_finite(y, "data"), ridge)])[0]
+    return _solve_dense(require_finite(x, "data"), require_finite(y, "data"), ridge)
 
 
 def fit_rank_bounded(
@@ -314,43 +378,66 @@ def fit_rank_bounded(
     A bound at or above min(m, n) is vacuous and gives plain least squares."""
     if r < 0:
         raise SizeMismatchError(f"rank bound {r} is negative")
-    fit = _solve_blocks([(*require_data(x, y), ridge)])[0]
+    fit = _solve_dense(*require_data(x, y), ridge)
     decoder, encoder, loss, blk = fit.read(min(r, len(fit.svals)), ("dense", 0, 0))
     return FitResult(Factors(decoder, encoder), loss, "unconstrained", (blk,), ridge, fit.constant)
 
 
-def autoencoder_loss(x: np.ndarray, r: int) -> float:
-    """The loss min ||M X - X||_F^2 over rank <= r matrices M, the sum of the
-    n - r smallest eigenvalues of the Gram X X^T (Eckart-Young; Baldi &
-    Hornik 1989), without the minimizer: one eigenvalue decomposition and no
-    eigenvectors.  The same number as `fit_rank_bounded(x, x, r).loss` to
-    rounding, 0.0 for r >= n, and the same rank floor and errors."""
+def autoencoder_loss(gram: np.ndarray, r: int) -> float:
+    """The loss min ||M X - X||_F^2 over rank <= r matrices M, read from the
+    Gram G = X X^T alone, so that a caller may release X first: the sum of
+    the n - r smallest eigenvalues of G (Eckart-Young; Baldi & Hornik 1989),
+    without the minimizer, from one eigenvalue decomposition and no
+    eigenvectors.  G is read by `require_real` and must be square; only its
+    lower triangle is read.  The same number as `fit_rank_bounded(x, x,
+    r).loss` to rounding, 0.0 for r >= n, and the same rank floor and
+    errors, with SizeMismatchError for a G that is not square."""
     if r < 0:
         raise SizeMismatchError(f"rank bound {r} is negative")
-    x = require_data(x, x)[0]
-    _require_rows([x])
-    vals = eigvalsh(x @ x.T)
+    g = require_real(gram, "Gram")
+    if g.shape[0] != g.shape[1]:
+        raise SizeMismatchError(f"Gram has shape {g.shape}; expected a square matrix")
+    if len(g) == 0:
+        raise SizeMismatchError("data X has no rows")
+    vals = eigvalsh(g)
     _rank_floor([vals])
     # summed as they are, smallest first: no difference of large sums
     return float(vals[:max(len(vals) - r, 0)].sum())
 
 
-def _block_rows(bc: BaseChange, a: np.ndarray) -> list[np.ndarray]:
-    """The rows of each block of Q^T a; on a complex-pair block the row pairs
-    (2i, 2i+1) as the complex rows a_2i + i a_2i+1.  The basis is changed a
-    chunk of columns at a time, straight into the per-block arrays, so Q^T a
-    is never whole."""
+def _basis_chunks(bc: BaseChange, a: np.ndarray):
+    """For each chunk of columns `cols` of a (`linalg.chunks`): cols and the
+    rows of each block of Q^T a[:, cols]; on a complex-pair block the row
+    pairs (2i, 2i+1) as the complex rows a_2i + i a_2i+1.  So Q^T a is never
+    whole."""
     blocks = bc.spectrum.real_blocks
-    rows = [np.empty((blk.size, a.shape[1]), complex if blk.kind == "complex_pair" else float)
-            for blk in blocks]
     for cols in chunks(a.shape[1], len(a)):
         t = bc.to_basis(a[:, cols])
-        for blk, sl, out in zip(blocks, bc.block_slices, rows):
-            if blk.kind == "complex_pair":
-                out[:, cols].real, out[:, cols].imag = t[sl][0::2], t[sl][1::2]
-            else:
-                out[:, cols] = t[sl]
+        yield cols, [t[sl][0::2] + 1j * t[sl][1::2] if blk.kind == "complex_pair" else t[sl]
+                     for blk, sl in zip(blocks, bc.block_slices)]
+
+
+def _block_rows(bc: BaseChange, a: np.ndarray) -> list[np.ndarray]:
+    """The rows of each block of Q^T a (`_basis_chunks`), written a chunk of
+    columns at a time straight into the per-block arrays."""
+    rows = [np.empty((blk.size, a.shape[1]), complex if blk.kind == "complex_pair" else float)
+            for blk in bc.spectrum.real_blocks]
+    for cols, parts in _basis_chunks(bc, a):
+        for out, part in zip(rows, parts):
+            out[:, cols] = part
     return rows
+
+
+def _block_grams(bc: BaseChange, a: np.ndarray) -> list[np.ndarray]:
+    """The Gram t_b t_b^H of the rows t_b of each block of Q^T a
+    (`_basis_chunks`), summed over the chunks of columns: the block rows are
+    never held, only the Grams and one chunk."""
+    grams = [np.zeros((blk.size, blk.size), complex if blk.kind == "complex_pair" else float)
+             for blk in bc.spectrum.real_blocks]
+    for _, parts in _basis_chunks(bc, a):
+        for g, part in zip(grams, parts):
+            g += _gram(part)
+    return grams
 
 
 def _energy_component(blocks, fits, r: int) -> tuple[int, ...]:
@@ -427,7 +514,8 @@ def _check_choice(component: Optional[RankVector], heuristic: Optional[str]) -> 
 class EquivariantSolve:
     """The equivariant fit of Y on X, solved for every rank and component:
     per block of sigma's base change, the `WeightedEckartYoung` of its rows of
-    Q^T X and Q^T Y (complex on a complex-pair block).  `slack` is
+    Q^T X and Q^T Y (complex on a complex-pair block), or of its Gram alone
+    when Y is X.  `slack` is
     `tie_slack(Y)`, the tie slack of the component search.  It compares and
     hashes by identity, as its base change and solves do."""
 
@@ -479,19 +567,21 @@ def solve_equivariant(
     x: np.ndarray, y: np.ndarray, p: Permutation, ridge: Optional[float] = None
 ) -> EquivariantSolve:
     """Change the basis of X, then of Y, and solve every block once.  When Y
-    is X its block rows are formed once and each block solve holds them as
-    both, so every block takes the autoencoder route.  RankDeficientError
-    when the Gram of any block fails the rank floor, whose scale is the
-    largest block Gram eigenvalue."""
+    is X every block takes the Gram route: the solve sums each block Gram
+    over chunks of columns (`_block_grams`) and holds neither block rows nor
+    data.  RankDeficientError when the Gram of any block fails the rank
+    floor, whose scale is the largest block Gram eigenvalue."""
     x, y = require_data(x, y)
     if x.shape[0] != p.n or y.shape[0] != p.n:
         raise SizeMismatchError(f"equivariant fit needs n x d data with n={p.n}")
     bc = real_base_change(p)
-    x_rows = _block_rows(bc, x)
-    y_rows = x_rows if y is x else _block_rows(bc, y)
     # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block
-    solves = _solve_blocks([(xb, yb, ridge and ridge * blk.rank_multiplier) for blk, xb, yb in
-                            zip(bc.spectrum.real_blocks, x_rows, y_rows)])
+    ridges = [ridge and ridge * blk.rank_multiplier for blk in bc.spectrum.real_blocks]
+    if y is x:
+        solves = _solve_blocks(_block_grams(bc, x), ridges)
+    else:
+        x_rows = _block_rows(bc, x)
+        solves = _solve_blocks(map(_gram, x_rows), ridges, list(zip(x_rows, _block_rows(bc, y))))
     return EquivariantSolve(bc, solves, ridge, sum(s.constant for s in solves), tie_slack(y))
 
 

@@ -358,17 +358,35 @@ class TestVerifyDemo:
         assert not set(names) & {c["check"] for c in payload["checks"]}
 
     def test_verify_checks_that_factorize_reconstructs(self, tmp_path):
-        """The last check factors a planted member of the searched component
-        and rebuilds it; its draw comes after every other check's data."""
+        """A check factors a planted member of the searched component and
+        rebuilds it; its draw comes after the data of every check before it.
+        Only the autoencoder check, whose data come last, follows it."""
         out = tmp_path / "v.json"
         for args in (["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9"], ["--cycle-type", "2x3,1x4,1x1"],
                      ["--cycle-type", "1x9"]):
             rc, payload = run_cli(["verify", *args, "--rank", "3", "--out", str(out)], out)
             assert rc == 0
             validate("verify", payload)
-            check = payload["checks"][-1]
+            check = payload["checks"][-2]
             assert check["check"] == "factorize_reconstructs" and check["ok"] is True
             assert 0.0 <= check["fast"] <= 1e-12
+
+    def test_verify_checks_the_equivariant_autoencoder_against_the_projection_oracle(self, tmp_path):
+        """The last check fits X on itself, the Gram route, against the
+        projection oracle, up to the oracle's size cap.  Its data are drawn
+        after every other check's, so that no earlier check's data move."""
+        out = tmp_path / "v.json"
+        for args in (["--perm", "(1 4 3 2)(5 8 7 6)", "--n", "9"], ["--cycle-type", "2x3,1x4,1x1"],
+                     ["--cycle-type", "1x9"], ["--perm", "(1 2 3 4 5 6 7)(8 9 10)(11 12)", "--n", "12"]):
+            rc, payload = run_cli(["verify", *args, "--rank", "3", "--out", str(out)], out)
+            assert rc == 0 and payload["ok"] is True
+            validate("verify", payload)
+            check = payload["checks"][-1]
+            assert check["check"] == "equivariant_autoencoder_vs_projection_oracle" and check["ok"] is True
+            assert abs(check["fast"] - check["oracle"]) <= 1e-9 * check["oracle"]
+        rc, payload = run_cli(["verify", "--cycle-type", "1x13", "--rank", "3", "--out", str(out)], out)
+        assert rc == 0
+        assert "equivariant_autoencoder_vs_projection_oracle" not in {c["check"] for c in payload["checks"]}
 
     def test_verify_checks_the_commutator_against_dense(self, tmp_path):
         """`is_equivariant`, read in one cycle-order pass, against the dense
@@ -471,6 +489,37 @@ class TestVerifyDemo:
                          "--rank", "10", "--out", str(out)], out)
         assert rc == 0
         assert calls == []
+
+    def test_demo_shift_releases_x_before_the_dense_spectrum(self, tmp_path, monkeypatch):
+        """At 32x32 with 2000 samples (X of 16.4 MB): the solve of X on
+        itself holds no block rows, and X is released once its Gram G is
+        formed, so the dense eigvalsh finds below 0.75 X.nbytes allocated (G
+        alone is 0.51; 0.55 measured) and the run peaks below 1.6 X.nbytes,
+        X and G (1.55 measured; 2.19 when the solve held the block rows and X
+        outlived the spectrum).  tracemalloc does not see the buffer into
+        which numpy's eigvalsh copies G."""
+        import tracemalloc
+
+        from helpers import traced
+
+        held = []
+
+        def counted(h, _kernel=np.linalg.eigvalsh):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return _kernel(h)
+
+        out = tmp_path / "d.json"
+        # a small run first, so that the peak does not count the modules a
+        # first run imports
+        run_cli(["demo-shift", "--height", "2", "--width", "3", "--samples", "20", "--rank", "2", "--out", str(out)])
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        nbytes = 32 * 32 * 2000 * 8
+        with traced() as mem:
+            rc, _ = run_cli(["demo-shift", "--height", "32", "--width", "32", "--samples", "2000",
+                             "--rank", "99", "--out", str(out)], out)
+        assert rc == 0 and len(held) == 1
+        assert held[0] < 0.75 * nbytes
+        assert mem.peak < 1.6 * nbytes
 
     def test_verify_checks_the_autoencoder_loss_against_the_fit(self, tmp_path):
         """The tail-sum loss against the fit's residual: at rank 3 of 9, and

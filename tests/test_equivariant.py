@@ -55,7 +55,7 @@ from permlin.spectral import (
     real_base_change,
 )
 
-from helpers import circulant, commutator_ratio, random_perm, traced
+from helpers import circulant, commutator_ratio, identity, random_perm, traced
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 CHI9 = parse_permutation("(1 2)(3 4)(6 8)", 9)
@@ -759,6 +759,22 @@ def test_classify_rejects_before_the_base_change():
     m = np.random.default_rng(15).standard_normal((sigma.n, sigma.n))
     with traced() as mem, pytest.raises(EquivarianceError):
         classify_component(m, sigma)
+    assert mem.peak < 2.5 * m.nbytes
+
+
+def test_classify_on_the_identity_takes_no_rfft_of_its_table():
+    """Under the identity at n = 1024 every matrix is equivariant, and the
+    one run pair has gcd g = 1: its table S holds n^2 entries and its one
+    frequency is S itself, so it is scaled in place and no rfft is taken.
+    `classify_component` reads the rank of M and peaks below 2.5 n^2
+    float64 beyond M (2.03 measured: S and the +1 block; 4.03 with the
+    complex rfft of S)."""
+    n = 1024
+    rng = np.random.default_rng(23)
+    m = rng.standard_normal((n, 3)) @ rng.standard_normal((3, n))
+    with traced() as mem:
+        rvec = classify_component(m, identity(n))
+    assert rvec.values == (3,)
     assert mem.peak < 2.5 * m.nbytes
 
 

@@ -42,7 +42,9 @@ without a ridge the kept terms are exactly 0 and the loss is the tail sum
 of the Gram's eigenvalues.  So the route holds no data and forms no
 residual.  mu is clamped at 0, so that rounding cannot break sigma's
 order; it carries the absolute error of lambda, about eps (lambda_1 +
-ridge).  A fit takes the route when Y is X by identity (`y is x`), never by
+ridge), so a ridge far above the Gram's eigenvalues leaves mu, and the
+loss, accurate only to about eps ridge per term, where the residual of the
+row route is accurate to about eps ||X||^2.  A fit takes the route when Y is X by identity (`y is x`), never by
 comparing values: `require_data` returns one array for X given as both.
 `solve_equivariant(X, X, ...)` sums each block Gram over chunks of columns
 and never forms the block rows, so every block, complex-pair blocks
@@ -184,7 +186,7 @@ class FitResult:
     """The outcome of a fit, from the `WeightedEckartYoung.read` of each of
     its solves: the minimizer M = decoder @ encoder as a linear autoencoder,
     with decoder m x r and encoder r x n, r the rank of the fit.  `loss` is
-    ||M X - Y||_F^2, the sum of the reads' residuals.  `factors` holds the
+    ||M X - Y||_F^2, the sum of the reads' losses.  `factors` holds the
     decoder and encoder that `decoder` and `encoder` read: the arrays
     (`Factors`) of a dense or invariant fit, or an equivariant fit's
     `Parameterization`, which places them on first read.  `minimizer` is M
@@ -280,10 +282,10 @@ def _ridged_eigh(g: np.ndarray, ridge: Optional[float]) -> tuple[np.ndarray, np.
     return eigh(g)
 
 
-def _tails(s: np.ndarray) -> np.ndarray:
+def _tails(s: np.ndarray) -> tuple[float, ...]:
     """tails[t] = sum of s[t:]**2, from the squares `oracles.block_tails`
     rebuilds them from."""
-    return np.append(np.cumsum((s**2)[::-1])[::-1], 0.0)
+    return tuple(float(v) for v in np.append(np.cumsum((s**2)[::-1])[::-1], 0.0))
 
 
 def _solve_rows(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> WeightedEckartYoung:
@@ -300,7 +302,7 @@ def _solve_rows(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray
     s, basis = np.sqrt(np.maximum(sq[::-1][:q], 0.0)), whiten @ w[:, ::-1][:, :q]
     tails = _tails(s)
     constant = float(np.vdot(y, y).real - tails[0])
-    return WeightedEckartYoung(basis, s, tuple(float(v) for v in tails), constant, x=x, y=y)
+    return WeightedEckartYoung(basis, s, tails, constant, x=x, y=y)
 
 
 def _solve_gram(vals: np.ndarray, vecs: np.ndarray, ridge: Optional[float]) -> WeightedEckartYoung:
@@ -319,7 +321,7 @@ def _solve_gram(vals: np.ndarray, vecs: np.ndarray, ridge: Optional[float]) -> W
     s = mu / np.sqrt(lam)
     tails = _tails(s)
     constant = float(np.sort(mu * ((lam - mu) / lam)).sum())
-    return WeightedEckartYoung(basis, s, tuple(float(v) for v in tails), constant, lam=lam, mu=mu)
+    return WeightedEckartYoung(basis, s, tails, constant, lam=lam, mu=mu)
 
 
 def _solve_blocks(grams, ridges, rows=None) -> tuple[WeightedEckartYoung, ...]:

@@ -66,10 +66,12 @@ from .optimize import (
     FitResult,
     fit_rank_bounded,
     autoencoder_loss,
+    chunked_gram,
     solve_equivariant,
+    solve_equivariant_gram,
     fit_equivariant,
     ed_degrees,
 )
-from .datasets import demo_shift_dataset, horizontal_shift_permutation
+from .datasets import demo_shift_chunks, demo_shift_dataset, horizontal_shift_permutation
 
 __version__ = "0.1.0"

@@ -382,21 +382,22 @@ def cmd_demo_shift(args):
         if getattr(args, name) < 1:
             raise PermlinError(f"--{name} must be positive, got {getattr(args, name)}")
     rng_seed = args.seed
-    X = datasets.demo_shift_dataset(args.height, args.width, args.samples,
-                                    seed=rng_seed, noise=args.noise)
     sigma = datasets.horizontal_shift_permutation(args.height, args.width)
     spec = _spectrum_of(sigma)
     r = args.rank
 
-    # X is both data and target, so the solve takes the Gram route: one eigh
-    # per block Gram, summed over chunks of columns, and no block rows.  The
-    # dense baseline reports only its loss, the tail sum of the eigenvalues
-    # of G = X X^T: no eigenvectors, no factors.  X is released before that
-    # dense eigenvalue decomposition
-    solve = optimize.solve_equivariant(X, X, sigma)
-    slack, size, gram = solve.slack, X.size, X @ X.T
-    del X
+    # X is both data and target, so every reported number is a function of
+    # its Gram G = X X^T: the samples are drawn a chunk of columns at a time
+    # and summed into G, and X is never held.  The equivariant solve reads
+    # its block Grams off G, one eigh each; the dense baseline reports only
+    # its loss, the tail sum of the eigenvalues of G: no eigenvectors, no
+    # factors
+    gram = optimize.chunked_gram(datasets.demo_shift_chunks(args.height, args.width, args.samples,
+                                                            seed=rng_seed, noise=args.noise), sigma.n)
+    solve = optimize.solve_equivariant_gram(gram, sigma)
     dense_loss = optimize.autoencoder_loss(gram, r)
+    del gram
+    slack, size = solve.slack, sigma.n * args.samples
     best = solve.fit(r, heuristic="energy")
 
     blocks = spec.real_blocks

@@ -40,17 +40,27 @@ C encoder^H is V_r diag(mu_r lambda_r^{-1/2}), and its loss ||(M - I) X||^2
 a sum of non-negative terms, taken smallest first, so nothing cancels:
 without a ridge the kept terms are exactly 0 and the loss is the tail sum
 of the Gram's eigenvalues.  So the route holds no data and forms no
-residual.  mu is clamped at 0, so that rounding cannot break sigma's
-order; it carries the absolute error of lambda, about eps (lambda_1 +
-ridge), so a ridge far above the Gram's eigenvalues leaves mu, and the
-loss, accurate only to about eps ridge per term, where the residual of the
-row route is accurate to about eps ||X||^2.  A fit takes the route when Y is X by identity (`y is x`), never by
-comparing values: `require_data` returns one array for X given as both.
-`solve_equivariant(X, X, ...)` sums each block Gram over chunks of columns
-and never forms the block rows, so every block, complex-pair blocks
-included, takes the route.  A fit of Y on X otherwise takes the row route,
-which holds X and Y and reads its decoder and residual off them; a fit on a
-copy of X is the reference for the Gram route.
+residual.  lambda - ridge would carry the absolute error of lambda, about
+eps (lambda_1 + ridge), so that a ridge far above the Gram's eigenvalues
+left the loss accurate only to about eps ridge per term; with a ridge, mu
+is therefore read as the Rayleigh quotients v_i^H G v_i of the Gram
+without its ridge (one more product per block), accurate to about eps
+||G||, as the row route's residual is.  mu is clamped at 0, so that
+rounding cannot break sigma's order.  A fit takes the route when Y is X by
+identity (`y is x`), never by comparing values: `require_data` returns one
+array for X given as both.  `solve_equivariant(X, X, ...)` sums each block
+Gram over chunks of columns and never forms the block rows, so every
+block, complex-pair blocks included, takes the route;
+`solve_equivariant_gram(G, ...)` reads the same block Grams off the dense
+Gram G = X X^T, as the diagonal blocks of Q^T G Q, so that its caller need
+never hold X.  A fit of Y on X otherwise takes the row route, which holds X
+and Y and reads its decoder and residual off them; a fit on a copy of X is
+the reference for the Gram route.
+
+Every Gram (dense, per block, or summed over chunks by `chunked_gram`) is
+summed from finite data with numpy's overflow warnings off and then
+checked: a Gram that overflows raises NonFiniteError that names it, where
+data with a NaN or infinite entry are named as X.
 
 For equivariant fits the real base change Q makes M = Q blockdiag(B_b) Q^T,
 so with Xt = Q^T X and Yt = Q^T Y the loss is the sum over blocks b of
@@ -80,15 +90,16 @@ subtracts two nearly equal sums: on an exact fit it leaves rounding error
 of order eps ||Y||^2 and either sign, where the residual is of order eps^2
 ||Y||^2.
 
-The dense baseline of `demo-shift` is read from the Gram alone:
-`autoencoder_loss(G, r)`, the best rank-r loss of X on itself for G = X X^T,
-without fitting it, so that `demo-shift` releases X before the
-eigenvalue decomposition.  It is the sum of the n - r smallest eigenvalues
-of G, from one eigenvalue decomposition without eigenvectors: the Gram
-route's loss without a ridge.  The sum is taken directly, smallest first,
-never as ||X||^2 minus the top-r sum, so it has no cancellation: its
-absolute error is about (n - r) eps lambda_1, the eigenvalues' own error,
-and at r >= n it is exactly 0.
+Every number `demo-shift` reports is read from the Gram G = X X^T alone.
+It sums G over chunks of samples (`chunked_gram`), never holding X; its
+equivariant fits come from `solve_equivariant_gram(G, sigma)` and its
+dense baseline from `autoencoder_loss(G, r)`, the best rank-r loss of X on
+itself, without fitting it.  That loss is the sum of the n - r smallest
+eigenvalues of G, from one eigenvalue decomposition without eigenvectors:
+the Gram route's loss without a ridge.  The sum is taken directly,
+smallest first, never as ||X||^2 minus the top-r sum, so it has no
+cancellation: its absolute error is about (n - r) eps lambda_1, the
+eigenvalues' own error, and at r >= n it is exactly 0.
 
 Every fit is a solve, then a read: a `WeightedEckartYoung` holds its solve
 (and on the row route its data), and its one `read(r, key)` serves both
@@ -107,7 +118,11 @@ An equivariant fit never holds a whole n x d or n x r array in the Q basis.
 straight into the per-block rows, so the solve holds the rows (X's size,
 and Y's) and one chunk; on the Gram route `_block_grams` adds each chunk's
 t_b t_b^H into its block Gram, so the solve holds sum_b d_b^2 entries and
-one chunk beside X, and keeps no reference to X.  A fit reads its loss,
+one chunk beside X, and keeps no reference to X.  From a dense Gram,
+`solve_equivariant_gram` holds G, the block Grams and the scratch of one
+orbit-sum pass.  `solve_equivariant(X, X, ...)` keeps the chunked sums,
+since G is the larger when n > d: at 64x64 with d = 1000, G is 134 MB and
+X 31 MB.  A fit reads its loss,
 component and `BlockFit`s from the blocks alone and holds only the
 per-block factors, so a caller that never reads decoder or encoder (as
 `demo-shift`) never places them.  Their first read forms decoder = Q D and encoder = (Q E^T)^T
@@ -125,9 +140,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ComponentError, RankDeficientError, SizeMismatchError
+from .errors import ComponentError, NonFiniteError, RankDeficientError, SizeMismatchError
 from .linalg import DEFAULT_TOL, TIE_TOL, chunks, eigh, eigvalsh, require_data, require_finite, require_real, tie_slack
-from .equivariant import Parameterization, RankVector, make_rank_vector, parameterize_component
+from .equivariant import Parameterization, RankVector, diagonal_blocks, make_rank_vector, parameterize_component
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
 
@@ -140,7 +155,9 @@ __all__ = [
     "weighted_eckart_young",
     "fit_rank_bounded",
     "autoencoder_loss",
+    "chunked_gram",
     "solve_equivariant",
+    "solve_equivariant_gram",
     "fit_equivariant",
     "ed_degrees",
 ]
@@ -265,21 +282,70 @@ class WeightedEckartYoung:
                                                 _boundary_tie(s, r), self.tails[r])
 
 
+def _finite_gram(g: np.ndarray) -> np.ndarray:
+    """g, a Gram summed from finite data under `np.errstate(over="ignore",
+    invalid="ignore")`: NonFiniteError when a product overflowed."""
+    try:
+        return require_finite(g)
+    except NonFiniteError:
+        raise NonFiniteError("Gram of X overflows; rescale the data") from None
+
+
 def _gram(x: np.ndarray) -> np.ndarray:
-    """The Gram X X^H of real or complex data."""
-    return x @ x.conj().T
+    """The Gram X X^H of finite real or complex data (`_finite_gram`)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_gram(x @ x.conj().T)
 
 
-def _ridged_eigh(g: np.ndarray, ridge: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the Gram g + ridge * Id, the ridge added in place.
-    SizeMismatchError for the Gram of data without rows."""
+def chunked_gram(parts, n: int) -> np.ndarray:
+    """The Gram G = X X^T of real n x d data X given as chunks of its
+    columns (`parts`, an iterable of n x k arrays, taken one at a time), so
+    that X is never held.  Each chunk, read by `require_real` as "X", is
+    added to the lower triangle of G in row panels of `linalg.chunks(n, n)`,
+    so no product exceeds max(SCRATCH, n) entries.  The panels are packed,
+    each contiguous, at the front of G's own buffer, because numpy adds a
+    product into a strided view of G through a copy; at the end each row is
+    moved to its place, last row first (a row never moves back, so no row
+    still to move is overwritten), and the upper triangle is mirrored panel
+    by panel.  NonFiniteError for a chunk with a NaN or infinite entry, and
+    for a Gram that overflows."""
+    g = np.zeros((n, n))
+    flat, panels = g.reshape(-1), list(chunks(n, n))
+    starts = np.cumsum([0] + [(sl.stop - sl.start) * sl.stop for sl in panels]).tolist()
+    packed = [flat[a:b].reshape(-1, sl.stop) for sl, a, b in zip(panels, starts, starts[1:])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in parts:
+            part = require_real(part, "X", (n, None))
+            for sl, panel in zip(panels, packed):
+                panel += part[sl] @ part[:sl.stop].T
+    for sl, panel in zip(reversed(panels), reversed(packed)):
+        for i in range(sl.stop - 1, sl.start - 1, -1):
+            g[i, :sl.stop] = panel[i - sl.start]
+    for sl in panels:
+        g[:sl.start, sl] = g[sl, :sl.start].T
+    return _finite_gram(g)
+
+
+def _ridged_eigh(g: np.ndarray, ridge: Optional[float], gram_route: bool):
+    """Eigendecomposition (lambda, V) of the Gram g + ridge * Id, the ridge
+    added to g's diagonal in place and taken off again, and on the Gram
+    route mu, lambda less the ridge: lambda itself without a ridge; with
+    one, the Rayleigh quotients v_i^H g v_i of the Gram without it, accurate
+    to about eps ||g|| where lambda - ridge is accurate only to about eps
+    ridge.  SizeMismatchError for the Gram of data without rows."""
     if len(g) == 0:
         raise SizeMismatchError("data X has no rows")
-    if ridge is not None:
-        if ridge <= 0:
-            raise RankDeficientError("ridge must be positive")
-        g[np.diag_indices_from(g)] += ridge
-    return eigh(g)
+    if ridge is None:
+        vals, vecs = eigh(g)
+        return vals, vecs, vals
+    if ridge <= 0:
+        raise RankDeficientError("ridge must be positive")
+    diagonal = g.diagonal().copy()
+    g[np.diag_indices_from(g)] += ridge
+    vals, vecs = eigh(g)
+    g[np.diag_indices_from(g)] = diagonal
+    mu = np.einsum("ij,ij->j", vecs.conj(), g @ vecs).real if gram_route else None
+    return vals, vecs, mu
 
 
 def _tails(s: np.ndarray) -> tuple[float, ...]:
@@ -305,17 +371,18 @@ def _solve_rows(x: np.ndarray, y: np.ndarray, vals: np.ndarray, vecs: np.ndarray
     return WeightedEckartYoung(basis, s, tails, constant, x=x, y=y)
 
 
-def _solve_gram(vals: np.ndarray, vecs: np.ndarray, ridge: Optional[float]) -> WeightedEckartYoung:
+def _solve_gram(vals: np.ndarray, vecs: np.ndarray, mu: np.ndarray) -> WeightedEckartYoung:
     """The Gram route: weighted Eckart-Young of X on itself from the
-    eigendecomposition (vals, vecs) of its Gram (+ ridge * Id) alone.  A^H A
-    = diag(mu^2 / lambda) is already diagonal (module docstring), and sigma
-    = mu lambda^{-1/2} grows with lambda, so the basis is V diag(lambda^{-1/2})
-    with its columns reversed.  mu = lambda - ridge is clamped at 0, so that
-    rounding cannot break sigma's order.  The constant, ||X||^2 minus the
-    sum of sigma^2, is the sum of mu_i (lambda_i - mu_i) / lambda_i: 0
-    without a ridge, and never a difference of large sums."""
+    eigendecomposition (vals, vecs) of its Gram (+ ridge * Id) alone, and
+    mu, vals less the ridge (`_ridged_eigh`).  A^H A = diag(mu^2 / lambda)
+    is already diagonal (module docstring), and sigma = mu lambda^{-1/2}
+    grows with lambda, so the basis is V diag(lambda^{-1/2}) with its
+    columns reversed.  mu is clamped at 0, so that rounding cannot break
+    sigma's order.  The constant, ||X||^2 minus the sum of sigma^2, is the
+    sum of mu_i (lambda_i - mu_i) / lambda_i: 0 without a ridge, and never
+    a difference of large sums."""
     lam = vals[::-1]
-    mu = np.maximum(lam - (ridge or 0.0), 0.0)
+    mu = np.maximum(mu[::-1], 0.0)
     basis = vecs[:, ::-1]  # scaled in place: V is not needed unscaled
     basis *= 1.0 / np.sqrt(lam)
     s = mu / np.sqrt(lam)
@@ -334,11 +401,11 @@ def _solve_blocks(grams, ridges, rows=None) -> tuple[WeightedEckartYoung, ...]:
     so the floor scales with the data and a block of rounding noise still
     fails.  Then each block's solve: on the row route from its (X_b, Y_b)
     in `rows`, and with rows None on the Gram route of X on itself."""
-    eighs = [_ridged_eigh(g, ridge) for g, ridge in zip(grams, ridges)]
-    _rank_floor([vals for vals, _ in eighs])
+    eighs = [_ridged_eigh(g, ridge, rows is None) for g, ridge in zip(grams, ridges)]
+    _rank_floor([vals for vals, _, _ in eighs])
     if rows is None:
-        return tuple(_solve_gram(vals, vecs, ridge) for (vals, vecs), ridge in zip(eighs, ridges))
-    return tuple(_solve_rows(x, y, vals, vecs) for (x, y), (vals, vecs) in zip(rows, eighs))
+        return tuple(_solve_gram(*e) for e in eighs)
+    return tuple(_solve_rows(x, y, vals, vecs) for (x, y), (vals, vecs, _) in zip(rows, eighs))
 
 
 def _solve_dense(x: np.ndarray, y: np.ndarray, ridge: Optional[float]) -> WeightedEckartYoung:
@@ -385,6 +452,15 @@ def fit_rank_bounded(
     return FitResult(Factors(decoder, encoder), loss, "unconstrained", (blk,), ridge, fit.constant)
 
 
+def _square_gram(gram) -> np.ndarray:
+    """A Gram handed to the library, read by `require_real`: SizeMismatchError
+    unless it is square."""
+    g = require_real(gram, "Gram")
+    if g.shape[0] != g.shape[1]:
+        raise SizeMismatchError(f"Gram has shape {g.shape}; expected a square matrix")
+    return g
+
+
 def autoencoder_loss(gram: np.ndarray, r: int) -> float:
     """The loss min ||M X - X||_F^2 over rank <= r matrices M, read from the
     Gram G = X X^T alone, so that a caller may release X first: the sum of
@@ -396,9 +472,7 @@ def autoencoder_loss(gram: np.ndarray, r: int) -> float:
     errors, with SizeMismatchError for a G that is not square."""
     if r < 0:
         raise SizeMismatchError(f"rank bound {r} is negative")
-    g = require_real(gram, "Gram")
-    if g.shape[0] != g.shape[1]:
-        raise SizeMismatchError(f"Gram has shape {g.shape}; expected a square matrix")
+    g = _square_gram(gram)
     if len(g) == 0:
         raise SizeMismatchError("data X has no rows")
     vals = eigvalsh(g)
@@ -436,10 +510,11 @@ def _block_grams(bc: BaseChange, a: np.ndarray) -> list[np.ndarray]:
     never held, only the Grams and one chunk."""
     grams = [np.zeros((blk.size, blk.size), complex if blk.kind == "complex_pair" else float)
              for blk in bc.spectrum.real_blocks]
-    for _, parts in _basis_chunks(bc, a):
-        for g, part in zip(grams, parts):
-            g += _gram(part)
-    return grams
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, parts in _basis_chunks(bc, a):
+            for g, part in zip(grams, parts):
+                g += part @ part.conj().T
+    return [_finite_gram(g) for g in grams]
 
 
 def _energy_component(blocks, fits, r: int) -> tuple[int, ...]:
@@ -565,6 +640,17 @@ class EquivariantSolve:
         return FitResult(par, sum(losses), rvec, per_block, self.ridge, self.constant, source, search_gap)
 
 
+def _equivariant_solve(bc: BaseChange, grams, ridge: Optional[float], slack, rows=None) -> EquivariantSolve:
+    """The `EquivariantSolve` of every block of bc from its Gram (`grams`, in
+    the order of `bc.spectrum.real_blocks`) and, on the row route, its rows
+    (`_solve_blocks`).  The component search's tie slack is `slack()`, read
+    after the solves, so that data whose Gram overflows fail on the Gram."""
+    # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block
+    ridges = [ridge and ridge * blk.rank_multiplier for blk in bc.spectrum.real_blocks]
+    solves = _solve_blocks(grams, ridges, rows)
+    return EquivariantSolve(bc, solves, ridge, sum(s.constant for s in solves), slack())
+
+
 def solve_equivariant(
     x: np.ndarray, y: np.ndarray, p: Permutation, ridge: Optional[float] = None
 ) -> EquivariantSolve:
@@ -577,14 +663,32 @@ def solve_equivariant(
     if x.shape[0] != p.n or y.shape[0] != p.n:
         raise SizeMismatchError(f"equivariant fit needs n x d data with n={p.n}")
     bc = real_base_change(p)
-    # ||realize(Z)||_F^2 = 2 ||Z||_F^2 doubles the ridge on a complex-pair block
-    ridges = [ridge and ridge * blk.rank_multiplier for blk in bc.spectrum.real_blocks]
     if y is x:
-        solves = _solve_blocks(_block_grams(bc, x), ridges)
-    else:
-        x_rows = _block_rows(bc, x)
-        solves = _solve_blocks(map(_gram, x_rows), ridges, list(zip(x_rows, _block_rows(bc, y))))
-    return EquivariantSolve(bc, solves, ridge, sum(s.constant for s in solves), tie_slack(y))
+        return _equivariant_solve(bc, _block_grams(bc, x), ridge, lambda: tie_slack(x))
+    x_rows = _block_rows(bc, x)
+    return _equivariant_solve(bc, map(_gram, x_rows), ridge, lambda: tie_slack(y),
+                              list(zip(x_rows, _block_rows(bc, y))))
+
+
+def solve_equivariant_gram(gram: np.ndarray, p: Permutation, ridge: Optional[float] = None) -> EquivariantSolve:
+    """`solve_equivariant(X, X, p, ridge)` from the Gram G = X X^T alone,
+    the equivariant counterpart of `autoencoder_loss(gram, r)`, so that a
+    caller may sum G without ever holding X.  The block Grams are the
+    diagonal blocks of Q^T G Q (`equivariant.diagonal_blocks`, one orbit-sum
+    pass over G, no conjugation): a real block as it is, and a complex-pair
+    block's real block R as the Gram of its complex rows, (R_00 + R_11) +
+    i (R_10 - R_01) with R_ab = R[a::2, b::2].  The tie slack is TIE_TOL tr G
+    (`tie_slack(X)`).  G is read by `require_real` and must be square; the
+    whole of it is read, so it must be symmetric.  The same solve as from X
+    to rounding, with the same errors."""
+    g = _square_gram(gram)
+    if len(g) != p.n:
+        raise SizeMismatchError(f"equivariant fit needs n x d data with n={p.n}")
+    bc = real_base_change(p)
+    grams = (r[0::2, 0::2] + r[1::2, 1::2] + 1j * (r[1::2, 0::2] - r[0::2, 1::2])
+             if blk.kind == "complex_pair" else r
+             for blk, r in zip(bc.spectrum.real_blocks, diagonal_blocks(g, p)))
+    return _equivariant_solve(bc, grams, ridge, lambda: TIE_TOL * float(np.trace(g)))
 
 
 def fit_equivariant(

@@ -434,9 +434,10 @@ class TestVerifyDemo:
         assert losses["dense"] <= losses["equivariant_energy"] + 1e-12
         validate("demo_shift", payload)
 
-    def test_demo_shift_changes_basis_once_per_data_matrix(self, tmp_path, monkeypatch):
-        """One equivariant solve serves the three equivariant fits, and Y is
-        X: Q^T X is formed once."""
+    def test_demo_shift_changes_the_basis_of_no_data_chunk(self, tmp_path, monkeypatch):
+        """One equivariant solve serves the three equivariant fits, and it
+        reads its block Grams off the Gram G = X X^T: no chunk of X is
+        changed to the Q basis."""
         from permlin.spectral import BaseChange
 
         calls = []
@@ -450,7 +451,7 @@ class TestVerifyDemo:
         out = tmp_path / "d.json"
         rc, _ = run_cli(["demo-shift", "--height", "4", "--width", "6", "--samples", "60",
                          "--rank", "8", "--out", str(out)], out)
-        assert rc == 0 and calls == [(24, 60)]
+        assert rc == 0 and calls == []
 
     def test_demo_shift_decomposes_no_dense_gram(self, tmp_path, monkeypatch):
         """The dense baseline reads its loss off the eigenvalues of the n x n
@@ -490,14 +491,16 @@ class TestVerifyDemo:
         assert rc == 0
         assert calls == []
 
-    def test_demo_shift_releases_x_before_the_dense_spectrum(self, tmp_path, monkeypatch):
-        """At 32x32 with 2000 samples (X of 16.4 MB): the solve of X on
-        itself holds no block rows, and X is released once its Gram G is
-        formed, so the dense eigvalsh finds below 0.75 X.nbytes allocated (G
-        alone is 0.51; 0.55 measured) and the run peaks below 1.6 X.nbytes,
-        X and G (1.55 measured; 2.19 when the solve held the block rows and X
-        outlived the spectrum).  tracemalloc does not see the buffer into
-        which numpy's eigvalsh copies G."""
+    def test_demo_shift_never_holds_x(self, tmp_path, monkeypatch):
+        """At 32x32 with 2000 samples (X would be 16.4 MB): the samples are
+        summed into the Gram G = X X^T a chunk of columns at a time, and the
+        solve reads its block Grams off G, so X is never held.  The dense
+        eigvalsh finds below 0.6 X.nbytes allocated (G alone is 0.51; 0.54
+        measured, 0.55 when X was released only after forming G), and the
+        whole run peaks below 0.7 X.nbytes (0.63 measured: G and the scratch
+        of the orbit-sum pass that reads the block Grams; 1.55 when X and G
+        were held together).  tracemalloc does not see the buffer into which
+        numpy's eigvalsh copies G."""
         import tracemalloc
 
         from helpers import traced
@@ -518,8 +521,19 @@ class TestVerifyDemo:
             rc, _ = run_cli(["demo-shift", "--height", "32", "--width", "32", "--samples", "2000",
                              "--rank", "99", "--out", str(out)], out)
         assert rc == 0 and len(held) == 1
-        assert held[0] < 0.75 * nbytes
-        assert mem.peak < 1.6 * nbytes
+        assert held[0] < 0.6 * nbytes
+        assert mem.peak < 0.7 * nbytes
+
+    def test_demo_shift_reports_a_gram_that_overflows(self, capsys):
+        """Noise of 1e200 keeps every sample finite and overflows their Gram:
+        exit 1 with only the JSON error on stderr, no numpy warning, naming
+        the Gram of X."""
+        rc, _ = run_cli(["demo-shift", "--height", "4", "--width", "6", "--samples", "60",
+                         "--rank", "8", "--noise", "1e200"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert json.loads(captured.err) == {"error": "NonFiniteError",
+                                            "message": "Gram of X overflows; rescale the data"}
 
     def test_verify_checks_the_autoencoder_loss_against_the_fit(self, tmp_path):
         """The tail-sum loss against the fit's residual: at rank 3 of 9, and

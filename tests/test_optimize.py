@@ -43,10 +43,12 @@ from permlin.oracles import (
 )
 from permlin.optimize import (
     autoencoder_loss,
+    chunked_gram,
     ed_degrees,
     fit_equivariant,
     fit_rank_bounded,
     solve_equivariant,
+    solve_equivariant_gram,
     weighted_eckart_young,
 )
 from permlin.perms import Permutation, consecutive_cycles, cycle_decomposition, parse_permutation
@@ -952,6 +954,149 @@ def test_autoencoder_loss_shares_the_fit_errors(monkeypatch):
         autoencoder_loss(x @ x.T, 1)
 
 
+# the Gram route of G = X X^T against the Gram route of X: the largest
+# error seen over 3,000 draws of `test_gram_solve_matches_the_data_solve`
+# was 3.1 n eps ||G||_2
+GRAM_ROUTE_C = 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(equivariant_instances(), st.booleans(), st.sampled_from([None, 1e-3, 1.0]),
+       st.sampled_from([1e-100, 1.0, 1e100]))
+def test_gram_solve_matches_the_data_solve(instance, one_cycle, ridge, scale):
+    """`solve_equivariant_gram(X X^T, p)` reads its block Grams off the dense
+    Gram; `solve_equivariant(X, X, p)` sums them over chunks of Q^T X.  On
+    mixed cycles with fixed points, and on a single n-cycle (every block
+    one cycle wide), at scales 1e+-100 with the ridge scaled with the Gram,
+    their tails, constants and searched fits agree within GRAM_ROUTE_C n eps
+    ||G||_2, and they search out the same component."""
+    p, x, _, r, _ = instance
+    if one_cycle:
+        p = consecutive_cycles([p.n])
+    x = scale * x
+    ridge = ridge and ridge * scale**2
+    g = x @ x.T
+    fast, ref = solve_equivariant_gram(g, p, ridge), solve_equivariant(x, x, p, ridge)
+    bound = GRAM_ROUTE_C * p.n * EPS * float(np.linalg.norm(g, 2))
+    assert len(fast.solves) == len(ref.solves)
+    for a, b in zip(fast.solves, ref.solves):
+        assert np.abs(np.subtract(a.tails, b.tails)).max() <= bound
+        assert abs(a.constant - b.constant) <= bound
+    assert abs(fast.constant - ref.constant) <= bound
+    assert abs(fast.slack - ref.slack) <= TIE_TOL * bound
+    fast_fit, ref_fit = fast.fit(r), ref.fit(r)
+    assert fast_fit.component.values == ref_fit.component.values
+    assert abs(fast_fit.loss - ref_fit.loss) <= bound
+
+
+@pytest.mark.parametrize("p", [consecutive_cycles([4, 2, 1, 1]), consecutive_cycles([8]), ROT9])
+def test_gram_solve_shares_the_fit_errors(p):
+    """From X X^T and from X: the rank floor, with the message of the fit,
+    and the size check against sigma.  The Gram must be real and square,
+    with the errors of `autoencoder_loss`."""
+    from permlin.errors import MatrixFormatError
+
+    rng = np.random.default_rng(53)
+    floor = r"data Gram nearly singular \(smallest eigenvalue .*, largest of the fit .*\); supply more generic data"
+    # every pixel alike: Q^T X is 0 outside the +1 block
+    flat = np.ones((p.n, 1)) * rng.standard_normal(5)
+    for solve in (lambda a: solve_equivariant_gram(a @ a.T, p), lambda a: solve_equivariant(a, a, p)):
+        with pytest.raises(RankDeficientError, match=floor):
+            solve(flat)
+        with pytest.raises(SizeMismatchError, match=f"equivariant fit needs n x d data with n={p.n}"):
+            solve(rng.standard_normal((p.n + 1, 3 * p.n)))
+    x = rng.standard_normal((p.n, 3 * p.n))
+    for gram, error in ((x, SizeMismatchError), (x @ x.T + 0j, MatrixFormatError)):
+        with pytest.raises(error) as want:
+            autoencoder_loss(gram, 1)
+        with pytest.raises(error) as got:
+            solve_equivariant_gram(gram, p)
+        assert str(got.value) == str(want.value)
+
+
+# the Gram route's loss with a ridge against the row route's residual: the
+# largest error of `test_ridged_gram_route_loss_is_accurate_to_the_gram` was
+# 1.8 n eps ||G||_2
+RIDGE_C = 8
+
+
+@pytest.mark.parametrize("scale, ridge", [(1.0, 1e12), (1e-100, 1e-3), (1e100, 1e212), (1.0, 1.0)])
+def test_ridged_gram_route_loss_is_accurate_to_the_gram(scale, ridge):
+    """With a ridge far above the Gram's eigenvalues, lambda - ridge is
+    accurate only to about eps ridge (21.149414 against the row route's
+    21.149209 at ridge 1e12 on these unit data, and 8.7e-19 against
+    2.1e-199 on them scaled by 1e-100); the Gram route reads mu as the
+    Rayleigh quotients v_i^H G v_i of the Gram without its ridge, so at
+    every rank its loss agrees with the row route's residual within RIDGE_C
+    n eps ||G||_2, with no ridge term: the dense fit, and the equivariant
+    fit from X and from X X^T."""
+    x = scale * np.random.default_rng(0).standard_normal((4, 8))
+    g = x @ x.T
+    bound = RIDGE_C * 4 * EPS * float(np.linalg.norm(g, 2))
+    p = consecutive_cycles([3, 1])
+    equivariant = (solve_equivariant(x, x, p, ridge), solve_equivariant_gram(g, p, ridge))
+    reference = solve_equivariant(x, x.copy(), p, ridge)
+    for r in range(5):
+        ref = fit_rank_bounded(x, x.copy(), r, ridge).loss
+        assert abs(fit_rank_bounded(x, x, r, ridge).loss - ref) <= bound
+        ref = reference.fit(r).loss
+        for solve in equivariant:
+            assert abs(solve.fit(r).loss - ref) <= bound
+
+
+def test_a_gram_that_overflows_is_named():
+    """Finite data whose Gram overflows: NonFiniteError that names the Gram
+    of X, with no numpy warning (the tests turn warnings into errors), from
+    the dense and equivariant fits on either route and from `chunked_gram`.
+    Data with a NaN or infinite entry are still named as X, by
+    `chunked_gram` in any chunk."""
+    p = consecutive_cycles([4, 2])
+    x = 1e200 * np.random.default_rng(59).standard_normal((p.n, 10))
+    overflow = "Gram of X overflows; rescale the data"
+    for fit in (lambda: fit_rank_bounded(x, x, 2), lambda: fit_rank_bounded(x, x.copy(), 2),
+                lambda: fit_equivariant(x, x, p, 2), lambda: fit_equivariant(x, x.copy(), p, 2),
+                lambda: chunked_gram([x[:, :4], x[:, 4:]], p.n)):
+        with pytest.raises(NonFiniteError, match=overflow):
+            fit()
+    ok = x * 1e-200
+    for bad in (np.nan, np.inf):
+        broken = ok.copy()
+        broken[1, 7] = bad
+        for fit in (lambda: fit_rank_bounded(broken, broken, 2), lambda: chunked_gram([ok, broken], p.n)):
+            with pytest.raises(NonFiniteError, match="X has NaN or infinite entries"):
+                fit()
+
+
+@pytest.mark.parametrize("scratch", [None, 1, 7])
+def test_chunked_gram_is_the_gram(monkeypatch, scratch):
+    """`chunked_gram` of any split of X into column chunks is X X^T within
+    rounding and exactly symmetric, also with a SCRATCH so small that each
+    row panel is one or a few rows."""
+    import permlin.linalg
+
+    if scratch is not None:
+        monkeypatch.setattr(permlin.linalg, "SCRATCH", scratch)
+    x = np.random.default_rng(61).standard_normal((9, 23))
+    want = x @ x.T
+    for split in ([23], [1, 22], [5, 5, 5, 8]):
+        g = chunked_gram(np.split(x, np.cumsum(split)[:-1], axis=1), 9)
+        assert np.array_equal(g, g.T)
+        assert np.abs(g - want).max() <= 4 * 9 * EPS * np.linalg.norm(want, 2)
+
+
+def test_chunked_gram_holds_g_and_one_panel_product():
+    """At n = 512, beyond G and the chunks the caller holds, `chunked_gram`
+    allocates one row-panel product at a time: at most SCRATCH entries
+    (256 KiB), where one X X^T of a chunk would be n^2 (2 MiB)."""
+    from permlin.linalg import SCRATCH
+
+    n = 512
+    parts = np.split(np.random.default_rng(67).standard_normal((n, 96)), 3, axis=1)
+    with traced() as mem:
+        g = chunked_gram(parts, n)
+    assert mem.peak - g.nbytes <= 8 * SCRATCH + 16 * 1024
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([(4, 4, 2, 1), (3, 3, 2, 1), (6, 2, 1), (5, 2, 1, 1), (1, 1)]), st.floats(-12, -8),
        st.sampled_from([1e-100, 1.0, 1e100]), st.integers(0, 2**32 - 1))
@@ -963,8 +1108,9 @@ def test_rank_floor_sits_on_the_side_of_default_tol(lengths, log_ratio, scale, s
     lambda_max, with lambda_min / lambda_max drawn log-uniformly across
     DEFAULT_TOL and X across 1e+-100.  `autoencoder_loss` of X X^T, the
     dense fit and the equivariant fit, each of X on X (the Gram route) and
-    on a copy (the row route), agree, and each raises RankDeficientError
-    exactly when the planted ratio is at most DEFAULT_TOL.
+    on a copy (the row route), and the equivariant fit from X X^T agree, and
+    each raises RankDeficientError exactly when the planted ratio is at most
+    DEFAULT_TOL.
 
     X = Q diag(sqrt(lambda)) W^T for the dense base change Q of sigma and
     W of n orthonormal columns, so the rows of Q^T X are orthogonal: the
@@ -991,14 +1137,14 @@ def test_rank_floor_sits_on_the_side_of_default_tol(lengths, log_ratio, scale, s
     verdicts = []
     for fit in (lambda: autoencoder_loss(x @ x.T, 1), lambda: fit_rank_bounded(x, x, 1),
                 lambda: fit_rank_bounded(x, x.copy(), 1), lambda: fit_equivariant(x, x, p, 1),
-                lambda: fit_equivariant(x, x.copy(), p, 1)):
+                lambda: fit_equivariant(x, x.copy(), p, 1), lambda: solve_equivariant_gram(x @ x.T, p).fit(1)):
         try:
             fit()
             verdicts.append(True)
         except RankDeficientError:
             verdicts.append(False)
     if abs(ratio - DEFAULT_TOL) > 8 * n * (n + d) * EPS:
-        assert verdicts == [ratio > DEFAULT_TOL] * 5
+        assert verdicts == [ratio > DEFAULT_TOL] * 6
 
 
 def test_read_rejects_a_rank_above_the_solve():

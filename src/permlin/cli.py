@@ -315,7 +315,8 @@ def cmd_verify(args):
                        "ok": bool(abs(fast - slow) <= linalg.tie_slack(x))})
         if len(gens) == 1:
             bc = spectral.real_base_change(gens[0])
-            dev = float(np.linalg.norm(bc.conjugate(permutation_matrix(gens[0])) - oracles.expected_block_form(bc)))
+            q, q_inv = oracles.dense_base_change(bc)
+            dev = float(np.linalg.norm(q_inv @ permutation_matrix(gens[0]) @ q - oracles.expected_block_form(bc)))
             checks.append({"check": "base_change_block_form", "fast": dev, "oracle": 0.0,
                            "ok": bool(dev <= oracles.BLOCK_FORM_TOL * n)})
             fit = optimize.fit_equivariant(x, y, gens[0], r)
@@ -349,7 +350,8 @@ def cmd_verify(args):
         checks.append({"check": "commutator_vs_dense", "fast": ",".join(map(str, fast)),
                        "oracle": ",".join(map(str, slow)), "ok": fast == slow})
         bc = spectral.real_base_change(gens[0])
-        conj = bc.conjugate(m)
+        q, q_inv = oracles.dense_base_change(bc)
+        conj = q_inv @ m @ q
         dev = float(np.sqrt(sum(np.linalg.norm(b - conj[sl, sl]) ** 2 for b, sl in
                                 zip(equivariant.diagonal_blocks(m, gens[0]), bc.block_slices))))
         checks.append({"check": "classify_blocks_vs_conjugate", "fast": dev, "oracle": 0.0,
@@ -408,7 +410,7 @@ def cmd_demo_shift(args):
     # high-pass: zero rank on the low-frequency half of the blocks (by angle),
     # full rank on the rest; the angle is 0 on the +1 block (l = m = 1) and
     # pi on the -1 block (l = 2, m = 1)
-    angles = [2 * np.pi * (b.l - b.m) / b.l for b in blocks]
+    angles = [2 * np.pi * b.frequency(b.l) / b.l for b in blocks]
     order = np.argsort(angles)
     cut = len(order) // 2
     high_vals = [0] * len(blocks)

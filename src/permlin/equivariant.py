@@ -399,8 +399,9 @@ def _orbit_sums(m: np.ndarray, cd: CycleDecomposition, sums: bool, k: int = 0) -
 def diagonal_blocks(m: np.ndarray, p: Permutation) -> list[np.ndarray]:
     """The diagonal blocks of Q^T M Q for any real n x n M, one per real
     block of p in canonical order, read from the orbit sums of M: equal to
-    `bc.conjugate(m)[sl, sl]` over `bc.block_slices`, up to rounding,
-    without conjugating.  `classify_component` reads its ranks from these."""
+    (Q^T M Q)[sl, sl] over `bc.block_slices`, up to rounding, without
+    conjugating (`oracles.dense_base_change` is the reference).
+    `classify_component` reads its ranks from these."""
     m = require_real(m, "matrix", (p.n, p.n))
     cd = cycle_decomposition(p)
     return _orbit_blocks(_orbit_sums(m, cd, sums=True)[2], eigen_multiplicities(cd))
@@ -410,9 +411,10 @@ def _orbit_blocks(tables: list, spec: BlockSpectrum) -> list[np.ndarray]:
     """`diagonal_blocks` from the tables of `_orbit_sums`, by one real DFT
     along delta and s per run pair.
 
-    A block of frequency f = (l - m) / l meets a cycle pair (C, C') at
-    positions a, b through cos 2 pi f a (and sin) scaled by sqrt(2 / |C|),
-    and f gcd(|C|, |C'|) = k is an integer, so with
+    A block meets a cycle pair (C, C') at positions a, b through
+    cos 2 pi f a (and sin) scaled by sqrt(2 / |C|), where f = (l - m) / l,
+    and k = f gcd(|C|, |C'|) is an integer, `Block.frequency` of that gcd,
+    so with
 
         cos x cos y = [cos(y - x) + cos(x + y)] / 2,
         cos x sin y = [sin(y - x) + sin(x + y)] / 2,
@@ -439,7 +441,7 @@ def _orbit_blocks(tables: list, spec: BlockSpectrum) -> list[np.ndarray]:
         for blk, member, b4 in zip(blocks, members, out):
             if g % blk.l:  # the block meets the cycles whose length blk.l divides
                 continue
-            k = g * (blk.l - blk.m) // blk.l
+            k = blk.frequency(g)
             if blk.kind == "complex_pair":
                 plus, minus = fs[:, k] + fa[:, k], fs[:, k] - fa[:, k]
                 entry = np.stack((plus.real, -plus.imag, minus.imag, minus.real), axis=-1)
@@ -499,12 +501,13 @@ def classify_component(m: np.ndarray, p: Permutation, base_change: Optional[Base
     realization has even rank, so an odd rank there certifies that the
     matrix lies outside every real component.
 
-    The blocks are not conjugated (`BaseChange.conjugate` is their
-    reference): they are read by a real DFT from the orbit sums of M, the
-    wrapped-diagonal and anti-diagonal sums of each cycle pair
-    (`diagonal_blocks`).  The commutator and the sums come from one
-    cycle-order pass (`_orbit_sums`), which gathers M once, a batch of whole
-    row cycles at a time, and builds no n x n array.
+    The blocks are not conjugated (Q^T M Q by the dense Q of
+    `oracles.dense_base_change` is their reference): they are read by a
+    real DFT from the orbit sums of M, the wrapped-diagonal and
+    anti-diagonal sums of each cycle pair (`diagonal_blocks`).  The
+    commutator and the sums come from one cycle-order pass (`_orbit_sums`),
+    which gathers M once, a batch of whole row cycles at a time, and builds
+    no n x n array.
     """
     m = require_real(m, "matrix", (p.n, p.n))
     cd = cycle_decomposition(p)

@@ -36,8 +36,11 @@ a tolerance argument.
     STRUCTURE_TOL  1e-8   membership in a linear subspace, relative to
                           ||M||_F: equivariance, one commutator bound
                           ||P M P^T - M||_F that `is_equivariant` and
-                          `classify_component` share, and column equality
-                          of invariant maps (`psi_compress`)
+                          `classify_component` share, column equality
+                          of invariant maps (`psi_compress`), and the
+                          symmetry ||G - G^T||_F of a Gram that a caller
+                          hands `autoencoder_loss` or
+                          `solve_equivariant_gram` (`optimize._square_gram`)
 
 One constant bounds memory, not a verdict:
 

@@ -140,8 +140,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ComponentError, NonFiniteError, RankDeficientError, SizeMismatchError
-from .linalg import DEFAULT_TOL, TIE_TOL, chunks, eigh, eigvalsh, require_data, require_finite, require_real, tie_slack
+from .errors import ComponentError, NonFiniteError, RankDeficientError, SizeMismatchError, StructuralError
+from .linalg import (DEFAULT_TOL, STRUCTURE_TOL, TIE_TOL, chunks, eigh, eigvalsh, require_data, require_finite,
+                     require_real, safe_exponent, tie_slack)
 from .equivariant import Parameterization, RankVector, diagonal_blocks, make_rank_vector, parameterize_component
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
@@ -454,10 +455,32 @@ def fit_rank_bounded(
 
 def _square_gram(gram) -> np.ndarray:
     """A Gram handed to the library, read by `require_real`: SizeMismatchError
-    unless it is square."""
+    unless it is square, StructuralError when ||G - G^T||_F exceeds
+    STRUCTURE_TOL ||G||_F.  Both norms are summed over the row panels of
+    `linalg.chunks`, each against its column panel, so no n x n temporary is
+    built, and summed again on 2^k G when ||G||_F^2 under- or overflows
+    (`safe_exponent`)."""
     g = require_real(gram, "Gram")
     if g.shape[0] != g.shape[1]:
         raise SizeMismatchError(f"Gram has shape {g.shape}; expected a square matrix")
+
+    def squares(k: int) -> tuple[float, float]:
+        dev = norm = 0.0
+        for rows in chunks(len(g), len(g)):
+            panel, cols = g[rows], g[:, rows].T
+            if k:
+                panel, cols = np.ldexp(panel, k), np.ldexp(cols, k)
+            diff = panel - cols
+            dev, norm = dev + float(np.vdot(diff, diff)), norm + float(np.vdot(panel, panel))
+        return dev, norm
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves ||G||_F^2 unsafe
+        dev, norm = squares(0)
+    k = safe_exponent(g, norm)
+    if k:
+        dev, norm = squares(k)
+    if math.sqrt(dev) > STRUCTURE_TOL * math.sqrt(norm):
+        raise StructuralError("Gram is not symmetric: ||G - G^T||_F exceeds STRUCTURE_TOL ||G||_F")
     return g
 
 
@@ -466,10 +489,12 @@ def autoencoder_loss(gram: np.ndarray, r: int) -> float:
     Gram G = X X^T alone, so that a caller may release X first: the sum of
     the n - r smallest eigenvalues of G (Eckart-Young; Baldi & Hornik 1989),
     without the minimizer, from one eigenvalue decomposition and no
-    eigenvectors.  G is read by `require_real` and must be square; only its
-    lower triangle is read.  The same number as `fit_rank_bounded(x, x,
-    r).loss` to rounding, 0.0 for r >= n, and the same rank floor and
-    errors, with SizeMismatchError for a G that is not square."""
+    eigenvectors.  G is read by `require_real` and must be square and
+    symmetric (`_square_gram`); the decomposition reads its lower triangle.
+    The same number as `fit_rank_bounded(x, x, r).loss` to rounding, 0.0 for
+    r >= n, and the same rank floor and errors, with SizeMismatchError for a
+    G that is not square and StructuralError for one that is not
+    symmetric."""
     if r < 0:
         raise SizeMismatchError(f"rank bound {r} is negative")
     g = _square_gram(gram)
@@ -678,9 +703,10 @@ def solve_equivariant_gram(gram: np.ndarray, p: Permutation, ridge: Optional[flo
     pass over G, no conjugation): a real block as it is, and a complex-pair
     block's real block R as the Gram of its complex rows, (R_00 + R_11) +
     i (R_10 - R_01) with R_ab = R[a::2, b::2].  The tie slack is TIE_TOL tr G
-    (`tie_slack(X)`).  G is read by `require_real` and must be square; the
-    whole of it is read, so it must be symmetric.  The same solve as from X
-    to rounding, with the same errors."""
+    (`tie_slack(X)`).  G is read by `require_real` and must be square and
+    symmetric (`_square_gram`), as in `autoencoder_loss`, since the whole of
+    it is read.  The same solve as from X to rounding, with the same
+    errors."""
     g = _square_gram(gram)
     if len(g) != p.n:
         raise SizeMismatchError(f"equivariant fit needs n x d data with n={p.n}")

@@ -15,17 +15,23 @@ whose realization doubles every rank, and 1 otherwise.
 chosen, and `slices(field)` the one block layout, each block's coordinates.
 
 The base change is the real, orthogonal Q of the commutant's block
-decomposition.  Per cycle, the orthonormal vectors
+decomposition: per cycle, a real DFT.  A block (l, m) meets every cycle
+whose length L is a multiple of l, at the one frequency
+`Block.frequency(L)` = L (l - m) / l (Davis 1979): 0 on the +1 block, L / 2
+on the -1 block and 0 < k < L / 2 on a pair.  Per cycle, the orthonormal
+vectors
 
-    w_0   = v_0 / sqrt(l),
-    w_j   = (v_j + v_{-j}) / sqrt(2 l),
-    w_{-j} = (v_j - v_{-j}) / (sqrt(2 l) i),
+    w_0   = v_0 / sqrt(L),
+    w_k   = (v_k + v_{-k}) / sqrt(2 L),
+    w_{-k} = (v_k - v_{-k}) / (sqrt(2 L) i),
 
-the cos/sin recombination of the root-of-unity eigenvectors v_j (the
-per-cycle Vandermonde), turn each circulant into diag(1, [-1,] R(zeta^1),
-R(zeta^2), ...) with 2x2 rotation-scaling blocks; a final grouping
-permutation collects +1 coordinates, then -1 coordinates, then the rotation
-pairs per eigenvalue pair.  Conjugating P by Q yields
+the cos/sin recombination of the root-of-unity eigenvectors v_k (the
+per-cycle Vandermonde), in half-complex order w_0, (w_1, w_{-1}), ...,
+[w_{L/2}], turn each circulant into diag(1, R(zeta^1), R(zeta^2), ...
+[, -1]) with 2 x 2 rotation-scaling blocks; frequency k starts at column
+max(2k - 1, 0).  A grouping permutation then collects, block by block, the
+frequency's column (two on a pair) of every cycle the block meets.
+Conjugating P by Q yields
 
     Id_{d_1}  (+)  -Id_{d_2}  (+)  realize(zeta_l^{l-m} Id_{d_l})  per pair,
 
@@ -37,9 +43,9 @@ order, one orthogonal l x l factor `_real_cycle_basis(l)` per distinct cycle
 length, and the grouping.  Applying Q or Q^T to an n x k matrix is a gather
 of rows, one batched l x l product per distinct length and a scatter:
 O(n l k) work in place of O(n^2 k).  The dense Q exists only as a reference,
-built from these factors by `oracles.dense_base_change`; the complex
-diagonalizing T, of which Q is the real form, is the independent reference
-`oracles.vandermonde_base_change`.
+built from these factors by `oracles.dense_base_change`, which also
+conjugates by it; the complex diagonalizing T, of which Q is the real form,
+is the independent reference `oracles.vandermonde_base_change`.
 """
 
 from __future__ import annotations
@@ -92,6 +98,11 @@ class Block:
     @property
     def rows(self) -> int:
         return self.rank_multiplier * self.size
+
+    def frequency(self, L: int) -> int:
+        """The real-DFT frequency L (l - m) / l at which the block meets a
+        cycle of length L, a multiple of l: the one block-to-frequency rule."""
+        return L * (self.l - self.m) // self.l
 
 
 @dataclass(frozen=True)
@@ -150,11 +161,12 @@ class BaseChange:
       length l, applied to every cycle of that length;
     * `grouping`: T3, the cycle-sorted position of each basis coordinate.
 
-    `to_basis`, `from_basis` and `conjugate` apply Q and Q^T = Q^{-1} by
-    indexing and one batched l x l product per distinct length, without
-    forming Q; they gather in the order of `cycle_runs`.  `block_slices` is
-    the spectrum's real layout: each block's coordinate range, in canonical
-    order.  It compares and hashes by identity: `factors` holds arrays.
+    `to_basis` and `from_basis` apply Q^T = Q^{-1} and Q to the columns of
+    an n x k matrix by indexing and one batched l x l product per distinct
+    length, without forming Q; they gather in the order of `cycle_runs`.
+    `block_slices` is the spectrum's real layout: each block's coordinate
+    range, in canonical order.  It compares and hashes by identity:
+    `factors` holds arrays.
     """
 
     permutation: Permutation
@@ -188,46 +200,32 @@ class BaseChange:
         coords = coord_of[pos]
         return labels, coords, np.argsort(labels), np.argsort(coords), runs
 
-    def _change(self, a: np.ndarray, axis: int, into_basis: bool) -> np.ndarray:
-        """Q^T a or Q a (axis 0), a Q or a Q^T (axis 1): gather the rows
-        (columns) into runs of equal cycle length, one batched l x l product
-        per run on its (cycles, l, cols) view, scatter into place."""
+    def _change(self, a: np.ndarray, into_basis: bool) -> np.ndarray:
+        """Q^T a or Q a: gather the rows into runs of equal cycle length, one
+        batched l x l product per run on its (cycles, l, cols) view, scatter
+        into place."""
         a = np.asarray(a)
         n = self.spectrum.n
-        if a.ndim == 1 and axis == 0:
-            return self._change(a[:, None], 0, into_basis)[:, 0]
-        if a.ndim != 2 or a.shape[axis] != n:
-            raise SizeMismatchError(f"base change of size {n} cannot act on axis {axis} of shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != n:
+            raise SizeMismatchError(f"base change of size {n} cannot act on the columns of shape {a.shape}")
         labels, coords, label_pos, coord_pos, runs = self._runs
         src, back = (labels, coord_pos) if into_basis else (coords, label_pos)
-        dtype = np.result_type(a.dtype, float)
-        g = np.take(a, src, axis=axis).astype(dtype, copy=False)
+        g = np.take(a, src, axis=0).astype(np.result_type(a.dtype, float), copy=False)
         h = np.empty_like(g)
         for start, stop, l, f in runs:
-            # Q^T a and a Q^T apply O^T; Q a and a Q apply O
-            if axis == 0:
-                view = ((stop - start) // l, l, g.shape[1])
-                np.matmul(f.T if into_basis else f, g[start:stop].reshape(view),
-                          out=h[start:stop].reshape(view))
-            else:
-                view = (g.shape[0], (stop - start) // l, l)
-                np.matmul(g[:, start:stop].reshape(view), f if into_basis else f.T,
-                          out=h[:, start:stop].reshape(view))
+            view = ((stop - start) // l, l, g.shape[1])
+            np.matmul(f.T if into_basis else f, g[start:stop].reshape(view), out=h[start:stop].reshape(view))
         # into g, which is free now; mode="clip" never acts on a permutation
         # and, unlike the default, writes to `out` without a buffer
-        return np.take(h, back, axis=axis, out=g, mode="clip")
+        return np.take(h, back, axis=0, out=g, mode="clip")
 
     def to_basis(self, x: np.ndarray) -> np.ndarray:
-        """Q^T x, the coordinates of x in the new basis."""
-        return self._change(x, 0, True)
+        """Q^T x, the coordinates of the columns of x in the new basis."""
+        return self._change(x, True)
 
     def from_basis(self, z: np.ndarray) -> np.ndarray:
         """Q z."""
-        return self._change(z, 0, False)
-
-    def conjugate(self, m: np.ndarray) -> np.ndarray:
-        """Q^T m Q."""
-        return self._change(self._change(m, 0, True), 1, True)
+        return self._change(z, False)
 
 
 def _cycle_sort_order(cd: CycleDecomposition) -> list[int]:
@@ -258,71 +256,33 @@ def cycle_runs(cd: CycleDecomposition) -> list[tuple[int, np.ndarray]]:
     return [(l, order[pos]) for l, pos in _run_positions(cd.lengths)]
 
 
-def _reduced_label(num: int, den: int) -> tuple[int, int]:
-    """Reduce e^{2 pi i num/den} to its primitive label (l, m), with (1, 1) for 1."""
-    num %= den
-    if num == 0:
-        return (1, 1)
-    g = math.gcd(num, den)
-    return (den // g, num // g)
-
-
-def _group(lengths, keys: dict[int, list], blocks) -> tuple[int, ...]:
-    """The grouping T3.  keys[l][j] names the block of position j inside every
-    length-l cycle; for each (key, size) of `blocks` in canonical order, the
-    cycle-sorted positions named key fill the block's range of `slices`."""
-    positions: dict = {}
-    offset = 0
-    for l in lengths:
-        for j, key in enumerate(keys[l]):
-            positions.setdefault(key, []).append(offset + j)
-        offset += l
-    grouping: list[int] = []
-    for key, size in blocks:
-        cols = positions.get(key, [])
-        if len(cols) != size:
-            raise SizeMismatchError(f"block {key} collected {len(cols)} columns, expected {size}")
-        grouping.extend(cols)
-    return tuple(grouping)
-
-
-def _real_cycle_basis(l: int) -> tuple[np.ndarray, list[tuple[str, int]]]:
-    """Orthogonal l x l factor for one cycle plus per-coordinate tags.
-
-    Tags are ("plus", 0), ("minus", 0), or ("pair", j) twice for each pair
-    (w_j, w_{-j}); column order is w_0, w_{l/2} when l is even, then the pairs
-    for j = 1, 2, ...
-    """
+def _real_cycle_basis(l: int) -> np.ndarray:
+    """The orthogonal l x l factor of one cycle, its columns in half-complex
+    real-DFT order: w_0, then the pair (w_k, w_{-k}) for 1 <= k < l/2, then
+    w_{l/2} when l is even, so frequency k starts at column max(2k - 1, 0)."""
     zeta = np.exp(2j * np.pi / l)
     cols = [np.ones(l) / np.sqrt(l)]
-    tags: list[tuple[str, int]] = [("plus", 0)]
+    for k in range(1, (l - 1) // 2 + 1):
+        v = zeta ** (np.arange(l) * k)
+        cols += [np.sqrt(2.0 / l) * v.real, np.sqrt(2.0 / l) * v.imag]
     if l % 2 == 0:
-        v = zeta ** (np.arange(l) * (l // 2))
-        cols.append(v.real / np.sqrt(l))
-        tags.append(("minus", 0))
-    for j in range(1, (l - 1) // 2 + 1):
-        v = zeta ** (np.arange(l) * j)
-        cols.append(np.sqrt(2.0 / l) * v.real)
-        cols.append(np.sqrt(2.0 / l) * v.imag)
-        tags.extend([("pair", j), ("pair", j)])
-    return np.column_stack(cols), tags
+        cols.append((zeta ** (np.arange(l) * (l // 2))).real / np.sqrt(l))
+    return np.column_stack(cols)
 
 
 def real_base_change(p: Permutation) -> BaseChange:
     """Orthogonal Q with Q^T P Q = Id (+) -Id (+) realization blocks per pair.
 
     T2 holds one `_real_cycle_basis(l)` factor O_l per distinct cycle length.
+    The grouping T3 takes, block by block in canonical order and for each
+    cycle the block meets in cycle order, the cycle-sorted position of the
+    column of its frequency, and of the next column on a pair.
     """
     cd = cycle_decomposition(p)
     spec = eigen_multiplicities(cd)
-    real_keys = {"plus": ("real_plus", 1, 1), "minus": ("real_minus", 2, 1)}
-    factors, keys = {}, {}
-    for l in set(cd.lengths):
-        basis, tags = _real_cycle_basis(l)
-        factors[l] = basis
-        # a pair j in a length-l cycle carries eigenvalues zeta_l^{+-j} and is
-        # labeled by the reduced (l', m') of (l - j)/l, with 1/2 < m'/l' < 1
-        keys[l] = [real_keys[kind] if kind in real_keys else ("complex_pair", *_reduced_label(l - j, l))
-                   for kind, j in tags]
-    grouping = _group(cd.lengths, keys, [((b.kind, b.l, b.m), b.rows) for b in spec.real_blocks])
+    starts = list(accumulate(cd.lengths, initial=0))
+    grouping = tuple(s + max(2 * b.frequency(L) - 1, 0) + j
+                     for b in spec.real_blocks for L, s in zip(cd.lengths, starts) if L % b.l == 0
+                     for j in range(b.rank_multiplier))
+    factors = {l: _real_cycle_basis(l) for l in set(cd.lengths)}
     return BaseChange(p, spec, tuple(_cycle_sort_order(cd)), factors, grouping)

@@ -263,7 +263,7 @@ def test_criterion_8_structural_invariants():
         bc = real_base_change(p)
         q = dense_base_change(bc)[0]
         assert np.linalg.norm(q @ q.T - np.eye(n)) <= 1e-9
-        B = bc.conjugate(permutation_matrix(p).astype(float))
+        B = q.T @ permutation_matrix(p) @ q
         assert np.linalg.norm(B - expected_block_form(bc)) <= 1e-9
     # finite-difference Jacobian rank of the parameterization = closed-form dim
     checked = 0

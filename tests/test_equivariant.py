@@ -494,7 +494,8 @@ class TestClassify:
         rvec = make_rank_vector(bc.spectrum, "real", [min(1, b.size) for b in bc.spectrum.real_blocks])
         m = parameterize_component(rvec, p, rng=np.random.default_rng(22), base_change=bc)
         m = m.decoder @ m.encoder
-        conj = bc.conjugate(m)
+        q, q_inv = dense_base_change(bc)
+        conj = q_inv @ m @ q
         foreign = real_base_change(parse_permutation("(1 2 3 4 5 6)(7 8)(9 10 11 12)", 13))
 
         def refuse(*args, **kwargs):
@@ -853,7 +854,8 @@ def check_orbit_sums(p, log_scale, seed):
     bound = 4 * n * n * EPS * np.abs(m).max()
     assert np.abs(equivariant_project(m, [p]) - orbit_average(m, [p])).max() <= bound
     bc = real_base_change(p)
-    conj = bc.conjugate(m)
+    q, q_inv = dense_base_change(bc)
+    conj = q_inv @ m @ q
     blocks = diagonal_blocks(m, p)
     assert [b.shape for b in blocks] == [(sl.stop - sl.start,) * 2 for sl in bc.block_slices]
     for b, sl in zip(blocks, bc.block_slices):
@@ -883,6 +885,58 @@ def test_classify_rejects_exactly_on_mixed_cycles_across_batches(p, kind, log_re
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "SCRATCH", 1)
         check_rejects_exactly(p, kind, log_rel, seed)
+
+
+def _orthogonal(rng, k: int, complex_entries: bool) -> np.ndarray:
+    a = rng.standard_normal((k, k))
+    return np.linalg.qr(a + 1j * rng.standard_normal((k, k)) if complex_entries else a)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(4, 4, 2, 1), (3, 3, 2, 1), (6, 2, 1), (5, 2, 1, 1), (4, 2, 1)]), st.floats(-2, 2),
+       st.sampled_from([1e-100, 1.0, 1e100]), st.integers(0, 2**32 - 1))
+@example((4, 4, 2, 1), 1e-2, 1.0, 0)
+@example((4, 4, 2, 1), -1e-2, 1e-100, 0)
+def test_rank_threshold_sits_on_its_side(lengths, log_edge, scale, seed):
+    """The numerical rank rule, a singular value counts when it exceeds
+    `rank_threshold` = DEFAULT_TOL sigma_1 max(shape), with one singular
+    value planted log-uniformly across DEFAULT_TOL sigma_1 n and M across
+    1e+-100: `numeric_rank(M)` and the +1 block of `classify_component(M)`
+    each count it exactly when it is above the bound.
+
+    M = Q blockdiag(B_b) Q^T for the dense Q, with B_b = U diag(s) V^H for
+    random orthogonal U, V (unitary, and realized, on a pair block), t_b of
+    the s in [1/4, 1] and the rest 0; the +1 block holds s = 1, so sigma_1
+    = 1, and below its t values the planted edge.  The block's rank is then
+    t + 1 or t, and M's rank the sum of the realized ranks.  Forming M and
+    reading its singular values moved the edge by at most 0.03 n^2 eps over
+    3,000 draws, directly and through the orbit-sum blocks; only draws
+    within 4 n^2 eps of the bound go unasserted."""
+    from permlin.linalg import DEFAULT_TOL
+
+    p = consecutive_cycles(list(lengths))
+    bc = real_base_change(p)
+    n = p.n
+    rng = np.random.default_rng(seed)
+    edge = DEFAULT_TOL * n * 10.0 ** log_edge
+    b, ranks = np.zeros((n, n)), []
+    for i, (blk, sl) in enumerate(zip(bc.spectrum.real_blocks, bc.block_slices)):
+        t = int(rng.integers(1, blk.size)) if i == 0 else int(rng.integers(0, blk.size + 1))
+        s = np.zeros(blk.size)
+        s[:t] = rng.uniform(0.25, 1.0, t)
+        if i == 0:
+            s[0], s[t] = 1.0, edge
+        pair = blk.kind == "complex_pair"
+        z = (_orthogonal(rng, blk.size, pair) * s) @ _orthogonal(rng, blk.size, pair).conj().T
+        b[sl, sl] = realize(z) if pair else z
+        ranks.append(t)
+    q = dense_base_change(bc)[0]
+    m = scale * (q @ b @ q.T)
+    above = edge > DEFAULT_TOL * n
+    ranks[0] += above
+    if abs(edge - DEFAULT_TOL * n) > 4 * n * n * EPS:
+        assert classify_component(m, p).values == tuple(ranks)
+        assert numeric_rank(m) == sum(blk.rank_multiplier * t for blk, t in zip(bc.spectrum.real_blocks, ranks))
 
 
 @settings(max_examples=40, deadline=None)

@@ -570,8 +570,8 @@ class TestFitEquivariant:
         x = rng.standard_normal((9, 30))
         y = rng.standard_normal((9, 30))
         fit = fit_equivariant(x, y, ROT9, 3)
-        B = bc.conjugate(fit.minimizer)
         q, q_inv = dense_base_change(bc)
+        B = q_inv @ fit.minimizer @ q
         eps = 1e-3
         for _ in range(200):
             g1 = np.zeros((9, 9))
@@ -1014,6 +1014,45 @@ def test_gram_solve_shares_the_fit_errors(p):
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("scratch", [None, 7])
+def test_an_asymmetric_gram_is_rejected(monkeypatch, scratch):
+    """A Gram from a caller must be symmetric within STRUCTURE_TOL ||G||_F.
+    `solve_equivariant_gram` reads all of G, so on cycles (4, 2) with 12
+    samples, G with its strict upper triangle negated would fit silently;
+    it and `autoencoder_loss` raise one StructuralError with one message.
+    An antisymmetric part of half the bound passes and one of twice the
+    bound fails.  The exact G of `chunked_gram` and of X X^T passes.  All
+    of it holds with X at 1e+-100 too, where ||G||_F^2 under- or overflows,
+    and with a SCRATCH of 7, where the check runs over one-row panels."""
+    import permlin.linalg
+    from permlin.linalg import STRUCTURE_TOL
+
+    if scratch is not None:
+        monkeypatch.setattr(permlin.linalg, "SCRATCH", scratch)
+    p = consecutive_cycles([4, 2])
+    rng = np.random.default_rng(71)
+    x = rng.standard_normal((p.n, 12))
+    g = x @ x.T
+    negated = np.tril(g) - np.triu(g, 1)
+    a = rng.standard_normal((p.n, p.n))
+    a -= a.T
+    a *= STRUCTURE_TOL * np.linalg.norm(g) / np.linalg.norm(a - a.T)
+    asymmetric = r"Gram is not symmetric: \|\|G - G\^T\|\|_F exceeds STRUCTURE_TOL \|\|G\|\|_F"
+    for scale in (1.0, 1e-100, 1e100):
+        xs = scale * x
+        for gram in (chunked_gram([xs[:, :5], xs[:, 5:]], p.n), xs @ xs.T):
+            autoencoder_loss(gram, 3)
+            solve_equivariant_gram(gram, p).fit(3)
+        for gram, ok in ((scale**2 * negated, False), (scale**2 * (g + 0.5 * a), True),
+                         (scale**2 * (g + 2 * a), False)):
+            for call in (lambda: autoencoder_loss(gram, 3), lambda: solve_equivariant_gram(gram, p).fit(3)):
+                if ok:
+                    call()
+                else:
+                    with pytest.raises(StructuralError, match=asymmetric):
+                        call()
+
+
 # the Gram route's loss with a ridge against the row route's residual: the
 # largest error of `test_ridged_gram_route_loss_is_accurate_to_the_gram` was
 # 1.8 n eps ||G||_2
@@ -1145,6 +1184,50 @@ def test_rank_floor_sits_on_the_side_of_default_tol(lengths, log_ratio, scale, s
             verdicts.append(False)
     if abs(ratio - DEFAULT_TOL) > 8 * n * (n + d) * EPS:
         assert verdicts == [ratio > DEFAULT_TOL] * 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(4, 2, 1), (4, 4, 2, 1), (6, 2, 1), (3, 2, 2, 1)]), st.floats(-11, -7),
+       st.sampled_from([1e-100, 1.0, 1e100]), st.integers(0, 2**32 - 1))
+@example((4, 2, 1), np.log10(2.6e-9), 1.0, 0)
+@example((4, 4, 2, 1), -8.5, 1e100, 1)
+def test_component_tie_sits_on_the_side_of_tie_tol(lengths, log_gap, scale, seed):
+    """The search's tie rule, losses within tie_slack(Y) = TIE_TOL ||Y||_F^2
+    of the least count as tied, with the loss gap between the two best
+    components drawn log-uniformly across TIE_TOL ||Y||_F^2 and X across
+    1e+-100.  The fit of X on itself (the Gram route), on a copy (the row
+    route) and from X X^T each searches out the rank vector of
+    `oracles.best_scored` on its own tails with slack tie_slack(Y), and that
+    is the side the formula gives.
+
+    X = Q diag(sqrt(lambda)) W^T as in the rank-floor test, so the rows of
+    Q^T X are orthogonal and each block's squared singular values are its
+    rows' lambda.  At rank 1 only the +1 and the -1 block can take the rank:
+    lambda = 1 on a row of the +1 block and 1 - gap on a row of the -1
+    block, every other lambda in [1/20, 1/4], so the losses of (0, 1, ...)
+    and (1, 0, ...) differ by gap and the tie rule keeps the smaller vector
+    (0, 1, ...) exactly when gap <= TIE_TOL sum(lambda).  The computed gap
+    was within 0.1 n (n + d) eps of the planted one over 4,800 fits; only
+    draws within 8 n (n + d) eps of the bound go unasserted."""
+    p = consecutive_cycles(list(lengths))
+    bc = real_base_change(p)
+    n, d = p.n, p.n + 4
+    rng = np.random.default_rng(seed)
+    plus, minus = bc.block_slices[:2]
+    gap = 10.0 ** log_gap
+    lam = rng.uniform(0.05, 0.25, n)
+    lam[rng.integers(plus.start, plus.stop)] = 1.0
+    lam[rng.integers(minus.start, minus.stop)] = 1.0 - gap
+    w = np.linalg.qr(rng.standard_normal((d, n)))[0]
+    x = scale * (dense_base_change(bc)[0] @ (np.sqrt(lam)[:, None] * w.T))
+    rest = (0,) * (len(bc.block_slices) - 2)
+    want = (0, 1) + rest if gap <= TIE_TOL * lam.sum() else (1, 0) + rest
+    if abs(gap - TIE_TOL * lam.sum()) > 8 * n * (n + d) * EPS:
+        for solve in (solve_equivariant(x, x, p), solve_equivariant(x, x.copy(), p),
+                      solve_equivariant_gram(x @ x.T, p)):
+            fit = solve.fit(1)
+            scored = score_components(bc.spectrum, 1, block_tails(fit.per_block), fit.constant_loss)
+            assert fit.component.values == best_scored(scored, tie_slack(x)) == want
 
 
 def test_read_rejects_a_rank_above_the_solve():

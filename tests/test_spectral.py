@@ -9,7 +9,7 @@ from permlin.equivariant import (
     make_rank_vector,
     parameterize_component,
 )
-from permlin.errors import ComponentError
+from permlin.errors import ComponentError, SizeMismatchError
 from permlin.linalg import realize
 from permlin.optimize import solve_equivariant
 from permlin.oracles import (
@@ -176,7 +176,8 @@ class TestComplexBaseChange:
 class TestRealBaseChange:
     def test_rotation_block_form(self):
         bc = real_base_change(ROT9)
-        B = bc.conjugate(permutation_matrix(ROT9).astype(float))
+        q, q_inv = dense_base_change(bc)
+        B = q_inv @ permutation_matrix(ROT9) @ q
         Ri = np.array([[0.0, -1.0], [1.0, 0.0]])
         expected = np.zeros((9, 9))
         expected[:3, :3] = np.eye(3)
@@ -200,8 +201,9 @@ class TestRealBaseChange:
             [1, 1, -s2, 0],
             [1, -1, 0, -s2],
         ])
-        assert np.linalg.norm(dense_base_change(bc)[0] - O) <= 1e-12
-        B = bc.conjugate(permutation_matrix(p).astype(float))
+        q, q_inv = dense_base_change(bc)
+        assert np.linalg.norm(q - O) <= 1e-12
+        B = q_inv @ permutation_matrix(p) @ q
         expected = np.zeros((4, 4))
         expected[0, 0], expected[1, 1] = 1.0, -1.0
         expected[2:, 2:] = [[0, -1], [1, 0]]
@@ -213,9 +215,9 @@ class TestRealBaseChange:
             p = random_perm(rng, int(rng.integers(2, 41)))
             bc = real_base_change(p)
             n = p.n
-            Q = dense_base_change(bc)[0]
+            Q, Q_inv = dense_base_change(bc)
             assert np.linalg.norm(Q @ Q.T - np.eye(n)) <= 1e-9
-            B = bc.conjugate(permutation_matrix(p).astype(float))
+            B = Q_inv @ permutation_matrix(p) @ Q
             assert np.linalg.norm(B - expected_block_form(bc)) <= 1e-9
 
     def test_blocks_have_disjoint_eigenvalues(self):
@@ -232,11 +234,40 @@ class TestRealBaseChange:
         # the (l, m) pair block of the conjugated form is realize(zeta_l^{l-m} Id)
         p = parse_permutation("(1 2 3 4 5 6)", 6)
         bc = real_base_change(p)
-        B = bc.conjugate(permutation_matrix(p).astype(float))
+        q, q_inv = dense_base_change(bc)
+        B = q_inv @ permutation_matrix(p) @ q
         for blk, sl in zip(bc.spectrum.real_blocks, bc.block_slices):
             if blk.kind == "complex_pair":
                 zeta = np.exp(2j * np.pi * (blk.l - blk.m) / blk.l)
                 assert np.linalg.norm(B[sl, sl] - realize(zeta * np.eye(blk.size, dtype=complex))) <= 1e-10
+
+
+# the factor's O^T x against numpy's FFT: the largest error seen over 20
+# Gaussian x per length was 1.6 L eps ||x||
+FFT_C = 4
+
+
+def test_cycle_factor_is_the_real_dft():
+    """Per cycle, the base change is a real DFT, pinned to numpy's FFT and
+    not to the library: for L = 1..64, O^T x for the factor O of one
+    L-cycle is rfft(x) in half-complex order, Re F_0 / sqrt(L), then
+    sqrt(2 / L) (Re F_k, -Im F_k) for 1 <= k < L / 2, then Re F_{L/2} /
+    sqrt(L) when L is even, within FFT_C L eps ||x||."""
+    from permlin.perms import consecutive_cycles
+
+    rng = np.random.default_rng(73)
+    for L in range(1, 65):
+        o = real_base_change(consecutive_cycles([L])).factors[L]
+        x = rng.standard_normal((L, 20))
+        f = np.fft.rfft(x, axis=0)
+        want = np.empty((L, 20))
+        want[0] = f[0].real / np.sqrt(L)
+        k = np.arange(1, (L + 1) // 2)
+        want[2 * k - 1], want[2 * k] = np.sqrt(2 / L) * f[k].real, -np.sqrt(2 / L) * f[k].imag
+        if L % 2 == 0:
+            want[L - 1] = f[L // 2].real / np.sqrt(L)
+        err = np.abs(o.T @ x - want).max(axis=0)
+        assert (err <= FFT_C * L * np.finfo(float).eps * np.linalg.norm(x, axis=0)).all(), L
 
 
 @st.composite
@@ -269,14 +300,12 @@ def perm_of_lengths(lengths, seed):
 @example(perm_of_lengths([1, 3, 1, 2, 3, 4, 6], 0), 0)
 @example(identity(1), 0)
 def test_factored_base_change_matches_dense(p, seed):
-    """to_basis, from_basis and conjugate agree with products by the dense
-    Q and Q^T, on fixed points and mixed cycle lengths."""
+    """to_basis and from_basis agree with products by the dense Q and Q^T,
+    on fixed points and mixed cycle lengths, and act on columns only."""
     bc = real_base_change(p)
     rng = np.random.default_rng(seed)
     n = p.n
     x = rng.standard_normal((n, int(rng.integers(0, 5))))
-    v = rng.standard_normal(n)
-    m = rng.standard_normal((n, n))
     T, T_inv = dense_base_change(bc)
 
     def close(fast, dense, a):
@@ -285,9 +314,9 @@ def test_factored_base_change_matches_dense(p, seed):
 
     close(bc.to_basis(x), T_inv @ x, x)
     close(bc.from_basis(x), T @ x, x)
-    close(bc.to_basis(v), T_inv @ v, v)
-    close(bc.from_basis(v), T @ v, v)
-    close(bc.conjugate(m), T_inv @ m @ T, m)
+    for change in (bc.to_basis, bc.from_basis):
+        with pytest.raises(SizeMismatchError):
+            change(rng.standard_normal(n))
 
 
 @settings(max_examples=80, deadline=None)
@@ -329,7 +358,7 @@ def test_hot_paths_stay_matrix_free():
 
 def test_one_generator_reads_orbit_sums_not_labels():
     """With one generator, projecting, classifying and `is_equivariant`
-    build no n x n labels and no conjugation, on the 32 x 32 shift and on
+    build no n x n labels and change no basis, on the 32 x 32 shift and on
     n = 1024 labels in 40 fixed points and cycles of lengths 7, 9, 12, 24
     and 30 on shuffled labels.  Under tracemalloc, beyond M, projecting
     peaks at most 1.25 n^2 float64, its output alone being n^2; classifying
@@ -358,12 +387,12 @@ def test_one_generator_reads_orbit_sums_not_labels():
         cases.append((p, par.decoder @ par.encoder, rvec, m, equivariant.orbit_average(m, [p])))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("one generator took the n x n labels or the conjugation")
+        raise AssertionError("one generator took the n x n labels or a change of basis")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(equivariant, "pair_orbit_labels", refuse)
         mp.setattr(equivariant, "_cycle_pair_labels", refuse)
-        mp.setattr(spectral.BaseChange, "conjugate", refuse)
+        mp.setattr(spectral.BaseChange, "_change", refuse)
         for p, planted, rvec, m, reference in cases:
             for call, want, bound in ((lambda: equivariant_project(m, [p]), reference, 1.25),
                                       (lambda: classify_component(planted, p), rvec, 0.25),

@@ -8,7 +8,8 @@ that layer wraps one LAPACK binding.  The fast paths and their brute-force
 checks stay apart: only the CLI front end imports `oracles`, and no module
 imports a private helper of another.  Every real matrix from a caller is read
 by `linalg.require_real`, the one float cast outside the tables.  One
-commutator bound decides equivariance."""
+commutator bound decides equivariance, and one rule maps a block to its
+frequency."""
 
 import ast
 import importlib
@@ -221,3 +222,32 @@ def test_one_equivariance_rule():
     for caller in ("is_equivariant", "classify_component"):
         calls = {_dotted(n.func) for n in ast.walk(functions[caller]) if isinstance(n, ast.Call)}
         assert MEMBERSHIP in calls, caller
+
+
+def _block_frequencies(tree: ast.Module) -> list[int]:
+    """The line of each subtraction of a block's .m from its .l."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Attribute) and node.left.attr == "l"
+            and isinstance(node.right, ast.Attribute) and node.right.attr == "m"]
+
+
+def test_one_frequency_rule():
+    """`spectral.Block.frequency` is the one place outside the independent
+    `oracles` that maps a block to its frequency, L (l - m) / l: Q's grouping
+    (`real_base_change`) and the orbit-sum blocks (`_orbit_blocks`) both
+    read it."""
+    probe = ast.parse("k = g * (blk.l - blk.m) // blk.l\nj = l - m\ni = blk.m - blk.l\n")
+    assert _block_frequencies(probe) == [1]
+    spectral = ast.parse((SRC / "spectral.py").read_text())
+    block = next(n for n in spectral.body if isinstance(n, ast.ClassDef) and n.name == "Block")
+    rule = next(n for n in block.body if isinstance(n, ast.FunctionDef) and n.name == "frequency")
+    lines = _block_frequencies(rule)
+    assert len(lines) == 1
+    stray = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) if path.name != "oracles.py"
+             for line in _block_frequencies(ast.parse(path.read_text()))]
+    assert stray == [f"spectral.py:{lines[0]}"], stray
+    for module, caller in (("spectral.py", "real_base_change"), ("equivariant.py", "_orbit_blocks")):
+        tree = ast.parse((SRC / module).read_text())
+        body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == caller)
+        assert any(isinstance(n, ast.Attribute) and n.attr == "frequency" for n in ast.walk(body)), caller

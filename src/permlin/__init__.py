@@ -72,6 +72,6 @@ from .optimize import (
     fit_equivariant,
     ed_degrees,
 )
-from .datasets import demo_shift_chunks, demo_shift_dataset, horizontal_shift_permutation
+from .datasets import demo_shift_chunks, horizontal_shift_permutation
 
 __version__ = "0.1.0"

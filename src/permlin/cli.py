@@ -2,8 +2,11 @@
 
 Subcommands: analyze, count, components, project, fit, factorize, verify,
 demo-shift.  Outputs are JSON (sorted keys, fixed layout), so runs with the
-same inputs and seed are byte-identical.  Usage errors exit 2; numerical or
-constraint errors exit 1 with a structured JSON error on stderr.
+same inputs and seed are byte-identical at a fixed BLAS thread count.
+Across thread counts, LAPACK may sum in another order, so a float may move
+in its last bits, within the golden gate of tests/test_golden.py.  Usage
+errors exit 2; numerical or constraint errors exit 1 with a structured JSON
+error on stderr.
 
 Set PERMLIN_THREADS to pin the BLAS thread count before numpy loads.
 """
@@ -197,7 +200,7 @@ def cmd_fit(args):
     x = matio.read_matrix(args.x)
     y = matio.read_matrix(args.y)
     if args.mode == "invariant":
-        _equivariant_only(args, "component", "heuristic", "candidates", "search_limit")
+        _equivariant_only(args, "component", "candidates", "search_limit")
         space = invariant.invariant_space(gens, y.shape[0], x.shape[0], args.rank)
         fit = invariant.fit_invariant(x, y, space, ridge=args.ridge)
         extras = {"compact_factor": matio.matrix_to_json_obj(
@@ -207,8 +210,7 @@ def cmd_fit(args):
             raise PermlinError("--search-limit applies to --candidates only")
         spec = _spectrum_of(gens[0])
         component = _component_arg(args.component, spec) if args.component else None
-        fit = optimize.fit_equivariant(x, y, gens[0], args.rank, component=component,
-                                       heuristic=args.heuristic, ridge=args.ridge)
+        fit = optimize.fit_equivariant(x, y, gens[0], args.rank, component=component, ridge=args.ridge)
         extras = None
         if args.candidates:
             limit = 10**6 if args.search_limit is None else args.search_limit
@@ -400,7 +402,7 @@ def cmd_demo_shift(args):
     dense_loss = optimize.autoencoder_loss(gram, r)
     del gram
     slack, size = solve.slack, sigma.n * args.samples
-    best = solve.fit(r, heuristic="energy")
+    best = solve.fit(r)
 
     blocks = spec.real_blocks
     c = max(1, r // sum(b.rank_multiplier for b in blocks))
@@ -424,22 +426,22 @@ def cmd_demo_shift(args):
                    "rank": r, "seed": rng_seed, "noise": args.noise},
         "losses_per_pixel": {
             "dense": dense_loss / size,
-            "equivariant_energy": best.loss / size,
+            "equivariant_search": best.loss / size,
             "equivariant_equal_rank": equal.loss / size,
             "equivariant_high_pass": high.loss / size,
         },
         "total_ranks": {
             "dense": r,
-            "equivariant_energy": best.component.total_rank,
+            "equivariant_search": best.component.total_rank,
             "equivariant_equal_rank": equal_rvec.total_rank,
             "equivariant_high_pass": high_rvec.total_rank,
         },
         "free_parameters": {
             "dense": 2 * r * sigma.n,
-            "equivariant_energy": equivariant.free_parameter_count(best.component),
+            "equivariant_search": equivariant.free_parameter_count(best.component),
         },
         "components": {
-            "equivariant_energy": list(best.component.values),
+            "equivariant_search": list(best.component.values),
             "equivariant_equal_rank": list(equal_rvec.values),
             "equivariant_high_pass": list(high_rvec.values),
         },
@@ -496,7 +498,6 @@ def build_parser():
                     help="also list every component with its loss (equivariant; enumerates the census)")
     sp.add_argument("--search-limit", type=int,
                     help="largest census --candidates may list (default 10^6)")
-    sp.add_argument("--heuristic", choices=["energy"])
     sp.add_argument("--ridge", type=float)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_fit)

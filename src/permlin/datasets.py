@@ -7,8 +7,7 @@ one-step horizontal shift acts by a permutation whose cycles are the rows.
 
 `demo_shift_chunks` draws the samples a chunk of columns at a time
 (`linalg.chunks`), so a caller that needs only a sum over the samples, as
-`demo-shift` needs only the Gram X X^T, never holds the n x d matrix;
-`demo_shift_dataset` is the same draws written into one X.
+`demo-shift` needs only the Gram X X^T, never holds the n x d matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from .linalg import chunks
 from .perms import Permutation, consecutive_cycles
 
-__all__ = ["horizontal_shift_permutation", "demo_shift_chunks", "demo_shift_dataset"]
+__all__ = ["horizontal_shift_permutation", "demo_shift_chunks"]
 
 
 def horizontal_shift_permutation(height: int, width: int) -> Permutation:
@@ -65,17 +64,3 @@ def demo_shift_chunks(
             img += noise * rng.standard_normal((height, width))
         yield part.reshape(len(part), n).T
 
-
-def demo_shift_dataset(
-    height: int = 32,
-    width: int = 32,
-    samples: int = 2000,
-    seed: int = 0,
-    noise: float = 0.05,
-) -> np.ndarray:
-    """n x d data matrix of randomly shifted images of 1-3 bars, n = height
-    * width: the chunks of `demo_shift_chunks`, side by side."""
-    X = np.empty((height * width, samples))
-    for cols, part in zip(chunks(samples, height * width), demo_shift_chunks(height, width, samples, seed, noise)):
-        X[:, cols] = part
-    return X

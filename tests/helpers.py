@@ -1,8 +1,9 @@
 """Builders the tests share that the library itself has no use for: the
 identity and random permutations, circulant matrices, the relative commutator
 of a matrix with a permutation matrix, matrix files written in the formats
-`permlin.matio` reads, the restarted-ALS loss oracle, the data files of the
-golden fits, and a tracemalloc measurement of a block of code."""
+`permlin.matio` reads, the restarted-ALS loss oracle, the demo data as one
+matrix, the data files of the golden fits, and a tracemalloc measurement of
+a block of code."""
 
 import json
 import tracemalloc
@@ -12,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from permlin.datasets import demo_shift_chunks
+from permlin.linalg import chunks
 from permlin.matio import matrix_to_json_obj
 from permlin.perms import Permutation, permutation_matrix
 
@@ -69,6 +72,16 @@ def als_loss(x, y, r: int, rng, restarts: int, sweeps: int) -> float:
             A = y @ np.linalg.pinv(bx)
         best = min(best, float(np.linalg.norm(A @ bx - y) ** 2))
     return best
+
+
+def demo_shift_dataset(height: int = 32, width: int = 32, samples: int = 2000, seed: int = 0,
+                       noise: float = 0.05) -> np.ndarray:
+    """The n x d demo data matrix, n = height * width: the chunks of
+    `permlin.datasets.demo_shift_chunks`, side by side."""
+    x = np.empty((height * width, samples))
+    for cols, part in zip(chunks(samples, height * width), demo_shift_chunks(height, width, samples, seed, noise)):
+        x[:, cols] = part
+    return x
 
 
 FIT_HEIGHT, FIT_WIDTH, FIT_SAMPLES, FIT_NOISE = 8, 12, 384, 0.05

@@ -203,7 +203,7 @@ class TestProjectFitFactorize:
         assert np.allclose(proj[:, 0], proj[:, 2]) and np.allclose(proj[:, 0], proj[:, 3])
         validate("project", payload)
 
-    def test_fit_named_component_and_heuristic(self, tmp_path):
+    def test_fit_named_component_and_search(self, tmp_path):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((9, 20))
         y = rng.standard_normal((9, 20))
@@ -215,25 +215,24 @@ class TestProjectFitFactorize:
                 "--n", "9", "--rank", "3", "--x", str(xf), "--y", str(yf),
                 "--out", str(out)]
         rc, payload = run_cli(base + ["--component", "1,0,1"], out)
-        assert rc == 0 and payload["component"] == [1, 0, 1]
-        rc, payload = run_cli(base + ["--heuristic", "energy"], out)
-        assert rc == 0 and payload["component_source"] == "heuristic"
+        assert rc == 0 and payload["component"] == [1, 0, 1] and payload["component_source"] == "named"
+        named_loss = payload["loss"]
+        rc, payload = run_cli(base, out)
+        assert rc == 0 and payload["component_source"] == "search"
+        assert payload["loss"] <= named_loss + 1e-9
         validate("fit", payload)
 
-    def test_fit_component_with_heuristic_rejected(self, tmp_path, capsys):
+    def test_fit_component_with_heuristic_rejected(self, tmp_path):
+        # every fit without --component takes the exact search: --heuristic
+        # is no option, with or without a component
         xf = tmp_path / "x.csv"
         write_matrix_csv(xf, np.random.default_rng(5).standard_normal((9, 20)))
         base = ["fit", "--mode", "equivariant", "--perm", "(1 4 3 2)(5 8 7 6)",
-                "--n", "9", "--rank", "3", "--x", str(xf), "--y", str(xf),
-                "--component", "1,0,1", "--heuristic"]
-        rc, _ = run_cli(base + ["energy"])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ComponentError" and "not both" in err["message"]
-        validate("error", err)
-        with pytest.raises(SystemExit) as exc:  # an unknown heuristic is a usage error
-            main(base + ["bogus"])
-        assert exc.value.code == 2
+                "--n", "9", "--rank", "3", "--x", str(xf), "--y", str(xf)]
+        for extra in (["--heuristic", "energy"], ["--component", "1,0,1", "--heuristic", "energy"]):
+            with pytest.raises(SystemExit) as exc:
+                main(base + extra)
+            assert exc.value.code == 2
 
     def test_fit_invariant(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -431,7 +430,7 @@ class TestVerifyDemo:
                                "--out", str(out)], out)
         assert rc == 0
         losses = payload["losses_per_pixel"]
-        assert losses["dense"] <= losses["equivariant_energy"] + 1e-12
+        assert losses["dense"] <= losses["equivariant_search"] + 1e-12
         validate("demo_shift", payload)
 
     def test_demo_shift_changes_the_basis_of_no_data_chunk(self, tmp_path, monkeypatch):
@@ -743,8 +742,16 @@ class TestNonFiniteAndFailures:
                                 "PermlinError")
         assert "--matrix" in err["message"]
 
-    @pytest.mark.parametrize("flag", [["--component", "garbage"], ["--heuristic", "energy"], ["--candidates"]],
-                             ids=["component", "heuristic", "candidates"])
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("mode", ["equivariant", "invariant"])
+    def test_fit_names_a_ridge_that_is_not_finite_and_positive(self, tmp_path, capsys, mode, ridge):
+        x, y = self.write_data(tmp_path)
+        err = self.expect_error(capsys, ["fit", *self.ROT, "--mode", mode, "--rank", "2", "--x", str(x),
+                                         "--y", str(y), f"--ridge={ridge}"], "RankDeficientError")
+        assert err["message"] == f"ridge must be finite and positive, got {float(ridge)!r}"
+
+    @pytest.mark.parametrize("flag", [["--component", "garbage"], ["--candidates"]],
+                             ids=["component", "candidates"])
     def test_fit_invariant_rejects_equivariant_flags(self, tmp_path, capsys, flag):
         # invariant mode would ignore them and exit 0
         x, y = self.write_data(tmp_path)
@@ -1038,3 +1045,41 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     results = json.loads(first)
     # invariant factorize rejects the non-invariant M (exit 1)
     assert [rc for _, rc, _, _ in results] == [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+
+
+GOLDEN_SCRIPT = """
+import permlin  # first, so that PERMLIN_THREADS sets the BLAS thread count before numpy loads
+import json, sys, tempfile
+from pathlib import Path
+from test_golden import CASES, run_case
+
+outputs = {}
+for name in CASES:
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs[name] = run_case(name, Path(tmp))
+sys.stdout.write(json.dumps(outputs))
+"""
+
+
+def test_outputs_are_byte_identical_at_a_fixed_thread_count():
+    """The thread contract: every golden case gives the same bytes in two
+    runs at PERMLIN_THREADS=1, and at PERMLIN_THREADS=2, where LAPACK may sum
+    in another order, stays within the golden gate.  The three runs are
+    processes of their own, run side by side."""
+    from test_golden import CASES, GOLDEN, _largest_float, assert_matches
+
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    procs = [subprocess.Popen([sys.executable, "-c", GOLDEN_SCRIPT], env=dict(env, PERMLIN_THREADS=threads),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for threads in ("1", "1", "2")]
+    outputs = [proc.communicate(timeout=300) for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs), [err for _, err in outputs]
+    first, second, two_threads = (json.loads(out) for out, _ in outputs)
+    assert sorted(first) == sorted(CASES)
+    assert first == second
+    for name, text in two_threads.items():
+        want, got = json.loads((GOLDEN / f"{name}.json").read_text()), json.loads(text)
+        assert sorted(got) == sorted(want), name
+        for key in want:
+            assert_matches(want[key], got[key], _largest_float(want[key]), f"{name}: {key}")

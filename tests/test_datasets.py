@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import permlin.linalg
-from permlin.datasets import demo_shift_chunks, demo_shift_dataset
+from permlin.datasets import demo_shift_chunks
+
+from helpers import demo_shift_dataset
 
 
 def rolled_dataset(height, width, samples, seed, noise):
@@ -31,7 +33,9 @@ SHAPES = [(32, 32, 300), (5, 9, 200), (1, 6, 50), (6, 1, 50), (1, 1, 20)]
 @pytest.mark.parametrize("height, width, samples", SHAPES)
 def test_bars_placed_at_their_shift_match_the_rolled_images(height, width, samples, seed):
     """Adding each column bar at its shifted column draws the same numbers in
-    the same order as rolling the image, and gives the same bits."""
+    the same order as rolling the image, and gives the same bits: the data
+    matrix that the fit tests build with `helpers.demo_shift_dataset` is
+    the rolled images."""
     got = demo_shift_dataset(height, width, samples, seed=seed, noise=0.05)
     assert np.array_equal(got, rolled_dataset(height, width, samples, seed, 0.05))
 

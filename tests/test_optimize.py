@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permlin.datasets import demo_shift_dataset, horizontal_shift_permutation
+from permlin.datasets import horizontal_shift_permutation
 from permlin.equivariant import (
     classify_component,
     count_components,
@@ -54,7 +54,7 @@ from permlin.optimize import (
 from permlin.perms import Permutation, consecutive_cycles, cycle_decomposition, parse_permutation
 from permlin.spectral import eigen_multiplicities, real_base_change
 
-from helpers import als_loss, commutator_ratio, identity, traced
+from helpers import als_loss, commutator_ratio, demo_shift_dataset, identity, traced
 
 ROT9 = parse_permutation("(1 4 3 2)(5 8 7 6)", 9)
 EPS = np.finfo(float).eps
@@ -473,27 +473,18 @@ class TestFitEquivariant:
 
     def test_search_gap_of_energy_heuristic(self):
         # greedy allocation by energy per rank unit misses the optimum here,
-        # because the budget mixes unit and complex-pair blocks
+        # because the budget mixes unit and complex-pair blocks; the shim
+        # fits its choice as a named component
         rng = np.random.default_rng(1)
         x = rng.standard_normal((9, 30))
         y = rng.standard_normal((9, 30))
         exact = fit_equivariant(x, y, ROT9, 6)
         energy = fit_equivariant(x, y, ROT9, 6, heuristic="energy")
         assert exact.component.values == (1, 1, 2) and energy.component.values == (2, 2, 1)
-        assert exact.search_gap is None
-        assert energy.search_gap > 0.1
-        assert abs(energy.search_gap - (energy.loss - exact.loss)) <= 1e-9 * (1 + energy.loss)
-
-    def test_heuristic_is_checked_and_excludes_a_component(self):
-        x = np.random.default_rng(23).standard_normal((9, 30))
-        solve = solve_equivariant(x, x, ROT9)
-        rvec = make_rank_vector(eigen_multiplicities(cycle_decomposition(ROT9)), "real", (1, 0, 1))
-        with pytest.raises(ComponentError, match="not both"):
-            solve.fit(3, rvec, "energy")
-        for component in (None, rvec):
-            with pytest.raises(ComponentError, match="unknown heuristic 'bogus'"):
-                solve.fit(3, component, "bogus")
-        assert solve.fit(3, rvec).component_source == "named"
+        assert (exact.component_source, energy.component_source) == ("search", "named")
+        assert energy.loss - exact.loss > 0.1
+        named = fit_equivariant(x, y, ROT9, 6, component=energy.component)
+        assert named.loss == energy.loss
 
     def test_bad_choice_is_rejected_before_the_solve(self, monkeypatch):
         """An unknown heuristic, or a component named with a heuristic, is
@@ -523,7 +514,7 @@ class TestFitEquivariant:
         rng = np.random.default_rng(21)
         x = rng.standard_normal((9, 30))
         fit = fit_equivariant(x, x, ROT9, 3, heuristic="energy")
-        assert fit.component_source == "heuristic"
+        assert fit.component_source == "named"
         full = fit_equivariant(x, x, ROT9, 3)
         assert full.loss <= fit.loss + 1e-9
 
@@ -1106,6 +1097,31 @@ def test_a_gram_that_overflows_is_named():
                 fit()
 
 
+@pytest.mark.parametrize("ridge", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_a_ridge_that_is_not_finite_and_positive_is_named(monkeypatch, ridge):
+    """One check rejects every ridge that is not finite and positive, NaN
+    included, before any eigendecomposition, and names it: on the dense,
+    invariant and equivariant fits, on the row and Gram routes, and from a
+    caller's Gram."""
+    import permlin.optimize
+    from permlin.invariant import fit_invariant, invariant_space
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a fit took an eigendecomposition")
+
+    monkeypatch.setattr(permlin.optimize, "eigh", fail)
+    rng = np.random.default_rng(67)
+    x, y = rng.standard_normal((9, 30)), rng.standard_normal((9, 30))
+    space = invariant_space([ROT9], 9, 9, 2)
+    for fit in (lambda: fit_rank_bounded(x, y, 2, ridge), lambda: fit_rank_bounded(x, x, 2, ridge),
+                lambda: fit_invariant(x, y, space, ridge=ridge),
+                lambda: fit_equivariant(x, y, ROT9, 3, ridge=ridge),
+                lambda: fit_equivariant(x, x, ROT9, 3, ridge=ridge),
+                lambda: solve_equivariant_gram(x @ x.T, ROT9, ridge)):
+        with pytest.raises(RankDeficientError, match=f"^ridge must be finite and positive, got {ridge!r}$"):
+            fit()
+
+
 @pytest.mark.parametrize("scratch", [None, 1, 7])
 def test_chunked_gram_is_the_gram(monkeypatch, scratch):
     """`chunked_gram` of any split of X into column chunks is X X^T within
@@ -1403,7 +1419,6 @@ def test_exact_search_at_image_scale():
     assert exact.loss <= energy.loss + slack
     assert exact.component.total_rank == 50
     assert classify_component(exact.minimizer, sigma).values == exact.component.values
-    assert 0.0 <= energy.search_gap <= energy.loss - exact.loss + slack
 
 
 class TestScaleInvariance:

@@ -392,14 +392,15 @@ def cmd_demo_shift(args):
 
     # X is both data and target, so every reported number is a function of
     # its Gram G = X X^T: the samples are drawn a chunk of columns at a time
-    # and summed into G, and X is never held.  The equivariant solve reads
-    # its block Grams off G, one eigh each; the dense baseline reports only
-    # its loss, the tail sum of the eigenvalues of G: no eigenvectors, no
-    # factors
+    # and summed into G, and X is never held.  The dense baseline reports
+    # only its loss, the tail sum of the eigenvalues of G: no eigenvectors,
+    # no factors.  It runs first, because np.linalg.eigvalsh copies G, and
+    # with nothing else held yet the run peaks at 2 G, the floor with numpy.
+    # The equivariant solve then reads its block Grams off G, one eigh each
     gram = optimize.chunked_gram(datasets.demo_shift_chunks(args.height, args.width, args.samples,
                                                             seed=rng_seed, noise=args.noise), sigma.n)
-    solve = optimize.solve_equivariant_gram(gram, sigma)
     dense_loss = optimize.autoencoder_loss(gram, r)
+    solve = optimize.solve_equivariant_gram(gram, sigma)
     del gram
     slack, size = solve.slack, sigma.n * args.samples
     best = solve.fit(r)

@@ -99,7 +99,10 @@ eigenvalues of G, from one eigenvalue decomposition without eigenvectors:
 the Gram route's loss without a ridge.  The sum is taken directly,
 smallest first, never as ||X||^2 minus the top-r sum, so it has no
 cancellation: its absolute error is about (n - r) eps lambda_1, the
-eigenvalues' own error, and at r >= n it is exactly 0.
+eigenvalues' own error, and at r >= n it is exactly 0.  `demo-shift`
+takes that loss before the equivariant solve: `np.linalg.eigvalsh` always
+copies its input, so with G the only array held there the run peaks at
+2 G, the floor of an exact route through numpy.
 
 Every fit is a solve, then a read: a `WeightedEckartYoung` holds its solve
 (and on the row route its data), and its one `read(r, key)` serves both

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, equivariant, invariant, linalg, matio, optimize, oracles, spectral
+from . import datasets, equivariant, invariant, linalg, matio, optimize, spectral
 from .errors import ComponentError, CyclicOnlyError, NonFiniteError, PermlinError
 from .perms import consecutive_cycles, cycle_decomposition, parse_permutation, permutation_matrix
 
@@ -213,6 +213,8 @@ def cmd_fit(args):
         fit = optimize.fit_equivariant(x, y, gens[0], args.rank, component=component, ridge=args.ridge)
         extras = None
         if args.candidates:
+            from . import oracles  # the brute-force listing: loaded only for it
+
             limit = 10**6 if args.search_limit is None else args.search_limit
             listed = oracles.score_components(spec, args.rank, oracles.block_tails(fit.per_block),
                                               fit.constant_loss, limit)
@@ -284,6 +286,8 @@ def cmd_factorize(args):
 
 
 def cmd_verify(args):
+    from . import oracles  # the brute-force references: loaded only to verify
+
     gens = _resolve_gens(args, allow_many=True)
     rng = np.random.default_rng(args.seed)
     checks = []

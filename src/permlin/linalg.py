@@ -47,7 +47,12 @@ One constant bounds memory, not a verdict:
     SCRATCH        2^15   entries per step of every bounded loop (`chunks`);
                           a larger unit is one step.  At 2^16, the pass of
                           `is_equivariant` on n = 1024 peaks above 0.15 n^2
-                          float64 beyond M
+                          float64 beyond M.  The symmetry check of a Gram
+                          (`optimize._square_gram`) compares tiles of
+                          floor(sqrt(SCRATCH))^2 entries.  The dense Gram
+                          sum (`optimize.chunked_gram`) is sized by n
+                          instead: blocks of ceil(n/8) samples and panels
+                          of ceil(n/8) rows, inside G's own buffer
 
 The brute-force checks in `oracles` keep their own named tolerances so that
 they stay independent of this module.

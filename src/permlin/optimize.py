@@ -144,6 +144,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ComponentError, NonFiniteError, RankDeficientError, SizeMismatchError, StructuralError
+from . import linalg
 from .linalg import (DEFAULT_TOL, STRUCTURE_TOL, TIE_TOL, chunks, eigh, eigvalsh, require_data, require_finite,
                      require_real, safe_exponent, tie_slack)
 from .equivariant import Parameterization, RankVector, diagonal_blocks, make_rank_vector, parameterize_component
@@ -302,24 +303,51 @@ def _gram(x: np.ndarray) -> np.ndarray:
 def chunked_gram(parts, n: int) -> np.ndarray:
     """The Gram G = X X^T of real n x d data X given as chunks of its
     columns (`parts`, an iterable of n x k arrays, taken one at a time), so
-    that X is never held.  Each chunk, read by `require_real` as "X", is
-    added to the lower triangle of G in row panels of `linalg.chunks(n, n)`,
-    so no product exceeds max(SCRATCH, n) entries.  The panels are packed,
-    each contiguous, at the front of G's own buffer, because numpy adds a
-    product into a strided view of G through a copy; at the end each row is
-    moved to its place, last row first (a row never moves back, so no row
-    still to move is overwritten), and the upper triangle is mirrored panel
-    by panel.  NonFiniteError for a chunk with a NaN or infinite entry, and
-    for a Gram that overflows."""
-    g = np.zeros((n, n))
-    flat, panels = g.reshape(-1), list(chunks(n, n))
-    starts = np.cumsum([0] + [(sl.stop - sl.start) * sl.stop for sl in panels]).tolist()
-    packed = [flat[a:b].reshape(-1, sl.stop) for sl, a, b in zip(panels, starts, starts[1:])]
+    that X is never held.  Consecutive chunks, each read by `require_real`
+    as "X", are copied in order into an n x w block B of w = ceil(n/8)
+    samples, held sample by sample as the demo's chunks are; each full
+    block, and the last, part-full one, is added to the lower triangle of G
+    in row panels w rows tall, one product B[rows] B[:stop]^T at a time,
+    so each is a rank-w update however narrow the chunks are.  The panels
+    are packed, each contiguous, at the front of G's own buffer, because
+    numpy adds a product into a strided view of G through a copy.  They
+    take about 0.56 n^2 entries, and the block and one panel product (0.25
+    n^2) live in the rest of that buffer, so nothing is allocated beyond G;
+    where they do not fit (n <= 4 and n = 9) the buffer is made longer and
+    G is its head.  At the end each row is moved to its place, last row
+    first (a row never moves back, so no row still to move is
+    overwritten), and the upper triangle is mirrored panel by panel;
+    between them they write every entry of G, so the scratch left behind
+    needs no clearing.  NonFiniteError for a chunk with a NaN or infinite
+    entry, and for a Gram that overflows."""
+    width = max(1, -(-n // 8))
+    panels = [slice(i, min(i + width, n)) for i in range(0, n, width)]
+    sizes = [(sl.stop - sl.start) * sl.stop for sl in panels]
+    starts = np.cumsum([0] + sizes).tolist()
+    buf = np.zeros(max(n * n, starts[-1] + n * width + max(sizes, default=0)))
+    g = buf[:n * n].reshape(n, n)
+    packed = [buf[a:b].reshape(-1, sl.stop) for sl, a, b in zip(panels, starts, starts[1:])]
+    block = buf[starts[-1]:starts[-1] + n * width].reshape(width, n)
+    product = buf[starts[-1] + n * width:]
+
+    def add(held: np.ndarray) -> None:
+        for sl, panel in zip(panels, packed):
+            panel += np.matmul(held[:, sl].T, held[:, :sl.stop], out=product[:panel.size].reshape(panel.shape))
+
+    filled = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for part in parts:
             part = require_real(part, "X", (n, None))
-            for sl, panel in zip(panels, packed):
-                panel += part[sl] @ part[:sl.stop].T
+            taken = 0
+            while taken < part.shape[1]:
+                k = min(width - filled, part.shape[1] - taken)
+                block[filled:filled + k] = part[:, taken:taken + k].T
+                filled, taken = filled + k, taken + k
+                if filled == width:
+                    add(block)
+                    filled = 0
+        if filled:
+            add(block[:filled])
     for sl, panel in zip(reversed(panels), reversed(packed)):
         for i in range(sl.stop - 1, sl.start - 1, -1):
             g[i, :sl.stop] = panel[i - sl.start]
@@ -458,23 +486,29 @@ def fit_rank_bounded(
 def _square_gram(gram) -> np.ndarray:
     """A Gram handed to the library, read by `require_real`: SizeMismatchError
     unless it is square, StructuralError when ||G - G^T||_F exceeds
-    STRUCTURE_TOL ||G||_F.  Both norms are summed over the row panels of
-    `linalg.chunks`, each against its column panel, so no n x n temporary is
-    built, and summed again on 2^k G when ||G||_F^2 under- or overflows
-    (`safe_exponent`)."""
+    STRUCTURE_TOL ||G||_F.  ||G - G^T||_F^2 is summed over the t x t tiles
+    on and below the diagonal, t = floor(sqrt(SCRATCH)), a diagonal tile
+    once and any other twice (it stands for its mirror too), and ||G||_F^2
+    over the row panels of `linalg.chunks`, which are views of a C-ordered
+    G; so no temporary exceeds SCRATCH entries.  Both are summed again on
+    2^k G when ||G||_F^2 under- or overflows (`safe_exponent`)."""
     g = require_real(gram, "Gram")
     if g.shape[0] != g.shape[1]:
         raise SizeMismatchError(f"Gram has shape {g.shape}; expected a square matrix")
+    n, t = len(g), math.isqrt(linalg.SCRATCH)
+    tiles = [slice(i, min(i + t, n)) for i in range(0, n, t)]
 
     def squares(k: int) -> tuple[float, float]:
-        dev = norm = 0.0
-        for rows in chunks(len(g), len(g)):
-            panel, cols = g[rows], g[:, rows].T
-            if k:
-                panel, cols = np.ldexp(panel, k), np.ldexp(cols, k)
-            diff = panel - cols
-            dev, norm = dev + float(np.vdot(diff, diff)), norm + float(np.vdot(panel, panel))
-        return dev, norm
+        def scaled(a: np.ndarray) -> np.ndarray:
+            return np.ldexp(a, k) if k else a
+
+        def sum_sq(a: np.ndarray) -> float:
+            a = np.ascontiguousarray(a)  # np.vdot copies an array it cannot read flat
+            return float(np.vdot(a, a))
+
+        dev = sum((1 if i == j else 2) * sum_sq(scaled(g[rows, cols]) - scaled(g[cols, rows].T))
+                  for i, rows in enumerate(tiles) for j, cols in enumerate(tiles[:i + 1]))
+        return dev, sum(sum_sq(scaled(g[rows])) for rows in chunks(n, n))
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves ||G||_F^2 unsafe
         dev, norm = squares(0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from permlin import optimize
 from permlin.datasets import horizontal_shift_permutation
 from permlin.equivariant import (
     classify_component,
@@ -1014,7 +1015,8 @@ def test_an_asymmetric_gram_is_rejected(monkeypatch, scratch):
     An antisymmetric part of half the bound passes and one of twice the
     bound fails.  The exact G of `chunked_gram` and of X X^T passes.  All
     of it holds with X at 1e+-100 too, where ||G||_F^2 under- or overflows,
-    and with a SCRATCH of 7, where the check runs over one-row panels."""
+    and with a SCRATCH of 7, where the check runs over 2 x 2 tiles and
+    one-row panels."""
     import permlin.linalg
     from permlin.linalg import STRUCTURE_TOL
 
@@ -1125,8 +1127,8 @@ def test_a_ridge_that_is_not_finite_and_positive_is_named(monkeypatch, ridge):
 @pytest.mark.parametrize("scratch", [None, 1, 7])
 def test_chunked_gram_is_the_gram(monkeypatch, scratch):
     """`chunked_gram` of any split of X into column chunks is X X^T within
-    rounding and exactly symmetric, also with a SCRATCH so small that each
-    row panel is one or a few rows."""
+    rounding and exactly symmetric, whatever SCRATCH is: its panels and
+    block are sized by n alone."""
     import permlin.linalg
 
     if scratch is not None:
@@ -1141,8 +1143,10 @@ def test_chunked_gram_is_the_gram(monkeypatch, scratch):
 
 def test_chunked_gram_holds_g_and_one_panel_product():
     """At n = 512, beyond G and the chunks the caller holds, `chunked_gram`
-    allocates one row-panel product at a time: at most SCRATCH entries
-    (256 KiB), where one X X^T of a chunk would be n^2 (2 MiB)."""
+    allocates at most one row-panel product's worth, SCRATCH entries
+    (256 KiB), where one X X^T of a chunk would be n^2 (2 MiB).  Its block
+    and panel product now live in G's own buffer, far under this bound
+    (`test_chunked_gram_allocates_nothing_beyond_g`)."""
     from permlin.linalg import SCRATCH
 
     n = 512
@@ -1150,6 +1154,138 @@ def test_chunked_gram_holds_g_and_one_panel_product():
     with traced() as mem:
         g = chunked_gram(parts, n)
     assert mem.peak - g.nbytes <= 8 * SCRATCH + 16 * 1024
+
+
+def _column_parts(x: np.ndarray, widths: list[int], layout: str) -> list[np.ndarray]:
+    """x as consecutive chunks of columns of these widths, each a C- or
+    F-ordered copy, or ("strided") a view strided in both dimensions."""
+    parts, at = [], 0
+    for k in widths:
+        part = x[:, at:at + k]
+        at += k
+        if layout == "strided":
+            wide = np.zeros((2 * len(x), 3 * k))
+            wide[::2, ::3] = part
+            parts.append(wide[::2, ::3])
+        else:
+            parts.append(np.array(part, order=layout))
+    return parts
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 130, 512])
+def test_chunked_gram_fills_its_blocks_from_any_chunks(n, layout):
+    """`chunked_gram` copies chunks into blocks of w = ceil(n/8) samples.
+    Chunks of 1, w - 1, w, w + 1 and w + 1 columns and a short last one,
+    which fill a block exactly, overrun it and leave it part full, each
+    C-ordered, F-ordered or strided, sum to an exactly symmetric G within
+    the rounding of any order of the sum: each entry within d eps of
+    (|X| |X|^T)_ij of X X^T (twice gamma_d).  The small n take the longer
+    buffer.  A NaN in the last chunk is named as X, and the same data at
+    1e200 raise the Gram's overflow."""
+    w = -(-n // 8)
+    widths = [1, w - 1, w, w + 1, w + 1, max(1, w // 2)]
+    d = sum(widths)
+    x = np.random.default_rng(n).standard_normal((n, d))
+    g = chunked_gram(_column_parts(x, widths, layout), n)
+    assert g.shape == (n, n) and np.array_equal(g, g.T)
+    assert np.all(np.abs(g - x @ x.T) <= d * EPS * (np.abs(x) @ np.abs(x).T))
+    broken = _column_parts(x, widths, layout)
+    broken[-1][n // 2, -1] = np.nan
+    with pytest.raises(NonFiniteError, match="^X has NaN or infinite entries$"):
+        chunked_gram(broken, n)
+    with pytest.raises(NonFiniteError, match="^Gram of X overflows; rescale the data$"):
+        chunked_gram(_column_parts(1e200 * x, widths, layout), n)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_chunked_gram_allocates_nothing_beyond_g(layout):
+    """At n = 512 the packed panels take 0.56 n^2 entries of G's buffer, and
+    the block of w = 64 samples and the one panel product (0.25 n^2) its
+    tail: beyond G and the caller's chunks of 40 columns, C- or F-ordered,
+    `chunked_gram` allocates at most 16 KiB, Python's own objects."""
+    n = 512
+    parts = _column_parts(np.random.default_rng(73).standard_normal((n, 200)), [40] * 5, layout)
+    with traced() as mem:
+        g = chunked_gram(parts, n)
+    assert mem.peak - g.nbytes <= 16 * 1024
+
+
+def _norm_f(m: np.ndarray) -> float:
+    """||m||_F from a correctly rounded sum (`math.fsum`) of the squares of
+    m scaled by a power of two, so that none under- or overflows."""
+    e = math.frexp(np.abs(m).max())[1]
+    return math.ldexp(math.sqrt(math.fsum((np.ldexp(m, -e) ** 2).ravel())), e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["off-diagonal", "diagonal", "ragged"]), st.floats(-10, -6),
+       st.sampled_from([1e-200, 1.0, 1e200]), st.booleans(), st.integers(0, 2**32 - 1))
+@example("off-diagonal", -8 + 1e-6, 1.0, False, 0)
+@example("off-diagonal", -8 - 1e-6, 1.0, False, 0)
+@example("diagonal", -8 + 1e-6, 1e200, True, 1)
+@example("ragged", -8 - 1e-6, 1e-200, True, 2)
+def test_gram_symmetry_verdict_sits_on_the_side_of_structure_tol(tile, log_rel, scale, strided, seed):
+    """`_square_gram` sums ||G - G^T||_F^2 over the t x t tiles on and
+    below the diagonal, t = floor(sqrt(SCRATCH)); on n = 2t + 5 the last
+    tile is ragged, 5 rows.  An exactly symmetric G at scale 1e-200, 1 or
+    1e200 (where ||G||_F^2 under- or overflows), C-ordered or strided in
+    both dimensions, gets one entry moved by 10^log_rel ||G||_F / sqrt(2),
+    drawn log-uniformly across STRUCTURE_TOL = 1e-8: in an off-diagonal
+    tile, in a diagonal tile, or in the ragged tile row, above or below the
+    diagonal.  G - G^T then holds +-dev for the float difference dev the
+    check takes too, and the test reads ||G||_F exactly (`_norm_f`), so
+    only the library's own sums round: draws within n^2 eps of the bound,
+    relative, leave the side unasserted.  The check raises StructuralError
+    exactly when sqrt(2) dev exceeds STRUCTURE_TOL ||G||_F, and otherwise
+    returns G itself."""
+    from permlin.linalg import SCRATCH, STRUCTURE_TOL
+
+    assert STRUCTURE_TOL == 1e-8  # the examples sit 1e-6 decades from it
+    t = math.isqrt(SCRATCH)
+    n = 2 * t + 5
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    g = scale * (a + a.T)
+    if tile == "off-diagonal":
+        i, j = int(rng.integers(t, 2 * t)), int(rng.integers(t))
+    elif tile == "diagonal":
+        i, j = (int(v) for v in rng.choice(t, 2, replace=False))
+    else:
+        i = int(rng.integers(2 * t, n))
+        j = int(rng.choice([v for v in range(n) if v != i]))
+    if rng.random() < 0.5:
+        i, j = j, i
+    g[i, j] += (1 if rng.random() < 0.5 else -1) * 10.0 ** log_rel * _norm_f(g) / math.sqrt(2)
+    dev, norm = abs(g[i, j] - g[j, i]), _norm_f(g)
+    if strided:
+        wide = np.zeros((2 * n, 3 * n))
+        wide[::2, ::3] = g
+        g = wide[::2, ::3]
+    try:
+        assert optimize._square_gram(g) is g
+        rejected = False
+    except StructuralError:
+        rejected = True
+    if abs(math.sqrt(2) * dev / (STRUCTURE_TOL * norm) - 1) > n * n * EPS:
+        assert rejected == (math.sqrt(2) * dev > STRUCTURE_TOL * norm)
+
+
+def test_gram_symmetry_check_of_a_strided_gram_holds_two_scratches():
+    """A strided G has no row panel to read in place: beyond G,
+    `_square_gram` holds at most 2 SCRATCH entries at once, one tile
+    difference and numpy's buffers for its transposed operand, or one
+    row panel copied for its norm."""
+    from permlin.linalg import SCRATCH
+
+    n = 512
+    a = np.random.default_rng(79).standard_normal((n, n))
+    wide = np.zeros((2 * n, 3 * n))
+    wide[::2, ::3] = a + a.T
+    g = wide[::2, ::3]
+    with traced() as mem:
+        optimize._square_gram(g)
+    assert mem.peak <= 2 * 8 * SCRATCH
 
 
 @settings(max_examples=100, deadline=None)

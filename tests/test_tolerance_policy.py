@@ -121,6 +121,24 @@ def test_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_cli_loads_oracles_only_to_verify(tmp_path):
+    """The brute-force `oracles` load only where the CLI uses them, in
+    `verify` and `fit --candidates`: neither `import permlin.cli` nor a
+    `demo-shift` run loads them, and a `verify` run does."""
+    def run(*argv: str) -> str:
+        return f"permlin.cli.main({list(argv)!r}); "
+
+    loaded = "print('permlin.oracles' in sys.modules); "
+    script = ("import sys, permlin.cli; " + loaded
+              + run("demo-shift", "--height", "4", "--width", "4", "--samples", "40", "--rank", "3",
+                    "--out", str(tmp_path / "demo.json")) + loaded
+              + run("verify", "--cycle-type", "3x1", "--rank", "1", "--out", str(tmp_path / "verify.json")) + loaded)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert res.stdout.split() == ["False", "False", "True"]
+
+
 def _permlin_imports(tree: ast.Module):
     """(line, module, name) per name imported from a permlin module; module
     is the permlin module's bare name, name None for a plain module import."""

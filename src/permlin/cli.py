@@ -160,7 +160,7 @@ def cmd_project(args):
     gens = _resolve_gens(args, allow_many=True)
     m = matio.read_matrix(args.matrix)
     if args.mode == "invariant":
-        space = invariant.invariant_space(gens, m.shape[0], gens[0].n, min(m.shape))
+        space = invariant.invariant_space(gens, m.shape[0], gens[0].n, 0)  # a projection has no rank bound
         proj = invariant.invariant_project(m, space.partition)
     else:
         proj = equivariant.equivariant_project(m, gens)
@@ -240,7 +240,7 @@ def cmd_factorize(args):
             raise PermlinError("factorize --mode invariant needs --matrix")
         m = matio.read_matrix(args.matrix)
         space = invariant.invariant_space(
-            gens, m.shape[0], gens[0].n, args.rank if args.rank is not None else min(m.shape))
+            gens, m.shape[0], gens[0].n, args.rank if args.rank is not None else min(m.shape[0], gens[0].n))
         dec, enc = invariant.invariant_autoencoder(space, m)
         k = space.partition.k
         groups = []
@@ -300,6 +300,9 @@ def cmd_verify(args):
                        "ok": bool(fast == slow)})
     if len(gens) == 1:
         spec = _spectrum_of(gens[0])
+        if n <= max(oracles.MAX_ALS_DIM, oracles.MAX_SCORED_N):  # for both conjugation checks below
+            bc = spectral.real_base_change(gens[0])
+            q, q_inv = oracles.dense_base_change(bc)
         for field in ("complex", "real"):
             fast = equivariant.count_components(spec, args.rank, field)
             if len(spec.blocks(field)) <= oracles.MAX_COUNT_BLOCKS and fast <= oracles.MAX_COUNT_CENSUS:
@@ -320,8 +323,6 @@ def cmd_verify(args):
         checks.append({"check": "autoencoder_loss_vs_fit", "fast": fast, "oracle": slow,
                        "ok": bool(abs(fast - slow) <= linalg.tie_slack(x))})
         if len(gens) == 1:
-            bc = spectral.real_base_change(gens[0])
-            q, q_inv = oracles.dense_base_change(bc)
             dev = float(np.linalg.norm(q_inv @ permutation_matrix(gens[0]) @ q - oracles.expected_block_form(bc)))
             checks.append({"check": "base_change_block_form", "fast": dev, "oracle": 0.0,
                            "ok": bool(dev <= oracles.BLOCK_FORM_TOL * n)})
@@ -351,12 +352,16 @@ def cmd_verify(args):
                        "ok": bool(dev <= tol)})
         # the cycle-order commutator of is_equivariant against the dense P M P^T
         pm = permutation_matrix(gens[0]).astype(float)
+
+        def dense_squares(a, k):
+            a = np.ldexp(a, k) if k else a
+            c = pm @ a @ pm.T - a
+            return float(np.vdot(c, c)), float(np.vdot(a, a))
+
         fast = [equivariant.is_equivariant(a, gens[0]) for a in (proj, m)]
-        slow = [bool(np.linalg.norm(pm @ a @ pm.T - a) <= linalg.STRUCTURE_TOL * np.linalg.norm(a)) for a in (proj, m)]
+        slow = [linalg.within_structure(a, lambda k: dense_squares(a, k))[0] for a in (proj, m)]
         checks.append({"check": "commutator_vs_dense", "fast": ",".join(map(str, fast)),
                        "oracle": ",".join(map(str, slow)), "ok": fast == slow})
-        bc = spectral.real_base_change(gens[0])
-        q, q_inv = oracles.dense_base_change(bc)
         conj = q_inv @ m @ q
         dev = float(np.sqrt(sum(np.linalg.norm(b - conj[sl, sl]) ** 2 for b, sl in
                                 zip(equivariant.diagonal_blocks(m, gens[0]), bc.block_slices))))

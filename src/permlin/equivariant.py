@@ -39,8 +39,8 @@ from .errors import (
     StructuralError,
 )
 from . import linalg
-from .linalg import (STRUCTURE_TOL, chunks, rank_threshold, realize, require_finite, require_real, safe_exponent, svd,
-                     svdvals)
+from .linalg import (chunks, rank_threshold, realize, require_finite, require_real, svd, svdvals,
+                     within_structure)
 from .perms import CycleDecomposition, Permutation, cycle_decomposition, induced_partition, join_labels
 from .spectral import BaseChange, Block, BlockSpectrum, cycle_runs, eigen_multiplicities, real_base_change
 
@@ -456,36 +456,18 @@ def _orbit_blocks(tables: list, spec: BlockSpectrum) -> list[np.ndarray]:
 def is_equivariant(m: np.ndarray, p: Permutation) -> bool:
     """The membership test of the library: M, read by `require_real`, is
     equivariant under sigma iff ||P_sigma M P_sigma^T - M||_F = ||P_sigma M - M P_sigma||_F
-    <= STRUCTURE_TOL * ||M||_F, both norms read in one cycle-order pass over M
-    (`_orbit_sums`).  `classify_component` applies the same test."""
-    return _commutes(require_real(m, "matrix", (p.n, p.n)), cycle_decomposition(p))[0]
-
-
-def _commutes(m: np.ndarray, cd: CycleDecomposition, sums: bool = False) -> tuple[bool, list, int]:
-    """The commutator bound of `is_equivariant` on a matrix already read,
-    the orbit-sum tables of the same pass when `sums` (`_orbit_sums`), and
-    the k of the tables, which sum 2^k M.  When ||M||_F^2 has under- or
-    overflowed, the pass is redone on M scaled by the power of two of
-    `safe_exponent`, which changes neither the bound's verdict nor any block
-    rank read from the tables; otherwise k is 0."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves ||M||_F^2 unsafe
-        dev, norm, tables = _orbit_sums(m, cd, sums)
-    k = safe_exponent(m, norm)
-    if k:
-        dev, norm, tables = _orbit_sums(m, cd, sums, k)
-    return math.sqrt(dev) <= STRUCTURE_TOL * math.sqrt(norm), tables, k
+    <= STRUCTURE_TOL * ||M||_F (`linalg.within_structure`), both norms read
+    in one cycle-order pass over M (`_orbit_sums`).  `classify_component`
+    and `factor_component` apply the same test."""
+    m = require_real(m, "matrix", (p.n, p.n))
+    cd = cycle_decomposition(p)
+    return within_structure(m, lambda k: _orbit_sums(m, cd, False, k))[0]
 
 
 # ---------------------------------------------------------------------------
 # classification and parameterization
 
-
-def _real_base_change(p: Permutation, bc: Optional[BaseChange]) -> BaseChange:
-    """`bc`, or the base change of p when None; SizeMismatchError for a base
-    change of another permutation."""
-    if bc is not None and bc.permutation != p:
-        raise SizeMismatchError("base change is not the real base change of this permutation")
-    return bc if bc is not None else real_base_change(p)
+_NOT_EQUIVARIANT = "P M P^T differs from M beyond STRUCTURE_TOL; input is not equivariant"
 
 
 def classify_component(m: np.ndarray, p: Permutation, base_change: Optional[BaseChange] = None) -> RankVector:
@@ -511,18 +493,19 @@ def classify_component(m: np.ndarray, p: Permutation, base_change: Optional[Base
     """
     m = require_real(m, "matrix", (p.n, p.n))
     cd = cycle_decomposition(p)
-    commutes, tables, _ = _commutes(m, cd, sums=True)
-    return _ranked_blocks(p, cd, base_change, commutes, tables)[0]
-
-
-def _ranked_blocks(p: Permutation, cd: CycleDecomposition, bc: Optional[BaseChange], commutes: bool,
-                   tables: list) -> tuple[RankVector, list[np.ndarray]]:
-    """The rank vector of `classify_component` from the verdict and the
-    orbit-sum tables of one pass of `_commutes`, with the diagonal blocks
-    that it was read from."""
+    commutes, _, (tables,) = within_structure(m, lambda k: _orbit_sums(m, cd, True, k))
     if not commutes:
-        raise EquivarianceError("P M P^T differs from M beyond STRUCTURE_TOL; input is not equivariant")
-    spec = eigen_multiplicities(cd) if bc is None else _real_base_change(p, bc).spectrum
+        raise EquivarianceError(_NOT_EQUIVARIANT)
+    if base_change is not None and base_change.permutation != p:
+        raise SizeMismatchError("base change is not the real base change of this permutation")
+    return _ranked_blocks(p, cd, tables)[0]
+
+
+def _ranked_blocks(p: Permutation, cd: CycleDecomposition, tables: list) -> tuple[RankVector, list[np.ndarray]]:
+    """The rank vector of `classify_component` from the orbit-sum tables of
+    one pass of `_orbit_sums` over an equivariant M, with the diagonal
+    blocks that it was read from."""
+    spec = eigen_multiplicities(cd)
     blocks = _orbit_blocks(tables, spec)
     svals = [svdvals(b) for b in blocks]
     # rank decisions share the numerical-rank threshold of the whole matrix,
@@ -549,11 +532,13 @@ def factor_component(m: np.ndarray, p: Permutation) -> Parameterization:
     between the factors at rank t: A = U_t sqrt(s_t), B = sqrt(s_t) V_t^H.
     A complex pair's block is the realization of Z = B[0::2, 0::2] +
     i B[1::2, 0::2], whose SVD is taken instead.  The blocks are read from
-    2^k M (`_commutes`), and scaled back by 2^-k first."""
+    2^k M (`linalg.within_structure`), and scaled back by 2^-k first."""
     m = require_real(m, "matrix", (p.n, p.n))
     cd = cycle_decomposition(p)
-    commutes, tables, k = _commutes(m, cd, sums=True)
-    rvec, blocks = _ranked_blocks(p, cd, None, commutes, tables)
+    commutes, k, (tables,) = within_structure(m, lambda k: _orbit_sums(m, cd, True, k))
+    if not commutes:
+        raise EquivarianceError(_NOT_EQUIVARIANT)
+    rvec, blocks = _ranked_blocks(p, cd, tables)
     factors = []
     for blk, b, t in zip(rvec.blocks, blocks, rvec.values):
         b = np.ldexp(b, -k)
@@ -664,14 +649,17 @@ def parameterize_component(
     conjugated back.  `factors` gives one pair per block, else `rng` draws
     them unit-normal: SizeMismatchError for a wrong count or shape,
     NonFiniteError for NaN or inf, StructuralError for complex on a +-1 block,
-    ComponentError for a component of another permutation, all raised here.
+    ComponentError for a component of another permutation, all raised here;
+    before them, SizeMismatchError for a `base_change` of another permutation.
 
     The call checks and realizes the per-block factors and places nothing:
     the `Parameterization` forms decoder = Q D and encoder = (Q E^T)^T on
     their first read, so a caller that needs only the blocks never holds an
     n x r array.
     """
-    bc = _real_base_change(p, base_change)
+    if base_change is not None and base_change.permutation != p:
+        raise SizeMismatchError("base change is not the real base change of this permutation")
+    bc = real_base_change(p) if base_change is None else base_change
     spec = bc.spectrum
     if rvec.blocks != spec.real_blocks:
         raise ComponentError(f"{rvec} is not a real component of this permutation")

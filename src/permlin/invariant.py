@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvarianceError, SizeMismatchError
-from .linalg import STRUCTURE_TOL, chunks, numeric_rank, require_data, require_real, safe_exponent, svd
+from .linalg import chunks, numeric_rank, require_data, require_real, svd, within_structure
 from .equivariant import determinantal_degree
 from .optimize import Factors, FitResult, weighted_eckart_young
 from .perms import (
@@ -74,14 +74,9 @@ def invariant_space(gens: Sequence[Permutation], m: int, n: int, r: int) -> Inva
 
 def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
     """Keep one column per block (the smallest label), after checking the
-    columns within each block agree entrywise within STRUCTURE_TOL * ||M||_F."""
+    columns within each block agree entrywise within STRUCTURE_TOL * ||M||_F
+    (`linalg.within_structure`)."""
     m_mat = require_real(m_mat, "matrix", (None, part.n))
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m_mat))
-    k = safe_exponent(m_mat, norm * norm)
-    if k:  # ||M||_F^2 under- or overflowed: the norm of 2^k M
-        norm = float(np.linalg.norm(np.ldexp(m_mat, k)))
-    bound = math.ldexp(STRUCTURE_TOL * norm, -k)
     compact = m_mat[:, [b[0] - 1 for b in part.blocks]]
     # the largest deviation of each column from its block's first column, a
     # chunk of columns at a time, so that no n x n difference is formed
@@ -90,8 +85,16 @@ def psi_compress(m_mat: np.ndarray, part: Partition) -> np.ndarray:
         diff = m_mat[:, cols] - compact[:, labels[cols]]
         dev[cols] = np.abs(diff, out=diff).max(axis=0, initial=0.0)
     worst = int(np.argmax(dev))
-    if dev[worst] > bound:
-        raise InvarianceError(f"columns of block {part.labels[worst]} differ by {dev[worst]:.3e} (> {bound:.3e})")
+
+    def squares(k: int) -> tuple[float, float, float]:
+        top = math.ldexp(dev[worst], k)
+        norm = float(np.linalg.norm(np.ldexp(m_mat, k) if k else m_mat))
+        return top * top, norm * norm, norm
+
+    within, k, (norm,) = within_structure(m_mat, squares)
+    if not within:
+        raise InvarianceError(f"columns of block {part.labels[worst]} differ by {dev[worst]:.3e} "
+                              f"(> STRUCTURE_TOL ||M||_F, ||M||_F = {math.ldexp(norm, -k):.3e})")
     return compact
 
 

@@ -34,11 +34,11 @@ a tolerance argument.
                           component search treats fit losses within
                           `tie_slack(Y)` = TIE_TOL ||Y||_F^2 as tied
     STRUCTURE_TOL  1e-8   membership in a linear subspace, relative to
-                          ||M||_F: equivariance, one commutator bound
-                          ||P M P^T - M||_F that `is_equivariant` and
-                          `classify_component` share, column equality
-                          of invariant maps (`psi_compress`), and the
-                          symmetry ||G - G^T||_F of a Gram that a caller
+                          ||M||_F, every verdict by `within_structure`:
+                          equivariance ||P M P^T - M||_F (`is_equivariant`,
+                          `classify_component`, `factor_component`), column
+                          equality of invariant maps (`psi_compress`), and
+                          the symmetry ||G - G^T||_F of a Gram that a caller
                           hands `autoencoder_loss` or
                           `solve_equivariant_gram` (`optimize._square_gram`)
 
@@ -61,7 +61,7 @@ they stay independent of this module.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -88,7 +88,7 @@ __all__ = [
     "STRUCTURE_TOL",
     "SCRATCH",
     "chunks",
-    "safe_exponent",
+    "within_structure",
     "tie_slack",
 ]
 
@@ -157,16 +157,21 @@ def require_data(x, y) -> tuple[np.ndarray, np.ndarray]:
 _SAFE_SQUARES = (np.finfo(float).tiny ** 0.5, np.finfo(float).max ** 0.5)
 
 
-def safe_exponent(a: np.ndarray, squares: float) -> int:
-    """0 when `squares`, the sum of the squares of a's entries taken in one
-    pass, is a safe normal number (in `_SAFE_SQUARES`), or when a is zero;
-    otherwise the k for which 2^k max |a_ij| lies in [1/2, 1), so that the
-    pass can be redone on 2^k a (`np.ldexp`, exact on normal numbers), whose
-    squares neither underflow nor overflow.  Only that case sweeps a again."""
-    if _SAFE_SQUARES[0] <= squares <= _SAFE_SQUARES[1]:
-        return 0
-    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-    return -math.frexp(top)[1] if top else 0
+def within_structure(a: np.ndarray, squares: Callable[[int], tuple]) -> tuple[bool, int, list]:
+    """The one membership rule: (sqrt(dev) <= STRUCTURE_TOL sqrt(norm), k,
+    rest) of a pass squares(k) -> (dev, norm, *rest) over 2^k a, dev the
+    squared deviation of 2^k a from a linear subspace, norm ||2^k a||_F^2.
+    The pass runs at k = 0; when norm is not safe (`_SAFE_SQUARES`) and a is
+    not zero, once more at the k that puts 2^k max |a_ij| in [1/2, 1), a
+    scaling exact on normal numbers, which changes no verdict."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves the norm unsafe
+        dev, norm, *rest = squares(0)
+    k = 0
+    if not _SAFE_SQUARES[0] <= norm <= _SAFE_SQUARES[1]:
+        k = -math.frexp(max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))))[1]  # 0 for a zero a
+        if k:
+            dev, norm, *rest = squares(k)
+    return math.sqrt(dev) <= STRUCTURE_TOL * math.sqrt(norm), k, rest
 
 
 def _lapack(kernel, what: str, a, **kwargs):

@@ -145,8 +145,8 @@ import numpy as np
 
 from .errors import ComponentError, NonFiniteError, RankDeficientError, SizeMismatchError, StructuralError
 from . import linalg
-from .linalg import (DEFAULT_TOL, STRUCTURE_TOL, TIE_TOL, chunks, eigh, eigvalsh, require_data, require_finite,
-                     require_real, safe_exponent, tie_slack)
+from .linalg import (DEFAULT_TOL, TIE_TOL, chunks, eigh, eigvalsh, require_data, require_finite, require_real,
+                     tie_slack, within_structure)
 from .equivariant import Parameterization, RankVector, diagonal_blocks, make_rank_vector, parameterize_component
 from .perms import Permutation
 from .spectral import BaseChange, real_base_change
@@ -491,7 +491,7 @@ def _square_gram(gram) -> np.ndarray:
     once and any other twice (it stands for its mirror too), and ||G||_F^2
     over the row panels of `linalg.chunks`, which are views of a C-ordered
     G; so no temporary exceeds SCRATCH entries.  Both are summed again on
-    2^k G when ||G||_F^2 under- or overflows (`safe_exponent`)."""
+    2^k G when ||G||_F^2 under- or overflows (`linalg.within_structure`)."""
     g = require_real(gram, "Gram")
     if g.shape[0] != g.shape[1]:
         raise SizeMismatchError(f"Gram has shape {g.shape}; expected a square matrix")
@@ -510,12 +510,7 @@ def _square_gram(gram) -> np.ndarray:
                   for i, rows in enumerate(tiles) for j, cols in enumerate(tiles[:i + 1]))
         return dev, sum(sum_sq(scaled(g[rows])) for rows in chunks(n, n))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves ||G||_F^2 unsafe
-        dev, norm = squares(0)
-    k = safe_exponent(g, norm)
-    if k:
-        dev, norm = squares(k)
-    if math.sqrt(dev) > STRUCTURE_TOL * math.sqrt(norm):
+    if not within_structure(g, squares)[0]:
         raise StructuralError("Gram is not symmetric: ||G - G^T||_F exceeds STRUCTURE_TOL ||G||_F")
     return g
 

@@ -746,6 +746,17 @@ class TestNonFiniteAndFailures:
                                 "PermlinError")
         assert "--matrix" in err["message"]
 
+    @pytest.mark.parametrize("command", [["project"], ["factorize"], ["factorize", "--rank", "2"]],
+                             ids=["project", "factorize", "factorize-rank"])
+    def test_invariant_names_the_shape_of_a_wrong_matrix(self, tmp_path, capsys, command):
+        # a 7 x 9 matrix against n = 6: the shape is at fault, not a rank
+        # that no flag gave (project takes none; factorize defaults to min(rows, n))
+        f = tmp_path / "m.csv"
+        write_matrix_csv(f, np.arange(63.0).reshape(7, 9))
+        err = self.expect_error(capsys, [*command, "--mode", "invariant", "--perm", "(1 2 3)", "--n", "6",
+                                         "--matrix", str(f)], "SizeMismatchError")
+        assert err["message"].startswith("matrix has shape (7, 9); expected a matrix of shape (")
+
     @pytest.mark.parametrize("ridge", ["nan", "inf", "-inf", "0", "-1"])
     @pytest.mark.parametrize("mode", ["equivariant", "invariant"])
     def test_fit_names_a_ridge_that_is_not_finite_and_positive(self, tmp_path, capsys, mode, ridge):

@@ -29,6 +29,7 @@ from permlin.linalg import (
     require_real,
     svd,
     svdvals,
+    within_structure,
 )
 from permlin.optimize import fit_equivariant, fit_rank_bounded, solve_equivariant, weighted_eckart_young
 from permlin.oracles import unrealize, weighted_inner
@@ -269,6 +270,54 @@ class TestNumericRank:
 
     def test_zero(self):
         assert numeric_rank(np.zeros((2, 2))) == 0
+
+
+class TestWithinStructure:
+    """The one membership rule runs its caller's pass at k = 0, and once
+    more, at the k that puts 2^k max |a_ij| in [1/2, 1), only when
+    ||a||_F^2 under- or overflows.  The pass here is the symmetry check."""
+
+    @staticmethod
+    def symmetry_pass(a):
+        ks = []
+
+        def squares(k):
+            ks.append(k)
+            b = np.ldexp(a, k)
+            d = b - b.T
+            return float(np.vdot(d, d)), float(np.vdot(b, b)), "rest"
+
+        return ks, squares
+
+    @staticmethod
+    def matrix(asymmetry):
+        a = np.random.default_rng(0).standard_normal((5, 5))
+        a += a.T
+        a[0, 1] += asymmetry * np.linalg.norm(a)
+        return a
+
+    @pytest.mark.parametrize("asymmetry, within", [(0.0, True), (1e-6, False)])
+    def test_one_pass_at_a_safe_norm(self, asymmetry, within):
+        a = self.matrix(asymmetry)
+        ks, squares = self.symmetry_pass(a)
+        assert within_structure(a, squares) == (within, 0, ["rest"])
+        assert ks == [0]
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    @pytest.mark.parametrize("asymmetry, within", [(0.0, True), (1e-6, False)])
+    def test_two_passes_at_an_unsafe_norm(self, exponent, asymmetry, within):
+        a = np.ldexp(self.matrix(asymmetry), exponent)  # ||a||_F^2 overflows or underflows
+        ks, squares = self.symmetry_pass(a)
+        got, k, rest = within_structure(a, squares)
+        assert (got, rest) == (within, ["rest"])
+        assert ks == [0, k]
+        assert 0.5 <= np.abs(np.ldexp(a, k)).max() < 1
+
+    def test_zero_takes_one_pass(self):
+        a = np.zeros((3, 3))
+        ks, squares = self.symmetry_pass(a)
+        assert within_structure(a, squares) == (True, 0, ["rest"])
+        assert ks == [0]
 
 
 class TestCirculant:

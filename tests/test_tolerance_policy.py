@@ -8,8 +8,8 @@ that layer wraps one LAPACK binding.  The fast paths and their brute-force
 checks stay apart: only the CLI front end imports `oracles`, and no module
 imports a private helper of another.  Every real matrix from a caller is read
 by `linalg.require_real`, the one float cast outside the tables.  One
-commutator bound decides equivariance, and one rule maps a block to its
-frequency."""
+function decides membership in every linear subspace, and one rule maps a
+block to its frequency."""
 
 import ast
 import importlib
@@ -221,25 +221,54 @@ def test_real_matrices_are_read_only_by_the_gate():
     assert not stray, stray
 
 
-MEMBERSHIP = "_commutes"
+MEMBERSHIP = "within_structure"
+MEMBERSHIP_CALLERS = {"equivariant.py": ("is_equivariant", "classify_component", "factor_component"),
+                      "optimize.py": ("_square_gram",), "invariant.py": ("psi_compress",),
+                      "cli.py": ("cmd_verify",)}
 
 
-def test_one_equivariance_rule():
-    """In `equivariant`, only the membership function reads STRUCTURE_TOL,
-    and both `is_equivariant` and `classify_component` call it, so no second
-    rule (an off-block or pattern mass after the base change) decides
-    equivariance."""
-    tree = ast.parse((SRC / "equivariant.py").read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+def _owned_uses(tree: ast.Module, names: set[str]) -> list[tuple[str, str]]:
+    """(innermost enclosing function or "<module>", name) per read of a name
+    in `names`, bare or as an attribute, and per call of `math.frexp`."""
+    found = []
 
-    def reads(node) -> int:
-        return sum(isinstance(n, ast.Name) and n.id == "STRUCTURE_TOL" for n in ast.walk(node))
+    def visit(node, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+                name = _dotted(child)
+                if name.rsplit(".", 1)[-1] in names or name == "math.frexp":
+                    found.append((owner, name.rsplit(".", 1)[-1]))
+                    continue
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
-    assert MEMBERSHIP in functions
-    assert reads(tree) == reads(functions[MEMBERSHIP]) > 0
-    for caller in ("is_equivariant", "classify_component"):
-        calls = {_dotted(n.func) for n in ast.walk(functions[caller]) if isinstance(n, ast.Call)}
-        assert MEMBERSHIP in calls, caller
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_membership_rule():
+    """`linalg.within_structure` is the one membership rule: outside the
+    independent `oracles`, it alone reads STRUCTURE_TOL (its definition
+    aside) and alone picks the power of two that a pass is redone at
+    (`math.frexp`), and each check of membership in a linear subspace calls
+    it: equivariance, column equality of invariant maps, the symmetry of a
+    caller's Gram and the dense commutator of `verify`.  So no second rule
+    or rescale decides a structure."""
+    probe = ast.parse("STRUCTURE_TOL = 1e-8\ndef f(a):\n    return a < linalg.STRUCTURE_TOL\n"
+                      "def g(a):\n    def h():\n        return math.frexp(STRUCTURE_TOL)\n")
+    assert _owned_uses(probe, {"STRUCTURE_TOL"}) == [("f", "STRUCTURE_TOL"), ("h", "frexp"), ("h", "STRUCTURE_TOL")]
+    stray = [f"{path.name}:{owner} {name}" for path in sorted(SRC.glob("*.py")) if path.name != "oracles.py"
+             for owner, name in _owned_uses(ast.parse(path.read_text()), {"STRUCTURE_TOL"})
+             if (path.name, owner) != ("linalg.py", MEMBERSHIP)]
+    assert not stray, stray
+    linalg = ast.parse((SRC / "linalg.py").read_text())
+    assert sorted(set(_owned_uses(linalg, {"STRUCTURE_TOL"}))) == [(MEMBERSHIP, "STRUCTURE_TOL"), (MEMBERSHIP, "frexp")]
+    for module, callers in MEMBERSHIP_CALLERS.items():
+        tree = ast.parse((SRC / module).read_text())
+        functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        for caller in callers:
+            calls = {_dotted(n.func).rsplit(".", 1)[-1] for n in ast.walk(functions[caller])
+                     if isinstance(n, ast.Call)}
+            assert MEMBERSHIP in calls, f"{module}:{caller}"
 
 
 def _block_frequencies(tree: ast.Module) -> list[int]:
